@@ -22,7 +22,6 @@
 #include "bench_util.h"
 #include "core/coords.h"
 #include "query/federated_engine.h"
-#include "query/query_engine.h"
 
 namespace sdss::bench {
 namespace {
@@ -31,7 +30,6 @@ using archive::ReplicationOptions;
 using archive::ShardedStore;
 using catalog::ObjectStore;
 using query::FederatedQueryEngine;
-using query::QueryEngine;
 using query::QueryResult;
 
 /// The C9-flavored query mix, engine-facing slice: (a) finding chart,
@@ -68,17 +66,17 @@ std::vector<std::string> C9Mix() {
 }
 
 /// A fleet fixture: the source store stays alive next to its shards.
+/// Zero shards is the single-store baseline: a one-shard engine over the
+/// unsharded source store.
 struct Fleet {
   ObjectStore store;
   std::unique_ptr<ShardedStore> sharded;
   std::unique_ptr<FederatedQueryEngine> fed;
-  std::unique_ptr<QueryEngine> single;
 
   explicit Fleet(size_t shards, double scale = 1.0)
       : store(MakeBenchStore(scale)) {
-    if (shards == 0) {
-      single = std::make_unique<QueryEngine>(&store);
-    } else {
+    std::vector<query::Shard> routed = {{0, &store, nullptr}};
+    if (shards > 0) {
       ReplicationOptions repl;
       repl.num_servers = shards;
       repl.base_replicas = shards >= 2 ? 2 : 1;
@@ -89,12 +87,13 @@ struct Fleet {
                      live.status().ToString().c_str());
         std::abort();
       }
-      fed = std::make_unique<FederatedQueryEngine>(*live);
+      routed = std::move(*live);
     }
+    fed = std::make_unique<FederatedQueryEngine>(std::move(routed));
   }
 
   QueryResult Run(const std::string& sql) {
-    auto r = single ? single->Execute(sql) : fed->Execute(sql);
+    auto r = fed->Execute(sql);
     if (!r.ok()) {
       std::fprintf(stderr, "query failed: %s\n%s\n",
                    r.status().ToString().c_str(), sql.c_str());
@@ -104,9 +103,8 @@ struct Fleet {
   }
 
   double TimeToFirstRow(const std::string& sql) {
-    auto sink = [](const query::RowBatch&) { return false; };
-    auto st = single ? single->ExecuteStreaming(sql, sink)
-                     : fed->ExecuteStreaming(sql, sink);
+    auto st = fed->ExecuteStreaming(
+        sql, [](const query::RowBatch&) { return false; });
     return st.ok() ? st->seconds_to_first_row : -1.0;
   }
 };

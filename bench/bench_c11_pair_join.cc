@@ -33,7 +33,6 @@
 #include "catalog/photo_obj.h"
 #include "dataflow/hash_machine.h"
 #include "query/federated_engine.h"
-#include "query/query_engine.h"
 
 namespace sdss::bench {
 namespace {
@@ -48,7 +47,7 @@ using dataflow::HashMachine;
 using dataflow::HashReport;
 using dataflow::PairSearchOptions;
 using query::FederatedQueryEngine;
-using query::QueryEngine;
+using query::Shard;
 
 constexpr double kSepArcsec = 10.0;
 
@@ -150,7 +149,7 @@ BENCHMARK(BM_ClusterHashMachine)
 
 void BM_SingleStoreJoin(benchmark::State& state) {
   ObjectStore store = MakeBenchStore(0.3);
-  QueryEngine engine(&store);
+  FederatedQueryEngine engine({Shard{0, &store, nullptr}});
   for (auto _ : state) {
     auto r = engine.Execute(kLensSql);
     benchmark::DoNotOptimize(r->rows.size());

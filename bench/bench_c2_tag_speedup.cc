@@ -13,7 +13,7 @@
 #include <chrono>
 
 #include "bench_util.h"
-#include "query/query_engine.h"
+#include "query/federated_engine.h"
 
 namespace sdss::bench {
 namespace {
@@ -21,17 +21,18 @@ namespace {
 using catalog::kPaperBytesPerPhotoObj;
 using catalog::kPaperBytesPerTagObj;
 using catalog::ObjectStore;
-using query::QueryEngine;
+using query::FederatedQueryEngine;
+using query::Shard;
 
 void PrintC2() {
   ObjectStore store = MakeBenchStore(1.0);
 
-  QueryEngine::Options tag_opt;
+  FederatedQueryEngine::Options tag_opt;
   tag_opt.planner.auto_tag_selection = true;
-  QueryEngine::Options full_opt;
+  FederatedQueryEngine::Options full_opt;
   full_opt.planner.auto_tag_selection = false;
-  QueryEngine tag_engine(&store, tag_opt);
-  QueryEngine full_engine(&store, full_opt);
+  FederatedQueryEngine tag_engine({Shard{0, &store, nullptr}}, tag_opt);
+  FederatedQueryEngine full_engine({Shard{0, &store, nullptr}}, full_opt);
 
   const char* queries[] = {
       "SELECT COUNT(*) FROM photo WHERE r < 19",
@@ -75,7 +76,7 @@ void PrintC2() {
 
   // Measured wall-clock on this host (memory-bandwidth bound, so the
   // ratio is smaller than the disk-bound paper ratio but > 1).
-  auto time_query = [](QueryEngine& eng, const char* sql) {
+  auto time_query = [](FederatedQueryEngine& eng, const char* sql) {
     auto t0 = std::chrono::steady_clock::now();
     auto r = eng.Execute(sql);
     (void)r;
@@ -95,9 +96,9 @@ void PrintC2() {
 
 void BM_FullStoreScan(benchmark::State& state) {
   ObjectStore store = MakeBenchStore(0.5);
-  QueryEngine::Options opt;
+  FederatedQueryEngine::Options opt;
   opt.planner.auto_tag_selection = false;
-  QueryEngine engine(&store, opt);
+  FederatedQueryEngine engine({Shard{0, &store, nullptr}}, opt);
   for (auto _ : state) {
     auto r = engine.Execute("SELECT COUNT(*) FROM photo WHERE r < 19");
     benchmark::DoNotOptimize(r->aggregate_value);
@@ -109,7 +110,7 @@ BENCHMARK(BM_FullStoreScan)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_TagStoreScan(benchmark::State& state) {
   ObjectStore store = MakeBenchStore(0.5);
-  QueryEngine engine(&store);
+  FederatedQueryEngine engine({Shard{0, &store, nullptr}});
   for (auto _ : state) {
     auto r = engine.Execute("SELECT COUNT(*) FROM tag WHERE r < 19");
     benchmark::DoNotOptimize(r->aggregate_value);

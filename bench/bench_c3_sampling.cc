@@ -12,7 +12,7 @@
 #include <cmath>
 
 #include "bench_util.h"
-#include "query/query_engine.h"
+#include "query/federated_engine.h"
 
 namespace sdss::bench {
 namespace {
@@ -20,7 +20,8 @@ namespace {
 using catalog::kPaperBytesPerPhotoObj;
 using catalog::kPaperBytesPerTagObj;
 using catalog::ObjectStore;
-using query::QueryEngine;
+using query::FederatedQueryEngine;
+using query::Shard;
 
 void PrintC3() {
   ObjectStore store = MakeBenchStore(1.0);
@@ -47,8 +48,8 @@ void PrintC3() {
               full_tb / sample_tag_b);
 
   // Estimate accuracy: selectivities estimated on the sample vs truth.
-  QueryEngine full_engine(&store);
-  QueryEngine sample_engine(&sample);
+  FederatedQueryEngine full_engine({Shard{0, &store, nullptr}});
+  FederatedQueryEngine sample_engine({Shard{0, &sample, nullptr}});
   const char* queries[] = {
       "SELECT COUNT(*) FROM photo WHERE r < 20",
       "SELECT COUNT(*) FROM photo WHERE g - r > 0.8",
@@ -77,7 +78,7 @@ void PrintC3() {
 
 void BM_FullCatalogQuery(benchmark::State& state) {
   ObjectStore store = MakeBenchStore(1.0);
-  QueryEngine engine(&store);
+  FederatedQueryEngine engine({Shard{0, &store, nullptr}});
   for (auto _ : state) {
     auto r = engine.Execute(
         "SELECT COUNT(*) FROM photo WHERE g - r > 0.8 AND r < 21");
@@ -90,7 +91,7 @@ BENCHMARK(BM_FullCatalogQuery)->Unit(benchmark::kMillisecond)
 void BM_SampleQuery(benchmark::State& state) {
   ObjectStore store = MakeBenchStore(1.0);
   ObjectStore sample = store.Sample(0.01, 2718);
-  QueryEngine engine(&sample);
+  FederatedQueryEngine engine({Shard{0, &sample, nullptr}});
   for (auto _ : state) {
     auto r = engine.Execute(
         "SELECT COUNT(*) FROM photo WHERE g - r > 0.8 AND r < 21");
@@ -113,7 +114,7 @@ BENCHMARK(BM_SampleConstruction)->Unit(benchmark::kMillisecond);
 // The SAMPLE query clause (Bernoulli sampling inside the scan).
 void BM_SampleClause(benchmark::State& state) {
   ObjectStore store = MakeBenchStore(0.5);
-  QueryEngine engine(&store);
+  FederatedQueryEngine engine({Shard{0, &store, nullptr}});
   for (auto _ : state) {
     auto r = engine.Execute(
         "SELECT COUNT(*) FROM photo WHERE r < 21 SAMPLE 0.01");

@@ -13,14 +13,12 @@
 
 #include "bench_util.h"
 #include "core/coords.h"
-#include "query/query_engine.h"
 
 namespace sdss::bench {
 namespace {
 
 using catalog::ObjectStore;
 using catalog::PhotoObj;
-using query::QueryEngine;
 
 SphericalCoord FootprintCenter() {
   return ToSpherical(EquatorialUnitVector({0.0, 90.0, Frame::kGalactic}),

@@ -11,19 +11,20 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "query/query_engine.h"
+#include "query/federated_engine.h"
 
 namespace sdss::bench {
 namespace {
 
 using catalog::ObjectStore;
 using query::ExecStats;
-using query::QueryEngine;
+using query::FederatedQueryEngine;
 using query::RowBatch;
+using query::Shard;
 
 void PrintC8() {
   ObjectStore store = MakeBenchStore(2.0);
-  QueryEngine engine(&store);
+  FederatedQueryEngine engine({Shard{0, &store, nullptr}});
 
   struct Case {
     const char* label;
@@ -75,7 +76,7 @@ void PrintC8() {
 
 void BM_TimeToFirstRow(benchmark::State& state) {
   ObjectStore store = MakeBenchStore(1.0);
-  QueryEngine engine(&store);
+  FederatedQueryEngine engine({Shard{0, &store, nullptr}});
   for (auto _ : state) {
     bool got_first = false;
     auto stats = engine.ExecuteStreaming(
@@ -91,7 +92,7 @@ BENCHMARK(BM_TimeToFirstRow)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_FullCompletion(benchmark::State& state) {
   ObjectStore store = MakeBenchStore(1.0);
-  QueryEngine engine(&store);
+  FederatedQueryEngine engine({Shard{0, &store, nullptr}});
   for (auto _ : state) {
     uint64_t rows = 0;
     auto stats = engine.ExecuteStreaming(
@@ -108,7 +109,7 @@ BENCHMARK(BM_FullCompletion)->Unit(benchmark::kMillisecond)->UseRealTime();
 void BM_LimitCancellation(benchmark::State& state) {
   // LIMIT n should cost far less than the full scan for small n.
   ObjectStore store = MakeBenchStore(1.0);
-  QueryEngine engine(&store);
+  FederatedQueryEngine engine({Shard{0, &store, nullptr}});
   int64_t limit = state.range(0);
   std::string sql =
       "SELECT obj_id FROM photo LIMIT " + std::to_string(limit);

@@ -24,7 +24,7 @@
 #include "core/random.h"
 #include "dataflow/hash_machine.h"
 #include "persist/snapshot.h"
-#include "query/query_engine.h"
+#include "query/federated_engine.h"
 
 namespace sdss::bench {
 namespace {
@@ -38,7 +38,8 @@ using dataflow::ClusterSim;
 using dataflow::HashMachine;
 using dataflow::HashReport;
 using dataflow::PairSearchOptions;
-using query::QueryEngine;
+using query::FederatedQueryEngine;
+using query::Shard;
 
 void PrintC9() {
   // Sky salted with quasar+faint-blue-galaxy pairs and lens images.
@@ -85,7 +86,7 @@ void PrintC9() {
               static_cast<unsigned long long>(planted_lenses));
 
   // (a) Finding chart: cone + color + class cuts.
-  QueryEngine engine(&store);
+  FederatedQueryEngine engine({Shard{0, &store, nullptr}});
   SphericalCoord c = ToSpherical(
       EquatorialUnitVector({0.0, 90.0, Frame::kGalactic}),
       Frame::kEquatorial);
@@ -183,7 +184,7 @@ void PrintC9() {
 
 void BM_FindingChart(benchmark::State& state) {
   ObjectStore store = MakeBenchStore(0.5);
-  QueryEngine engine(&store);
+  FederatedQueryEngine engine({Shard{0, &store, nullptr}});
   SphericalCoord c = ToSpherical(
       EquatorialUnitVector({0.0, 90.0, Frame::kGalactic}),
       Frame::kEquatorial);
@@ -234,8 +235,8 @@ ObjectStore& MappedBenchStore() {
   return *store;
 }
 
-query::QueryEngine::Options ScanOptions(bool columnar) {
-  query::QueryEngine::Options opt;
+query::FederatedQueryEngine::Options ScanOptions(bool columnar) {
+  query::FederatedQueryEngine::Options opt;
   // Pin the scan to photo containers (the tag partition has no column
   // views) and one thread so the kernel-vs-row delta is undiluted.
   opt.planner.auto_tag_selection = false;
@@ -245,7 +246,8 @@ query::QueryEngine::Options ScanOptions(bool columnar) {
 }
 
 void ScanBench(benchmark::State& state, const char* sql, bool columnar) {
-  QueryEngine engine(&MappedBenchStore(), ScanOptions(columnar));
+  FederatedQueryEngine engine({Shard{0, &MappedBenchStore(), nullptr}},
+                              ScanOptions(columnar));
   // Warm up: the row path lazily materializes rows from the mapped
   // columns on first touch; that one-time cost is not the scan.
   { auto warm = engine.Execute(sql); benchmark::DoNotOptimize(warm.ok()); }

@@ -16,7 +16,6 @@
 #include "archive/sharded_store.h"
 #include "catalog/sky_generator.h"
 #include "query/federated_engine.h"
-#include "query/query_engine.h"
 
 using namespace sdss;
 

@@ -16,7 +16,7 @@
 #include "catalog/schema.h"
 #include "catalog/sky_generator.h"
 #include "dataflow/scan_machine.h"
-#include "query/query_engine.h"
+#include "query/federated_engine.h"
 
 using namespace sdss;
 using catalog::ObjClass;
@@ -79,7 +79,8 @@ int main() {
   }
 
   // --- Science queries. -----------------------------------------------
-  query::QueryEngine engine(&science_archive);
+  query::FederatedQueryEngine engine(
+      {query::Shard{0, &science_archive, nullptr}});
 
   struct NamedQuery {
     const char* label;

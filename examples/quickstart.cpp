@@ -16,7 +16,7 @@
 #include "catalog/sky_generator.h"
 #include "core/coords.h"
 #include "htm/htm_index.h"
-#include "query/query_engine.h"
+#include "query/federated_engine.h"
 
 using namespace sdss;
 
@@ -63,7 +63,7 @@ int main() {
               (unsigned long long)prediction.bytes_to_scan);
 
   // --- 4. The same search through the query engine. -------------------
-  query::QueryEngine engine(&store);
+  query::FederatedQueryEngine engine({query::Shard{0, &store, nullptr}});
 
   auto result = engine.Execute(
       "SELECT obj_id, ra, dec, r FROM photo "

@@ -271,13 +271,6 @@ Executor::Executor(const catalog::ObjectStore* store, Options options,
   }
 }
 
-Result<ExecStats> Executor::Run(
-    const Plan& plan, const std::function<bool(const RowBatch&)>& on_batch) {
-  if (!plan.root) return Status::InvalidArgument("empty plan");
-  return RunTree(plan.root.get(),
-                 [&on_batch](RowBatch&& batch) { return on_batch(batch); });
-}
-
 Result<ExecStats> Executor::RunTree(
     const PlanNode* root, const std::function<bool(RowBatch&&)>& on_batch,
     const std::unordered_set<uint64_t>* container_filter,

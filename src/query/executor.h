@@ -50,13 +50,18 @@ struct ExecStats {
   bool cache_containment = false;  ///< Answered by filtering a superset
                                    ///< entry's rows (cover containment).
 
-  // Per-stage wall-clock breakdown (seconds), filled by the federated
-  // engine and surfaced in the wire protocol's DONE frame. Stages that
-  // did not run (no cache configured, no join, personal store) stay 0.
+  // Per-stage wall-clock breakdown (seconds), set once by the federated
+  // engine's run entry for every execution shape and surfaced in the
+  // wire protocol's DONE frame. There, seconds_total covers the run
+  // after planning: cache probe + ghost harvest + fan-out never exceed
+  // it, and seconds_stream_out is the part of the fan-out (or of a cache
+  // answer) spent inside the caller's sink -- nonzero whenever rows were
+  // emitted. Stages that did not run (no cache configured, no join, a
+  // cache-answered run's fan-out) stay 0.
   double seconds_plan = 0.0;           ///< Parse + plan (Prepare).
   double seconds_cache_probe = 0.0;    ///< Result-cache consult.
   double seconds_ghost_harvest = 0.0;  ///< Join boundary-ghost exchange.
-  double seconds_fan_out = 0.0;        ///< Shard fan-out + merge, wall.
+  double seconds_fan_out = 0.0;        ///< Execution + merge + fold, wall.
   double seconds_stream_out = 0.0;     ///< Time inside the row sink.
 };
 
@@ -128,18 +133,16 @@ class Executor {
   Executor(const catalog::ObjectStore* store, Options options,
            ThreadPool* shared_pool = nullptr);
 
-  /// Runs `plan`, invoking `on_batch` for every batch that reaches the
-  /// root (in ASAP order). The sink may return false to cancel the query
+  /// Runs a plan subtree, invoking `on_batch` for every batch that
+  /// reaches `root` (in ASAP order). The sink receives each batch by
+  /// rvalue and may steal it, and may return false to cancel the query
   /// (remaining upstream work is aborted). Returns execution stats, or
   /// the first error raised by any node.
-  Result<ExecStats> Run(const Plan& plan,
-                        const std::function<bool(const RowBatch&)>& on_batch);
-
-  /// Runs a plan subtree. The sink receives each batch by rvalue and may
-  /// steal it. `container_filter`, when non-null, restricts every scan
-  /// leaf to containers whose id is in the set -- the federated engine's
-  /// shard assignment (a shard holds replica containers it is not
-  /// currently serving). `join_ghosts`, when non-null, feeds the tree's
+  ///
+  /// `container_filter`, when non-null, restricts every scan leaf to
+  /// containers whose id is in the set -- the federated engine's shard
+  /// assignment (a shard holds replica containers it is not currently
+  /// serving). `join_ghosts`, when non-null, feeds the tree's
   /// pair-join leaf the boundary objects neighboring shards shipped
   /// here. `cancel`, when non-null, is a cooperative cancel flag: the
   /// scan and join loops poll it per object/pair, and a raised flag

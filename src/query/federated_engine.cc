@@ -46,31 +46,6 @@ std::string StripExplainAnalyze(const std::string& sql) {
   return sql.substr(pos);
 }
 
-/// ORDER/LIMIT wrappers at the top of a plan chain. The federated merge
-/// must mirror them globally: per-shard sorts merge into one ordered
-/// stream, per-shard limits are supersets of the global cap.
-struct ChainInfo {
-  bool ordered = false;
-  size_t order_col = 0;
-  bool order_desc = false;
-  int64_t limit = -1;
-};
-
-ChainInfo AnalyzeChain(const PlanNode* root) {
-  ChainInfo info;
-  const PlanNode* n = root;
-  if (n->type == PlanNodeType::kLimit) {
-    info.limit = n->limit;
-    n = n->children[0].get();
-  }
-  if (n->type == PlanNodeType::kSort) {
-    info.ordered = true;
-    info.order_col = n->sort_column;
-    info.order_desc = n->sort_desc;
-  }
-  return info;
-}
-
 /// The pair-join leaf of a plan chain, or null. Join plans are a linear
 /// agg/limit/sort chain over the kPairJoin leaf (the planner rejects
 /// joins inside set operations).
@@ -257,20 +232,157 @@ class MergeCursor {
   bool done_ = false;
 };
 
+/// Streams `rows` to `sink` in batches of at most `batch_size` rows.
+/// Returns false once the sink stops consumption.
+bool EmitRows(RowBatch&& rows, size_t batch_size,
+              const std::function<bool(RowBatch&&)>& sink) {
+  for (size_t i = 0; i < rows.size(); i += batch_size) {
+    const size_t end = std::min(i + batch_size, rows.size());
+    RowBatch batch(std::make_move_iterator(rows.begin() + i),
+                   std::make_move_iterator(rows.begin() + end));
+    if (!sink(std::move(batch))) return false;
+  }
+  return true;
+}
+
+/// A sink appending every row to `rows`.
+std::function<bool(RowBatch&&)> AppendTo(RowBatch* rows) {
+  return [rows](RowBatch&& batch) {
+    rows->insert(rows->end(), std::make_move_iterator(batch.begin()),
+                 std::make_move_iterator(batch.end()));
+    return true;
+  };
+}
+
+/// A sink folding every row into `fold`: shard-partial rows carry the
+/// decomposed {count, sum, min, max}, raw rows add their first value.
+std::function<bool(RowBatch&&)> FoldInto(AggFold* fold, bool partial_rows) {
+  return [fold, partial_rows](RowBatch&& batch) {
+    for (const ResultRow& r : batch) {
+      if (!partial_rows) {
+        ++fold->count;
+        if (!r.values.empty()) fold->Add(r.values[0]);
+      } else if (r.values.size() == 4) {
+        AggFold part;
+        part.count = static_cast<uint64_t>(r.values[0]);
+        part.sum = r.values[1];
+        part.min_v = r.values[2];
+        part.max_v = r.values[3];
+        fold->Merge(part);
+      }
+    }
+    return true;
+  };
+}
+
+bool IsSetNode(const PlanNode* node) {
+  return node->type == PlanNodeType::kUnion ||
+         node->type == PlanNodeType::kIntersect ||
+         node->type == PlanNodeType::kDifference;
+}
+
+/// The select branches of the planner's left-deep set-operation tree,
+/// left to right, each paired with the operator that folds it into the
+/// branches before it (the first branch's entry is its own type).
+std::vector<std::pair<PlanNodeType, const PlanNode*>> SetBranches(
+    const PlanNode* node) {
+  std::vector<std::pair<PlanNodeType, const PlanNode*>> out;
+  for (; IsSetNode(node); node = node->children[0].get()) {
+    out.emplace_back(node->type, node->children[1].get());
+  }
+  out.emplace_back(node->type, node);
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+/// Folds `rhs` into `acc` with the executor's set semantics: bags keyed
+/// by obj_id, the left stream's order preserved.
+void ApplySetOp(PlanNodeType op, RowBatch* acc, RowBatch&& rhs) {
+  std::unordered_set<uint64_t> ids;
+  if (op == PlanNodeType::kUnion) {
+    for (const ResultRow& r : *acc) ids.insert(r.obj_id);
+    for (ResultRow& r : rhs) {
+      if (ids.insert(r.obj_id).second) acc->push_back(std::move(r));
+    }
+    return;
+  }
+  for (const ResultRow& r : rhs) ids.insert(r.obj_id);
+  const bool keep_if_present = op == PlanNodeType::kIntersect;
+  RowBatch kept;
+  for (ResultRow& r : *acc) {
+    if ((ids.count(r.obj_id) > 0) == keep_if_present) {
+      kept.push_back(std::move(r));
+    }
+  }
+  *acc = std::move(kept);
+}
+
+void AddScanCounters(const ExecStats& from, ExecStats* into) {
+  into->containers_scanned += from.containers_scanned;
+  into->containers_columnar += from.containers_columnar;
+  into->objects_examined += from.objects_examined;
+  into->objects_matched += from.objects_matched;
+  into->bytes_touched += from.bytes_touched;
+  into->bytes_shipped += from.bytes_shipped;
+}
+
+/// Opens one shard's span under a fan_out span, on the shard's own
+/// display lane.
+int BeginShardSpan(QueryTrace* trace, int fan_span, size_t index,
+                   const Shard& shard) {
+  const int span =
+      TraceBegin(trace, "shard", fan_span, 1 + static_cast<int>(index));
+  TraceNum(trace, span, "server", static_cast<double>(shard.server));
+  return span;
+}
+
 }  // namespace
 
 struct FederatedQueryEngine::Prepared {
   ParsedQuery parsed;
   std::vector<Shard> shards;
   Plan plan;
-  /// The plan reads a personal mydb store: run locally, not fanned out.
+  /// The plan reads a personal mydb store, which is never sharded.
   bool mydb = false;
-  /// The job's heat feedback hook (points into the caller's ExecContext,
-  /// which outlives the run). Null when the job does not record heat.
-  const AccessRecorder* access = nullptr;
-  /// The run's span tree (from ExecContext::trace); null = tracing off.
-  QueryTrace* trace = nullptr;
   double seconds_plan = 0.0;  ///< Parse + plan wall time (Prepare).
+
+  /// Shape (a): a personal store or a fleet of one runs the whole tree
+  /// on one executor.
+  bool single_store() const { return mydb || shards.size() == 1; }
+};
+
+/// How the fan-out merges the shard streams: the subtree every shard
+/// runs, plus the global ORDER / LIMIT / dedupe the merge must mirror.
+struct FederatedQueryEngine::MergePolicy {
+  const PlanNode* root = nullptr;
+  /// K-way merge of per-shard sorted streams on (order_col, order_desc);
+  /// unordered streams interleave in ASAP arrival order.
+  bool ordered = false;
+  size_t order_col = 0;
+  bool order_desc = false;
+  /// Global row cap (-1 = none); per-shard limits are supersets of it.
+  int64_t limit = -1;
+  /// Drop pair rows another shard's stream already delivered.
+  bool dedupe_pairs = false;
+  /// Boundary ghosts for each shard's pair join, indexed like the shards.
+  const std::vector<PairJoinGhosts>* ghosts = nullptr;
+
+  /// The policy mirroring the ORDER/LIMIT wrappers at the top of `root`.
+  static MergePolicy ForChain(const PlanNode* root) {
+    MergePolicy policy;
+    policy.root = root;
+    const PlanNode* n = root;
+    if (n->type == PlanNodeType::kLimit) {
+      policy.limit = n->limit;
+      n = n->children[0].get();
+    }
+    if (n->type == PlanNodeType::kSort) {
+      policy.ordered = true;
+      policy.order_col = n->sort_column;
+      policy.order_desc = n->sort_desc;
+    }
+    return policy;
+  }
 };
 
 FederatedQueryEngine::FederatedQueryEngine(std::vector<Shard> shards,
@@ -308,99 +420,6 @@ uint64_t FederatedQueryEngine::CacheEpoch(
   return sum;
 }
 
-Result<ExecStats> FederatedQueryEngine::RunPreparedCached(
-    Prepared& prep, const ExecContext& ctx,
-    const std::function<bool(RowBatch&&)>& sink) {
-  if (cache_ == nullptr || ctx.no_result_cache || ctx.into_sink ||
-      prep.mydb || !ResultCache::Cacheable(prep.parsed, prep.plan)) {
-    auto st = RunPrepared(prep, sink, ctx.cancel);
-    if (st.ok()) st->seconds_plan = prep.seconds_plan;
-    return st;
-  }
-  auto t0 = std::chrono::steady_clock::now();
-  const int probe_span = TraceBegin(prep.trace, "cache_probe");
-  const std::string fingerprint = ResultCache::Fingerprint(prep.plan);
-  const uint64_t epoch = CacheEpoch(prep.shards);
-
-  ResultCache::Answer answer;
-  if (cache_->TryAnswer(fingerprint, prep.plan, epoch, &answer)) {
-    const double probe_seconds = SecondsSince(t0);
-    TraceNote(prep.trace, probe_span, "verdict",
-              answer.containment ? "containment" : "hit");
-    TraceEnd(prep.trace, probe_span);
-    if (answer.containment) {
-      if (m_cache_containment_ != nullptr) m_cache_containment_->Inc();
-    } else {
-      if (m_cache_hits_ != nullptr) m_cache_hits_->Inc();
-    }
-    ExecStats stats;
-    stats.seconds_plan = prep.seconds_plan;
-    stats.seconds_cache_probe = probe_seconds;
-    stats.cache_hit = !answer.containment;
-    stats.cache_containment = answer.containment;
-    const size_t batch_size = options_.executor.batch_size;
-    for (size_t i = 0; i < answer.rows.size(); i += batch_size) {
-      const size_t end =
-          std::min(i + batch_size, answer.rows.size());
-      RowBatch batch(std::make_move_iterator(answer.rows.begin() + i),
-                     std::make_move_iterator(answer.rows.begin() + end));
-      if (i == 0) stats.seconds_to_first_row = SecondsSince(t0);
-      stats.rows_emitted += batch.size();
-      if (!sink(std::move(batch))) {
-        stats.cancelled_early = true;
-        break;
-      }
-    }
-    stats.seconds_total = SecondsSince(t0);
-    if (stats.rows_emitted == 0) {
-      stats.seconds_to_first_row = stats.seconds_total;
-    }
-    return stats;
-  }
-
-  // Miss: run the fleet, teeing the output rows for installation. The
-  // buffer is abandoned (and the run left uncached) the moment it
-  // outgrows the per-entry budget.
-  const double probe_seconds = SecondsSince(t0);
-  TraceNote(prep.trace, probe_span, "verdict", "miss");
-  TraceEnd(prep.trace, probe_span);
-  if (m_cache_misses_ != nullptr) m_cache_misses_->Inc();
-  std::vector<ResultRow> buffer;
-  size_t buffer_bytes = 0;
-  bool overflow = false;
-  const size_t cap = cache_->entry_byte_cap();
-  auto st = RunPrepared(
-      prep,
-      [&](RowBatch&& batch) {
-        if (!overflow) {
-          for (const ResultRow& r : batch) {
-            buffer_bytes += ResultCache::ApproxRowBytes(r);
-            if (buffer_bytes > cap) {
-              overflow = true;
-              buffer.clear();
-              buffer.shrink_to_fit();
-              break;
-            }
-            buffer.push_back(r);
-          }
-        }
-        return sink(std::move(batch));
-      },
-      ctx.cancel);
-  // Install only a clean, complete answer observed under an unchanged
-  // epoch: a cancelled sink saw a prefix, and a mid-run write may have
-  // leaked into the row set (the re-read guards that race).
-  if (st.ok() && !st->cancelled_early && !overflow &&
-      CacheEpoch(prep.shards) == epoch) {
-    cache_->Install(fingerprint, prep.plan, epoch, std::move(buffer));
-  }
-  if (st.ok()) {
-    st->seconds_plan = prep.seconds_plan;
-    st->seconds_cache_probe = probe_seconds;
-  }
-  return st;
-}
-
 void FederatedQueryEngine::SetShards(std::vector<Shard> shards) {
   std::lock_guard<std::mutex> lock(mu_);
   shards_ = std::move(shards);
@@ -421,7 +440,6 @@ Result<FederatedQueryEngine::Prepared> FederatedQueryEngine::Prepare(
   auto t0 = std::chrono::steady_clock::now();
   const int plan_span = TraceBegin(ctx.trace, "plan");
   Prepared prep;
-  prep.trace = ctx.trace;
   auto parsed = Parse(sql);
   if (!parsed.ok()) {
     TraceEnd(ctx.trace, plan_span);
@@ -439,7 +457,6 @@ Result<FederatedQueryEngine::Prepared> FederatedQueryEngine::Prepare(
   // a per-user mydb namespace on top of the engine's planner options.
   PlannerOptions planner = options_.planner;
   if (ctx.mydb) planner.mydb = ctx.mydb;
-  if (ctx.access_recorder) prep.access = &ctx.access_recorder;
   auto plan = BuildPlan(prep.parsed, *prep.shards[0].store, planner);
   if (!plan.ok()) {
     TraceEnd(ctx.trace, plan_span);
@@ -474,30 +491,176 @@ Result<FederatedQueryEngine::Prepared> FederatedQueryEngine::Prepare(
   return prep;
 }
 
-Result<ExecStats> FederatedQueryEngine::RunFederated(
-    const std::vector<Shard>& shards, const PlanNode* root, bool ordered,
-    size_t order_col, bool order_desc, int64_t global_limit,
-    const std::function<bool(RowBatch&&)>& sink,
-    const std::vector<PairJoinGhosts>* join_ghosts, bool dedupe_pairs,
-    const std::atomic<bool>* cancel, const AccessRecorder* access,
-    QueryTrace* trace) {
-  auto t0 = std::chrono::steady_clock::now();
+Result<ExecStats> FederatedQueryEngine::Run(
+    const std::string& sql, const ExecContext& ctx,
+    const std::function<void(const Prepared&)>& on_plan, const Sink& sink) {
+  auto prep = Prepare(sql, ctx);
+  if (!prep.ok()) return prep.status();
+  if (!prep->parsed.first.into_mydb.empty() && !ctx.into_sink) {
+    return Status::InvalidArgument(
+        "INTO mydb." + prep->parsed.first.into_mydb +
+        " must run through the batch workbench; the engine alone would "
+        "discard the materialization");
+  }
+  on_plan(*prep);
+
+  // Every stage clock is set here, once, whatever answers the query:
+  // seconds_total spans probe + harvest + fan-out, and every row that
+  // leaves the engine passes `out`, which times the caller's sink.
+  const auto t0 = std::chrono::steady_clock::now();
+  ExecStats stats;
+  stats.seconds_plan = prep->seconds_plan;
+  bool first = true;
+  const Sink out = [&](RowBatch&& batch) {
+    if (batch.empty()) return true;
+    if (first) {
+      stats.seconds_to_first_row = SecondsSince(t0);
+      first = false;
+    }
+    stats.rows_emitted += batch.size();
+    const auto s0 = std::chrono::steady_clock::now();
+    const bool more = sink(std::move(batch));
+    stats.seconds_stream_out += SecondsSince(s0);
+    if (!more) stats.cancelled_early = true;
+    return more;
+  };
+
+  const bool cacheable = cache_ != nullptr && !ctx.no_result_cache &&
+                         !ctx.into_sink && !prep->mydb &&
+                         ResultCache::Cacheable(prep->parsed, prep->plan);
+  std::string fingerprint;
+  uint64_t epoch = 0;
+  ResultCache::Answer answer;
+  bool answered = false;
+  if (cacheable) {
+    const int probe_span = TraceBegin(ctx.trace, "cache_probe");
+    fingerprint = ResultCache::Fingerprint(prep->plan);
+    epoch = CacheEpoch(prep->shards);
+    answered = cache_->TryAnswer(fingerprint, prep->plan, epoch, &answer);
+    stats.seconds_cache_probe = SecondsSince(t0);
+    const bool contained = answered && answer.containment;
+    TraceNote(ctx.trace, probe_span, "verdict",
+              !answered ? "miss" : contained ? "containment" : "hit");
+    TraceEnd(ctx.trace, probe_span);
+    metrics::Counter* verdict = m_cache_misses_;
+    if (answered) verdict = contained ? m_cache_containment_ : m_cache_hits_;
+    if (verdict != nullptr) verdict->Inc();
+  }
+
+  if (answered) {
+    stats.cache_hit = !answer.containment;
+    stats.cache_containment = answer.containment;
+    EmitRows(std::move(answer.rows), options_.executor.batch_size, out);
+  } else {
+    // A miss tees the output rows for installation. The buffer is
+    // abandoned (and the run left uncached) the moment it outgrows the
+    // per-entry budget.
+    RowBatch buffer;
+    size_t buffer_bytes = 0;
+    bool overflow = false;
+    const Sink tee = [&](RowBatch&& batch) {
+      for (const ResultRow& r : batch) {
+        if (overflow) break;
+        buffer_bytes += ResultCache::ApproxRowBytes(r);
+        if (buffer_bytes > cache_->entry_byte_cap()) {
+          overflow = true;
+          buffer.clear();
+          buffer.shrink_to_fit();
+          break;
+        }
+        buffer.push_back(r);
+      }
+      return out(std::move(batch));
+    };
+    const Sink& run_sink = cacheable ? tee : out;
+    const auto f0 = std::chrono::steady_clock::now();
+    Status run = prep->single_store()
+                     ? RunSingleStore(*prep, ctx, run_sink, &stats)
+                     : RunFanOut(*prep, ctx, run_sink, &stats);
+    if (!run.ok()) return run;
+    stats.seconds_fan_out = SecondsSince(f0) - stats.seconds_ghost_harvest;
+    // Install only a clean, complete answer observed under an unchanged
+    // epoch: a cancelled sink saw a prefix, and a mid-run write may have
+    // leaked into the row set (the re-read guards that race).
+    if (cacheable && !overflow && !stats.cancelled_early &&
+        CacheEpoch(prep->shards) == epoch) {
+      cache_->Install(fingerprint, prep->plan, epoch, std::move(buffer));
+    }
+  }
+  stats.seconds_total = SecondsSince(t0);
+  if (first) stats.seconds_to_first_row = stats.seconds_total;
+  if (m_queries_ != nullptr) m_queries_->Inc();
+  if (m_exec_us_ != nullptr) {
+    m_exec_us_->Record(static_cast<uint64_t>(stats.seconds_total * 1e6));
+  }
+  return stats;
+}
+
+Result<ExecStats> FederatedQueryEngine::RunShard(
+    const Shard& shard, const PlanNode* root, const Sink& sink,
+    const PairJoinGhosts* ghosts, const ExecContext& ctx, int span) {
+  Executor executor(shard.store, options_.executor, &pool_);
+  auto st = executor.RunTree(
+      root, sink, shard.assigned.get(), ghosts, ctx.cancel,
+      ctx.access_recorder ? &ctx.access_recorder : nullptr);
+  QueryTrace* trace = ctx.trace;
+  if (trace != nullptr && st.ok()) {
+    trace->Num(span, "containers",
+               static_cast<double>(st->containers_scanned));
+    trace->Num(span, "columnar",
+               static_cast<double>(st->containers_columnar));
+    trace->Num(span, "bytes", static_cast<double>(st->bytes_touched));
+    trace->Num(span, "bytes_shipped", static_cast<double>(st->bytes_shipped));
+    trace->Num(span, "rows", static_cast<double>(st->rows_emitted));
+    trace->Num(span, "seconds", st->seconds_total);
+    trace->Note(span, "kernel",
+                st->containers_columnar > 0
+                    ? (st->containers_columnar == st->containers_scanned
+                           ? "columnar"
+                           : "mixed")
+                    : "row");
+  }
+  TraceEnd(trace, span);
+  return st;
+}
+
+Status FederatedQueryEngine::RunSingleStore(const Prepared& prep,
+                                            const ExecContext& ctx,
+                                            const Sink& sink,
+                                            ExecStats* stats) {
+  // The fan-out's span vocabulary -- a fan_out span with one shard child
+  // -- so EXPLAIN ANALYZE reads both shapes alike; no merge span, since
+  // the executor's root stream already is the answer.
+  const int fan_span = TraceBegin(ctx.trace, "fan_out");
+  TraceNum(ctx.trace, fan_span, "shards", 1.0);
+  const Shard& shard = prep.shards[0];
+  const int span = BeginShardSpan(ctx.trace, fan_span, 0, shard);
+  auto st = RunShard(shard, prep.plan.root.get(), sink, nullptr, ctx, span);
+  if (st.ok()) {
+    AddScanCounters(*st, stats);
+    TraceNum(ctx.trace, fan_span, "rows",
+             static_cast<double>(st->rows_emitted));
+  }
+  TraceEnd(ctx.trace, fan_span);
+  return st.status();
+}
+
+Status FederatedQueryEngine::FanOut(const Prepared& prep,
+                                    const ExecContext& ctx,
+                                    const MergePolicy& policy,
+                                    const Sink& sink, ExecStats* stats) {
+  const std::vector<Shard>& shards = prep.shards;
   const size_t n = shards.size();
+  QueryTrace* trace = ctx.trace;
   const int fan_span = TraceBegin(trace, "fan_out");
   TraceNum(trace, fan_span, "shards", static_cast<double>(n));
 
   // One channel per shard when the merge must preserve order; one shared
   // channel (ASAP arrival order) otherwise.
-  std::vector<std::shared_ptr<RowChannel>> channels;
-  if (ordered) {
-    for (size_t i = 0; i < n; ++i) {
-      channels.push_back(std::make_shared<RowChannel>());
-    }
-  } else {
-    channels.push_back(std::make_shared<RowChannel>());
-  }
+  std::vector<std::shared_ptr<RowChannel>> channels(policy.ordered ? n : 1);
+  for (auto& ch : channels) ch = std::make_shared<RowChannel>();
   auto channel_for = [&](size_t i) {
-    return ordered ? channels[i] : channels[0];
+    return policy.ordered ? channels[i] : channels[0];
   };
   for (size_t i = 0; i < n; ++i) channel_for(i)->AddWriter();
 
@@ -505,68 +668,37 @@ Result<ExecStats> FederatedQueryEngine::RunFederated(
                                                     ExecStats{}));
   ThreadGroup threads;
   for (size_t i = 0; i < n; ++i) {
-    Shard shard = shards[i];
-    auto ch = channel_for(i);
-    Result<ExecStats>* slot = &shard_stats[i];
-    const PairJoinGhosts* ghosts =
-        join_ghosts != nullptr ? &(*join_ghosts)[i] : nullptr;
     // Shard spans open here, on the launch thread, so their Begin order
     // (= span index order) is deterministic regardless of how the shard
     // threads interleave; each shard thread closes and annotates its own.
-    const int sspan =
-        TraceBegin(trace, "shard", fan_span, /*lane=*/1 + static_cast<int>(i));
-    TraceNum(trace, sspan, "server", static_cast<double>(shard.server));
-    threads.Spawn([this, root, shard, ch, slot, ghosts, cancel, access, trace,
-                   sspan] {
-      Executor executor(shard.store, options_.executor, &pool_);
-      *slot = executor.RunTree(
-          root, [&ch](RowBatch&& batch) { return ch->Push(std::move(batch)); },
-          shard.assigned ? shard.assigned.get() : nullptr, ghosts, cancel,
-          access);
+    const int span = BeginShardSpan(trace, fan_span, i, shards[i]);
+    const PairJoinGhosts* ghosts =
+        policy.ghosts != nullptr ? &(*policy.ghosts)[i] : nullptr;
+    threads.Spawn([this, &shards, &policy, &ctx, &shard_stats,
+                   ch = channel_for(i), ghosts, span, i] {
+      shard_stats[i] = RunShard(
+          shards[i], policy.root,
+          [&ch](RowBatch&& batch) { return ch->Push(std::move(batch)); },
+          ghosts, ctx, span);
       ch->CloseWriter();
-      if (trace != nullptr && slot->ok()) {
-        const ExecStats& s = **slot;
-        trace->Num(sspan, "containers",
-                   static_cast<double>(s.containers_scanned));
-        trace->Num(sspan, "columnar",
-                   static_cast<double>(s.containers_columnar));
-        trace->Num(sspan, "bytes", static_cast<double>(s.bytes_touched));
-        trace->Num(sspan, "bytes_shipped",
-                   static_cast<double>(s.bytes_shipped));
-        trace->Num(sspan, "rows", static_cast<double>(s.rows_emitted));
-        trace->Num(sspan, "seconds", s.seconds_total);
-        trace->Note(sspan, "kernel",
-                    s.containers_columnar > 0
-                        ? (s.containers_columnar == s.containers_scanned
-                               ? "columnar"
-                               : "mixed")
-                        : "row");
-      }
-      TraceEnd(trace, sspan);
     });
   }
   const int merge_span = TraceBegin(trace, "merge", fan_span);
 
-  ExecStats stats;
-  int64_t remaining = global_limit < 0
-                          ? std::numeric_limits<int64_t>::max()
-                          : global_limit;
-  bool first = true;
-  bool sink_cancelled = false;
-  double sink_seconds = 0.0;  ///< Wall time spent inside the row sink.
-
+  int64_t remaining = policy.limit < 0 ? std::numeric_limits<int64_t>::max()
+                                       : policy.limit;
+  uint64_t rows = 0;
   // Drops pairs already delivered by another shard's stream. The
   // emission discipline makes fleet-wide duplicates impossible by
   // construction, so this is a cheap invariant backstop, keyed on the
   // unordered pair ids.
   std::unordered_set<std::pair<uint64_t, uint64_t>, PairKeyHash> seen_pairs;
 
-  // Dedupes (join merges), trims to the global limit, stamps first-row
-  // latency, forwards to the sink. Returns false when consumption must
-  // stop.
+  // Dedupes (join merges), trims to the global limit, forwards to the
+  // sink. Returns false when consumption must stop.
   auto deliver = [&](RowBatch&& batch) -> bool {
     if (remaining <= 0) return false;
-    if (dedupe_pairs) {
+    if (policy.dedupe_pairs) {
       RowBatch unique;
       unique.reserve(batch.size());
       for (ResultRow& r : batch) {
@@ -582,31 +714,16 @@ Result<ExecStats> FederatedQueryEngine::RunFederated(
       batch.resize(static_cast<size_t>(remaining));
     }
     remaining -= static_cast<int64_t>(batch.size());
-    if (first) {
-      stats.seconds_to_first_row = SecondsSince(t0);
-      first = false;
-    }
-    stats.rows_emitted += batch.size();
-    auto s0 = std::chrono::steady_clock::now();
-    const bool keep_going = sink(std::move(batch));
-    sink_seconds += SecondsSince(s0);
-    if (!keep_going) {
-      sink_cancelled = true;
-      return false;
-    }
-    return remaining > 0;
+    rows += batch.size();
+    return sink(std::move(batch)) && remaining > 0;
   };
 
-  if (ordered) {
+  if (policy.ordered) {
     // K-way merge of the per-shard sorted streams, same comparator as
     // the executor's sort node (value, then obj_id tie-break).
     std::vector<MergeCursor> cursors;
     cursors.reserve(n);
     for (auto& ch : channels) cursors.emplace_back(ch);
-    auto before = [order_col, order_desc](const ResultRow& a,
-                                          const ResultRow& b) {
-      return RowBefore(a, b, order_col, order_desc);
-    };
     RowBatch out;
     const size_t batch_size = options_.executor.batch_size;
     bool stop = remaining <= 0;
@@ -616,7 +733,8 @@ Result<ExecStats> FederatedQueryEngine::RunFederated(
       for (auto& c : cursors) {
         const ResultRow* h = c.Head();
         if (h == nullptr) continue;
-        if (best == nullptr || before(*h, *best_head)) {
+        if (best == nullptr || RowBefore(*h, *best_head, policy.order_col,
+                                         policy.order_desc)) {
           best = &c;
           best_head = h;
         }
@@ -640,348 +758,119 @@ Result<ExecStats> FederatedQueryEngine::RunFederated(
 
   // Stop any still-producing shard (no-op on clean completion) and wait.
   for (auto& ch : channels) ch->Cancel();
-  TraceNum(trace, merge_span, "sink_seconds", sink_seconds);
   TraceEnd(trace, merge_span);
   threads.JoinAll();
-
-  stats.seconds_total = SecondsSince(t0);
-  if (first) stats.seconds_to_first_row = stats.seconds_total;
-  stats.cancelled_early = sink_cancelled;
-  stats.seconds_fan_out = stats.seconds_total;
-  stats.seconds_stream_out = sink_seconds;
-
-  for (auto& r : shard_stats) {
-    if (!r.ok()) return r.status();
-    stats.containers_scanned += r->containers_scanned;
-    stats.containers_columnar += r->containers_columnar;
-    stats.objects_examined += r->objects_examined;
-    stats.objects_matched += r->objects_matched;
-    stats.bytes_touched += r->bytes_touched;
-    stats.bytes_shipped += r->bytes_shipped;
-  }
-  TraceNum(trace, fan_span, "rows", static_cast<double>(stats.rows_emitted));
+  TraceNum(trace, fan_span, "rows", static_cast<double>(rows));
   TraceEnd(trace, fan_span);
-  return stats;
+  for (const auto& r : shard_stats) {
+    if (!r.ok()) return r.status();
+    AddScanCounters(*r, stats);
+  }
+  return Status::OK();
 }
 
-Result<ExecStats> FederatedQueryEngine::RunJoinFederated(
-    Prepared& prep, const PlanNode* join,
-    const std::function<bool(RowBatch&&)>& sink,
-    const std::atomic<bool>* cancel) {
-  auto t0 = std::chrono::steady_clock::now();
-
-  // An aggregate over the join folds at the federation level (the pair
-  // streams are modest next to the scans that produce them); ORDER and
-  // LIMIT mirror globally exactly as for plain selects.
-  const PlanNode* root = prep.plan.root.get();
-  const PlanNode* agg = nullptr;
-  if (root->type == PlanNodeType::kAggregate) {
-    agg = root;
-    root = root->children[0].get();
-  }
-  ChainInfo chain = AnalyzeChain(root);
-
-  // Phase A: boundary ghost exchange between the shards. Its time is
-  // part of the join (it delays every row), so fold it into the stats.
-  const int ghost_span = TraceBegin(prep.trace, "ghost_harvest");
-  auto ghosts = HarvestJoinGhosts(prep.shards, join, cancel);
-  if (!ghosts.ok()) {
-    TraceEnd(prep.trace, ghost_span);
-    return ghosts.status();
-  }
-  double harvest_seconds = SecondsSince(t0);
-  if (prep.trace != nullptr && ghost_span != QueryTrace::kNoSpan) {
-    uint64_t shipped = 0;
-    for (const PairJoinGhosts& g : *ghosts) shipped += g.objects.size();
-    prep.trace->Num(ghost_span, "ghost_objects",
-                    static_cast<double>(shipped));
-  }
-  TraceEnd(prep.trace, ghost_span);
-
-  // Phase B: fan out the join chain; every shard emits exactly the
-  // pairs whose lower-id member it serves, merged and deduped here.
-  if (agg == nullptr) {
-    auto st = RunFederated(prep.shards, root, chain.ordered,
-                           chain.order_col, chain.order_desc, chain.limit,
-                           sink, &*ghosts, /*dedupe_pairs=*/true, cancel,
-                           prep.access, prep.trace);
-    if (!st.ok()) return st.status();
-    ExecStats stats = *st;
-    stats.seconds_total += harvest_seconds;
-    stats.seconds_to_first_row += harvest_seconds;
-    stats.seconds_ghost_harvest = harvest_seconds;
-    return stats;
-  }
+Status FederatedQueryEngine::RunFanOut(Prepared& prep, const ExecContext& ctx,
+                                       const Sink& sink, ExecStats* stats) {
+  PlanNode* root = prep.plan.root.get();
+  PlanNode* agg = root->type == PlanNodeType::kAggregate ? root : nullptr;
+  const PlanNode* body = agg != nullptr ? root->children[0].get() : root;
+  MergePolicy policy = MergePolicy::ForChain(body);
+  const PlanNode* join = FindPairJoinNode(body);
+  const bool branch_limits = AnyBranchLimit(prep.parsed);
+  // A decomposable aggregate runs on every shard in partial mode and
+  // ships {count, sum, min, max}. A LIMIT below the fold caps the global
+  // row set, and join pairs and branch-limited sets only exist after the
+  // merge, so those stream their rows up and fold here instead.
+  const bool partial =
+      agg != nullptr && join == nullptr && !branch_limits && policy.limit < 0;
   AggFold fold;
-  auto st = RunFederated(prep.shards, root, chain.ordered, chain.order_col,
-                         chain.order_desc, chain.limit,
-                         [&fold](RowBatch&& batch) {
-                           for (const ResultRow& r : batch) {
-                             ++fold.count;
-                             if (!r.values.empty()) fold.Add(r.values[0]);
-                           }
-                           return true;
-                         },
-                         &*ghosts, /*dedupe_pairs=*/true, cancel,
-                         prep.access, prep.trace);
-  if (!st.ok()) return st.status();
-  ExecStats stats = *st;
-  const int fold_span = TraceBegin(prep.trace, "fold");
-  RowBatch batch;
-  batch.push_back(FinishAggregate(agg->agg, false, fold));
-  stats.rows_emitted = 1;
-  stats.cancelled_early = !sink(std::move(batch));
-  TraceEnd(prep.trace, fold_span);
-  stats.seconds_total = SecondsSince(t0);
-  stats.seconds_to_first_row = stats.seconds_total;
-  stats.seconds_ghost_harvest = harvest_seconds;
-  return stats;
-}
+  const Sink rows = agg == nullptr ? sink : FoldInto(&fold, partial);
 
-Result<ExecStats> FederatedQueryEngine::RunSetWithBranchLimits(
-    Prepared& prep, const std::function<bool(RowBatch&&)>& sink,
-    const std::atomic<bool>* cancel) {
-  auto t0 = std::chrono::steady_clock::now();
-  ExecStats stats;
-
-  // Every branch runs as its own federated simple select (globally
-  // ordered and limited), then the set algebra folds at the federation
-  // level with the executor's semantics: bags keyed by obj_id, left
-  // stream order preserved.
-  auto run_branch =
-      [&](const SelectQuery& select,
-          std::vector<ResultRow>* rows) -> Status {
-    ParsedQuery sub;
-    sub.first = select;
-    auto plan = BuildPlan(sub, *prep.shards[0].store, options_.planner);
-    if (!plan.ok()) return plan.status();
-    // In the whole-query plan, set-op branches never carry an aggregate
-    // node (BuildPlan wraps only the outer tree with query.first's
-    // aggregate, applied below after the set algebra) -- strip the one
-    // BuildPlan added for this branch-as-standalone-query.
-    const PlanNode* branch_root = plan->root.get();
-    if (branch_root->type == PlanNodeType::kAggregate) {
-      branch_root = branch_root->children[0].get();
+  Status status;
+  if (join != nullptr) {
+    // Phase A: boundary ghost exchange between the shards (its time is
+    // the seconds_ghost_harvest stage).
+    const auto t0 = std::chrono::steady_clock::now();
+    const int ghost_span = TraceBegin(ctx.trace, "ghost_harvest");
+    auto ghosts = HarvestJoinGhosts(prep.shards, join, ctx.cancel);
+    stats->seconds_ghost_harvest = SecondsSince(t0);
+    if (ghosts.ok()) {
+      uint64_t shipped = 0;
+      for (const PairJoinGhosts& g : *ghosts) shipped += g.objects.size();
+      TraceNum(ctx.trace, ghost_span, "ghost_objects",
+               static_cast<double>(shipped));
     }
-    ChainInfo chain = AnalyzeChain(branch_root);
-    auto st = RunFederated(prep.shards, branch_root, chain.ordered,
-                           chain.order_col, chain.order_desc, chain.limit,
-                           [rows](RowBatch&& batch) {
-                             for (ResultRow& r : batch) {
-                               rows->push_back(std::move(r));
-                             }
-                             return true;
-                           },
-                           nullptr, false, cancel, prep.access, prep.trace);
-    if (!st.ok()) return st.status();
-    stats.containers_scanned += st->containers_scanned;
-    stats.containers_columnar += st->containers_columnar;
-    stats.objects_examined += st->objects_examined;
-    stats.objects_matched += st->objects_matched;
-    stats.bytes_touched += st->bytes_touched;
-    return Status::OK();
-  };
-
-  std::vector<ResultRow> acc;
-  SDSS_RETURN_IF_ERROR(run_branch(prep.parsed.first, &acc));
-  for (const auto& [op, select] : prep.parsed.rest) {
-    std::vector<ResultRow> rhs;
-    SDSS_RETURN_IF_ERROR(run_branch(select, &rhs));
-    std::unordered_set<uint64_t> ids;
-    switch (op) {
-      case SetOp::kUnion:
-        for (const ResultRow& r : acc) ids.insert(r.obj_id);
-        for (ResultRow& r : rhs) {
-          if (ids.insert(r.obj_id).second) acc.push_back(std::move(r));
-        }
-        break;
-      case SetOp::kIntersect:
-      case SetOp::kExcept: {
-        for (const ResultRow& r : rhs) ids.insert(r.obj_id);
-        bool keep_if_present = op == SetOp::kIntersect;
-        std::vector<ResultRow> kept;
-        for (ResultRow& r : acc) {
-          if ((ids.count(r.obj_id) > 0) == keep_if_present) {
-            kept.push_back(std::move(r));
-          }
-        }
-        acc = std::move(kept);
-        break;
+    TraceEnd(ctx.trace, ghost_span);
+    if (!ghosts.ok()) return ghosts.status();
+    // Phase B: every shard emits exactly the pairs whose lower-id member
+    // it serves, merged and deduped here.
+    policy.ghosts = &*ghosts;
+    policy.dedupe_pairs = true;
+    status = FanOut(prep, ctx, policy, rows, stats);
+  } else if (branch_limits) {
+    // A branch LIMIT caps that branch globally, while per-shard set
+    // inputs would each apply it locally: every branch fans out as its
+    // own ordered and limited select, and the set algebra folds here.
+    const auto branches = SetBranches(body);
+    RowBatch acc;
+    for (size_t i = 0; status.ok() && i < branches.size(); ++i) {
+      RowBatch part;
+      status = FanOut(prep, ctx, MergePolicy::ForChain(branches[i].second),
+                      AppendTo(&part), stats);
+      if (i == 0) {
+        acc = std::move(part);
+      } else {
+        ApplySetOp(branches[i].first, &acc, std::move(part));
       }
     }
-  }
-
-  if (prep.parsed.first.agg != AggFunc::kNone) {
-    AggFold fold;
-    for (const ResultRow& r : acc) {
-      ++fold.count;
-      if (!r.values.empty()) fold.Add(r.values[0]);
+    if (status.ok()) {
+      EmitRows(std::move(acc), options_.executor.batch_size, rows);
     }
-    acc.clear();
-    acc.push_back(FinishAggregate(prep.parsed.first.agg, false, fold));
+  } else if (partial) {
+    MergePolicy partials;
+    partials.root = agg;
+    agg->agg_partial = true;
+    status = FanOut(prep, ctx, partials, rows, stats);
+    agg->agg_partial = false;
+  } else {
+    status = FanOut(prep, ctx, policy, rows, stats);
   }
+  if (!status.ok() || agg == nullptr) return status;
 
-  const size_t batch_size = options_.executor.batch_size;
-  for (size_t i = 0; i < acc.size(); i += batch_size) {
-    size_t end = std::min(i + batch_size, acc.size());
-    RowBatch batch(std::make_move_iterator(acc.begin() + i),
-                   std::make_move_iterator(acc.begin() + end));
-    stats.rows_emitted += batch.size();
-    if (!sink(std::move(batch))) {
-      stats.cancelled_early = true;
-      break;
-    }
-  }
-  stats.seconds_total = SecondsSince(t0);
-  stats.seconds_to_first_row = stats.seconds_total;
-  return stats;
-}
-
-Result<ExecStats> FederatedQueryEngine::RunMyDbLocal(
-    Prepared& prep, const std::function<bool(RowBatch&&)>& sink,
-    const std::atomic<bool>* cancel) {
-  // A personal store is never sharded: the whole tree (including set
-  // operations, branch limits, and aggregates) runs on one local
-  // executor with single-store semantics, sharing the fleet's scan pool.
-  const int span = TraceBegin(prep.trace, "local_scan");
-  Executor executor(prep.shards[0].store, options_.executor, &pool_);
-  auto st = executor.RunTree(prep.plan.root.get(), sink, nullptr, nullptr,
-                             cancel);
-  if (st.ok()) {
-    TraceNum(prep.trace, span, "rows", static_cast<double>(st->rows_emitted));
-    TraceNum(prep.trace, span, "bytes",
-             static_cast<double>(st->bytes_touched));
-  }
-  TraceEnd(prep.trace, span);
-  return st;
-}
-
-Result<ExecStats> FederatedQueryEngine::RunPrepared(
-    Prepared& prep, const std::function<bool(RowBatch&&)>& sink,
-    const std::atomic<bool>* cancel) {
-  if (prep.mydb) {
-    return RunMyDbLocal(prep, sink, cancel);
-  }
-  if (const PlanNode* join = FindPairJoinNode(prep.plan.root.get())) {
-    return RunJoinFederated(prep, join, sink, cancel);
-  }
-  if (AnyBranchLimit(prep.parsed)) {
-    return RunSetWithBranchLimits(prep, sink, cancel);
-  }
-
-  if (prep.plan.is_aggregate) {
-    auto t0 = std::chrono::steady_clock::now();
-    PlanNode* agg = prep.plan.root.get();
-    const PlanNode* child = agg->children[0].get();
-    ChainInfo chain = AnalyzeChain(child);
-
-    AggFold fold;
-    ExecStats stats;
-
-    if (chain.limit >= 0) {
-      // A LIMIT below the fold caps the global row set, so per-shard
-      // partials would each apply the cap: stream the globally capped
-      // rows up and fold at the federation level instead.
-      auto st = RunFederated(prep.shards, child, chain.ordered,
-                             chain.order_col, chain.order_desc, chain.limit,
-                             [&fold](RowBatch&& batch) {
-                               for (const ResultRow& r : batch) {
-                                 ++fold.count;
-                                 if (!r.values.empty()) {
-                                   fold.Add(r.values[0]);
-                                 }
-                               }
-                               return true;
-                             },
-                             nullptr, false, cancel, prep.access, prep.trace);
-      if (!st.ok()) return st.status();
-      stats = *st;
-    } else {
-      // Decomposable fold: every shard runs the aggregate in partial
-      // mode and ships {count, sum, min, max}; the federation combines.
-      agg->agg_partial = true;
-      auto st = RunFederated(prep.shards, agg, false, 0, false, -1,
-                             [&fold](RowBatch&& batch) {
-                               for (const ResultRow& r : batch) {
-                                 if (r.values.size() != 4) continue;
-                                 AggFold part;
-                                 part.count =
-                                     static_cast<uint64_t>(r.values[0]);
-                                 part.sum = r.values[1];
-                                 part.min_v = r.values[2];
-                                 part.max_v = r.values[3];
-                                 fold.Merge(part);
-                               }
-                               return true;
-                             },
-                             nullptr, false, cancel, prep.access, prep.trace);
-      agg->agg_partial = false;
-      if (!st.ok()) return st.status();
-      stats = *st;
-    }
-
-    const int fold_span = TraceBegin(prep.trace, "fold");
-    RowBatch batch;
-    batch.push_back(FinishAggregate(agg->agg, false, fold));
-    stats.rows_emitted = 1;
-    stats.cancelled_early = !sink(std::move(batch));
-    TraceEnd(prep.trace, fold_span);
-    stats.seconds_total = SecondsSince(t0);
-    stats.seconds_to_first_row = stats.seconds_total;
-    return stats;
-  }
-
-  ChainInfo chain = AnalyzeChain(prep.plan.root.get());
-  return RunFederated(prep.shards, prep.plan.root.get(), chain.ordered,
-                      chain.order_col, chain.order_desc, chain.limit, sink,
-                      nullptr, false, cancel, prep.access, prep.trace);
+  const int fold_span = TraceBegin(ctx.trace, "fold");
+  sink(RowBatch{FinishAggregate(agg->agg, false, fold)});
+  TraceEnd(ctx.trace, fold_span);
+  return Status::OK();
 }
 
 Result<QueryResult> FederatedQueryEngine::Execute(const std::string& sql,
                                                   const ExecContext& ctx) {
-  auto prep = Prepare(sql, ctx);
-  if (!prep.ok()) return prep.status();
-  if (!prep->parsed.first.into_mydb.empty() && !ctx.into_sink) {
-    return Status::InvalidArgument(
-        "INTO mydb." + prep->parsed.first.into_mydb +
-        " must run through the batch workbench; the engine alone would "
-        "discard the materialization");
-  }
-
   QueryResult result;
-  result.columns = prep->plan.columns;
-  result.is_aggregate = prep->plan.is_aggregate;
-  result.used_tag_store = prep->plan.used_tag_store;
-  result.used_spatial_index = prep->plan.used_spatial_index;
-  if (prep->mydb) {
-    // Personal store: the plan-level density-map estimate IS the total.
-    result.prediction = prep->plan.prediction;
-  } else {
-    // Fleet-wide prediction: the per-shard density-map slices summed.
-    for (const ShardPrediction& p :
-         PredictShards(prep->shards, prep->plan)) {
-      result.prediction.expected_objects += p.expected_objects;
-      result.prediction.min_objects += p.min_objects;
-      result.prediction.max_objects += p.max_objects;
-      result.prediction.bytes_to_scan += p.bytes_to_scan;
-    }
-  }
-
-  auto stats = RunPreparedCached(*prep, ctx,
-                                 [&result](RowBatch&& batch) {
-                                   result.rows.insert(
-                                       result.rows.end(),
-                                       std::make_move_iterator(batch.begin()),
-                                       std::make_move_iterator(batch.end()));
-                                   return true;
-                                 });
+  auto stats = Run(
+      sql, ctx,
+      [&result](const Prepared& prep) {
+        result.columns = prep.plan.columns;
+        result.is_aggregate = prep.plan.is_aggregate;
+        result.used_tag_store = prep.plan.used_tag_store;
+        result.used_spatial_index = prep.plan.used_spatial_index;
+        if (prep.mydb) {
+          // Personal store: the plan-level density-map estimate IS the
+          // total.
+          result.prediction = prep.plan.prediction;
+          return;
+        }
+        // Fleet-wide prediction: the per-shard density-map slices summed.
+        for (const ShardPrediction& p :
+             PredictShards(prep.shards, prep.plan)) {
+          result.prediction.expected_objects += p.expected_objects;
+          result.prediction.min_objects += p.min_objects;
+          result.prediction.max_objects += p.max_objects;
+          result.prediction.bytes_to_scan += p.bytes_to_scan;
+        }
+      },
+      AppendTo(&result.rows));
   if (!stats.ok()) return stats.status();
   result.exec = *stats;
-  if (m_queries_ != nullptr) m_queries_->Inc();
-  if (m_exec_us_ != nullptr) {
-    m_exec_us_->Record(
-        static_cast<uint64_t>(result.exec.seconds_total * 1e6));
-  }
   if (result.is_aggregate && !result.rows.empty() &&
       !result.rows[0].values.empty()) {
     result.aggregate_value = result.rows[0].values[0];
@@ -1001,30 +890,14 @@ Result<ExecStats> FederatedQueryEngine::ExecuteStreaming(
     const std::function<void(const ResultHeader&)>& on_header,
     const std::function<bool(const RowBatch&)>& on_batch,
     const ExecContext& ctx) {
-  auto prep = Prepare(sql, ctx);
-  if (!prep.ok()) return prep.status();
-  if (!prep->parsed.first.into_mydb.empty() && !ctx.into_sink) {
-    return Status::InvalidArgument(
-        "INTO mydb." + prep->parsed.first.into_mydb +
-        " must run through the batch workbench; the engine alone would "
-        "discard the materialization");
-  }
-  if (on_header) {
-    ResultHeader header;
-    header.columns = prep->plan.columns;
-    header.is_aggregate = prep->plan.is_aggregate;
-    on_header(header);
-  }
-  auto st = RunPreparedCached(
-      *prep, ctx,
+  return Run(
+      sql, ctx,
+      [&on_header](const Prepared& prep) {
+        if (on_header) {
+          on_header(ResultHeader{prep.plan.columns, prep.plan.is_aggregate});
+        }
+      },
       [&on_batch](RowBatch&& batch) { return on_batch(batch); });
-  if (st.ok()) {
-    if (m_queries_ != nullptr) m_queries_->Inc();
-    if (m_exec_us_ != nullptr) {
-      m_exec_us_->Record(static_cast<uint64_t>(st->seconds_total * 1e6));
-    }
-  }
-  return st;
 }
 
 Result<CostEstimate> FederatedQueryEngine::EstimateCost(
@@ -1132,21 +1005,30 @@ FederatedQueryEngine::ExplainAnalyze(const std::string& sql,
   // measure the fleet scan the density map predicted, and its drained
   // rows must not displace real cached answers.
   run_ctx.no_result_cache = true;
-
-  const std::string stmt = StripExplainAnalyze(sql);
-  auto prep = Prepare(stmt, run_ctx);
-  if (!prep.ok()) return prep.status();
-  if (!prep->parsed.first.into_mydb.empty()) {
-    return Status::InvalidArgument(
-        "EXPLAIN ANALYZE does not run INTO statements (the analysis "
-        "drains rows without materializing the target)");
-  }
-  std::vector<ShardPrediction> preds;
-  if (!prep->mydb) preds = PredictShards(prep->shards, prep->plan);
+  // The analysis drains rows without materializing an INTO target, so
+  // the run refuses INTO like any engine call without a sink for it.
+  run_ctx.into_sink = false;
 
   ExplainAnalysis out;
-  auto stats =
-      RunPreparedCached(*prep, run_ctx, [](RowBatch&&) { return true; });
+  std::vector<ShardPrediction> preds;
+  std::string report;
+  char buf[224];
+  auto stats = Run(
+      StripExplainAnalyze(sql), run_ctx,
+      [&](const Prepared& prep) {
+        report = prep.plan.Explain();
+        if (prep.mydb) {
+          report += "personal store: mydb (no fleet fan-out)\n";
+          return;
+        }
+        preds = PredictShards(prep.shards, prep.plan);
+        std::snprintf(buf, sizeof(buf),
+                      "federation: %zu live shards (analyzed run, result "
+                      "cache bypassed)\n",
+                      prep.shards.size());
+        report += buf;
+      },
+      [](RowBatch&&) { return true; });
   if (!stats.ok()) return stats.status();
   out.exec = *stats;
 
@@ -1171,17 +1053,6 @@ FederatedQueryEngine::ExplainAnalyze(const std::string& sql,
     out.shards.push_back(row);
   }
 
-  std::string report = prep->plan.Explain();
-  char buf[224];
-  if (prep->mydb) {
-    report += "personal store: mydb (no fleet fan-out)\n";
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "federation: %zu live shards (analyzed run, result "
-                  "cache bypassed)\n",
-                  prep->shards.size());
-    report += buf;
-  }
   uint64_t predicted_total = 0;
   uint64_t actual_total = 0;
   for (const ShardAnalysis& r : out.shards) {

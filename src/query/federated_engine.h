@@ -1,15 +1,25 @@
-// Federated query execution across the replicated server fleet.
+// The query engine of the Science Archive: SQL in, rows (or an
+// aggregate) out, over a fleet of one or more shards.
 //
 // The paper's archive is explicitly distributed: "the base-data objects
 // will be spatially partitioned among the servers ... some of the
 // high-traffic data will be replicated among servers." This engine
-// parses and plans a query ONCE, fans the plan out to every live shard
-// on one shared scan pool, merges the per-shard ASAP batch streams into
-// a single ordered/limited stream, and combines partial aggregates
-// (COUNT/SUM add, MIN/MAX fold, AVG = sum/count) and execution stats --
-// so a query over N servers answers exactly like a query over one big
-// store, and keeps answering when a server is marked down and its
-// containers are re-routed to surviving replicas.
+// parses and plans a query ONCE and runs it in one of two shapes:
+//
+//  - single store: a personal (mydb) plan or a one-shard fleet runs the
+//    whole tree on one Executor -- no shard thread, no merge, no partial
+//    aggregates. This is also the oracle the federation suites hold the
+//    fan-out against (a one-shard engine over the unsharded store).
+//  - fan-out: the plan goes to every live shard on one shared scan pool,
+//    the per-shard ASAP batch streams merge into a single ordered /
+//    limited stream, and partial aggregates combine (COUNT/SUM add,
+//    MIN/MAX fold, AVG = sum/count) -- so a query over N servers answers
+//    exactly like a query over one big store, and keeps answering when a
+//    server is marked down and its containers are re-routed to
+//    surviving replicas.
+//
+// Both shapes sit behind one run entry that owns the result cache, the
+// engine metrics and every per-stage clock.
 
 #ifndef SDSS_QUERY_FEDERATED_ENGINE_H_
 #define SDSS_QUERY_FEDERATED_ENGINE_H_
@@ -26,11 +36,35 @@
 #include "catalog/object_store.h"
 #include "core/metrics.h"
 #include "core/thread_pool.h"
-#include "query/query_engine.h"
+#include "query/executor.h"
+#include "query/qet.h"
 #include "query/result_cache.h"
 #include "query/trace.h"
 
 namespace sdss::query {
+
+/// The shape of a query's result, announced to a streaming consumer
+/// before the first batch arrives -- everything a remote client needs
+/// to interpret the row stream (the query server's HEADER frame).
+struct ResultHeader {
+  std::vector<std::string> columns;
+  /// True when the stream carries exactly one row whose first value is
+  /// the aggregate.
+  bool is_aggregate = false;
+};
+
+/// A fully materialized query answer.
+struct QueryResult {
+  std::vector<std::string> columns;
+  std::vector<ResultRow> rows;
+  bool is_aggregate = false;
+  double aggregate_value = 0.0;
+
+  ExecStats exec;
+  catalog::ObjectStore::Prediction prediction;
+  bool used_tag_store = false;
+  bool used_spatial_index = false;
+};
 
 /// One member of the fleet as the federated engine sees it: the server's
 /// materialized store plus the container ids the router currently assigns
@@ -121,7 +155,8 @@ struct CostEstimate {
   }
 };
 
-/// Parses, plans, and executes queries against a fleet of shards.
+/// Parses, plans, and executes queries against a fleet of shards. A
+/// single store is the one-shard fleet `{Shard{0, &store, nullptr}}`.
 ///
 /// Thread-safety: Execute / ExecuteStreaming / Explain may be called
 /// concurrently from any number of threads; SetShards may interleave
@@ -155,9 +190,10 @@ class FederatedQueryEngine {
       : FederatedQueryEngine(std::move(shards), Options()) {}
   FederatedQueryEngine(std::vector<Shard> shards, Options options);
 
-  /// Runs `sql` across the fleet and materializes the merged result.
-  /// FROM mydb.<name> plans run on one local executor (a personal store
-  /// is never sharded) but still share the engine's scan pool.
+  /// Runs `sql` and materializes the result: a collecting sink over the
+  /// same run as ExecuteStreaming. FROM mydb.<name> plans run in the
+  /// single-store shape (a personal store is never sharded) but still
+  /// share the engine's scan pool.
   Result<QueryResult> Execute(const std::string& sql,
                               const ExecContext& ctx = {});
 
@@ -231,39 +267,39 @@ class FederatedQueryEngine {
 
  private:
   struct Prepared;
+  struct MergePolicy;
+  using Sink = std::function<bool(RowBatch&&)>;
 
   std::vector<Shard> SnapshotShards() const;
   /// The cache-keying epoch for a run's shard snapshot.
   uint64_t CacheEpoch(const std::vector<Shard>& shards) const;
-  /// RunPrepared behind the result cache: consult before fan-out,
-  /// install after a clean, complete run.
-  Result<ExecStats> RunPreparedCached(
-      Prepared& prep, const ExecContext& ctx,
-      const std::function<bool(RowBatch&&)>& sink);
   Result<Prepared> Prepare(const std::string& sql,
                            const ExecContext& ctx = {}) const;
-  Result<ExecStats> RunFederated(
-      const std::vector<Shard>& shards, const PlanNode* root, bool ordered,
-      size_t order_col, bool order_desc, int64_t global_limit,
-      const std::function<bool(RowBatch&&)>& sink,
-      const std::vector<PairJoinGhosts>* join_ghosts = nullptr,
-      bool dedupe_pairs = false,
-      const std::atomic<bool>* cancel = nullptr,
-      const AccessRecorder* access = nullptr,
-      QueryTrace* trace = nullptr);
-  Result<ExecStats> RunPrepared(
-      Prepared& prep, const std::function<bool(RowBatch&&)>& sink,
-      const std::atomic<bool>* cancel = nullptr);
-  Result<ExecStats> RunSetWithBranchLimits(
-      Prepared& prep, const std::function<bool(RowBatch&&)>& sink,
-      const std::atomic<bool>* cancel);
-  Result<ExecStats> RunJoinFederated(
-      Prepared& prep, const PlanNode* join,
-      const std::function<bool(RowBatch&&)>& sink,
-      const std::atomic<bool>* cancel);
-  Result<ExecStats> RunMyDbLocal(
-      Prepared& prep, const std::function<bool(RowBatch&&)>& sink,
-      const std::atomic<bool>* cancel);
+  /// The one run entry behind Execute, ExecuteStreaming and
+  /// ExplainAnalyze: prepares `sql`, refuses an unsinked INTO, hands the
+  /// plan to `on_plan`, then answers from the result cache or runs one
+  /// of the two execution shapes. It alone installs into the cache,
+  /// records the engine metrics and sets every ExecStats stage clock.
+  Result<ExecStats> Run(const std::string& sql, const ExecContext& ctx,
+                        const std::function<void(const Prepared&)>& on_plan,
+                        const Sink& sink);
+  /// Shape (a): the whole tree on one Executor over the first shard.
+  Status RunSingleStore(const Prepared& prep, const ExecContext& ctx,
+                        const Sink& sink, ExecStats* stats);
+  /// Shape (b): picks the merge policy for the plan (partial or
+  /// LIMIT-capped aggregate, pair join, branch-limited set query, plain
+  /// chain) and fans out.
+  Status RunFanOut(Prepared& prep, const ExecContext& ctx, const Sink& sink,
+                   ExecStats* stats);
+  /// The merge primitive: runs `policy.root` on every shard and merges
+  /// the streams into `sink`; adds the scan counters into `stats`.
+  Status FanOut(const Prepared& prep, const ExecContext& ctx,
+                const MergePolicy& policy, const Sink& sink,
+                ExecStats* stats);
+  /// One shard's executor run of `root`, closing its trace span.
+  Result<ExecStats> RunShard(const Shard& shard, const PlanNode* root,
+                             const Sink& sink, const PairJoinGhosts* ghosts,
+                             const ExecContext& ctx, int span);
 
   Options options_;
   ThreadPool pool_;  ///< Shared scan pool for every shard sub-executor.

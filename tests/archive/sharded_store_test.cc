@@ -184,7 +184,7 @@ TEST(ShardedStoreTest, PromotedHotContainerServedByHeatChosenServer) {
 
   // The promotion is invisible to query answers: the fleet still
   // matches the source store.
-  query::QueryEngine single(&store);
+  query::FederatedQueryEngine single({query::Shard{0, &store, nullptr}});
   query::FederatedQueryEngine fed(*shards);
   const std::string sql = "SELECT COUNT(*) FROM photo WHERE r < 21.5";
   auto expect = single.Execute(sql);

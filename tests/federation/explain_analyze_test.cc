@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "archive/mydb.h"
 #include "archive/sharded_store.h"
 #include "federation/federation_test_util.h"
 #include "query/federated_engine.h"
@@ -80,6 +82,73 @@ TEST_F(ExplainAnalyzeTest, PhotoScanPredictionIsExact) {
   // The traced run exports chrome://tracing JSON with the span forest.
   EXPECT_NE(analysis->trace_json.find("\"fan_out\""), std::string::npos);
   EXPECT_NE(analysis->trace_json.find("\"shard\""), std::string::npos);
+}
+
+TEST_F(ExplainAnalyzeTest, OneServerFleetKeepsTheExactLedger) {
+  // A fleet of one runs the single-store shape -- one executor, no
+  // merge -- yet traces the same fan_out span with one shard child, so
+  // the ledger reads it exactly like a wider fleet.
+  FederatedQueryEngine::Options options;
+  options.planner.auto_tag_selection = false;
+  FederatedQueryEngine engine({Shard{0, source_, nullptr}}, options);
+
+  auto analysis = engine.ExplainAnalyze(
+      "SELECT obj_id, r FROM photo WHERE CIRCLE('GAL', 30, 70, 8)");
+  ASSERT_TRUE(analysis.ok());
+  ASSERT_EQ(analysis->shards.size(), 1u);
+  const FederatedQueryEngine::ShardAnalysis& shard = analysis->shards[0];
+  EXPECT_EQ(shard.predicted_bytes, shard.actual_bytes);
+  EXPECT_EQ(shard.containers_predicted, shard.containers_scanned);
+  EXPECT_GT(shard.actual_bytes, 0u);
+  EXPECT_EQ(shard.actual_bytes, analysis->exec.bytes_touched);
+  EXPECT_EQ(shard.rows, analysis->exec.rows_emitted);
+  EXPECT_NE(analysis->report.find("federation: 1 live shards"),
+            std::string::npos);
+  EXPECT_NE(analysis->trace_json.find("\"shard\""), std::string::npos);
+  EXPECT_EQ(analysis->trace_json.find("\"merge\""), std::string::npos);
+}
+
+TEST_F(ExplainAnalyzeTest, MyDbReadTracesOneShardSpan) {
+  archive::MyDb mydb;
+  std::vector<catalog::PhotoObj> bright;
+  source_->ForEachObject([&bright](const catalog::PhotoObj& o) {
+    if (o.mag[catalog::kR] < 20.0f) bright.push_back(o);
+  });
+  ASSERT_TRUE(mydb.Put("alice", "bright", std::move(bright)).ok());
+  auto shards = sharded_->LiveShards();
+  ASSERT_TRUE(shards.ok());
+  FederatedQueryEngine engine(*shards);
+  const std::string sql = "SELECT obj_id, r FROM mydb.bright WHERE r < 19";
+
+  // The personal store runs the single-store shape under the fleet's
+  // span vocabulary: one fan_out, one shard, no merge.
+  QueryTrace trace;
+  ExecContext ctx;
+  ctx.mydb = mydb.ResolverFor("alice");
+  ctx.trace = &trace;
+  auto stats = engine.ExecuteStreaming(
+      sql, [](const RowBatch&) { return true; }, ctx);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GT(stats->rows_emitted, 0u);
+  EXPECT_EQ(trace.Find("fan_out").size(), 1u);
+  EXPECT_TRUE(trace.Find("merge").empty());
+  EXPECT_TRUE(trace.Find("local_scan").empty());
+  const std::vector<TraceSpan> shard_spans = trace.Find("shard");
+  ASSERT_EQ(shard_spans.size(), 1u);
+  EXPECT_EQ(shard_spans[0].Num("rows"),
+            static_cast<double>(stats->rows_emitted));
+  EXPECT_EQ(shard_spans[0].Num("bytes"),
+            static_cast<double>(stats->bytes_touched));
+  EXPECT_GT(shard_spans[0].Num("containers"), 0.0);
+
+  // A personal store has no fleet prediction to hold the run against.
+  ctx.trace = nullptr;
+  auto analysis = engine.ExplainAnalyze(sql, ctx);
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  EXPECT_TRUE(analysis->shards.empty());
+  EXPECT_EQ(analysis->exec.rows_emitted, stats->rows_emitted);
+  EXPECT_NE(analysis->report.find("personal store: mydb"),
+            std::string::npos);
 }
 
 TEST_F(ExplainAnalyzeTest, SpatialTagScanOnlyOverestimates) {

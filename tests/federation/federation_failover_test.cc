@@ -20,7 +20,6 @@ namespace {
 using archive::ReplicationOptions;
 using archive::ShardedStore;
 using query::FederatedQueryEngine;
-using query::QueryEngine;
 
 // Uncapped queries only: LIMIT cancels scans at a timing-dependent
 // point, which would make the containers_scanned assertion flaky.

@@ -28,7 +28,6 @@ using archive::ShardedStore;
 using catalog::ObjectStore;
 using catalog::PhotoObj;
 using query::FederatedQueryEngine;
-using query::QueryEngine;
 using query::QueryResult;
 
 // A clustered sky: tight clusters make plenty of in-radius pairs, and
@@ -110,7 +109,7 @@ void RunJoinEquivalenceSweep(uint64_t seed, size_t servers,
                std::to_string(servers) +
                (kill_server ? " one down" : ""));
   ObjectStore store = MakeJoinSky(seed);
-  QueryEngine single(&store);
+  FederatedQueryEngine single = SingleStore(&store);
   ShardedStore sharded(store, {servers, replicas});
   FederatedQueryEngine fed(
       FleetShards(&sharded, kill_server, servers / 2));

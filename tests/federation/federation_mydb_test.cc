@@ -23,7 +23,6 @@ using archive::ReplicationOptions;
 using archive::ShardedStore;
 using query::ExecContext;
 using query::FederatedQueryEngine;
-using query::QueryEngine;
 
 ReplicationOptions FourServers() {
   ReplicationOptions repl;
@@ -156,7 +155,7 @@ TEST_F(FederationMyDbFixture, EngineRefusesIntoWithoutASink) {
   EXPECT_TRUE(
       fed_->EstimateCost("SELECT * INTO mydb.x FROM photo", Miner()).ok());
 
-  QueryEngine single(store_);
+  FederatedQueryEngine single = SingleStore(store_);
   EXPECT_FALSE(single.Execute("SELECT * INTO mydb.x FROM photo").ok());
 }
 

@@ -1,8 +1,8 @@
 // Equivalence property: for randomized skies, shard counts 1..8, and the
-// mixed query list, the federated engine's answers equal the single-store
-// QueryEngine's (rows as multisets, deterministic ORDER BY sequences
-// exactly, aggregates to 1e-9) -- including with one server marked down
-// when every container has a surviving replica.
+// mixed query list, the federated engine's answers equal a one-shard
+// engine's over the unsharded store (rows as multisets, deterministic
+// ORDER BY sequences exactly, aggregates to 1e-9) -- including with one
+// server marked down when every container has a surviving replica.
 
 #include <cstdint>
 #include <string>
@@ -20,7 +20,6 @@ namespace {
 using archive::ReplicationOptions;
 using archive::ShardedStore;
 using query::FederatedQueryEngine;
-using query::QueryEngine;
 
 struct SkyConfig {
   uint64_t seed;
@@ -31,7 +30,7 @@ struct SkyConfig {
 
 void RunEquivalenceSweep(const SkyConfig& cfg, bool kill_one_server) {
   auto store = MakeSky(cfg.seed, cfg.galaxies, cfg.stars, cfg.quasars);
-  QueryEngine single(&store);
+  FederatedQueryEngine single = SingleStore(&store);
 
   ReplicationOptions repl;
   repl.num_servers = cfg.servers;

@@ -21,14 +21,13 @@ namespace {
 using archive::ReplicationOptions;
 using archive::ShardedStore;
 using query::FederatedQueryEngine;
-using query::QueryEngine;
 
 constexpr int kThreads = 8;
 constexpr int kIterations = 8;
 
 TEST(FederationStressTest, EightThreadsMixedQueriesOneEngine) {
   auto store = MakeSky(808, 2000, 1500, 50);
-  QueryEngine single(&store);
+  FederatedQueryEngine single = SingleStore(&store);
 
   ReplicationOptions repl;
   repl.num_servers = 4;
@@ -88,7 +87,7 @@ TEST(FederationStressTest, ConcurrentQueriesAcrossFailover) {
   // the full fleet and a degraded one; every answer must come from a
   // consistent snapshot (all containers exactly once).
   auto store = MakeSky(809, 1500, 1200, 40);
-  QueryEngine single(&store);
+  FederatedQueryEngine single = SingleStore(&store);
   auto expect = single.Execute("SELECT COUNT(*) FROM photo WHERE r < 22");
   ASSERT_TRUE(expect.ok());
 

@@ -1,7 +1,9 @@
 // Shared fixtures for the federation suite: canonical skies, the mixed
-// query list every test draws from, and result-equivalence checks
-// (single-store QueryEngine is the ground truth the federated engine
-// must match).
+// query list every test draws from, and result-equivalence checks. The
+// ground truth the fleet must match is a one-shard FederatedQueryEngine
+// over the unsharded store (SingleStore below), which runs every plan in
+// the engine's single-store shape: one executor, no merge, no partial
+// aggregates.
 
 #ifndef SDSS_TESTS_FEDERATION_FEDERATION_TEST_UTIL_H_
 #define SDSS_TESTS_FEDERATION_FEDERATION_TEST_UTIL_H_
@@ -16,7 +18,7 @@
 
 #include "catalog/object_store.h"
 #include "catalog/sky_generator.h"
-#include "query/query_engine.h"
+#include "query/federated_engine.h"
 
 namespace sdss::federation_test {
 
@@ -31,6 +33,12 @@ inline catalog::ObjectStore MakeSky(uint64_t seed, uint64_t galaxies,
   EXPECT_TRUE(
       store.BulkLoad(catalog::SkyGenerator(m).Generate()).ok());
   return store;
+}
+
+/// The ground-truth engine: a one-shard fleet over `store`.
+inline query::FederatedQueryEngine SingleStore(
+    const catalog::ObjectStore* store) {
+  return query::FederatedQueryEngine({query::Shard{0, store, nullptr}});
 }
 
 /// How a query's federated result is compared against single-store.

@@ -17,7 +17,7 @@
 #include "dataflow/hash_machine.h"
 #include "dataflow/river.h"
 #include "dataflow/scan_machine.h"
-#include "query/query_engine.h"
+#include "query/federated_engine.h"
 
 namespace sdss {
 namespace {
@@ -96,7 +96,7 @@ TEST_F(EndToEndTest, ArchiveTracksTheWholeCampaign) {
 }
 
 TEST_F(EndToEndTest, QueryAnswersMatchChunkGroundTruth) {
-  query::QueryEngine engine(store_);
+  query::FederatedQueryEngine engine({query::Shard{0, store_, nullptr}});
   auto result = engine.Execute(
       "SELECT COUNT(*) FROM photo WHERE class = 'QSO'");
   ASSERT_TRUE(result.ok());
@@ -114,8 +114,9 @@ TEST_F(EndToEndTest, FitsExportReloadPreservesQueryAnswers) {
   auto reloaded = catalog::StoreFromPacketStream(stream, store_->options());
   ASSERT_TRUE(reloaded.ok());
 
-  query::QueryEngine original(store_);
-  query::QueryEngine restored(&reloaded.value());
+  query::FederatedQueryEngine original({query::Shard{0, store_, nullptr}});
+  query::FederatedQueryEngine restored(
+      {query::Shard{0, &reloaded.value(), nullptr}});
   for (const char* sql :
        {"SELECT COUNT(*) FROM photo WHERE r < 19",
         "SELECT COUNT(*) FROM photo WHERE g - r > 0.8",
@@ -137,7 +138,7 @@ TEST_F(EndToEndTest, ScanMachineAgreesWithQueryEngine) {
   auto completions = machine.RunUntilDrained();
   ASSERT_EQ(completions.size(), 1u);
 
-  query::QueryEngine engine(store_);
+  query::FederatedQueryEngine engine({query::Shard{0, store_, nullptr}});
   auto result = engine.Execute("SELECT COUNT(*) FROM photo WHERE r < 18.5");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(static_cast<double>(completions[0].matches),
@@ -156,7 +157,7 @@ TEST_F(EndToEndTest, RiverAgreesWithQueryEngine) {
   uint64_t river_count = 0;
   river.Run([&](const PhotoObj&) { ++river_count; });
 
-  query::QueryEngine engine(store_);
+  query::FederatedQueryEngine engine({query::Shard{0, store_, nullptr}});
   auto result = engine.Execute(
       "SELECT COUNT(*) FROM photo WHERE class = 'GALAXY' AND r < 19");
   ASSERT_TRUE(result.ok());

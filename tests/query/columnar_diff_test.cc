@@ -13,6 +13,7 @@
 // under the default thread count.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -24,7 +25,6 @@
 #include "catalog/sky_generator.h"
 #include "persist/snapshot.h"
 #include "query/federated_engine.h"
-#include "query/query_engine.h"
 
 namespace sdss::query {
 namespace {
@@ -44,10 +44,18 @@ catalog::ObjectStore MakeSky(uint64_t seed) {
   return store;
 }
 
-/// Snapshots `store` to a fresh file under the test tmpdir and maps it.
+/// This process's snapshot directory under the test tmpdir. It carries
+/// the pid: ctest runs every case as its own process, and concurrent
+/// writers of one snapshot path race on its temporary file.
+fs::path MapDir() {
+  return fs::path(::testing::TempDir()) /
+         ("columnar_diff_" + std::to_string(::getpid()));
+}
+
+/// Snapshots `store` to a fresh file under MapDir() and maps it.
 Result<catalog::ObjectStore> MapStore(const catalog::ObjectStore& store,
                                       const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / "columnar_diff";
+  const fs::path dir = MapDir();
   fs::create_directories(dir);
   const std::string path = (dir / (name + ".snap")).string();
   persist::SnapshotWriter writer(path);
@@ -181,8 +189,8 @@ void ExpectIdentical(const QueryResult& want, const QueryResult& got,
   }
 }
 
-QueryEngine::Options SingleThreaded(bool columnar_kernel) {
-  QueryEngine::Options opts;
+FederatedQueryEngine::Options SingleThreaded(bool columnar_kernel) {
+  FederatedQueryEngine::Options opts;
   opts.executor.scan_threads = 1;
   opts.executor.columnar_kernel = columnar_kernel;
   // Without this, nearly every query in the list auto-selects the tag
@@ -194,31 +202,47 @@ QueryEngine::Options SingleThreaded(bool columnar_kernel) {
   return opts;
 }
 
+/// The single-store engine: a one-shard fleet over `store`.
+FederatedQueryEngine OneShard(const catalog::ObjectStore* store,
+                              FederatedQueryEngine::Options options) {
+  return FederatedQueryEngine({Shard{0, store, nullptr}}, options);
+}
+
 class ColumnarDiffTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     row_store_ = new catalog::ObjectStore(MakeSky(8101));
     auto mapped = MapStore(*row_store_, "diff");
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    mapped_store_ = new catalog::ObjectStore(std::move(*mapped));
+    if (mapped.ok()) {
+      mapped_store_ = new catalog::ObjectStore(std::move(*mapped));
+    } else {
+      map_error_ = mapped.status().ToString();
+    }
   }
+  // A fatal failure inside SetUpTestSuite only marks the cases skipped,
+  // which ctest counts as passing: a missing fixture store must fail
+  // every case instead.
+  void SetUp() override { ASSERT_NE(mapped_store_, nullptr) << map_error_; }
   static void TearDownTestSuite() {
     delete mapped_store_;
     delete row_store_;
     mapped_store_ = nullptr;
     row_store_ = nullptr;
+    fs::remove_all(MapDir());
   }
   static catalog::ObjectStore* row_store_;
   static catalog::ObjectStore* mapped_store_;
+  inline static std::string map_error_;
 };
 
 catalog::ObjectStore* ColumnarDiffTest::row_store_ = nullptr;
 catalog::ObjectStore* ColumnarDiffTest::mapped_store_ = nullptr;
 
 TEST_F(ColumnarDiffTest, KernelMatchesRowPathBitExactly) {
-  QueryEngine rows(row_store_, SingleThreaded(false));
-  QueryEngine kernel(mapped_store_, SingleThreaded(true));
-  QueryEngine fallback(mapped_store_, SingleThreaded(false));
+  FederatedQueryEngine rows = OneShard(row_store_, SingleThreaded(false));
+  FederatedQueryEngine kernel = OneShard(mapped_store_, SingleThreaded(true));
+  FederatedQueryEngine fallback =
+      OneShard(mapped_store_, SingleThreaded(false));
 
   for (const DiffQuery& q : DiffQueries()) {
     auto want = rows.Execute(q.sql);
@@ -251,8 +275,8 @@ TEST_F(ColumnarDiffTest, RuntimeErrorsSurfaceIdentically) {
   // must surface with the row path's exact status -- whether the zero
   // divisor hits on the very first row or midway through a container's
   // chunked predicate loop.
-  QueryEngine rows(row_store_, SingleThreaded(false));
-  QueryEngine kernel(mapped_store_, SingleThreaded(true));
+  FederatedQueryEngine rows = OneShard(row_store_, SingleThreaded(false));
+  FederatedQueryEngine kernel = OneShard(mapped_store_, SingleThreaded(true));
   for (const char* sql : {
            // Every row divides by zero: the first chunk errors at k=0.
            "SELECT obj_id FROM photo WHERE 1 / (r - r) > 0",
@@ -278,10 +302,10 @@ TEST_F(ColumnarDiffTest, RuntimeErrorsSurfaceIdentically) {
 TEST_F(ColumnarDiffTest, ParallelScansStillAgreeAsMultisets) {
   // Default thread count: delivery and accumulation order are free, so
   // compare order-free queries only (integer rows and COUNT).
-  QueryEngine::Options opts;
+  FederatedQueryEngine::Options opts;
   opts.planner.auto_tag_selection = false;
-  QueryEngine rows(row_store_, opts);
-  QueryEngine kernel(mapped_store_, opts);
+  FederatedQueryEngine rows = OneShard(row_store_, opts);
+  FederatedQueryEngine kernel = OneShard(mapped_store_, opts);
   for (const char* sql :
        {"SELECT obj_id, r FROM photo WHERE CIRCLE('GAL', 120, 55, 10)",
         "SELECT obj_id FROM photo WHERE class = 'QSO'",
@@ -372,6 +396,7 @@ TEST(ColumnarFederationTest, MappedShardFleetsMatchRowFleets) {
     // The kernel (and its stat) flows through the federated merge.
     EXPECT_TRUE(saw_columnar);
   }
+  fs::remove_all(MapDir());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // End-to-end query engine tests: parse -> plan -> execute against a
 // generated sky, validated against brute-force evaluation.
 
-#include "query/query_engine.h"
+#include "query/federated_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -39,7 +39,10 @@ class EngineTest : public ::testing::Test {
     objects_ = nullptr;
   }
 
-  QueryEngine Engine() { return QueryEngine(store_); }
+  static FederatedQueryEngine Engine(
+      FederatedQueryEngine::Options options = {}) {
+    return FederatedQueryEngine({Shard{0, store_, nullptr}}, options);
+  }
 
   static std::set<uint64_t> BruteForce(
       const std::function<bool(const PhotoObj&)>& pred) {
@@ -131,11 +134,11 @@ TEST_F(EngineTest, TagStoreAutoSelected) {
 }
 
 TEST_F(EngineTest, TagAndFullStoresAgree) {
-  QueryEngine eng = Engine();
+  FederatedQueryEngine eng = Engine();
   auto via_tag = eng.Execute("SELECT obj_id FROM tag WHERE r < 18");
-  QueryEngine::Options opt;
+  FederatedQueryEngine::Options opt;
   opt.planner.auto_tag_selection = false;
-  QueryEngine full_engine(store_, opt);
+  FederatedQueryEngine full_engine = Engine(opt);
   auto via_full = full_engine.Execute(
       "SELECT obj_id FROM photo WHERE r < 18");
   ASSERT_TRUE(via_tag.ok() && via_full.ok());
@@ -257,7 +260,7 @@ TEST_F(EngineTest, PredictionBoundsActualForSpatialQuery) {
 }
 
 TEST_F(EngineTest, StreamingDeliversBeforeCompletion) {
-  QueryEngine eng = Engine();
+  FederatedQueryEngine eng = Engine();
   size_t batches = 0;
   uint64_t rows = 0;
   auto stats = eng.ExecuteStreaming(
@@ -274,7 +277,7 @@ TEST_F(EngineTest, StreamingDeliversBeforeCompletion) {
 }
 
 TEST_F(EngineTest, StreamingCancellation) {
-  QueryEngine eng = Engine();
+  FederatedQueryEngine eng = Engine();
   uint64_t rows = 0;
   auto stats = eng.ExecuteStreaming("SELECT obj_id FROM photo",
                                     [&](const RowBatch& batch) {
@@ -307,9 +310,9 @@ TEST_F(EngineTest, UnknownAttributeFailsAtPlanTime) {
 }
 
 TEST_F(EngineTest, DisablingIndexStillGivesExactResults) {
-  QueryEngine::Options opt;
+  FederatedQueryEngine::Options opt;
   opt.planner.use_spatial_index = false;
-  QueryEngine eng(store_, opt);
+  FederatedQueryEngine eng = Engine(opt);
   auto no_index = eng.Execute(
       "SELECT obj_id FROM photo WHERE CIRCLE(180, 40, 5)");
   auto with_index = Engine().Execute(

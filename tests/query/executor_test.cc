@@ -8,7 +8,7 @@
 #include <thread>
 
 #include "catalog/sky_generator.h"
-#include "query/query_engine.h"
+#include "query/federated_engine.h"
 
 namespace sdss::query {
 namespace {
@@ -106,7 +106,7 @@ class ExecutorErrorTest : public ::testing::Test {
 ObjectStore* ExecutorErrorTest::store_ = nullptr;
 
 TEST_F(ExecutorErrorTest, RuntimeDivisionByZeroSurfacesAndTerminates) {
-  QueryEngine engine(store_);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}});
   // (r - r) is zero for every row: the first evaluated row errors.
   auto r = engine.Execute(
       "SELECT obj_id FROM photo WHERE 1 / (r - r) > 0");
@@ -117,7 +117,7 @@ TEST_F(ExecutorErrorTest, RuntimeDivisionByZeroSurfacesAndTerminates) {
 }
 
 TEST_F(ExecutorErrorTest, ErrorInsideSetOperationPropagates) {
-  QueryEngine engine(store_);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}});
   auto r = engine.Execute(
       "SELECT obj_id FROM photo WHERE r < 20 "
       "INTERSECT SELECT obj_id FROM photo WHERE 1 / (g - g) > 0");
@@ -125,7 +125,7 @@ TEST_F(ExecutorErrorTest, ErrorInsideSetOperationPropagates) {
 }
 
 TEST_F(ExecutorErrorTest, EngineIsReusableAfterError) {
-  QueryEngine engine(store_);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}});
   ASSERT_FALSE(
       engine.Execute("SELECT obj_id FROM photo WHERE 1 / (r - r) > 0")
           .ok());
@@ -136,7 +136,7 @@ TEST_F(ExecutorErrorTest, EngineIsReusableAfterError) {
 }
 
 TEST_F(ExecutorErrorTest, EmptyResultQueriesComplete) {
-  QueryEngine engine(store_);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}});
   auto r = engine.Execute("SELECT obj_id FROM photo WHERE r < 0");
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->rows.empty());
@@ -150,14 +150,14 @@ TEST_F(ExecutorErrorTest, EmptyResultQueriesComplete) {
 }
 
 TEST_F(ExecutorErrorTest, LimitZeroReturnsNothing) {
-  QueryEngine engine(store_);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}});
   auto r = engine.Execute("SELECT obj_id FROM photo LIMIT 0");
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->rows.empty());
 }
 
 TEST_F(ExecutorErrorTest, RepeatedCancellationIsStable) {
-  QueryEngine engine(store_);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}});
   for (int i = 0; i < 20; ++i) {
     auto stats = engine.ExecuteStreaming(
         "SELECT obj_id FROM photo",
@@ -174,7 +174,7 @@ TEST_F(ExecutorErrorTest, ConcurrentQueriesOnOneStore) {
   std::atomic<int> failures{0};
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([this, &failures] {
-      QueryEngine engine(store_);
+      FederatedQueryEngine engine({Shard{0, store_, nullptr}});
       for (int i = 0; i < 5; ++i) {
         auto r = engine.Execute("SELECT COUNT(*) FROM photo WHERE r < 20");
         if (!r.ok() ||
@@ -189,10 +189,10 @@ TEST_F(ExecutorErrorTest, ConcurrentQueriesOnOneStore) {
 }
 
 TEST_F(ExecutorErrorTest, TinyBatchSizeStillExact) {
-  QueryEngine::Options opt;
+  FederatedQueryEngine::Options opt;
   opt.executor.batch_size = 1;
-  QueryEngine tiny(store_, opt);
-  QueryEngine normal(store_);
+  FederatedQueryEngine tiny({Shard{0, store_, nullptr}}, opt);
+  FederatedQueryEngine normal({Shard{0, store_, nullptr}});
   auto a = tiny.Execute("SELECT obj_id FROM photo WHERE r < 18");
   auto b = normal.Execute("SELECT obj_id FROM photo WHERE r < 18");
   ASSERT_TRUE(a.ok() && b.ok());
@@ -200,9 +200,9 @@ TEST_F(ExecutorErrorTest, TinyBatchSizeStillExact) {
 }
 
 TEST_F(ExecutorErrorTest, SingleScanThreadWorks) {
-  QueryEngine::Options opt;
+  FederatedQueryEngine::Options opt;
   opt.executor.scan_threads = 1;
-  QueryEngine engine(store_, opt);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}}, opt);
   auto r = engine.Execute("SELECT COUNT(*) FROM photo");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->aggregate_value, static_cast<double>(store_->object_count()));

@@ -15,7 +15,7 @@
 #include "core/angle.h"
 #include "core/coords.h"
 #include "core/random.h"
-#include "query/query_engine.h"
+#include "query/federated_engine.h"
 
 namespace sdss::query {
 namespace {
@@ -204,7 +204,7 @@ TEST_F(PairJoinTest, PlanShapeAndExplain) {
 
 TEST_F(PairJoinTest, LensQueryMatchesBruteForce) {
   // C9 (c): objects within the radius with near-identical g-r color.
-  QueryEngine engine(store_);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}});
   auto result = engine.Execute(
       "SELECT a.obj_id, b.obj_id, sep FROM photo AS a JOIN photo AS b "
       "WITHIN 30 ARCSEC WHERE a.g - a.r - b.g + b.r < 0.05 AND "
@@ -226,7 +226,7 @@ TEST_F(PairJoinTest, LensQueryMatchesBruteForce) {
 TEST_F(PairJoinTest, AsymmetricRolesBindTheSatisfyingAssignment) {
   // C9 (b): quasars brighter than r=22 with a faint blue galaxy within
   // 5 arcsec. The a role must come out bound to the quasar.
-  QueryEngine engine(store_);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}});
   auto result = engine.Execute(
       "SELECT a.obj_id, b.obj_id, a.class, b.class FROM photo AS a "
       "JOIN photo AS b WITHIN 5 ARCSEC "
@@ -261,7 +261,7 @@ TEST_F(PairJoinTest, AsymmetricRolesBindTheSatisfyingAssignment) {
 }
 
 TEST_F(PairJoinTest, OrderBySepLimitIsSortedAndCapped) {
-  QueryEngine engine(store_);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}});
   auto result = engine.Execute(
       "SELECT a.obj_id, b.obj_id, sep FROM photo AS a JOIN photo AS b "
       "WITHIN 60 ARCSEC ORDER BY sep LIMIT 15");
@@ -273,7 +273,7 @@ TEST_F(PairJoinTest, OrderBySepLimitIsSortedAndCapped) {
 }
 
 TEST_F(PairJoinTest, CountAggregateOverJoin) {
-  QueryEngine engine(store_);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}});
   auto count = engine.Execute(
       "SELECT COUNT(*) FROM photo AS a JOIN photo AS b WITHIN 30 ARCSEC");
   ASSERT_TRUE(count.ok()) << count.status().ToString();
@@ -300,7 +300,7 @@ TEST_F(PairJoinTest, SpatialConjunctPrunesTheJoinScan) {
   EXPECT_TRUE(plan->used_spatial_index);
   EXPECT_NE(plan->Explain().find("[spatially pruned]"), std::string::npos);
 
-  QueryEngine engine(store_);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}});
   auto result = engine.Execute(sql);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_LT(result->exec.containers_scanned, store_->container_count())
@@ -316,7 +316,7 @@ TEST_F(PairJoinTest, SpatialConjunctPrunesTheJoinScan) {
 }
 
 TEST_F(PairJoinTest, DefaultProjectionIsIdsAndSeparation) {
-  QueryEngine engine(store_);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}});
   auto result = engine.Execute(
       "SELECT * FROM photo AS a JOIN photo AS b WITHIN 10 ARCSEC");
   ASSERT_TRUE(result.ok()) << result.status().ToString();

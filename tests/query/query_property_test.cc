@@ -9,7 +9,7 @@
 
 #include "catalog/sky_generator.h"
 #include "core/random.h"
-#include "query/query_engine.h"
+#include "query/federated_engine.h"
 
 namespace sdss::query {
 namespace {
@@ -52,10 +52,10 @@ ObjectStore* QueryPropertyTest::store_ = nullptr;
 
 TEST_P(QueryPropertyTest, RandomPredicatesMatchBruteForce) {
   Config cfg = GetParam();
-  QueryEngine::Options opt;
+  FederatedQueryEngine::Options opt;
   opt.planner.auto_tag_selection = cfg.auto_tag;
   opt.planner.use_spatial_index = cfg.use_index;
-  QueryEngine engine(store_, opt);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}}, opt);
 
   Rng rng(404 + (cfg.auto_tag ? 1 : 0) + (cfg.use_index ? 2 : 0));
   for (int trial = 0; trial < 12; ++trial) {
@@ -89,10 +89,10 @@ TEST_P(QueryPropertyTest, RandomPredicatesMatchBruteForce) {
 
 TEST_P(QueryPropertyTest, CountAggregatesAgreeWithRowCounts) {
   Config cfg = GetParam();
-  QueryEngine::Options opt;
+  FederatedQueryEngine::Options opt;
   opt.planner.auto_tag_selection = cfg.auto_tag;
   opt.planner.use_spatial_index = cfg.use_index;
-  QueryEngine engine(store_, opt);
+  FederatedQueryEngine engine({Shard{0, store_, nullptr}}, opt);
 
   Rng rng(505);
   for (int trial = 0; trial < 6; ++trial) {

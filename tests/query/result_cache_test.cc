@@ -13,9 +13,9 @@
 
 #include "catalog/object_store.h"
 #include "catalog/sky_generator.h"
+#include "query/federated_engine.h"
 #include "query/parser.h"
 #include "query/qet.h"
-#include "query/query_engine.h"
 
 namespace sdss::query {
 namespace {
@@ -31,7 +31,7 @@ class ResultCacheTest : public ::testing::Test {
     store_ = new catalog::ObjectStore();
     ASSERT_TRUE(
         store_->BulkLoad(catalog::SkyGenerator(m).Generate()).ok());
-    engine_ = new QueryEngine(store_);
+    engine_ = new FederatedQueryEngine({Shard{0, store_, nullptr}});
   }
   static void TearDownTestSuite() {
     delete engine_;
@@ -80,7 +80,7 @@ class ResultCacheTest : public ::testing::Test {
   }
 
   inline static catalog::ObjectStore* store_ = nullptr;
-  inline static QueryEngine* engine_ = nullptr;
+  inline static FederatedQueryEngine* engine_ = nullptr;
 };
 
 TEST_F(ResultCacheTest, FingerprintCanonicalizesEquivalentPredicates) {

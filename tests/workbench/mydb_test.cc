@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "catalog/sky_generator.h"
-#include "query/query_engine.h"
+#include "query/federated_engine.h"
 
 namespace sdss::archive {
 namespace {
@@ -122,9 +122,9 @@ TEST(MyDbTest, StoresAnswerSpatialQueriesLikeTheArchive) {
   // the engine prunes containers and matches a brute-force filter.
   catalog::ObjectStore unused;  // Engine needs a base store; mydb scans
                                 // carry their own.
-  query::QueryEngine::Options opt;
+  query::FederatedQueryEngine::Options opt;
   opt.planner.mydb = mydb.ResolverFor("alice");
-  query::QueryEngine engine(&unused, opt);
+  query::FederatedQueryEngine engine({query::Shard{0, &unused, nullptr}}, opt);
 
   auto res = engine.Execute(
       "SELECT COUNT(*) FROM mydb.sky WHERE CIRCLE('GAL', 40, 70, 8)");
