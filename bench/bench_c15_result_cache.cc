@@ -12,6 +12,9 @@
 //      cone) vs real fleet re-scans,
 //   3. the epoch-bump cost: the first run after a mutation pays a full
 //      re-scan plus re-install, then the cache is warm again.
+// BM_CacheMissProbe prices the probe every statement pays when the
+// working set outgrows the cache: 128 resident cone entries, none of
+// which contains the probe.
 
 #include <benchmark/benchmark.h>
 
@@ -25,6 +28,9 @@
 #include "archive/sharded_store.h"
 #include "bench_util.h"
 #include "query/federated_engine.h"
+#include "query/parser.h"
+#include "query/qet.h"
+#include "query/result_cache.h"
 
 namespace sdss::bench {
 namespace {
@@ -307,6 +313,40 @@ void BM_EpochBumpMiss(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EpochBumpMiss)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+query::Plan PlanOrDie(const ObjectStore& store, const std::string& sql) {
+  auto parsed = query::Parse(sql);
+  if (!parsed.ok()) std::abort();
+  auto plan = query::BuildPlan(*parsed, store);
+  if (!plan.ok()) std::abort();
+  return std::move(*plan);
+}
+
+std::string OneDegreeCone(double ra, double dec) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "SELECT obj_id, r FROM photo WHERE CIRCLE(%.1f, %.1f, 1)",
+                ra, dec);
+  return buf;
+}
+
+void BM_CacheMissProbe(benchmark::State& state) {
+  // Every entry passes the table, column and key checks, so the probe
+  // runs the spatial test against all 128 before it misses.
+  Fleet& fleet = SharedFleet();
+  query::ResultCache cache;
+  for (int i = 0; i < 128; ++i) {
+    query::Plan entry = PlanOrDie(fleet.store, OneDegreeCone(2.5 * i, 0.0));
+    cache.Install(query::ResultCache::Fingerprint(entry), entry, 1, {});
+  }
+  const query::Plan probe = PlanOrDie(fleet.store, OneDegreeCone(100, 40));
+  const std::string fp = query::ResultCache::Fingerprint(probe);
+  for (auto _ : state) {
+    query::ResultCache::Answer ans;
+    if (cache.TryAnswer(fp, probe, 1, &ans)) std::abort();
+  }
+}
+BENCHMARK(BM_CacheMissProbe)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 }  // namespace
 }  // namespace sdss::bench

@@ -88,6 +88,19 @@ RangeSet RangeSet::DifferenceWith(const RangeSet& o) const {
   return out;
 }
 
+bool RangeSet::IsSubsetOf(const RangeSet& o) const {
+  // Both sets are coalesced (Add merges touching ranges), so a range of
+  // this set is covered only by a single range of `o` that spans it.
+  auto b = o.ranges_.begin();
+  for (const Range& r : ranges_) {
+    while (b != o.ranges_.end() && b->last <= r.first) ++b;
+    if (b == o.ranges_.end() || b->first > r.first || b->last < r.last) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string RangeSet::ToString() const {
   std::string s = "{";
   for (size_t i = 0; i < ranges_.size(); ++i) {

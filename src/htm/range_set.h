@@ -51,6 +51,11 @@ class RangeSet {
   RangeSet IntersectWith(const RangeSet& o) const;
   RangeSet DifferenceWith(const RangeSet& o) const;
 
+  /// True when every id of this set is in `o`: the same answer as
+  /// DifferenceWith(o).empty(), from one merge walk that allocates
+  /// nothing.
+  bool IsSubsetOf(const RangeSet& o) const;
+
   std::string ToString() const;
 
   bool operator==(const RangeSet& o) const { return ranges_ == o.ranges_; }

@@ -218,16 +218,6 @@ void FingerprintNode(const PlanNode& n, std::string* out) {
   *out += '}';
 }
 
-/// Exact containment of `inner` inside `outer` on the HTM grid: every
-/// leaf trixel `inner`'s cover accepts (FULL or PARTIAL -- every object
-/// that can satisfy the inner predicate lives in one) lies inside a FULL
-/// trixel of `outer`'s cover, i.e. provably inside the outer region.
-bool RegionCovers(const htm::Region& outer, const htm::Region& inner) {
-  htm::RangeSet in = htm::Cover(inner, kContainLevel).ToRangeSet();
-  htm::RangeSet full = htm::Cover(outer, kContainLevel).FullRangeSet();
-  return in.DifferenceWith(full).empty();
-}
-
 /// Attribute names a shape needs from an entry's rows: the projection
 /// (or aggregate input) plus everything the predicate reads.
 void CollectNeeded(const PlanNode& scan, const std::string& agg_attr,
@@ -319,6 +309,13 @@ bool ResultCache::AnalyzeShape(const Plan& plan, Shape* out) {
   return true;
 }
 
+const htm::RangeSet& ResultCache::Shape::RegionRanges() const {
+  if (!region_ranges) {
+    region_ranges = htm::Cover(scan->region, kContainLevel).ToRangeSet();
+  }
+  return *region_ranges;
+}
+
 bool ResultCache::EntryServes(const Entry& e, const Shape& q) {
   if (!e.containment_capable) return false;
   // Same PHYSICAL table only: tag rows carry float-precision positions,
@@ -337,20 +334,47 @@ bool ResultCache::EntryServes(const Entry& e, const Shape& q) {
   }
   // Q's predicate must imply E's: every conjunct of E is canonically
   // present in Q, or is a spatial atom whose region provably contains
-  // Q's plan region (so every row Q can yield satisfies it).
+  // Q's plan region (so every row Q can yield satisfies it). The key
+  // checks run first, so a differing colour cut rejects the entry
+  // before any geometry.
+  auto keyed = [&e, &q](size_t i) {
+    return std::find(q.conjunct_keys.begin(), q.conjunct_keys.end(),
+                     e.conjunct_keys[i]) != q.conjunct_keys.end();
+  };
+  bool spatial = false;
   for (size_t i = 0; i < e.conjuncts.size(); ++i) {
-    if (std::find(q.conjunct_keys.begin(), q.conjunct_keys.end(),
-                  e.conjunct_keys[i]) != q.conjunct_keys.end()) {
-      continue;
+    if (keyed(i)) continue;
+    if (e.conjuncts[i]->kind() != Expr::Kind::kSpatial ||
+        !q.scan->has_region) {
+      return false;
     }
-    const Expr& c = *e.conjuncts[i];
-    if (c.kind() == Expr::Kind::kSpatial && q.scan->has_region &&
-        RegionCovers(c.region(), q.scan->region)) {
-      continue;
-    }
-    return false;
+    spatial = true;
+  }
+  if (!spatial) return true;
+  // Exact containment on the HTM grid: every leaf trixel Q's cover
+  // accepts (FULL or PARTIAL -- every object that can satisfy Q lives in
+  // one) lies inside a FULL trixel of the atom's cover, i.e. provably
+  // inside the atom's region.
+  const htm::RangeSet& inner = q.RegionRanges();
+  for (size_t i = 0; i < e.conjuncts.size(); ++i) {
+    if (keyed(i)) continue;
+    if (!inner.IsSubsetOf(e.conjunct_full[i])) return false;
   }
   return true;
+}
+
+template <typename List, typename Stale, typename Accept>
+auto ResultCache::FindServing(List& lru, const Shape& q, uint64_t epoch,
+                              Stale&& stale, Accept&& accept) {
+  for (auto e = lru.begin(); e != lru.end();) {
+    if (e->epoch != epoch) {
+      stale(e++);
+      continue;
+    }
+    if (EntryServes(*e, q) && accept(*e)) return e;
+    ++e;
+  }
+  return lru.end();
 }
 
 bool ResultCache::Materialize(const Entry& e, const Shape& q,
@@ -461,22 +485,22 @@ bool ResultCache::TryAnswer(const std::string& fingerprint,
 
   Shape shape;
   if (AnalyzeShape(plan, &shape)) {
-    for (EntryList::iterator e = lru_.begin(); e != lru_.end();) {
-      if (e->epoch != epoch) {
-        // Stale entries can never hit again (epochs are monotonic);
-        // drop them as they are encountered.
-        EntryList::iterator dead = e++;
-        ++stats_.epoch_invalidations;
-        EraseLocked(dead);
-        continue;
-      }
-      if (EntryServes(*e, shape) && Materialize(*e, shape, &out->rows)) {
-        ++stats_.containment_hits;
-        out->containment = true;
-        TouchLocked(e);
-        return true;
-      }
-      ++e;
+    EntryList::iterator e = FindServing(
+        lru_, shape, epoch,
+        [this](EntryList::iterator dead) {
+          // Stale entries can never hit again (epochs are monotonic);
+          // drop them as they are encountered.
+          ++stats_.epoch_invalidations;
+          EraseLocked(dead);
+        },
+        [&shape, out](const Entry& entry) {
+          return Materialize(entry, shape, &out->rows);
+        });
+    if (e != lru_.end()) {
+      ++stats_.containment_hits;
+      out->containment = true;
+      TouchLocked(e);
+      return true;
     }
   }
   ++stats_.misses;
@@ -490,10 +514,9 @@ bool ResultCache::WouldAnswer(const std::string& fingerprint,
   if (it != index_.end() && it->second->epoch == epoch) return true;
   Shape shape;
   if (!AnalyzeShape(plan, &shape)) return false;
-  for (const Entry& e : lru_) {
-    if (e.epoch == epoch && EntryServes(e, shape)) return true;
-  }
-  return false;
+  return FindServing(
+             lru_, shape, epoch, [](EntryList::const_iterator) {},
+             [](const Entry&) { return true; }) != lru_.end();
 }
 
 void ResultCache::Install(const std::string& fingerprint, const Plan& plan,
@@ -520,8 +543,17 @@ void ResultCache::Install(const std::string& fingerprint, const Plan& plan,
     if (n->predicate != nullptr) {
       FlattenConjuncts(n->predicate, &entry.conjuncts);
       entry.conjunct_keys.reserve(entry.conjuncts.size());
-      for (const Expr::Ptr& c : entry.conjuncts) {
-        entry.conjunct_keys.push_back(CanonKey(*c));
+      entry.conjunct_full.resize(entry.conjuncts.size());
+      for (size_t i = 0; i < entry.conjuncts.size(); ++i) {
+        const Expr& c = *entry.conjuncts[i];
+        entry.conjunct_keys.push_back(CanonKey(c));
+        if (c.kind() == Expr::Kind::kSpatial) {
+          entry.conjunct_full[i] =
+              htm::Cover(c.region(), kContainLevel).FullRangeSet();
+        }
+        entry.bytes += sizeof(htm::RangeSet) +
+                       entry.conjunct_full[i].range_count() *
+                           sizeof(htm::RangeSet::Range);
       }
     }
     for (const std::string& c : entry.columns) entry.bytes += c.size();

@@ -30,6 +30,17 @@
 // and COUNT/MIN/MAX aggregates re-fold exactly. Order-sensitive floats
 // (SUM/AVG) and unordered LIMITs fall through to a real run.
 //
+// Cost of a probe. Install covers each spatial conjunct of an entry
+// once, outside the cache mutex, at the containment test's level, and
+// keeps the FULL leaf ranges in the entry (their bytes count toward the
+// entry's size). A probe that reaches the spatial test covers its own
+// plan region once, under the mutex, on first use, and shares that
+// cover across every entry it tests; each test is then one
+// RangeSet::IsSubsetOf merge walk. Canonical-key conjuncts are checked
+// before the spatial one, so an entry whose colour cut differs costs no
+// geometry at all. A miss over N resident cone entries therefore pays
+// at most one cover plus N merge walks, not 2N covers.
+//
 // Never cached: INTO and FROM mydb (personal stores version separately),
 // SAMPLE (fresh Bernoulli draws each run), pair joins (rows do not carry
 // positions), any query whose predicate divides (a divide-by-zero on a
@@ -48,10 +59,12 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "htm/range_set.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/qet.h"
@@ -143,6 +156,10 @@ class ResultCache {
     std::vector<std::string> columns;  ///< Row value names, in order.
     std::vector<Expr::Ptr> conjuncts;  ///< Flattened entry predicate.
     std::vector<std::string> conjunct_keys;  ///< Canonical per-conjunct.
+    /// Per conjunct: a spatial atom's FULL leaf ranges at the
+    /// containment level (empty for other conjuncts). Computed once at
+    /// install, so probes never re-cover the entry.
+    std::vector<htm::RangeSet> conjunct_full;
   };
   using EntryList = std::list<Entry>;
 
@@ -158,6 +175,12 @@ class ResultCache {
     std::string agg_attr;
     std::vector<std::string> needed;  ///< Attrs the entry must carry.
     std::vector<std::string> conjunct_keys;
+    /// The plan region's leaf ranges (FULL and PARTIAL) at the
+    /// containment level: computed on first use, then shared by every
+    /// entry one probe tests.
+    mutable std::optional<htm::RangeSet> region_ranges;
+
+    const htm::RangeSet& RegionRanges() const;
   };
 
   /// Decomposes `plan` into a containment-servable shape; false when the
@@ -168,6 +191,14 @@ class ResultCache {
   /// True when entry `e` provably contains every row of shape `q` and
   /// carries every attribute `q` needs.
   static bool EntryServes(const Entry& e, const Shape& q);
+
+  /// The one candidate walk behind TryAnswer and WouldAnswer: the first
+  /// entry of `lru`, in LRU order, at `epoch` that serves `q` and that
+  /// `accept` takes, or lru.end(). Each stale entry met on the way is
+  /// passed to `stale` after the walk has stepped past it.
+  template <typename List, typename Stale, typename Accept>
+  static auto FindServing(List& lru, const Shape& q, uint64_t epoch,
+                          Stale&& stale, Accept&& accept);
 
   /// Filters/projects/sorts/folds `e`'s rows into `q`'s answer.
   static bool Materialize(const Entry& e, const Shape& q,

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/random.h"
@@ -92,6 +93,56 @@ TEST_P(RangeSetPropertyTest, SetAlgebraMatchesReference) {
     ASSERT_EQ(
         Elements(a.DifferenceWith(b).UnionWith(a.IntersectWith(b))), ra);
   }
+}
+
+TEST_P(RangeSetPropertyTest, IsSubsetOfMatchesDifferenceAndReference) {
+  auto [intervals, universe] = GetParam();
+  Rng rng(4400 + static_cast<uint64_t>(intervals) + universe);
+  auto includes = [](const std::set<uint64_t>& outer,
+                     const std::set<uint64_t>& inner) {
+    return std::includes(outer.begin(), outer.end(), inner.begin(),
+                         inner.end());
+  };
+  int subsets = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    // `b` is random; `a` is either independent of it, or cut from b's
+    // own ranges (a subset, or one id away from being one).
+    RangeSet a, b;
+    for (int i = 0; i < intervals; ++i) {
+      uint64_t x = static_cast<uint64_t>(
+          rng.UniformInt(0, static_cast<int64_t>(universe)));
+      b.Add(x, x + static_cast<uint64_t>(rng.UniformInt(0, 15)));
+    }
+    const int mode = static_cast<int>(rng.UniformInt(0, 2));
+    if (mode == 0) {
+      for (int i = 0; i < intervals / 2; ++i) {
+        uint64_t x = static_cast<uint64_t>(
+            rng.UniformInt(0, static_cast<int64_t>(universe)));
+        a.Add(x, x + static_cast<uint64_t>(rng.UniformInt(0, 15)));
+      }
+    } else {
+      for (const auto& r : b.ranges()) {
+        if (!rng.Bernoulli(0.6)) continue;
+        const int64_t len = static_cast<int64_t>(r.last - r.first);
+        const int64_t off = rng.UniformInt(0, len - 1);
+        const uint64_t lo = r.first + static_cast<uint64_t>(off);
+        uint64_t hi = lo + static_cast<uint64_t>(rng.UniformInt(1, len - off));
+        if (mode == 2 && rng.Bernoulli(0.3)) ++hi;  // One id too far.
+        a.Add(lo, hi);
+      }
+    }
+    const std::set<uint64_t> ra = Elements(a), rb = Elements(b);
+    const bool expected = includes(rb, ra);
+    ASSERT_EQ(a.IsSubsetOf(b), expected)
+        << a.ToString() << " vs " << b.ToString();
+    ASSERT_EQ(a.IsSubsetOf(b), a.DifferenceWith(b).empty());
+    ASSERT_EQ(b.IsSubsetOf(a), includes(ra, rb));
+    ASSERT_EQ(b.IsSubsetOf(a), b.DifferenceWith(a).empty());
+    subsets += expected ? 1 : 0;
+  }
+  // Both verdicts were exercised.
+  EXPECT_GT(subsets, 0);
+  EXPECT_LT(subsets, 40);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -162,6 +162,71 @@ TEST(RangeSetTest, DifferenceWithEmpty) {
   EXPECT_TRUE(empty.DifferenceWith(a).empty());
 }
 
+TEST(RangeSetTest, IsSubsetOfEmptySets) {
+  RangeSet a, empty;
+  a.Add(3, 9);
+  // The empty set is a subset of everything, itself included; nothing
+  // non-empty is a subset of it.
+  EXPECT_TRUE(empty.IsSubsetOf(empty));
+  EXPECT_TRUE(empty.IsSubsetOf(a));
+  EXPECT_FALSE(a.IsSubsetOf(empty));
+  EXPECT_TRUE(a.IsSubsetOf(a));
+}
+
+TEST(RangeSetTest, IsSubsetOfInsideAndStraddling) {
+  RangeSet outer;
+  outer.Add(10, 20);
+  outer.Add(40, 60);
+  RangeSet inside;
+  inside.Add(12, 15);
+  inside.Add(40, 60);
+  EXPECT_TRUE(inside.IsSubsetOf(outer));
+  EXPECT_FALSE(outer.IsSubsetOf(inside));
+
+  // Spans the gap between two outer ranges.
+  RangeSet straddle;
+  straddle.Add(15, 45);
+  EXPECT_FALSE(straddle.IsSubsetOf(outer));
+  // One id past either end of an outer range.
+  RangeSet low, high;
+  low.Add(9, 12);
+  high.Add(55, 61);
+  EXPECT_FALSE(low.IsSubsetOf(outer));
+  EXPECT_FALSE(high.IsSubsetOf(outer));
+  // Entirely beyond the last outer range.
+  RangeSet beyond;
+  beyond.Add(70, 71);
+  EXPECT_FALSE(beyond.IsSubsetOf(outer));
+}
+
+TEST(RangeSetTest, IsSubsetOfRangesTouchingAtTheExclusiveEnd) {
+  // [0,5) and [5,10) touch at 5, the first range's exclusive end: they
+  // coalesce, so together they cover [2,8).
+  RangeSet touching;
+  touching.Add(0, 5);
+  touching.Add(5, 10);
+  RangeSet across;
+  across.Add(2, 8);
+  EXPECT_TRUE(across.IsSubsetOf(touching));
+  EXPECT_EQ(across.IsSubsetOf(touching),
+            across.DifferenceWith(touching).empty());
+
+  // An inner range that ends exactly where the outer one ends is inside;
+  // one that starts at the outer exclusive end is not.
+  RangeSet outer;
+  outer.Add(0, 5);
+  RangeSet ends_at, starts_at;
+  ends_at.Add(3, 5);
+  starts_at.Add(5, 6);
+  EXPECT_TRUE(ends_at.IsSubsetOf(outer));
+  EXPECT_FALSE(starts_at.IsSubsetOf(outer));
+  // Ranges touching at 5 but with a hole elsewhere stay refused.
+  RangeSet gap;
+  gap.Add(0, 5);
+  gap.Add(6, 10);
+  EXPECT_FALSE(across.IsSubsetOf(gap));
+}
+
 TEST(RangeSetTest, SetAlgebraIdentity) {
   // (A ∪ B) \ B ⊆ A and A ∩ (A ∪ B) == A.
   RangeSet a, b;

@@ -277,11 +277,12 @@ TEST_F(ServerTest, StatsFrameShipsTheMetricsSnapshot) {
 TEST_F(ServerTest, SharedRegistryReportsEveryLayer) {
   // Wire one registry through scheduler and server: the STATS frame
   // must then carry workbench_* and server_* instruments side by side.
-  metrics::Registry registry;
+  // The registry is the fixture's, so it outlives the server's stop in
+  // TearDown (a late session close still writes its gauges).
   auto lanes = DefaultLanes();
-  lanes.metrics = &registry;
+  lanes.metrics = &registry_;
   ServerOptions options;
-  options.metrics = &registry;
+  options.metrics = &registry_;
   StartServer(lanes, options);
   auto client = Connect("alice");
   ASSERT_TRUE(client.ok());

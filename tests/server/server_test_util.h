@@ -18,6 +18,7 @@
 #include "archive/mydb.h"
 #include "archive/sharded_store.h"
 #include "catalog/sky_generator.h"
+#include "core/metrics.h"
 #include "query/federated_engine.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -134,6 +135,9 @@ class ServerTest : public ::testing::Test {
   inline static catalog::ObjectStore* source_ = nullptr;
   inline static archive::ShardedStore* sharded_ = nullptr;
   inline static query::FederatedQueryEngine* engine_ = nullptr;
+  /// For tests that share one registry across layers. Declared before
+  /// the server so it is destroyed after it.
+  metrics::Registry registry_;
   std::unique_ptr<archive::MyDb> mydb_;
   std::unique_ptr<workbench::JobScheduler> scheduler_;
   std::unique_ptr<server::QueryServer> server_;
