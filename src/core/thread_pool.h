@@ -1,6 +1,7 @@
 // A fixed-size worker pool used by the QET executor and the dataflow
 // machines. Supports fire-and-forget tasks, futures, and a parallel-for
-// helper for partitioned scans.
+// helper for partitioned scans. A query engine owns one pool for its
+// lifetime; running a query starts no thread.
 
 #ifndef SDSS_CORE_THREAD_POOL_H_
 #define SDSS_CORE_THREAD_POOL_H_
@@ -65,10 +66,10 @@ class ThreadPool {
 };
 
 /// An RAII bundle of joinable threads: Spawn() detachable work, JoinAll()
-/// explicitly or let the destructor do it. Used for the QET executor's
-/// per-node threads and the federated engine's per-shard drivers, where a
-/// dynamic number of long-lived threads must never be leaked on an error
-/// path.
+/// explicitly or let the destructor do it. For long-lived service
+/// threads that must never leak on an error path (the batch workbench's
+/// lane workers). Query execution never spawns threads: its parallel
+/// work runs as morsels on a ThreadPool.
 class ThreadGroup {
  public:
   ThreadGroup() = default;

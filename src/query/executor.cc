@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
+#include <iterator>
 #include <mutex>
-#include <thread>
 #include <unordered_set>
 
 #include "catalog/photo_obj.h"
@@ -21,33 +20,46 @@ using catalog::GetTagAttribute;
 using catalog::PhotoObj;
 using catalog::TagObj;
 
+/// One morsel's scan counters: kept locally while the morsel runs and
+/// added to the query's totals once when it ends, never per object.
+struct ScanTally {
+  uint64_t containers_scanned = 0;
+  uint64_t containers_columnar = 0;
+  uint64_t objects_examined = 0;
+  uint64_t objects_matched = 0;
+  uint64_t bytes_touched = 0;
+
+  void Add(const ScanTally& t) {
+    containers_scanned += t.containers_scanned;
+    containers_columnar += t.containers_columnar;
+    objects_examined += t.objects_examined;
+    objects_matched += t.objects_matched;
+    bytes_touched += t.bytes_touched;
+  }
+};
+
 /// Shared run state: error propagation, cooperative cancellation, and
 /// scan counters.
 struct RunContext {
   std::mutex mu;
-  Status first_error;
+  Status first_error;  ///< Under mu.
+  ScanTally totals;    ///< Under mu: every ended morsel's tally.
+  std::atomic<bool> failed{false};  ///< Lock-free mirror of first_error.
   /// The job's cancel flag (null = not cancellable). Checked inside the
-  /// scan and join loops so a long-running query releases its threads
+  /// scan and join loops so a long-running query releases the pool
   /// within one object/pair step of the flag being raised.
   const std::atomic<bool>* cancel = nullptr;
   /// Heat feedback: non-null when the caller wants to see every archive
   /// container the tree reads (thread-safe; personal stores excluded).
   const AccessRecorder* access = nullptr;
-  std::atomic<uint64_t> containers_scanned{0};
-  std::atomic<uint64_t> containers_columnar{0};
-  std::atomic<uint64_t> objects_examined{0};
-  std::atomic<uint64_t> objects_matched{0};
-  std::atomic<uint64_t> bytes_touched{0};
-  std::atomic<uint64_t> bytes_shipped{0};
+  uint64_t bytes_shipped = 0;  ///< Set by the pair join's own thread.
 
   void ReportError(const Status& s) {
     std::lock_guard<std::mutex> lock(mu);
     if (first_error.ok()) first_error = s;
+    failed.store(true, std::memory_order_relaxed);
   }
-  bool has_error() {
-    std::lock_guard<std::mutex> lock(mu);
-    return !first_error.ok();
-  }
+  bool has_error() const { return failed.load(std::memory_order_relaxed); }
   void RecordContainerAccess(const Container* c) {
     if (access != nullptr && *access) (*access)(c->trixel.raw());
   }
@@ -60,16 +72,12 @@ struct RunContext {
     ReportError(Status::Cancelled("query cancelled"));
     return true;
   }
-};
-
-/// Everything a running node tree needs to tear down: channels to cancel
-/// and threads to join.
-struct NodeRuntime {
-  ThreadGroup threads;
-  std::vector<std::shared_ptr<RowChannel>> channels;
-
-  void CancelAll() {
-    for (auto& ch : channels) ch->Cancel();
+  /// True when scan work must not start or go on: the job was
+  /// cancelled or some node failed.
+  bool Halted() { return Cancelled() || has_error(); }
+  void Add(const ScanTally& t) {
+    std::lock_guard<std::mutex> lock(mu);
+    totals.Add(t);
   }
 };
 
@@ -121,16 +129,15 @@ Vec3 PositionOf(const PhotoObj& o) { return o.pos; }
 Vec3 PositionOf(const TagObj& t) { return t.Position(); }
 
 // Walks one container's rows (tag or photo) applying sampling and the
-// predicate -- THE definition of which objects a scan leaf yields, shared
-// by the row-emitting scan and the aggregate pushdown so the two can
-// never diverge. Calls `on_match` for every surviving object; returns
-// false when the task must abort (error reported, or on_match said stop).
+// predicate. Calls `on_match` for every surviving object; returns false
+// when the morsel must abort (error reported, or on_match said stop).
 template <typename T, typename OnMatch>
 bool VisitMatches(const std::vector<T>& rows, const PlanNode* node,
-                  Rng* rng, RunContext* ctx, const OnMatch& on_match) {
+                  Rng* rng, RunContext* ctx, ScanTally* tally,
+                  const OnMatch& on_match) {
   for (const T& obj : rows) {
     if (ctx->Cancelled()) return false;
-    ctx->objects_examined.fetch_add(1);
+    ++tally->objects_examined;
     if (node->sample < 1.0 && !rng->Bernoulli(node->sample)) continue;
     if (node->predicate) {
       RowAccessor acc{
@@ -146,6 +153,42 @@ bool VisitMatches(const std::vector<T>& rows, const PlanNode* node,
     if (!on_match(obj)) return false;
   }
   return true;
+}
+
+// Scans one container of a scan leaf -- THE definition of which objects
+// the leaf yields, shared by the row-emitting scan and the aggregate
+// pushdown so the two can never diverge. The tag partition and
+// containers without column views take the row path (`on_obj(obj)` per
+// survivor); the rest run the compiled `kernel` when non-null
+// (`on_idx(block, i)` per survivor). Returns false when the morsel must
+// abort.
+template <typename OnObj, typename OnIdx>
+bool ScanContainer(const Container* c, const PlanNode* node,
+                   const ColumnarScan* kernel, Rng* rng, RunContext* ctx,
+                   ScanTally* tally, const OnObj& on_obj,
+                   const OnIdx& on_idx) {
+  ++tally->containers_scanned;
+  if (node->table == TableRef::kTag) {
+    tally->bytes_touched += c->TagBytes();
+    return VisitMatches(c->tag_rows(), node, rng, ctx, tally, on_obj);
+  }
+  tally->bytes_touched += c->FullBytes();
+  if (kernel == nullptr || c->columnar.n == 0) {
+    return VisitMatches(c->rows(), node, rng, ctx, tally, on_obj);
+  }
+  ++tally->containers_columnar;
+  const catalog::ColumnarBlock& block = c->columnar;
+  Status error;
+  const bool completed = kernel->Scan(
+      block, rng, [&](size_t i) { return on_idx(block, i); },
+      [&](size_t examined) {
+        if (ctx->Halted()) return false;
+        tally->objects_examined += examined;
+        return true;
+      },
+      &error);
+  if (!error.ok()) ctx->ReportError(error);
+  return completed;
 }
 
 // Evaluates a pair-join predicate under the assignment (a = x, b = y).
@@ -227,6 +270,385 @@ std::vector<const Container*> CollectScanContainers(
   return containers;
 }
 
+/// Runs one plan tree on the thread that calls Run. Streaming and
+/// blocking nodes are plain code over their child's batch stream; only
+/// scan-shaped work (scan leaves, aggregate pushdown, both pair-join
+/// phases) fans out, as morsels on the shared pool.
+class TreeRunner {
+ public:
+  TreeRunner(const catalog::ObjectStore* store,
+             const Executor::Options& options, ThreadPool* pool,
+             RunContext* ctx,
+             const std::unordered_set<uint64_t>* container_filter,
+             const PairJoinGhosts* join_ghosts)
+      : store_(store),
+        options_(options),
+        pool_(pool),
+        ctx_(ctx),
+        filter_(container_filter),
+        ghosts_(join_ghosts) {}
+
+  /// Runs `node`, handing each output batch to `emit` on this thread.
+  /// Returns false when the stream ended early -- `emit` refused a batch
+  /// or a blocking node's input failed -- so the caller abandons its
+  /// remaining upstream work. Failures themselves live in the run
+  /// context, which every morsel checks before doing work.
+  bool Run(const PlanNode* node, const BatchSink& emit) {
+    switch (node->type) {
+      case PlanNodeType::kScan:
+      case PlanNodeType::kMyDbScan:
+        return Scan(node, emit);
+      case PlanNodeType::kPairJoin:
+        return PairJoin(node, emit);
+      case PlanNodeType::kUnion: {
+        // Left branch, then right, deduplicated by obj_id as batches
+        // stream through.
+        std::unordered_set<uint64_t> seen;
+        const BatchSink dedupe = [&](RowBatch&& batch) {
+          RowBatch unique;
+          for (ResultRow& r : batch) {
+            if (seen.insert(r.obj_id).second) unique.push_back(std::move(r));
+          }
+          return unique.empty() || emit(std::move(unique));
+        };
+        for (const auto& child : node->children) {
+          if (!Run(child.get(), dedupe)) return false;
+        }
+        return true;
+      }
+      case PlanNodeType::kIntersect:
+      case PlanNodeType::kDifference: {
+        // Build side: drain the right child completely first ("at least
+        // one of the child nodes must be complete").
+        std::unordered_set<uint64_t> right_ids;
+        Run(node->children[1].get(), [&right_ids](RowBatch&& batch) {
+          for (const ResultRow& r : batch) right_ids.insert(r.obj_id);
+          return true;
+        });
+        if (ctx_->has_error()) return false;
+        // Probe side: stream the left child.
+        const bool keep_if_present = node->type == PlanNodeType::kIntersect;
+        std::unordered_set<uint64_t> emitted;
+        return Run(node->children[0].get(), [&](RowBatch&& batch) {
+          RowBatch keep;
+          for (ResultRow& r : batch) {
+            const bool present = right_ids.count(r.obj_id) > 0;
+            if (present == keep_if_present &&
+                emitted.insert(r.obj_id).second) {
+              keep.push_back(std::move(r));
+            }
+          }
+          return keep.empty() || emit(std::move(keep));
+        });
+      }
+      case PlanNodeType::kSort: {
+        RowBatch all;
+        Run(node->children[0].get(), [&all](RowBatch&& batch) {
+          all.insert(all.end(), std::make_move_iterator(batch.begin()),
+                     std::make_move_iterator(batch.end()));
+          return true;
+        });
+        if (ctx_->has_error()) return false;
+        const size_t col = node->sort_column;
+        const bool desc = node->sort_desc;
+        std::sort(all.begin(), all.end(),
+                  [col, desc](const ResultRow& a, const ResultRow& b) {
+                    return RowBefore(a, b, col, desc);
+                  });
+        return EmitRows(std::move(all), options_.batch_size, emit);
+      }
+      case PlanNodeType::kLimit: {
+        const PlanNode* child = node->children[0].get();
+        if (child->type == PlanNodeType::kSort && node->limit >= 0) {
+          return TopK(node, child, emit);
+        }
+        int64_t remaining = node->limit;
+        if (remaining <= 0) return true;
+        bool more = true;
+        Run(child, [&](RowBatch&& batch) {
+          if (static_cast<int64_t>(batch.size()) > remaining) {
+            batch.resize(static_cast<size_t>(remaining));
+          }
+          remaining -= static_cast<int64_t>(batch.size());
+          more = emit(std::move(batch));
+          return more && remaining > 0;  // Early-out: abandon upstream.
+        });
+        return more;
+      }
+      case PlanNodeType::kAggregate: {
+        const PlanNode* child = node->children[0].get();
+        if (child->type == PlanNodeType::kScan ||
+            child->type == PlanNodeType::kMyDbScan) {
+          return AggregatePushdown(node, child, emit);
+        }
+        AggFold fold;
+        Run(child, [&fold](RowBatch&& batch) {
+          for (const ResultRow& r : batch) {
+            ++fold.count;
+            if (!r.values.empty()) fold.Add(r.values[0]);
+          }
+          return true;
+        });
+        if (ctx_->has_error()) return false;
+        return emit({FinishAggregate(node->agg, node->agg_partial, fold)});
+      }
+    }
+    return true;
+  }
+
+ private:
+  /// The leaf's compiled column kernel, or null when the leaf takes the
+  /// row path (kernel off, tag or mydb leaf, or a rejected predicate).
+  const ColumnarScan* Compile(const PlanNode* scan,
+                              ColumnarScan* kernel) const {
+    return options_.columnar_kernel && scan->columnar_eligible &&
+                   ColumnarScan::Compile(*scan, scan->projection, kernel)
+               ? kernel
+               : nullptr;
+  }
+
+  /// The containers `scan` reads: a mydb leaf scans its own (personal,
+  /// unsharded) store, to which the shard assignment never applies.
+  std::vector<const Container*> Containers(const PlanNode* scan) const {
+    return scan->type == PlanNodeType::kMyDbScan
+               ? CollectScanContainers(scan, scan->mydb_store, nullptr)
+               : CollectScanContainers(scan, store_, filter_);
+  }
+
+  /// Scan leaf: one morsel per container, streamed through the exchange.
+  bool Scan(const PlanNode* node, const BatchSink& emit) {
+    const std::vector<const Container*> containers = Containers(node);
+    ColumnarScan storage;
+    const ColumnarScan* kernel = Compile(node, &storage);
+    const bool personal = node->type == PlanNodeType::kMyDbScan;
+    const size_t batch_size = options_.batch_size;
+    const Morsel morsel = [&](size_t ci, const BatchSink& out) {
+      if (ctx_->Halted()) return;
+      const Container* c = containers[ci];
+      if (!personal) ctx_->RecordContainerAccess(c);
+      // Seeded by container INDEX, not claim order: the same query
+      // samples the same objects on every run and on every execution
+      // path (row or columnar kernel), whichever thread runs the morsel.
+      Rng rng(node->sample_seed + ci * 7919);
+      ScanTally tally;
+      RowBatch batch;
+      batch.reserve(batch_size);
+      ResultRow row;
+      // Appends the projected `row`, handing full batches downstream.
+      auto append = [&] {
+        ++tally.objects_matched;
+        batch.push_back(row);
+        if (batch.size() < batch_size) return true;
+        const bool more = out(std::move(batch));
+        batch.clear();
+        batch.reserve(batch_size);
+        return more;
+      };
+      const bool completed = ScanContainer(
+          c, node, kernel, &rng, ctx_, &tally,
+          [&](const auto& obj) {
+            return ProjectInto(obj, node->projection, ctx_, &row) && append();
+          },
+          [&](const catalog::ColumnarBlock& block, size_t i) {
+            kernel->ProjectRow(block, i, &row);
+            return append();
+          });
+      ctx_->Add(tally);
+      if (completed && !batch.empty()) out(std::move(batch));
+    };
+    return StreamMorsels(pool_, containers.size(), morsel, emit);
+  }
+
+  /// Aggregate pushdown: the fold runs inside the container morsels, so
+  /// no rows are materialized and an aggregate costs exactly one pass
+  /// over the (pruned) containers.
+  bool AggregatePushdown(const PlanNode* node, const PlanNode* scan,
+                         const BatchSink& emit) {
+    const std::vector<const Container*> containers = Containers(scan);
+    ColumnarScan storage;
+    const ColumnarScan* kernel = Compile(scan, &storage);
+    const bool personal = scan->type == PlanNodeType::kMyDbScan;
+    const std::string* attr =
+        scan->projection.empty() ? nullptr : &scan->projection[0];
+    std::mutex fold_mu;
+    AggFold total;
+    pool_->ParallelFor(containers.size(), [&](size_t ci) {
+      if (ctx_->Halted()) return;
+      const Container* c = containers[ci];
+      if (!personal) ctx_->RecordContainerAccess(c);
+      // Index-seeded like the row-emitting scan.
+      Rng rng(scan->sample_seed + ci * 7919);
+      ScanTally tally;
+      AggFold local;
+      const bool completed = ScanContainer(
+          c, scan, kernel, &rng, ctx_, &tally,
+          [&](const auto& obj) {
+            if (attr != nullptr) {
+              auto v = GetAnyAttribute(obj, *attr);
+              if (!v.ok()) {
+                ctx_->ReportError(v.status());
+                return false;
+              }
+              local.Add(*v);
+            }
+            ++local.count;
+            return true;
+          },
+          [&](const catalog::ColumnarBlock& block, size_t i) {
+            if (attr != nullptr) local.Add(kernel->Value(block, i));
+            ++local.count;
+            return true;
+          });
+      if (completed) tally.objects_matched = local.count;
+      ctx_->Add(tally);
+      if (!completed) return;
+      std::lock_guard<std::mutex> lock(fold_mu);
+      total.Merge(local);
+    });
+    if (ctx_->has_error()) return false;
+    return emit({FinishAggregate(node->agg, node->agg_partial, total)});
+  }
+
+  /// The shard-local spatial hash join: phase 1 scans the (assigned)
+  /// containers and hashes surviving objects into a PairHasher -- plus
+  /// any boundary ghosts the federated engine shipped here -- and phase
+  /// 2 compares buckets as morsels, binding each qualifying pair to its
+  /// satisfying (a, b) assignment before projection.
+  bool PairJoin(const PlanNode* node, const BatchSink& emit) {
+    const std::vector<const Container*> containers = Containers(node);
+    dataflow::PairHasher hasher(node->pair_max_sep_arcsec,
+                                node->pair_bucket_level);
+    std::mutex hash_mu;
+    pool_->ParallelFor(containers.size(), [&](size_t ci) {
+      if (ctx_->Halted()) return;
+      const Container* c = containers[ci];
+      ctx_->RecordContainerAccess(c);
+      ScanTally tally;
+      tally.containers_scanned = 1;
+      tally.bytes_touched = c->FullBytes();
+      // Filter + cover outside the lock; insert under it.
+      std::vector<std::pair<const PhotoObj*, dataflow::PairHasher::BucketSet>>
+          selected;
+      bool completed = true;
+      for (const PhotoObj& o : c->rows()) {
+        if (ctx_->Cancelled()) {
+          completed = false;
+          break;
+        }
+        ++tally.objects_examined;
+        if (node->pair_select) {
+          RowAccessor acc{
+              [&o](const std::string& n) { return GetAttribute(o, n); },
+              o.pos};
+          auto ok = node->pair_select->EvalBool(acc);
+          if (!ok.ok()) {
+            ctx_->ReportError(ok.status());
+            completed = false;
+            break;
+          }
+          if (!*ok) continue;
+        }
+        selected.emplace_back(&o, hasher.ComputeBuckets(o));
+      }
+      ctx_->Add(tally);
+      if (!completed) return;
+      std::lock_guard<std::mutex> lock(hash_mu);
+      for (const auto& [o, buckets] : selected) hasher.AddComputed(o, buckets);
+    });
+    if (ghosts_ != nullptr && !ctx_->has_error()) {
+      ctx_->bytes_shipped += ghosts_->objects.size() * sizeof(PhotoObj);
+      for (const PhotoObj& g : ghosts_->objects) hasher.Add(&g, false);
+    }
+    if (ctx_->has_error()) return false;
+
+    const std::vector<const dataflow::PairHasher::Bucket*> buckets =
+        hasher.BucketList();
+    const size_t batch_size = options_.batch_size;
+    const Morsel morsel = [&](size_t bi, const BatchSink& out) {
+      if (ctx_->Halted()) return;
+      ScanTally tally;
+      RowBatch batch;
+      batch.reserve(batch_size);
+      ResultRow row;
+      hasher.ForEachCandidatePair(
+          *buckets[bi],
+          [&](const PhotoObj& lo, const PhotoObj& hi, double sep_arcsec) {
+            if (ctx_->Cancelled()) return false;
+            auto fwd = PairHolds(node, lo, hi);
+            if (!fwd.ok()) {
+              ctx_->ReportError(fwd.status());
+              return false;
+            }
+            const PhotoObj* a = &lo;
+            const PhotoObj* b = &hi;
+            if (!*fwd) {
+              auto rev = PairHolds(node, hi, lo);
+              if (!rev.ok()) {
+                ctx_->ReportError(rev.status());
+                return false;
+              }
+              if (!*rev) return true;
+              a = &hi;
+              b = &lo;
+            }
+            if (!ProjectPairInto(node, *a, *b, sep_arcsec, ctx_, &row)) {
+              return false;
+            }
+            ++tally.objects_matched;
+            batch.push_back(row);
+            if (batch.size() < batch_size) return true;
+            const bool more = out(std::move(batch));
+            batch.clear();
+            batch.reserve(batch_size);
+            return more;
+          });
+      ctx_->Add(tally);
+      if (!batch.empty() && !ctx_->has_error()) out(std::move(batch));
+    };
+    return StreamMorsels(pool_, buckets.size(), morsel, emit);
+  }
+
+  /// Top-k fusion: LIMIT over SORT keeps a bounded heap of the k best
+  /// rows instead of materializing and sorting the full input -- O(N + k
+  /// log k) comparisons and O(k) live rows.
+  bool TopK(const PlanNode* limit, const PlanNode* sort,
+            const BatchSink& emit) {
+    const size_t k = static_cast<size_t>(limit->limit);
+    if (k == 0) return true;
+    const size_t col = sort->sort_column;
+    const bool desc = sort->sort_desc;
+    auto before = [col, desc](const ResultRow& a, const ResultRow& b) {
+      return RowBefore(a, b, col, desc);
+    };
+    // Max-heap under `before`: front = worst kept row.
+    RowBatch heap;
+    heap.reserve(std::min<size_t>(k, 4096));
+    Run(sort->children[0].get(), [&](RowBatch&& batch) {
+      for (ResultRow& r : batch) {
+        if (heap.size() < k) {
+          heap.push_back(std::move(r));
+          std::push_heap(heap.begin(), heap.end(), before);
+        } else if (before(r, heap.front())) {
+          std::pop_heap(heap.begin(), heap.end(), before);
+          heap.back() = std::move(r);
+          std::push_heap(heap.begin(), heap.end(), before);
+        }
+      }
+      return true;
+    });
+    if (ctx_->has_error()) return false;
+    std::sort_heap(heap.begin(), heap.end(), before);
+    return EmitRows(std::move(heap), options_.batch_size, emit);
+  }
+
+  const catalog::ObjectStore* store_;
+  const Executor::Options& options_;
+  ThreadPool* pool_;
+  RunContext* ctx_;
+  const std::unordered_set<uint64_t>* filter_;
+  const PairJoinGhosts* ghosts_;
+};
+
 }  // namespace
 
 ResultRow FinishAggregate(AggFunc agg, bool partial, const AggFold& f) {
@@ -260,6 +682,16 @@ ResultRow FinishAggregate(AggFunc agg, bool partial, const AggFold& f) {
   return result;
 }
 
+bool EmitRows(RowBatch&& rows, size_t batch_size, const BatchSink& sink) {
+  for (size_t i = 0; i < rows.size(); i += batch_size) {
+    const size_t end = std::min(i + batch_size, rows.size());
+    RowBatch batch(std::make_move_iterator(rows.begin() + i),
+                   std::make_move_iterator(rows.begin() + end));
+    if (!sink(std::move(batch))) return false;
+  }
+  return true;
+}
+
 Executor::Executor(const catalog::ObjectStore* store, Options options,
                    ThreadPool* shared_pool)
     : store_(store), options_(options) {
@@ -278,536 +710,16 @@ Result<ExecStats> Executor::RunTree(
     const AccessRecorder* access_recorder) {
   if (root == nullptr) return Status::InvalidArgument("empty plan");
 
-  auto ctx = std::make_shared<RunContext>();
-  ctx->cancel = cancel;
-  ctx->access = access_recorder;
-  NodeRuntime runtime;
+  RunContext ctx;
+  ctx.cancel = cancel;
+  ctx.access = access_recorder;
+  TreeRunner runner(store_, options_, pool_, &ctx, container_filter,
+                    join_ghosts);
 
-  // Recursive node launcher. Each call wires `node` to write into `out`.
-  std::function<void(const PlanNode*, std::shared_ptr<RowChannel>)> start =
-      [&](const PlanNode* node, std::shared_ptr<RowChannel> out) {
-        out->AddWriter();
-        switch (node->type) {
-          case PlanNodeType::kScan:
-          case PlanNodeType::kMyDbScan: {
-            // A mydb leaf scans its own (personal, unsharded) store: the
-            // federated container assignment never applies to it.
-            const bool personal = node->type == PlanNodeType::kMyDbScan;
-            const catalog::ObjectStore* scan_store =
-                personal ? node->mydb_store : store_;
-            const auto* filter = personal ? nullptr : container_filter;
-            runtime.threads.Spawn([this, node, out, ctx, scan_store,
-                                   filter] {
-              std::vector<const Container*> containers =
-                  CollectScanContainers(node, scan_store, filter);
-              // Compile the leaf once; containers without column views
-              // (and leaves the kernel rejects) take the row path.
-              ColumnarScan kernel;
-              const bool kernel_ok =
-                  options_.columnar_kernel && node->columnar_eligible &&
-                  ColumnarScan::Compile(*node, node->projection, &kernel);
-              pool_->ParallelFor(containers.size(), [&](size_t ci) {
-                if (out->cancelled() || ctx->Cancelled() ||
-                    ctx->has_error()) {
-                  return;
-                }
-                const Container* c = containers[ci];
-                ctx->containers_scanned.fetch_add(1);
-                if (node->type != PlanNodeType::kMyDbScan) {
-                  ctx->RecordContainerAccess(c);
-                }
-                // Seeded by container INDEX, not task-claim order: the
-                // same query samples the same objects on every run and
-                // on every execution path (row or columnar kernel),
-                // whatever the pool's scheduling did.
-                Rng rng(node->sample_seed + ci * 7919);
-                RowBatch batch;
-                batch.reserve(options_.batch_size);
-                ResultRow row;
-
-                // Projects the matched object into `row`, then appends
-                // it, pushing full batches downstream.
-                auto emit = [&](const auto& obj) {
-                  if (!ProjectInto(obj, node->projection, ctx.get(),
-                                   &row)) {
-                    return false;
-                  }
-                  ctx->objects_matched.fetch_add(1);
-                  batch.push_back(row);
-                  if (batch.size() >= options_.batch_size) {
-                    if (!out->Push(std::move(batch))) return false;
-                    batch.clear();
-                    batch.reserve(options_.batch_size);
-                  }
-                  return true;
-                };
-
-                bool completed;
-                if (node->table == TableRef::kTag) {
-                  ctx->bytes_touched.fetch_add(c->TagBytes());
-                  completed = VisitMatches(c->tag_rows(), node, &rng,
-                                           ctx.get(), emit);
-                } else if (kernel_ok && c->columnar.n > 0) {
-                  ctx->bytes_touched.fetch_add(c->FullBytes());
-                  ctx->containers_columnar.fetch_add(1);
-                  const catalog::ColumnarBlock& block = c->columnar;
-                  Status kernel_error;
-                  completed = kernel.Scan(
-                      block, &rng,
-                      [&](size_t idx) {
-                        kernel.ProjectRow(block, idx, &row);
-                        ctx->objects_matched.fetch_add(1);
-                        batch.push_back(row);
-                        if (batch.size() >= options_.batch_size) {
-                          if (!out->Push(std::move(batch))) return false;
-                          batch.clear();
-                          batch.reserve(options_.batch_size);
-                        }
-                        return true;
-                      },
-                      [&](size_t examined) {
-                        if (out->cancelled() || ctx->Cancelled() ||
-                            ctx->has_error()) {
-                          return false;
-                        }
-                        ctx->objects_examined.fetch_add(examined);
-                        return true;
-                      },
-                      &kernel_error);
-                  if (!kernel_error.ok()) ctx->ReportError(kernel_error);
-                } else {
-                  ctx->bytes_touched.fetch_add(c->FullBytes());
-                  completed = VisitMatches(c->rows(), node, &rng,
-                                           ctx.get(), emit);
-                }
-                if (!completed) return;
-                if (!batch.empty()) out->Push(std::move(batch));
-              });
-              out->CloseWriter();
-            });
-            break;
-          }
-
-          case PlanNodeType::kPairJoin: {
-            // The shard-local spatial hash join: phase 1 scans the
-            // (assigned) containers and hashes surviving objects into a
-            // PairHasher -- plus any boundary ghosts the federated
-            // engine shipped here -- and phase 2 compares buckets in
-            // parallel, binding each qualifying pair to its satisfying
-            // (a, b) assignment before projection.
-            runtime.threads.Spawn([this, node, out, ctx, container_filter,
-                                   join_ghosts] {
-              std::vector<const Container*> containers =
-                  CollectScanContainers(node, store_, container_filter);
-              dataflow::PairHasher hasher(node->pair_max_sep_arcsec,
-                                          node->pair_bucket_level);
-              std::mutex hash_mu;
-              pool_->ParallelFor(containers.size(), [&](size_t ci) {
-                if (out->cancelled() || ctx->Cancelled() ||
-                    ctx->has_error()) {
-                  return;
-                }
-                const Container* c = containers[ci];
-                ctx->containers_scanned.fetch_add(1);
-                ctx->RecordContainerAccess(c);
-                ctx->bytes_touched.fetch_add(c->FullBytes());
-                // Filter + cover outside the lock; insert under it.
-                std::vector<std::pair<const PhotoObj*,
-                                      dataflow::PairHasher::BucketSet>>
-                    selected;
-                for (const PhotoObj& o : c->rows()) {
-                  if (ctx->Cancelled()) return;
-                  ctx->objects_examined.fetch_add(1);
-                  if (node->pair_select) {
-                    RowAccessor acc{[&o](const std::string& n) {
-                                      return GetAttribute(o, n);
-                                    },
-                                    o.pos};
-                    auto ok = node->pair_select->EvalBool(acc);
-                    if (!ok.ok()) {
-                      ctx->ReportError(ok.status());
-                      return;
-                    }
-                    if (!*ok) continue;
-                  }
-                  selected.emplace_back(&o, hasher.ComputeBuckets(o));
-                }
-                std::lock_guard<std::mutex> lock(hash_mu);
-                for (const auto& [o, buckets] : selected) {
-                  hasher.AddComputed(o, buckets);
-                }
-              });
-              if (join_ghosts != nullptr && !ctx->has_error()) {
-                ctx->bytes_shipped.fetch_add(join_ghosts->objects.size() *
-                                             sizeof(PhotoObj));
-                for (const PhotoObj& g : join_ghosts->objects) {
-                  hasher.Add(&g, /*local=*/false);
-                }
-              }
-              if (ctx->has_error()) {
-                out->CloseWriter();
-                return;
-              }
-
-              std::vector<const dataflow::PairHasher::Bucket*> buckets =
-                  hasher.BucketList();
-              size_t batch_size = options_.batch_size;
-              pool_->ParallelFor(buckets.size(), [&](size_t bi) {
-                if (out->cancelled() || ctx->Cancelled() ||
-                    ctx->has_error()) {
-                  return;
-                }
-                RowBatch batch;
-                batch.reserve(batch_size);
-                ResultRow row;
-                hasher.ForEachCandidatePair(
-                    *buckets[bi],
-                    [&](const PhotoObj& lo, const PhotoObj& hi,
-                        double sep_arcsec) {
-                      if (ctx->Cancelled()) return false;
-                      auto fwd = PairHolds(node, lo, hi);
-                      if (!fwd.ok()) {
-                        ctx->ReportError(fwd.status());
-                        return false;
-                      }
-                      const PhotoObj* a = &lo;
-                      const PhotoObj* b = &hi;
-                      if (!*fwd) {
-                        auto rev = PairHolds(node, hi, lo);
-                        if (!rev.ok()) {
-                          ctx->ReportError(rev.status());
-                          return false;
-                        }
-                        if (!*rev) return true;
-                        a = &hi;
-                        b = &lo;
-                      }
-                      if (!ProjectPairInto(node, *a, *b, sep_arcsec,
-                                           ctx.get(), &row)) {
-                        return false;
-                      }
-                      ctx->objects_matched.fetch_add(1);
-                      batch.push_back(row);
-                      if (batch.size() >= batch_size) {
-                        if (!out->Push(std::move(batch))) return false;
-                        batch.clear();
-                        batch.reserve(batch_size);
-                      }
-                      return true;
-                    });
-                if (!batch.empty() && !ctx->has_error()) {
-                  out->Push(std::move(batch));
-                }
-              });
-              out->CloseWriter();
-            });
-            break;
-          }
-
-          case PlanNodeType::kUnion: {
-            // Both children write into one shared channel; this node
-            // deduplicates by obj_id as batches stream through.
-            auto in = std::make_shared<RowChannel>();
-            runtime.channels.push_back(in);
-            for (const auto& child : node->children) {
-              start(child.get(), in);
-            }
-            runtime.threads.Spawn([node, in, out] {
-              (void)node;
-              std::unordered_set<uint64_t> seen;
-              RowBatch batch;
-              while (in->Pop(&batch)) {
-                RowBatch unique;
-                for (ResultRow& r : batch) {
-                  if (seen.insert(r.obj_id).second) {
-                    unique.push_back(std::move(r));
-                  }
-                }
-                if (!unique.empty() && !out->Push(std::move(unique))) {
-                  in->Cancel();
-                  break;
-                }
-              }
-              out->CloseWriter();
-            });
-            break;
-          }
-
-          case PlanNodeType::kIntersect:
-          case PlanNodeType::kDifference: {
-            auto left = std::make_shared<RowChannel>();
-            auto right = std::make_shared<RowChannel>();
-            runtime.channels.push_back(left);
-            runtime.channels.push_back(right);
-            start(node->children[0].get(), left);
-            start(node->children[1].get(), right);
-            bool keep_if_present = node->type == PlanNodeType::kIntersect;
-            runtime.threads.Spawn([left, right, out,
-                                          keep_if_present] {
-              // Build side: drain the right child completely first ("at
-              // least one of the child nodes must be complete").
-              std::unordered_set<uint64_t> right_ids;
-              RowBatch batch;
-              while (right->Pop(&batch)) {
-                for (const ResultRow& r : batch) right_ids.insert(r.obj_id);
-              }
-              // Probe side: stream the left child.
-              std::unordered_set<uint64_t> emitted;
-              while (left->Pop(&batch)) {
-                RowBatch keep;
-                for (ResultRow& r : batch) {
-                  bool present = right_ids.count(r.obj_id) > 0;
-                  if (present == keep_if_present &&
-                      emitted.insert(r.obj_id).second) {
-                    keep.push_back(std::move(r));
-                  }
-                }
-                if (!keep.empty() && !out->Push(std::move(keep))) {
-                  left->Cancel();
-                  break;
-                }
-              }
-              out->CloseWriter();
-            });
-            break;
-          }
-
-          case PlanNodeType::kSort: {
-            auto in = std::make_shared<RowChannel>();
-            runtime.channels.push_back(in);
-            start(node->children[0].get(), in);
-            size_t batch_size = options_.batch_size;
-            runtime.threads.Spawn([node, in, out, batch_size] {
-              std::vector<ResultRow> all;
-              RowBatch batch;
-              while (in->Pop(&batch)) {
-                for (ResultRow& r : batch) all.push_back(std::move(r));
-              }
-              size_t col = node->sort_column;
-              bool desc = node->sort_desc;
-              std::sort(all.begin(), all.end(),
-                        [col, desc](const ResultRow& a, const ResultRow& b) {
-                          return RowBefore(a, b, col, desc);
-                        });
-              for (size_t i = 0; i < all.size(); i += batch_size) {
-                RowBatch chunk(
-                    all.begin() + static_cast<ptrdiff_t>(i),
-                    all.begin() + static_cast<ptrdiff_t>(
-                                      std::min(i + batch_size, all.size())));
-                if (!out->Push(std::move(chunk))) break;
-              }
-              out->CloseWriter();
-            });
-            break;
-          }
-
-          case PlanNodeType::kLimit: {
-            const PlanNode* sort_child = node->children[0].get();
-            if (sort_child->type == PlanNodeType::kSort &&
-                node->limit >= 0) {
-              // Top-k fusion: LIMIT over SORT keeps a bounded heap of the
-              // k best rows instead of materializing and sorting the full
-              // input -- O(N + k log k) comparisons and O(k) live rows.
-              auto in = std::make_shared<RowChannel>();
-              runtime.channels.push_back(in);
-              start(sort_child->children[0].get(), in);
-              size_t batch_size = options_.batch_size;
-              runtime.threads.Spawn([node, sort_child, in, out,
-                                     batch_size] {
-                size_t k = static_cast<size_t>(node->limit);
-                size_t col = sort_child->sort_column;
-                bool desc = sort_child->sort_desc;
-                auto before = [col, desc](const ResultRow& a,
-                                          const ResultRow& b) {
-                  return RowBefore(a, b, col, desc);
-                };
-                // Max-heap under `before`: front = worst kept row.
-                std::vector<ResultRow> heap;
-                heap.reserve(std::min<size_t>(k, 4096));
-                RowBatch batch;
-                if (k == 0) {
-                  in->Cancel();
-                } else {
-                  while (in->Pop(&batch)) {
-                    for (ResultRow& r : batch) {
-                      if (heap.size() < k) {
-                        heap.push_back(std::move(r));
-                        std::push_heap(heap.begin(), heap.end(), before);
-                      } else if (before(r, heap.front())) {
-                        std::pop_heap(heap.begin(), heap.end(), before);
-                        heap.back() = std::move(r);
-                        std::push_heap(heap.begin(), heap.end(), before);
-                      }
-                    }
-                  }
-                  std::sort_heap(heap.begin(), heap.end(), before);
-                }
-                for (size_t i = 0; i < heap.size(); i += batch_size) {
-                  RowBatch chunk(
-                      std::make_move_iterator(
-                          heap.begin() + static_cast<ptrdiff_t>(i)),
-                      std::make_move_iterator(
-                          heap.begin() +
-                          static_cast<ptrdiff_t>(std::min(
-                              i + batch_size, heap.size()))));
-                  if (!out->Push(std::move(chunk))) break;
-                }
-                out->CloseWriter();
-              });
-              break;
-            }
-            auto in = std::make_shared<RowChannel>();
-            runtime.channels.push_back(in);
-            start(node->children[0].get(), in);
-            runtime.threads.Spawn([node, in, out] {
-              int64_t remaining = node->limit;
-              RowBatch batch;
-              while (remaining > 0 && in->Pop(&batch)) {
-                if (static_cast<int64_t>(batch.size()) > remaining) {
-                  batch.resize(static_cast<size_t>(remaining));
-                }
-                remaining -= static_cast<int64_t>(batch.size());
-                if (!out->Push(std::move(batch))) break;
-              }
-              in->Cancel();  // Early-out: abort upstream work.
-              out->CloseWriter();
-            });
-            break;
-          }
-
-          case PlanNodeType::kAggregate: {
-            const PlanNode* scan = node->children[0].get();
-            if (scan->type == PlanNodeType::kScan ||
-                scan->type == PlanNodeType::kMyDbScan) {
-              // Aggregate pushdown: fold inside the container scan. No
-              // rows are materialized and no channel sits between scan
-              // and fold, so an aggregate costs exactly one pass over
-              // the (pruned) containers -- and the federated fan-out's
-              // N concurrent sub-aggregates stop ping-ponging batches.
-              const bool personal = scan->type == PlanNodeType::kMyDbScan;
-              const catalog::ObjectStore* scan_store =
-                  personal ? scan->mydb_store : store_;
-              const auto* filter = personal ? nullptr : container_filter;
-              runtime.threads.Spawn([this, node, scan, out, ctx,
-                                     scan_store, filter] {
-                std::vector<const Container*> containers =
-                    CollectScanContainers(scan, scan_store, filter);
-                const bool need_value = !scan->projection.empty();
-                const std::string* attr =
-                    need_value ? &scan->projection[0] : nullptr;
-                ColumnarScan kernel;
-                const bool kernel_ok =
-                    options_.columnar_kernel && scan->columnar_eligible &&
-                    ColumnarScan::Compile(*scan, scan->projection,
-                                          &kernel);
-                std::mutex fold_mu;
-                AggFold total;
-                pool_->ParallelFor(containers.size(), [&](size_t ci) {
-                  if (out->cancelled() || ctx->Cancelled() ||
-                      ctx->has_error()) {
-                    return;
-                  }
-                  const Container* c = containers[ci];
-                  ctx->containers_scanned.fetch_add(1);
-                  if (scan->type != PlanNodeType::kMyDbScan) {
-                    ctx->RecordContainerAccess(c);
-                  }
-                  // Index-seeded like the row-emitting scan: SAMPLE
-                  // picks the same objects whichever thread claims the
-                  // container.
-                  Rng rng(scan->sample_seed + ci * 7919);
-                  AggFold local;
-                  auto fold = [&](const auto& obj) {
-                    if (need_value) {
-                      auto v = GetAnyAttribute(obj, *attr);
-                      if (!v.ok()) {
-                        ctx->ReportError(v.status());
-                        return false;
-                      }
-                      local.Add(*v);
-                    }
-                    ++local.count;
-                    return true;
-                  };
-                  bool completed;
-                  if (scan->table == TableRef::kTag) {
-                    ctx->bytes_touched.fetch_add(c->TagBytes());
-                    completed = VisitMatches(c->tag_rows(), scan, &rng,
-                                             ctx.get(), fold);
-                  } else if (kernel_ok && c->columnar.n > 0) {
-                    ctx->bytes_touched.fetch_add(c->FullBytes());
-                    ctx->containers_columnar.fetch_add(1);
-                    const catalog::ColumnarBlock& block = c->columnar;
-                    Status kernel_error;
-                    completed = kernel.Scan(
-                        block, &rng,
-                        [&](size_t idx) {
-                          if (need_value) {
-                            local.Add(kernel.Value(block, idx));
-                          }
-                          ++local.count;
-                          return true;
-                        },
-                        [&](size_t examined) {
-                          if (out->cancelled() || ctx->Cancelled() ||
-                              ctx->has_error()) {
-                            return false;
-                          }
-                          ctx->objects_examined.fetch_add(examined);
-                          return true;
-                        },
-                        &kernel_error);
-                    if (!kernel_error.ok()) ctx->ReportError(kernel_error);
-                  } else {
-                    ctx->bytes_touched.fetch_add(c->FullBytes());
-                    completed = VisitMatches(c->rows(), scan, &rng,
-                                             ctx.get(), fold);
-                  }
-                  if (!completed) return;
-                  ctx->objects_matched.fetch_add(local.count);
-                  std::lock_guard<std::mutex> lock(fold_mu);
-                  total.Merge(local);
-                });
-                if (!ctx->has_error()) {
-                  out->Push(
-                      {FinishAggregate(node->agg, node->agg_partial,
-                                       total)});
-                }
-                out->CloseWriter();
-              });
-              break;
-            }
-            auto in = std::make_shared<RowChannel>();
-            runtime.channels.push_back(in);
-            start(node->children[0].get(), in);
-            runtime.threads.Spawn([node, in, out] {
-              AggFold fold;
-              RowBatch batch;
-              while (in->Pop(&batch)) {
-                for (const ResultRow& r : batch) {
-                  ++fold.count;
-                  if (!r.values.empty()) fold.Add(r.values[0]);
-                }
-              }
-              out->Push(
-                  {FinishAggregate(node->agg, node->agg_partial, fold)});
-              out->CloseWriter();
-            });
-            break;
-          }
-        }
-      };
-
-  auto root_channel = std::make_shared<RowChannel>();
-  runtime.channels.push_back(root_channel);
-
-  auto t0 = std::chrono::steady_clock::now();
-  start(root, root_channel);
-
+  const auto t0 = std::chrono::steady_clock::now();
   ExecStats stats;
   bool first = true;
-  RowBatch batch;
-  while (root_channel->Pop(&batch)) {
+  runner.Run(root, [&](RowBatch&& batch) {
     if (first && !batch.empty()) {
       stats.seconds_to_first_row =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -816,30 +728,23 @@ Result<ExecStats> Executor::RunTree(
       first = false;
     }
     stats.rows_emitted += batch.size();
-    if (!on_batch(std::move(batch))) {
-      stats.cancelled_early = true;
-      runtime.CancelAll();
-      break;
-    }
-  }
-  runtime.CancelAll();  // No-op if streams completed normally... except
-                        // cancel unblocks any stragglers for join.
-  runtime.threads.JoinAll();
+    if (on_batch(std::move(batch))) return true;
+    stats.cancelled_early = true;
+    return false;
+  });
 
-  auto t1 = std::chrono::steady_clock::now();
-  stats.seconds_total = std::chrono::duration<double>(t1 - t0).count();
+  stats.seconds_total = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
   if (first) stats.seconds_to_first_row = stats.seconds_total;
-  stats.containers_scanned = ctx->containers_scanned.load();
-  stats.containers_columnar = ctx->containers_columnar.load();
-  stats.objects_examined = ctx->objects_examined.load();
-  stats.objects_matched = ctx->objects_matched.load();
-  stats.bytes_touched = ctx->bytes_touched.load();
-  stats.bytes_shipped = ctx->bytes_shipped.load();
-
-  {
-    std::lock_guard<std::mutex> lock(ctx->mu);
-    if (!ctx->first_error.ok()) return ctx->first_error;
-  }
+  stats.bytes_shipped = ctx.bytes_shipped;
+  std::lock_guard<std::mutex> lock(ctx.mu);
+  if (!ctx.first_error.ok()) return ctx.first_error;
+  stats.containers_scanned = ctx.totals.containers_scanned;
+  stats.containers_columnar = ctx.totals.containers_columnar;
+  stats.objects_examined = ctx.totals.objects_examined;
+  stats.objects_matched = ctx.totals.objects_matched;
+  stats.bytes_touched = ctx.totals.bytes_touched;
   return stats;
 }
 

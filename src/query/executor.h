@@ -1,11 +1,17 @@
-// The multi-threaded ASAP-push executor for Query Execution Trees.
+// The ASAP-push executor for Query Execution Trees.
 //
-// Every node runs on its own thread and pushes row batches to its parent
-// through a bounded RowChannel as soon as they are produced, so the
-// consumer "starts seeing results almost immediately". Blocking nodes
-// (sort, aggregate, and the build side of intersect/difference) drain
-// before emitting, exactly as the paper specifies. Scan leaves fan out
-// across containers on a shared thread pool.
+// A plan runs on the thread that calls RunTree: streaming nodes (limit,
+// union dedupe, the probe side of intersect/difference) and blocking
+// nodes (sort, top-k, aggregate fold, the build side of
+// intersect/difference) are plain code over their child's batch stream
+// -- no thread and no channel per node. Blocking nodes drain before
+// emitting, exactly as the paper specifies. Only scan-shaped work fans
+// out: scan and mydb-scan leaves, aggregate pushdown and both pair-join
+// phases run as morsels on the shared ThreadPool, the calling thread
+// among them. Scan morsels hand their batches to the calling thread
+// through StreamMorsels' bounded queue as soon as they are produced, so
+// the consumer "starts seeing results almost immediately", and the
+// caller's sink only ever runs on the calling thread.
 
 #ifndef SDSS_QUERY_EXECUTOR_H_
 #define SDSS_QUERY_EXECUTOR_H_
@@ -94,10 +100,14 @@ struct AggFold {
 /// otherwise.
 ResultRow FinishAggregate(AggFunc agg, bool partial, const AggFold& fold);
 
+/// Streams `rows` to `sink` in batches of at most `batch_size` rows.
+/// Returns false once the sink stops consumption.
+bool EmitRows(RowBatch&& rows, size_t batch_size, const BatchSink& sink);
+
 /// Observes every archive container a scan actually reads (called once
-/// per container per scan, from pool threads -- implementations must be
-/// thread-safe). The workbench binds this to
-/// archive::ShardedStore::RecordAccess so mining jobs feed the
+/// per container per scan, from whichever thread runs the container's
+/// morsel -- implementations must be thread-safe). The workbench binds
+/// this to archive::ShardedStore::RecordAccess so mining jobs feed the
 /// replica-promotion heat loop; personal (mydb) stores never report.
 using AccessRecorder = std::function<void(uint64_t container)>;
 
@@ -114,7 +124,7 @@ struct PairJoinGhosts {
 /// The scan pool is either owned (default) or injected: nested engines
 /// (the federated fan-out runs one Executor per shard) share one pool so
 /// N shards do not oversubscribe the machine with N * scan_threads
-/// workers.
+/// workers. RunTree itself starts no thread.
 class Executor {
  public:
   struct Options {
@@ -133,11 +143,12 @@ class Executor {
   Executor(const catalog::ObjectStore* store, Options options,
            ThreadPool* shared_pool = nullptr);
 
-  /// Runs a plan subtree, invoking `on_batch` for every batch that
-  /// reaches `root` (in ASAP order). The sink receives each batch by
-  /// rvalue and may steal it, and may return false to cancel the query
-  /// (remaining upstream work is aborted). Returns execution stats, or
-  /// the first error raised by any node.
+  /// Runs a plan subtree on the calling thread, invoking `on_batch` --
+  /// on this thread only -- for every batch that reaches `root` (in ASAP
+  /// order). The sink receives each batch by rvalue and may steal it,
+  /// and may return false to cancel the query (remaining upstream work
+  /// is abandoned). Returns execution stats, or the first error raised
+  /// by any node.
   ///
   /// `container_filter`, when non-null, restricts every scan leaf to
   /// containers whose id is in the set -- the federated engine's shard

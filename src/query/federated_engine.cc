@@ -88,7 +88,7 @@ bool AnyTagScan(const PlanNode* node) {
 /// lower-id member it owns: the partner of any in-radius pair is
 /// guaranteed present, locally or as a ghost.
 Result<std::vector<PairJoinGhosts>> HarvestJoinGhosts(
-    const std::vector<Shard>& shards, const PlanNode* join,
+    ThreadPool* pool, const std::vector<Shard>& shards, const PlanNode* join,
     const std::atomic<bool>* cancel) {
   const size_t n = shards.size();
   std::vector<PairJoinGhosts> ghosts(n);
@@ -121,54 +121,49 @@ Result<std::vector<PairJoinGhosts>> HarvestJoinGhosts(
   std::vector<std::vector<std::vector<catalog::PhotoObj>>> staged(
       n, std::vector<std::vector<catalog::PhotoObj>>(n));
   std::vector<Status> errors(n);
-  ThreadGroup threads;
-  for (size_t i = 0; i < n; ++i) {
-    threads.Spawn([&shards, &owner, &staged, &errors, &region_raws, join,
-                   sep_deg, cancel, i] {
-      const Shard& shard = shards[i];
-      int level = shard.store->cluster_level();
-      std::vector<size_t> dests;
-      for (const auto& [raw, c] : shard.store->containers()) {
-        if (shard.assigned != nullptr && shard.assigned->count(raw) == 0) {
-          continue;
+  // One morsel per shard: each stages into its own row of `staged`.
+  pool->ParallelFor(n, [&](size_t i) {
+    const Shard& shard = shards[i];
+    int level = shard.store->cluster_level();
+    std::vector<size_t> dests;
+    for (const auto& [raw, c] : shard.store->containers()) {
+      if (shard.assigned != nullptr && shard.assigned->count(raw) == 0) {
+        continue;
+      }
+      if (join->has_region && region_raws.count(raw) == 0) continue;
+      for (const catalog::PhotoObj& o : c.rows()) {
+        if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+          errors[i] = Status::Cancelled("query cancelled");
+          return;
         }
-        if (join->has_region && region_raws.count(raw) == 0) continue;
-        for (const catalog::PhotoObj& o : c.rows()) {
-          if (cancel != nullptr &&
-              cancel->load(std::memory_order_relaxed)) {
-            errors[i] = Status::Cancelled("query cancelled");
+        if (join->pair_select) {
+          RowAccessor acc{[&o](const std::string& name) {
+                            return catalog::GetAttribute(o, name);
+                          },
+                          o.pos};
+          auto ok = join->pair_select->EvalBool(acc);
+          if (!ok.ok()) {
+            errors[i] = ok.status();
             return;
           }
-          if (join->pair_select) {
-            RowAccessor acc{[&o](const std::string& name) {
-                              return catalog::GetAttribute(o, name);
-                            },
-                            o.pos};
-            auto ok = join->pair_select->EvalBool(acc);
-            if (!ok.ok()) {
-              errors[i] = ok.status();
-              return;
-            }
-            if (!*ok) continue;
-          }
-          // Which foreign shards serve a container within the cap?
-          dests.clear();
-          htm::ForEachRawInCover(
-              htm::Cover(htm::Region::CircleAround(o.pos, sep_deg), level),
-              level, [&](uint64_t raw2) {
-                auto it = owner.find(raw2);
-                if (it == owner.end() || it->second == i) return;
-                if (std::find(dests.begin(), dests.end(), it->second) ==
-                    dests.end()) {
-                  dests.push_back(it->second);
-                }
-              });
-          for (size_t d : dests) staged[i][d].push_back(o);
+          if (!*ok) continue;
         }
+        // Which foreign shards serve a container within the cap?
+        dests.clear();
+        htm::ForEachRawInCover(
+            htm::Cover(htm::Region::CircleAround(o.pos, sep_deg), level),
+            level, [&](uint64_t raw2) {
+              auto it = owner.find(raw2);
+              if (it == owner.end() || it->second == i) return;
+              if (std::find(dests.begin(), dests.end(), it->second) ==
+                  dests.end()) {
+                dests.push_back(it->second);
+              }
+            });
+        for (size_t d : dests) staged[i][d].push_back(o);
       }
-    });
-  }
-  threads.JoinAll();
+    }
+  });
   for (const Status& s : errors) {
     if (!s.ok()) return s;
   }
@@ -202,48 +197,6 @@ struct PairKeyHash {
     return static_cast<size_t>(h);
   }
 };
-
-/// Pull-side cursor over one shard's (sorted) batch stream.
-class MergeCursor {
- public:
-  explicit MergeCursor(std::shared_ptr<RowChannel> ch)
-      : ch_(std::move(ch)) {}
-
-  /// Current head row, or nullptr once the stream is exhausted.
-  const ResultRow* Head() {
-    if (done_) return nullptr;
-    while (pos_ >= batch_.size()) {
-      batch_.clear();
-      pos_ = 0;
-      if (!ch_->Pop(&batch_)) {
-        done_ = true;
-        return nullptr;
-      }
-    }
-    return &batch_[pos_];
-  }
-
-  ResultRow Take() { return std::move(batch_[pos_++]); }
-
- private:
-  std::shared_ptr<RowChannel> ch_;
-  RowBatch batch_;
-  size_t pos_ = 0;
-  bool done_ = false;
-};
-
-/// Streams `rows` to `sink` in batches of at most `batch_size` rows.
-/// Returns false once the sink stops consumption.
-bool EmitRows(RowBatch&& rows, size_t batch_size,
-              const std::function<bool(RowBatch&&)>& sink) {
-  for (size_t i = 0; i < rows.size(); i += batch_size) {
-    const size_t end = std::min(i + batch_size, rows.size());
-    RowBatch batch(std::make_move_iterator(rows.begin() + i),
-                   std::make_move_iterator(rows.begin() + end));
-    if (!sink(std::move(batch))) return false;
-  }
-  return true;
-}
 
 /// A sink appending every row to `rows`.
 std::function<bool(RowBatch&&)> AppendTo(RowBatch* rows) {
@@ -655,35 +608,23 @@ Status FederatedQueryEngine::FanOut(const Prepared& prep,
   const int fan_span = TraceBegin(trace, "fan_out");
   TraceNum(trace, fan_span, "shards", static_cast<double>(n));
 
-  // One channel per shard when the merge must preserve order; one shared
-  // channel (ASAP arrival order) otherwise.
-  std::vector<std::shared_ptr<RowChannel>> channels(policy.ordered ? n : 1);
-  for (auto& ch : channels) ch = std::make_shared<RowChannel>();
-  auto channel_for = [&](size_t i) {
-    return policy.ordered ? channels[i] : channels[0];
-  };
-  for (size_t i = 0; i < n; ++i) channel_for(i)->AddWriter();
-
-  std::vector<Result<ExecStats>> shard_stats(n, Result<ExecStats>(
-                                                    ExecStats{}));
-  ThreadGroup threads;
+  // Shard spans open here, on the calling thread, so their Begin order
+  // (= span index order) is deterministic whichever thread runs each
+  // shard; each shard's run closes and annotates its own.
+  std::vector<int> spans(n);
   for (size_t i = 0; i < n; ++i) {
-    // Shard spans open here, on the launch thread, so their Begin order
-    // (= span index order) is deterministic regardless of how the shard
-    // threads interleave; each shard thread closes and annotates its own.
-    const int span = BeginShardSpan(trace, fan_span, i, shards[i]);
-    const PairJoinGhosts* ghosts =
-        policy.ghosts != nullptr ? &(*policy.ghosts)[i] : nullptr;
-    threads.Spawn([this, &shards, &policy, &ctx, &shard_stats,
-                   ch = channel_for(i), ghosts, span, i] {
-      shard_stats[i] = RunShard(
-          shards[i], policy.root,
-          [&ch](RowBatch&& batch) { return ch->Push(std::move(batch)); },
-          ghosts, ctx, span);
-      ch->CloseWriter();
-    });
+    spans[i] = BeginShardSpan(trace, fan_span, i, shards[i]);
   }
   const int merge_span = TraceBegin(trace, "merge", fan_span);
+  std::vector<Result<ExecStats>> shard_stats(n, Result<ExecStats>(
+                                                    ExecStats{}));
+  // One morsel per shard, run on the pool or on this thread.
+  const Morsel run_shard = [&](size_t i, const Sink& out) {
+    const PairJoinGhosts* ghosts =
+        policy.ghosts != nullptr ? &(*policy.ghosts)[i] : nullptr;
+    shard_stats[i] =
+        RunShard(shards[i], policy.root, out, ghosts, ctx, spans[i]);
+  };
 
   int64_t remaining = policy.limit < 0 ? std::numeric_limits<int64_t>::max()
                                        : policy.limit;
@@ -719,47 +660,42 @@ Status FederatedQueryEngine::FanOut(const Prepared& prep,
   };
 
   if (policy.ordered) {
-    // K-way merge of the per-shard sorted streams, same comparator as
-    // the executor's sort node (value, then obj_id tie-break).
-    std::vector<MergeCursor> cursors;
-    cursors.reserve(n);
-    for (auto& ch : channels) cursors.emplace_back(ch);
+    // Every shard's stream is sorted and the merge needs every shard's
+    // head, so each shard collects its whole output, then this thread
+    // k-way merges them with the executor's sort comparator (value, then
+    // obj_id tie-break).
+    std::vector<RowBatch> sorted(n);
+    pool_.ParallelFor(n, [&](size_t i) { run_shard(i, AppendTo(&sorted[i])); });
+    std::vector<size_t> pos(n, 0);
     RowBatch out;
     const size_t batch_size = options_.executor.batch_size;
-    bool stop = remaining <= 0;
-    while (!stop) {
-      MergeCursor* best = nullptr;
-      const ResultRow* best_head = nullptr;
-      for (auto& c : cursors) {
-        const ResultRow* h = c.Head();
-        if (h == nullptr) continue;
-        if (best == nullptr || RowBefore(*h, *best_head, policy.order_col,
-                                         policy.order_desc)) {
-          best = &c;
-          best_head = h;
+    bool more = remaining > 0;
+    while (more) {
+      size_t best = n;
+      for (size_t i = 0; i < n; ++i) {
+        if (pos[i] == sorted[i].size()) continue;
+        if (best == n ||
+            RowBefore(sorted[i][pos[i]], sorted[best][pos[best]],
+                      policy.order_col, policy.order_desc)) {
+          best = i;
         }
       }
-      if (best == nullptr) break;
-      out.push_back(best->Take());
+      if (best == n) break;
+      out.push_back(std::move(sorted[best][pos[best]++]));
       if (out.size() >= batch_size ||
           static_cast<int64_t>(out.size()) >= remaining) {
-        stop = !deliver(std::move(out));
+        more = deliver(std::move(out));
         out = RowBatch();
       }
     }
-    if (!stop && !out.empty()) deliver(std::move(out));
+    if (more && !out.empty()) deliver(std::move(out));
   } else {
-    RowBatch batch;
-    while (channels[0]->Pop(&batch)) {
-      if (!deliver(std::move(batch))) break;
-      batch = RowBatch();
-    }
+    // ASAP: shard batches reach the sink in arrival order, on this
+    // thread; a refusal stops every shard still running.
+    StreamMorsels(&pool_, n, run_shard, deliver);
   }
 
-  // Stop any still-producing shard (no-op on clean completion) and wait.
-  for (auto& ch : channels) ch->Cancel();
   TraceEnd(trace, merge_span);
-  threads.JoinAll();
   TraceNum(trace, fan_span, "rows", static_cast<double>(rows));
   TraceEnd(trace, fan_span);
   for (const auto& r : shard_stats) {
@@ -792,7 +728,7 @@ Status FederatedQueryEngine::RunFanOut(Prepared& prep, const ExecContext& ctx,
     // the seconds_ghost_harvest stage).
     const auto t0 = std::chrono::steady_clock::now();
     const int ghost_span = TraceBegin(ctx.trace, "ghost_harvest");
-    auto ghosts = HarvestJoinGhosts(prep.shards, join, ctx.cancel);
+    auto ghosts = HarvestJoinGhosts(&pool_, prep.shards, join, ctx.cancel);
     stats->seconds_ghost_harvest = SecondsSince(t0);
     if (ghosts.ok()) {
       uint64_t shipped = 0;

@@ -7,11 +7,12 @@
 // parses and plans a query ONCE and runs it in one of two shapes:
 //
 //  - single store: a personal (mydb) plan or a one-shard fleet runs the
-//    whole tree on one Executor -- no shard thread, no merge, no partial
+//    whole tree on one Executor -- no shard morsel, no merge, no partial
 //    aggregates. This is also the oracle the federation suites hold the
 //    fan-out against (a one-shard engine over the unsharded store).
-//  - fan-out: the plan goes to every live shard on one shared scan pool,
-//    the per-shard ASAP batch streams merge into a single ordered /
+//  - fan-out: every live shard runs the plan as one morsel on the shared
+//    scan pool (the calling thread runs morsels too), the per-shard ASAP
+//    batch streams merge on the calling thread into a single ordered /
 //    limited stream, and partial aggregates combine (COUNT/SUM add,
 //    MIN/MAX fold, AVG = sum/count) -- so a query over N servers answers
 //    exactly like a query over one big store, and keeps answering when a
@@ -19,7 +20,8 @@
 //    surviving replicas.
 //
 // Both shapes sit behind one run entry that owns the result cache, the
-// engine metrics and every per-stage clock.
+// engine metrics and every per-stage clock. Neither starts a thread: the
+// caller's sink runs only on the thread that called the engine.
 
 #ifndef SDSS_QUERY_FEDERATED_ENGINE_H_
 #define SDSS_QUERY_FEDERATED_ENGINE_H_
@@ -108,9 +110,9 @@ struct ExecContext {
   MyDbResolver mydb;
   /// Heat feedback: when set, every archive container any shard executor
   /// scans for this run is reported here (once per container per scan,
-  /// from pool threads). The workbench binds it to
-  /// archive::ShardedStore::RecordAccess so mining jobs drive the
-  /// replica-promotion loop. Personal (mydb) scans never report.
+  /// from whichever thread runs the container's morsel). The workbench
+  /// binds it to archive::ShardedStore::RecordAccess so mining jobs drive
+  /// the replica-promotion loop. Personal (mydb) scans never report.
   AccessRecorder access_recorder;
   /// Set only by a caller that will materialize the INTO target itself
   /// (the workbench's ExecuteInto sink). Left false, Execute /

@@ -1,7 +1,11 @@
 #include "query/qet.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
+#include <mutex>
 
 #include "catalog/photo_obj.h"
 #include "dataflow/pair_hasher.h"
@@ -9,52 +13,106 @@
 namespace sdss::query {
 
 // ---------------------------------------------------------------------
-// RowChannel
+// StreamMorsels
 
-void RowChannel::AddWriter() {
-  std::unique_lock<std::mutex> lock(mu_);
-  ++writers_;
-}
+bool StreamMorsels(ThreadPool* pool, size_t n, const Morsel& morsel,
+                   const BatchSink& consume, size_t max_queued) {
+  if (n == 0) return true;
 
-void RowChannel::CloseWriter() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (--writers_ == 0) cv_pop_.notify_all();
-}
+  // Shared with the helper tasks on the heap: a helper may still be
+  // leaving its claim loop -- or, on a saturated pool, only start --
+  // after this call returned. Helpers that win no index touch nothing
+  // but this state; `morsel` is only dereferenced for indices < n, all
+  // of which end before `finished` reaches n.
+  struct State {
+    std::mutex mu;
+    std::condition_variable batch_or_end;  ///< Wakes the calling thread.
+    std::condition_variable room;          ///< Wakes blocked producers.
+    std::deque<RowBatch> queue;
+    size_t finished = 0;  ///< Morsels claimed and ended (under mu).
+    std::atomic<bool> stopped{false};  ///< Set under mu, read anywhere.
+    std::atomic<size_t> next{0};
+    size_t n = 0;
+    size_t max_queued = 0;
+    const Morsel* morsel = nullptr;
+  };
+  auto state = std::make_shared<State>();
+  State& st = *state;
+  st.n = n;
+  st.max_queued = std::max<size_t>(1, max_queued);
+  st.morsel = &morsel;
 
-bool RowChannel::Push(RowBatch batch) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_push_.wait(lock,
-                [this] { return cancelled_ || queue_.size() < capacity_; });
-  if (cancelled_) return false;
-  queue_.push_back(std::move(batch));
-  cv_pop_.notify_one();
-  return true;
-}
+  auto end_morsel = [](State& s) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    ++s.finished;
+    s.batch_or_end.notify_one();
+  };
+  auto helper = [state, end_morsel] {
+    State& s = *state;
+    const BatchSink push = [&s](RowBatch&& batch) {
+      std::unique_lock<std::mutex> lock(s.mu);
+      s.room.wait(lock,
+                  [&s] { return s.stopped || s.queue.size() < s.max_queued; });
+      if (s.stopped) return false;
+      s.queue.push_back(std::move(batch));
+      s.batch_or_end.notify_one();
+      return true;
+    };
+    for (;;) {
+      const size_t i = s.next.fetch_add(1);
+      if (i >= s.n) return;
+      if (!s.stopped.load()) (*s.morsel)(i, push);
+      end_morsel(s);
+    }
+  };
+  const size_t helpers = std::min(n - 1, pool->num_threads());
+  for (size_t h = 0; h < helpers; ++h) pool->Submit(helper);
 
-bool RowChannel::Pop(RowBatch* batch) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_pop_.wait(lock, [this] {
-    return cancelled_ || !queue_.empty() || writers_ == 0;
-  });
-  if (cancelled_) return false;
-  if (queue_.empty()) return false;  // writers_ == 0: end of stream.
-  *batch = std::move(queue_.front());
-  queue_.pop_front();
-  cv_push_.notify_one();
-  return true;
-}
-
-void RowChannel::Cancel() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cancelled_ = true;
-  queue_.clear();
-  cv_push_.notify_all();
-  cv_pop_.notify_all();
-}
-
-bool RowChannel::cancelled() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return cancelled_;
+  // The calling thread's side: consume, and stop everyone on refusal.
+  bool live = true;
+  const BatchSink deliver = [&](RowBatch&& batch) {
+    if (live && !consume(std::move(batch))) {
+      live = false;
+      std::lock_guard<std::mutex> lock(st.mu);
+      st.stopped = true;
+      st.queue.clear();
+      st.room.notify_all();
+    }
+    return live;
+  };
+  for (;;) {
+    RowBatch batch;
+    bool popped = false;
+    {
+      std::unique_lock<std::mutex> lock(st.mu);
+      if (st.queue.empty() && st.next.load() >= n) {
+        // Every morsel is claimed: wait for a pool morsel's batch or
+        // for the last one to end -- never for a queued task to start.
+        if (st.finished == n) break;
+        st.batch_or_end.wait(lock, [&st] {
+          return !st.queue.empty() || st.finished == st.n;
+        });
+        continue;
+      }
+      if (!st.queue.empty()) {
+        batch = std::move(st.queue.front());
+        st.queue.pop_front();
+        st.room.notify_one();
+        popped = true;
+      }
+    }
+    if (popped) {
+      deliver(std::move(batch));
+      continue;
+    }
+    // Nothing queued: run an unclaimed morsel here, straight into
+    // `consume`.
+    const size_t i = st.next.fetch_add(1);
+    if (i >= n) continue;
+    if (live) morsel(i, deliver);
+    end_morsel(st);
+  }
+  return live;
 }
 
 // ---------------------------------------------------------------------

@@ -9,24 +9,22 @@
 // they are generated" (the ASAP push strategy), with sort / aggregation /
 // intersection / difference nodes blocking on one side.
 //
-// This header defines the plan-node tree, the row/channel plumbing the
-// executor streams batches through, and the planner that lowers a parsed
-// query onto a specific ObjectStore (spatial cover extraction, tag-store
-// selection, and the density-map cost prediction).
+// This header defines the plan-node tree, the batch exchange the
+// executor streams scan output through, and the planner that lowers a
+// parsed query onto a specific ObjectStore (spatial cover extraction,
+// tag-store selection, and the density-map cost prediction).
 
 #ifndef SDSS_QUERY_QET_H_
 #define SDSS_QUERY_QET_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "catalog/object_store.h"
+#include "core/thread_pool.h"
 #include "query/parser.h"
 
 namespace sdss::query {
@@ -60,42 +58,32 @@ inline bool RowBefore(const ResultRow& a, const ResultRow& b, size_t col,
   return a.obj_id_b < b.obj_id_b;
 }
 
-/// A bounded multi-producer single-consumer batch channel implementing
-/// the ASAP data push between QET nodes. Producers block when the
-/// channel is full; the consumer can cancel to abort upstream work
-/// (LIMIT early-out).
-class RowChannel {
- public:
-  explicit RowChannel(size_t max_batches = 64) : capacity_(max_batches) {}
+/// A batch consumer: takes each batch by rvalue (and may steal it), and
+/// returns false to stop the stream.
+using BatchSink = std::function<bool(RowBatch&&)>;
 
-  /// Registers a producer. Must be balanced by CloseWriter().
-  void AddWriter();
+/// One morsel of scan-shaped work: produces morsel `i`'s batches into
+/// `emit`, and stops early once `emit` returns false.
+using Morsel = std::function<void(size_t i, const BatchSink& emit)>;
 
-  /// Producer is done; the last CloseWriter wakes the consumer for EOF.
-  void CloseWriter();
-
-  /// Pushes a batch; blocks while full. Returns false if the channel was
-  /// cancelled (producer should stop generating).
-  bool Push(RowBatch batch);
-
-  /// Pops the next batch; blocks until data, EOF, or cancel. Returns
-  /// false on end-of-stream.
-  bool Pop(RowBatch* batch);
-
-  /// Consumer aborts: unblocks and fails all further Push calls.
-  void Cancel();
-
-  bool cancelled() const;
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_push_;
-  std::condition_variable cv_pop_;
-  std::deque<RowBatch> queue_;
-  size_t capacity_;
-  int writers_ = 0;
-  bool cancelled_ = false;
-};
+/// The executor's one exchange between the scan pool and the query's
+/// own thread. Runs morsel(i, emit) for every i in [0, n) on `pool`
+/// AND on the calling thread, and hands every batch any morsel emits to
+/// `consume` on the calling thread only -- ASAP, in arrival order.
+///
+/// Pool morsels hand their batches over through one queue bounded at
+/// `max_queued` batches: a full queue blocks them, so a slow consumer
+/// backpressures the scan. The calling thread never blocks on that
+/// queue: it drains it, runs unclaimed morsels itself (their batches go
+/// straight to `consume`), and only waits while a pool thread is inside
+/// a morsel. So the run completes even when every pool worker is busy
+/// elsewhere -- the caller then runs all n morsels itself.
+///
+/// Once `consume` returns false, queued batches are dropped, every
+/// blocked or later `emit` returns false, and unstarted morsels are
+/// skipped. Returns false when `consume` stopped the stream.
+bool StreamMorsels(ThreadPool* pool, size_t n, const Morsel& morsel,
+                   const BatchSink& consume, size_t max_queued = 64);
 
 /// QET node types: one scan ("query node") plus the paper's set-operation
 /// and blocking node kinds, and the hash-machine neighbor join.
