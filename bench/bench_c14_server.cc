@@ -184,11 +184,13 @@ void PrintC14() {
 
   std::printf("%9s %9s %9s %9s %7s %7s %9s %8s\n", "sessions", "queries",
               "p50 ms", "p99 ms", "busy", "errors", "refused", "wall s");
-  uint64_t refused_before = f.server->stats().sessions_refused;
+  const metrics::Counter* refused_total =
+      f.server->metrics()->GetCounter("server_sessions_refused");
+  uint64_t refused_before = refused_total->Value();
   for (int sessions : {100, 500, 1000}) {
     LoadResult r = RunLoad(sessions, 3);
-    uint64_t refused = f.server->stats().sessions_refused - refused_before;
-    refused_before = f.server->stats().sessions_refused;
+    uint64_t refused = refused_total->Value() - refused_before;
+    refused_before = refused_total->Value();
     std::printf("%9d %9zu %9.2f %9.2f %7llu %7llu %9llu %8.2f\n",
                 sessions, r.latencies.size(),
                 PercentileMs(r.latencies, 0.50),

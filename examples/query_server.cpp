@@ -287,14 +287,17 @@ int main(int argc, char** argv) {
   }
 
   if (!client->Bye().ok()) return 1;
-  auto stats = server.stats();
+  auto counter = [&server](const char* name) {
+    return static_cast<unsigned long long>(
+        server.metrics()->GetCounter(name)->Value());
+  };
   std::printf("\nserver stats: %llu sessions, %llu queries submitted, "
               "%llu ok / %llu failed, %llu auth failures\n",
-              static_cast<unsigned long long>(stats.sessions_accepted),
-              static_cast<unsigned long long>(stats.queries_submitted),
-              static_cast<unsigned long long>(stats.queries_succeeded),
-              static_cast<unsigned long long>(stats.queries_failed),
-              static_cast<unsigned long long>(stats.auth_failures));
+              counter("server_sessions_accepted"),
+              counter("server_queries_submitted"),
+              counter("server_queries_succeeded"),
+              counter("server_queries_failed"),
+              counter("server_auth_failures"));
   if (serve_seconds > 0) {
     std::printf("\nserving %d more seconds for scrapers...\n",
                 serve_seconds);

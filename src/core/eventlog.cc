@@ -14,32 +14,7 @@
 namespace sdss {
 namespace {
 
-constexpr char kFilePrefix[] = "events-";
-constexpr char kFileSuffix[] = ".jsonl";
-
-std::string FileName(uint64_t file) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%s%06llu%s", kFilePrefix,
-                static_cast<unsigned long long>(file), kFileSuffix);
-  return buf;
-}
-
-/// Parses "events-NNNNNN.jsonl" -> NNNNNN; 0 if the name does not match.
-uint64_t FileNumber(const std::string& name) {
-  const size_t prefix = sizeof(kFilePrefix) - 1;
-  const size_t suffix = sizeof(kFileSuffix) - 1;
-  if (name.size() <= prefix + suffix) return 0;
-  if (name.compare(0, prefix, kFilePrefix) != 0) return 0;
-  if (name.compare(name.size() - suffix, suffix, kFileSuffix) != 0) {
-    return 0;
-  }
-  uint64_t n = 0;
-  for (size_t i = prefix; i < name.size() - suffix; ++i) {
-    if (name[i] < '0' || name[i] > '9') return 0;
-    n = n * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  return n;
-}
+constexpr NumberedFiles kEventFiles("events-", ".jsonl");
 
 void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');
@@ -96,32 +71,19 @@ const char* EventSeverityName(EventSeverity severity) {
 }
 
 std::vector<std::string> ListEventLogFiles(const std::string& dir) {
-  std::vector<std::string> files;
-  auto entries = ListDir(dir);
-  if (!entries.ok()) return files;
-  for (const std::string& name : *entries) {
-    if (FileNumber(name) > 0) files.push_back(name);
-  }
-  std::sort(files.begin(), files.end(),
-            [](const std::string& a, const std::string& b) {
-              return FileNumber(a) < FileNumber(b);
-            });
-  return files;
+  return kEventFiles.List(dir);
 }
 
 Result<std::unique_ptr<EventLog>> EventLog::Open(const std::string& dir,
                                                  Options options) {
   SDSS_RETURN_IF_ERROR(CreateDirs(dir));
-  uint64_t max_file = 0;
-  for (const std::string& name : ListEventLogFiles(dir)) {
-    max_file = std::max(max_file, FileNumber(name));
-  }
   // Like the journal: never append to an existing file (its tail may be
   // a torn line from a crash mid-write); start a fresh one.
-  std::unique_ptr<EventLog> log(new EventLog(dir, options, max_file + 1));
+  const uint64_t first = kEventFiles.Next(dir);
+  std::unique_ptr<EventLog> log(new EventLog(dir, options, first));
   {
     std::lock_guard<std::mutex> lock(log->mu_);
-    SDSS_RETURN_IF_ERROR(log->OpenFileLocked(max_file + 1));
+    SDSS_RETURN_IF_ERROR(log->OpenFileLocked(first));
   }
   return log;
 }
@@ -145,7 +107,7 @@ EventLog::~EventLog() {
 }
 
 Status EventLog::OpenFileLocked(uint64_t file) {
-  const std::string path = dir_ + "/" + FileName(file);
+  const std::string path = dir_ + "/" + kEventFiles.Name(file);
   int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
   if (fd < 0) {
     return Status::IOError("open " + path + ": " + std::strerror(errno));
@@ -169,13 +131,7 @@ void EventLog::RotateLocked() {
   if (m_rotations_ != nullptr) m_rotations_->Inc();
   // Prune oldest files beyond the retention count (the file just opened
   // is the newest).
-  const size_t keep = std::max<size_t>(1, options_.max_files);
-  std::vector<std::string> files = ListEventLogFiles(dir_);
-  if (files.size() <= keep) return;
-  const size_t excess = files.size() - keep;
-  for (size_t i = 0; i < excess; ++i) {
-    (void)RemoveFile(dir_ + "/" + files[i]);
-  }
+  kEventFiles.PruneOldest(dir_, std::max<size_t>(1, options_.max_files));
 }
 
 std::string EventLog::FormatLine(const Event& event, uint64_t ts_ms) {

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 namespace sdss {
 namespace {
@@ -216,6 +217,61 @@ Status SyncDir(const std::string& path) {
   Status s = SyncFd(fd, path);
   ::close(fd);
   return s;
+}
+
+std::string NumberedFiles::Name(uint64_t n) const {
+  char digits[24];
+  std::snprintf(digits, sizeof(digits), "%06llu",
+                static_cast<unsigned long long>(n));
+  std::string name(prefix_);
+  name += digits;
+  name += suffix_;
+  return name;
+}
+
+uint64_t NumberedFiles::Parse(std::string_view name) const {
+  if (name.size() <= prefix_.size() + suffix_.size()) return 0;
+  if (!name.starts_with(prefix_) || !name.ends_with(suffix_)) return 0;
+  name.remove_prefix(prefix_.size());
+  name.remove_suffix(suffix_.size());
+  uint64_t n = 0;
+  for (char c : name) {
+    if (c < '0' || c > '9') return 0;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (n > (UINT64_MAX - digit) / 10) return 0;  // Overflow.
+    n = n * 10 + digit;
+  }
+  return n;
+}
+
+std::vector<std::string> NumberedFiles::List(const std::string& dir) const {
+  std::vector<std::pair<uint64_t, std::string>> members;
+  auto entries = ListDir(dir);
+  if (entries.ok()) {
+    for (std::string& name : *entries) {
+      const uint64_t n = Parse(name);
+      if (n > 0) members.emplace_back(n, std::move(name));
+    }
+  }
+  // ListDir sorts by name, which is numeric order only while every
+  // number fits the six-digit width.
+  std::sort(members.begin(), members.end());
+  std::vector<std::string> names;
+  names.reserve(members.size());
+  for (auto& [n, name] : members) names.push_back(std::move(name));
+  return names;
+}
+
+uint64_t NumberedFiles::Next(const std::string& dir) const {
+  const std::vector<std::string> names = List(dir);
+  return names.empty() ? 1 : Parse(names.back()) + 1;
+}
+
+void NumberedFiles::PruneOldest(const std::string& dir, size_t keep) const {
+  const std::vector<std::string> names = List(dir);
+  for (size_t i = 0; i + keep < names.size(); ++i) {
+    (void)RemoveFile(dir + "/" + names[i]);
+  }
 }
 
 Status ValidatePathComponent(const std::string& name, const char* what) {

@@ -83,6 +83,37 @@ Result<std::vector<std::string>> ListDir(const std::string& path);
 /// durable.
 Status SyncDir(const std::string& path);
 
+/// A set of numbered files `<prefix>NNNNNN<suffix>` in one directory --
+/// the layout of the journal's segments and the event log's files.
+/// Members are numbered from 1 and zero-padded to six digits; a wider
+/// number widens the name, and ordering stays numeric either way. This
+/// type owns naming, listing and pruning only: durability (O_EXCL,
+/// fsync, directory sync) stays with each owner. The prefix and suffix
+/// are viewed, not copied: pass string literals.
+class NumberedFiles {
+ public:
+  constexpr NumberedFiles(std::string_view prefix, std::string_view suffix)
+      : prefix_(prefix), suffix_(suffix) {}
+
+  /// The file name of member `n`.
+  std::string Name(uint64_t n) const;
+  /// The number `name` carries, or 0 when it is not a member: wrong
+  /// prefix or suffix, an empty or non-digit number, or number 0.
+  uint64_t Parse(std::string_view name) const;
+  /// Member names in `dir`, ascending by number. Empty when the
+  /// directory does not exist.
+  std::vector<std::string> List(const std::string& dir) const;
+  /// One past the highest member number in `dir`; 1 when it has none.
+  uint64_t Next(const std::string& dir) const;
+  /// Removes the lowest-numbered members of `dir` until at most `keep`
+  /// remain. Best-effort: a failed unlink is skipped.
+  void PruneOldest(const std::string& dir, size_t keep) const;
+
+ private:
+  std::string_view prefix_;
+  std::string_view suffix_;
+};
+
 /// Validates `name` as a single on-disk path component: non-empty, at
 /// most 64 bytes, no '/', '\\', or NUL, no leading '.', and no ".."
 /// anywhere (so a name can never escape or hide inside its directory).

@@ -2,11 +2,12 @@
 // fixed log2-bucket latency histograms with quantile extraction.
 //
 // The registry is the observability substrate the rest of the archive
-// reports into: the query server's ServerStats, the federated engine's
-// result-cache verdicts, the workbench's lane depths and queue-wait,
-// and the journal's append/fsync latency all live here (ISSUE 9). Two
-// read surfaces: a struct snapshot (`Registry::Snapshot`, also what the
-// STATS wire frame ships) and a Prometheus-style text exposition.
+// reports into: the query server's session and query counters, the
+// federated engine's result-cache verdicts, the workbench's lane depths
+// and queue-wait, and the journal's append/fsync latency all live here,
+// and nowhere else. Two read surfaces: a struct snapshot
+// (`Registry::Snapshot`, also what the STATS wire frame ships) and a
+// Prometheus-style text exposition.
 //
 // Hot-path cost: recording touches one (counter/gauge) or three
 // (histogram) relaxed atomics through a pointer obtained once at setup
@@ -162,7 +163,8 @@ std::string PrometheusMetricName(std::string_view name);
 
 /// The process-wide default registry, for callers that do not wire an
 /// explicit one. Components with per-instance semantics (one
-/// QueryServer's ServerStats) default to a private registry instead.
+/// QueryServer's server_* counters) default to a private registry
+/// instead.
 Registry& DefaultRegistry();
 
 }  // namespace sdss::metrics

@@ -3,10 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -17,36 +15,11 @@
 namespace sdss::persist {
 namespace {
 
-constexpr char kSegmentPrefix[] = "journal-";
-constexpr char kSegmentSuffix[] = ".log";
+constexpr NumberedFiles kSegments("journal-", ".log");
 constexpr size_t kFrameHeaderBytes = 8;  // crc:u32 + len:u32.
 /// Upper bound on one record: anything larger in a length field is
 /// corruption, not a record (journal users write KB-scale records).
 constexpr uint32_t kMaxRecordBytes = 64u << 20;
-
-std::string SegmentName(uint64_t segment) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%s%06llu%s", kSegmentPrefix,
-                static_cast<unsigned long long>(segment), kSegmentSuffix);
-  return buf;
-}
-
-/// Parses "journal-NNNNNN.log" -> NNNNNN; 0 if the name does not match.
-uint64_t SegmentNumber(const std::string& name) {
-  const size_t prefix = sizeof(kSegmentPrefix) - 1;
-  const size_t suffix = sizeof(kSegmentSuffix) - 1;
-  if (name.size() <= prefix + suffix) return 0;
-  if (name.compare(0, prefix, kSegmentPrefix) != 0) return 0;
-  if (name.compare(name.size() - suffix, suffix, kSegmentSuffix) != 0) {
-    return 0;
-  }
-  uint64_t n = 0;
-  for (size_t i = prefix; i < name.size() - suffix; ++i) {
-    if (name[i] < '0' || name[i] > '9') return 0;
-    n = n * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  return n;
-}
 
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
   return static_cast<uint64_t>(
@@ -65,35 +38,19 @@ uint32_t FrameCrc(uint32_t len, std::string_view payload) {
 }  // namespace
 
 std::vector<std::string> ListJournalSegments(const std::string& dir) {
-  std::vector<std::string> segments;
-  auto entries = ListDir(dir);
-  if (!entries.ok()) return segments;
-  for (const std::string& name : *entries) {
-    if (SegmentNumber(name) > 0) segments.push_back(name);
-  }
-  // Fixed-width numbering makes lexicographic == numeric order, but be
-  // explicit in case a segment count ever overflows the width.
-  std::sort(segments.begin(), segments.end(),
-            [](const std::string& a, const std::string& b) {
-              return SegmentNumber(a) < SegmentNumber(b);
-            });
-  return segments;
+  return kSegments.List(dir);
 }
 
 Result<std::unique_ptr<Journal>> Journal::Open(const std::string& dir,
                                                Options options) {
   SDSS_RETURN_IF_ERROR(CreateDirs(dir));
-  uint64_t max_segment = 0;
-  for (const std::string& name : ListJournalSegments(dir)) {
-    max_segment = std::max(max_segment, SegmentNumber(name));
-  }
   // Never append to an existing segment: its tail may be torn, and a
   // frame written after a torn tail would be unreachable to replay.
-  std::unique_ptr<Journal> journal(
-      new Journal(dir, options, max_segment + 1));
+  const uint64_t first = kSegments.Next(dir);
+  std::unique_ptr<Journal> journal(new Journal(dir, options, first));
   {
     std::lock_guard<std::mutex> lock(journal->mu_);
-    SDSS_RETURN_IF_ERROR(journal->OpenSegmentLocked(max_segment + 1));
+    SDSS_RETURN_IF_ERROR(journal->OpenSegmentLocked(first));
   }
   return journal;
 }
@@ -131,7 +88,7 @@ Status Journal::OpenSegmentLocked(uint64_t segment) {
     }
     fd_ = -1;
   }
-  const std::string path = dir_ + "/" + SegmentName(segment);
+  const std::string path = dir_ + "/" + kSegments.Name(segment);
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
                0664);
   if (fd_ < 0) {

@@ -7,7 +7,7 @@
 // child span per shard, merge/fold) and annotates spans with
 // stage-local detail: per-shard containers, columnar-vs-row split,
 // bytes scanned/shipped, sink time. The workbench adds the admission
-// wait and, when the slow-query log is enabled, persists the capture as
+// wait and keeps slow or sampled captures in a TraceRing as
 // chrome://tracing JSON (load via chrome://tracing or
 // https://ui.perfetto.dev).
 //

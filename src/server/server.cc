@@ -185,25 +185,4 @@ void QueryServer::ReapFinishedThreads() {
   for (auto& thread : done) thread.join();
 }
 
-ServerStats QueryServer::stats() const {
-  ServerStats stats;
-  stats.sessions_accepted = counters_.sessions_accepted->Value();
-  stats.sessions_refused = counters_.sessions_refused->Value();
-  stats.auth_failures = counters_.auth_failures->Value();
-  stats.queries_submitted = counters_.queries_submitted->Value();
-  stats.queries_succeeded = counters_.queries_succeeded->Value();
-  stats.queries_failed = counters_.queries_failed->Value();
-  stats.busy_shed = counters_.busy_shed->Value();
-  stats.protocol_errors = counters_.protocol_errors->Value();
-  stats.accept_retries = counters_.accept_retries->Value();
-  stats.cache_hits = counters_.cache_hits->Value();
-  stats.cache_containment = counters_.cache_containment->Value();
-  stats.cache_misses = counters_.cache_misses->Value();
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    stats.sessions_active = sessions_.size();
-  }
-  return stats;
-}
-
 }  // namespace sdss::server

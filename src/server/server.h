@@ -73,28 +73,6 @@ struct ServerOptions {
   EventLog* events = nullptr;
 };
 
-/// Monotonic counters (and one gauge) of server activity.
-struct ServerStats {
-  uint64_t sessions_accepted = 0;  ///< Connections the listener accepted.
-  uint64_t sessions_refused = 0;   ///< BUSY + close above max_sessions.
-  uint64_t sessions_active = 0;    ///< Gauge: sessions currently open.
-  uint64_t auth_failures = 0;
-  uint64_t queries_submitted = 0;  ///< Reached the scheduler.
-  uint64_t queries_succeeded = 0;
-  uint64_t queries_failed = 0;     ///< Terminal failure or cancel.
-  uint64_t busy_shed = 0;          ///< BUSY frames sent for QUERYs.
-  uint64_t protocol_errors = 0;    ///< Fatal ERROR closes.
-  /// Result-cache verdicts of succeeded queries: answered verbatim from
-  /// the cache, answered by containment-filtering a cached superset, or
-  /// answered by a real run (which includes fleets with caching off).
-  uint64_t cache_hits = 0;
-  uint64_t cache_containment = 0;
-  uint64_t cache_misses = 0;
-  /// Transient accept(2) failures (fd/buffer exhaustion) survived with
-  /// a short backoff instead of killing the accept loop.
-  uint64_t accept_retries = 0;
-};
-
 /// The TCP front end. Start() spawns the accept loop; every accepted
 /// connection runs a Session on its own thread. Stop() (idempotent,
 /// also run by the destructor) shuts the listener, wakes every live
@@ -116,22 +94,27 @@ class QueryServer {
   /// The listening port, valid after Start() succeeded.
   uint16_t port() const { return port_; }
 
-  ServerStats stats() const;
   const ServerOptions& options() const { return options_; }
   workbench::JobScheduler* scheduler() const { return scheduler_; }
   /// The registry every server_* instrument lives in: the caller's
   /// (ServerOptions::metrics) or the server's own private fallback.
-  /// Snapshot() of this is what a STATS frame ships.
+  /// These instruments are the server's only stats: read them with
+  /// GetCounter("server_...")->Value() (sessions_accepted / _refused,
+  /// auth_failures, queries_submitted / _succeeded / _failed, busy_shed,
+  /// protocol_errors, accept_retries, and the succeeded queries'
+  /// cache_hits / cache_containment / cache_misses verdicts) and
+  /// GetGauge("server_sessions_active"). Snapshot() of this is what a
+  /// STATS frame ships.
   metrics::Registry* metrics() const { return metrics_; }
 
  private:
   friend class Session;
 
   /// Runs until Stop(). Transient accept failures (the kernel out of
-  /// fds or socket buffers) are counted in `accept_retries` and waited
-  /// out with a short capped backoff -- connections keep queueing in
-  /// the backlog and are served once resources return; only shutdown
-  /// (or a genuinely broken listener) ends the loop.
+  /// fds or socket buffers) are counted in server_accept_retries and
+  /// waited out with a short capped backoff -- connections keep
+  /// queueing in the backlog and are served once resources return;
+  /// only shutdown (or a genuinely broken listener) ends the loop.
   void AcceptLoop();
   /// True when `user`/`token` may open a session. The token check is
   /// constant-time (see protocol.h ConstantTimeEquals).
@@ -144,9 +127,10 @@ class QueryServer {
   /// zombie thread per session ever served) and by Stop().
   void ReapFinishedThreads();
 
-  /// Registry-backed instruments, resolved once in the constructor
-  /// (names: server_*). Pointers are stable for the registry's
-  /// lifetime, so sessions bump them lock-free.
+  /// The server_* instruments, resolved by name once in the constructor
+  /// so the per-statement path does no lookup. They hold no values of
+  /// their own: pointers are stable for the registry's lifetime, and
+  /// sessions bump them lock-free.
   struct Counters {
     metrics::Counter* sessions_accepted = nullptr;
     metrics::Counter* sessions_refused = nullptr;
@@ -181,7 +165,7 @@ class QueryServer {
   /// own handle to `finished_threads_`, where it awaits a cheap join.
   std::map<uint64_t, std::thread> session_threads_;
   std::vector<std::thread> finished_threads_;
-  mutable Counters counters_;
+  Counters counters_;
 };
 
 }  // namespace sdss::server

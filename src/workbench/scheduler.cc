@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "catalog/photo_obj.h"
-#include "core/io.h"
 #include "persist/coding.h"
 
 namespace sdss::workbench {
@@ -203,8 +202,6 @@ JobScheduler::JobScheduler(query::FederatedQueryEngine* engine,
     m_run_us_ = options_.metrics->GetHistogram("workbench_run_us");
     m_jobs_finished_ =
         options_.metrics->GetCounter("workbench_jobs_finished");
-    m_slowlog_writes_ =
-        options_.metrics->GetCounter("workbench_slowlog_writes");
   }
   for (size_t i = 0; i < options_.quick_workers; ++i) {
     workers_.Spawn([this] { WorkerLoop(Lane::kQuick); });
@@ -430,12 +427,6 @@ Result<SchedulerRecoveryReport> JobScheduler::RecoverFrom(
     auto journal = persist::Journal::Open(dir, journal_options);
     if (!journal.ok()) return journal.status();
     journal_ = std::move(*journal);
-    // A durable scheduler gets the slow-query log for free, co-located
-    // with its journal. (Safe to set here: RecoverFrom must precede the
-    // first Submit, so no job is reading the option concurrently.)
-    if (options_.slowlog_dir.empty()) {
-      options_.slowlog_dir = dir + "/slowlog";
-    }
 
     report.jobs_seen = replayed.size();
     uint64_t max_id = 0;
@@ -675,14 +666,13 @@ void JobScheduler::RunJob(Job* job) {
   query::ExecContext ctx;
   ctx.cancel = &job->cancel;
   ctx.mydb = mydb_->ResolverFor(job->snap.user);
-  // Tracing rides the slow-query log and the /tracez ring: when either
-  // is configured every job runs traced (the spans are a handful of
-  // mutex-guarded appends, not per-row work) and the capture is
-  // persisted only if the job turns out slow or is sampled. The
-  // admission wait predates the trace, so it is recorded as an
-  // annotated zero-length span.
+  // Tracing rides the /tracez ring: when it is configured every job
+  // runs traced (the spans are a handful of mutex-guarded appends, not
+  // per-row work) and the capture is kept only if the job turns out
+  // slow or is sampled. The admission wait predates the trace, so it is
+  // recorded as an annotated zero-length span.
   std::unique_ptr<query::QueryTrace> trace;
-  if (!options_.slowlog_dir.empty() || options_.trace_ring != nullptr) {
+  if (options_.trace_ring != nullptr) {
     trace = std::make_unique<query::QueryTrace>();
     char idbuf[32];
     std::snprintf(idbuf, sizeof(idbuf), "%llu",
@@ -781,29 +771,18 @@ void JobScheduler::RunJob(Job* job) {
     m_run_us_->Record(
         static_cast<uint64_t>(final_snap.seconds_running * 1e6));
   }
+  // Slowness is the run time alone; tracing only decides whether the
+  // slow_query event can point at a capture.
+  const bool slow = final_snap.seconds_running >= options_.slow_query_seconds;
+  uint64_t trace_id = 0;
   if (trace != nullptr) {
-    const bool slow =
-        final_snap.seconds_running >= options_.slow_query_seconds;
-    if (slow) {
-      if (!options_.slowlog_dir.empty()) {
-        WriteSlowLog(final_snap.id, *trace);
-      }
-      char seconds[32];
-      std::snprintf(seconds, sizeof(seconds), "%.3f",
-                    final_snap.seconds_running);
-      LogEvent(options_.events, EventSeverity::kWarn, "workbench",
-               "slow_query", final_snap.id,
-               {{"user", final_snap.user},
-                {"sql", final_snap.sql},
-                {"seconds", seconds}});
-    }
     // Every slow trace lands in the ring; a healthy server contributes
     // every trace_sample_every-th traced job so /tracez is never empty.
     const uint64_t nth =
         traced_finished_.fetch_add(1, std::memory_order_relaxed) + 1;
     const bool sampled = options_.trace_sample_every > 0 &&
                          nth % options_.trace_sample_every == 0;
-    if (options_.trace_ring != nullptr && (slow || sampled)) {
+    if (slow || sampled) {
       query::TraceCapture capture;
       capture.job_id = final_snap.id;
       capture.user = final_snap.user;
@@ -811,8 +790,26 @@ void JobScheduler::RunJob(Job* job) {
       capture.seconds = final_snap.seconds_running;
       capture.slow = slow;
       capture.chrome_json = trace->ToChromeJson();
-      options_.trace_ring->Push(std::move(capture));
+      trace_id = options_.trace_ring->Push(std::move(capture));
     }
+  }
+  if (slow && options_.events != nullptr) {
+    char seconds[32];
+    std::snprintf(seconds, sizeof(seconds), "%.3f",
+                  final_snap.seconds_running);
+    Event event;
+    event.severity = EventSeverity::kWarn;
+    event.component = "workbench";
+    event.name = "slow_query";
+    event.id = final_snap.id;
+    event.fields = {{"user", final_snap.user},
+                    {"sql", final_snap.sql},
+                    {"seconds", seconds}};
+    // The capture id /tracez?id= answers for, when the ring took one.
+    if (trace_id != 0) {
+      event.fields.emplace_back("trace", std::to_string(trace_id));
+    }
+    options_.events->Emit(event);
   }
   UpdateLaneGauges();
   NotifyAndPrune(job, std::move(final_snap));
@@ -825,38 +822,6 @@ void JobScheduler::UpdateLaneGauges() {
   g_quick_running_->Set(static_cast<int64_t>(d.quick_running));
   g_long_queued_->Set(static_cast<int64_t>(d.long_queued));
   g_long_running_->Set(static_cast<int64_t>(d.long_running));
-}
-
-void JobScheduler::WriteSlowLog(uint64_t job_id,
-                                const query::QueryTrace& trace) {
-  if (!CreateDirs(options_.slowlog_dir).ok()) return;
-  // Fixed-width ids: lexicographic name order == age order, which is
-  // what the pruning below sorts by.
-  char name[48];
-  std::snprintf(name, sizeof(name), "slow-%08llu.json",
-                static_cast<unsigned long long>(job_id));
-  if (!WriteFileDurable(options_.slowlog_dir + "/" + name,
-                        trace.ToChromeJson())
-           .ok()) {
-    return;
-  }
-  if (m_slowlog_writes_ != nullptr) m_slowlog_writes_->Inc();
-
-  auto entries = ListDir(options_.slowlog_dir);
-  if (!entries.ok()) return;
-  std::vector<std::string> captures;
-  for (const std::string& entry : *entries) {
-    if (entry.rfind("slow-", 0) == 0 && entry.size() > 10 &&
-        entry.compare(entry.size() - 5, 5, ".json") == 0) {
-      captures.push_back(entry);
-    }
-  }
-  if (captures.size() <= options_.slowlog_max_files) return;
-  std::sort(captures.begin(), captures.end());
-  const size_t excess = captures.size() - options_.slowlog_max_files;
-  for (size_t i = 0; i < excess; ++i) {
-    (void)RemoveFile(options_.slowlog_dir + "/" + captures[i]);
-  }
 }
 
 Status JobScheduler::ExecuteInto(Job* job, const query::ExecContext& base,

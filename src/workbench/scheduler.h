@@ -169,30 +169,27 @@ class JobScheduler {
     size_t max_retained_terminal_jobs = 0;
     /// Metrics registry the scheduler publishes into: per-lane
     /// queued/running gauges, workbench_queue_wait_us and
-    /// workbench_run_us latency histograms, job and slow-log counters.
+    /// workbench_run_us latency histograms, the finished-jobs counter.
     /// Also forwarded to the recovery journal
     /// (persist_journal_append_us / fsync_us). Null = no metrics; must
     /// outlive the scheduler.
     metrics::Registry* metrics = nullptr;
-    /// Slow-query log: a finished job whose run time reaches
-    /// slow_query_seconds persists its trace as chrome://tracing JSON
-    /// (slow-<jobid>.json) under this directory, which is pruned to the
-    /// slowlog_max_files newest captures. Empty = off; RecoverFrom
-    /// defaults it to "<dir>/slowlog" so a durable scheduler gets the
-    /// log for free. Tracing is only ever enabled when this is set.
-    std::string slowlog_dir;
+    /// A finished job whose run time reaches this is slow: it emits a
+    /// slow_query event (when `events` is set) and pushes its trace
+    /// capture to `trace_ring` (when that is set).
     double slow_query_seconds = 1.0;
-    size_t slowlog_max_files = 32;
-    /// Operational events (component "workbench"): slow queries emit a
-    /// kWarn slow_query event with user/sql/seconds. Also forwarded to
-    /// the recovery journal (journal_poisoned). Null = no events; must
-    /// outlive the scheduler.
+    /// Operational events (component "workbench"): every slow job emits
+    /// a kWarn slow_query event with user/sql/seconds, plus `trace`, the
+    /// ring id of its capture, when `trace_ring` took one. Also
+    /// forwarded to the recovery journal (journal_poisoned). Null = no
+    /// events; must outlive the scheduler.
     EventLog* events = nullptr;
-    /// In-memory ring the admin endpoint's /tracez lists. Slow jobs
-    /// always push their capture; with trace_sample_every = N > 0 every
-    /// Nth finished traced job is pushed too (slow = false), so /tracez
-    /// has content on a healthy server. Tracing is enabled when either
-    /// this or slowlog_dir is set. Must outlive the scheduler.
+    /// In-memory ring the admin endpoint's /tracez lists, and the one
+    /// place trace captures live. Jobs run traced only when this is
+    /// set. Slow jobs always push their capture; with
+    /// trace_sample_every = N > 0 every Nth finished job is pushed too
+    /// (slow = false), so /tracez has content on a healthy server. Must
+    /// outlive the scheduler.
     query::TraceRing* trace_ring = nullptr;
     size_t trace_sample_every = 0;
   };
@@ -307,14 +304,10 @@ class JobScheduler {
   /// Refreshes the per-lane queued/running gauges from LaneDepths().
   /// Takes mu_ (via LaneDepths) -- call without the lock held.
   void UpdateLaneGauges();
-  /// Persists one slow job's trace to Options::slowlog_dir and prunes
-  /// the directory to slowlog_max_files newest captures. Best-effort:
-  /// I/O failures are swallowed (the job already finished).
-  void WriteSlowLog(uint64_t job_id, const query::QueryTrace& trace);
 
   query::FederatedQueryEngine* engine_;
   archive::MyDb* mydb_;
-  Options options_;
+  const Options options_;
   JobQueue queue_;
   mutable std::mutex mu_;
   std::condition_variable done_cv_;
@@ -333,7 +326,6 @@ class JobScheduler {
   metrics::Histogram* m_queue_wait_us_ = nullptr;
   metrics::Histogram* m_run_us_ = nullptr;
   metrics::Counter* m_jobs_finished_ = nullptr;
-  metrics::Counter* m_slowlog_writes_ = nullptr;
   ThreadGroup workers_;
 };
 

@@ -329,11 +329,16 @@ TEST_F(ColumnarDiffTest, MappedColdStartSkipsRebuild) {
     EXPECT_GT(c.columnar.n, 0u) << "container " << raw;
     EXPECT_TRUE(c.objects.empty()) << "container " << raw;
   }
-  // Mapped containers are immutable: mutation is refused whole.
+  // Mapped containers are immutable: mutation is refused whole. The
+  // refused Insert still bumps the store's epoch, which the snapshot
+  // header encodes, so probe a store mapped for this test alone and
+  // leave the shared one byte-identical to its source.
+  auto probe = MapStore(*row_store_, "insert_probe");
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
   catalog::PhotoObj obj = row_store_->containers().begin()
                               ->second.rows()
                               .front();
-  Status insert = mapped_store_->Insert(obj);
+  Status insert = probe->Insert(obj);
   EXPECT_EQ(insert.code(), StatusCode::kFailedPrecondition);
   // The density map (admission + routing) survives adoption.
   htm::Region cone = htm::Region::Circle(180.0, 40.0, 6.0);

@@ -18,6 +18,12 @@
 // exited on the first failure -- and (b) after the dummies close, every
 // queued connection completes a HELLO/WELCOME handshake and fresh
 // connects work.
+//
+// While the table is full the tests touch only locals resolved before
+// the squeeze (the server pointer, its port, its registry counters) and
+// never call into the test fixture: UBSan's vptr check on a member call
+// of the (polymorphic) fixture probes memory through pipe(2), which
+// fails with no fds left and is reported as a bad member call.
 
 #include <sys/resource.h>
 #include <unistd.h>
@@ -58,10 +64,12 @@ struct FdHoard {
       fds.push_back(fd);
     }
   }
-  void FreeOne() {
-    ASSERT_FALSE(fds.empty());
+  /// Closes one hoarded descriptor; false when none is left.
+  bool FreeOne() {
+    if (fds.empty()) return false;
     ::close(fds.back());
     fds.pop_back();
+    return true;
   }
   void CloseAll() {
     for (int fd : fds) ::close(fd);
@@ -69,24 +77,45 @@ struct FdHoard {
   }
 };
 
-class AcceptRetryTest : public ServerTest {
- protected:
-  /// Polls `pred` at 1 ms until true or the deadline; returns whether it
-  /// held.
-  template <typename Pred>
-  bool Await(const Pred& pred, int seconds = 10) {
-    auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
-    while (!pred()) {
-      if (std::chrono::steady_clock::now() > deadline) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return true;
+/// Polls `pred` at 1 ms until true or the deadline; returns whether it
+/// held. A free function so polling never calls into the fixture.
+template <typename Pred>
+bool Await(const Pred& pred, int seconds = 10) {
+  auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-};
+  return true;
+}
+
+/// Connects a client while the table is full: frees one hoarded slot
+/// for the client's socket(2). The retrying accept loop can take that
+/// slot first (admitting a connection parked earlier); the client's
+/// socket(2) then fails with EMFILE, and the next attempt frees another.
+Result<TcpConn> ConnectStarved(FdHoard* hoard, uint16_t port) {
+  for (;;) {
+    if (!hoard->FreeOne()) {
+      return Status::ResourceExhausted("no hoarded descriptor left");
+    }
+    auto conn = TcpConn::Connect("127.0.0.1", port);
+    if (conn.ok() || conn.status().message().rfind("socket:", 0) != 0) {
+      return conn;
+    }
+  }
+}
+
+class AcceptRetryTest : public ServerTest {};
 
 TEST_F(AcceptRetryTest, ServerKeepsAcceptingAfterFdExhaustionClears) {
   StartServer(DefaultLanes(), ServerOptions());
+  const uint16_t port = server_->port();
+  metrics::Registry* registry = server_->metrics();
+  metrics::Counter* retries = registry->GetCounter("server_accept_retries");
+  metrics::Counter* accepted =
+      registry->GetCounter("server_sessions_accepted");
+  metrics::Gauge* active = registry->GetGauge("server_sessions_active");
 
   // Sanity baseline: the front door works before the squeeze.
   {
@@ -98,10 +127,10 @@ TEST_F(AcceptRetryTest, ServerKeepsAcceptingAfterFdExhaustionClears) {
   // descriptors don't free up mid-test. The gauge drops before the
   // session object (and its fd) is destroyed, so give the session
   // thread's last instructions a beat too.
-  ASSERT_TRUE(
-      Await([this] { return server_->stats().sessions_active == 0; }));
+  ASSERT_TRUE(Await([active] { return active->Value() == 0; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  const ServerStats before = server_->stats();
+  const uint64_t retries_before = retries->Value();
+  const uint64_t accepted_before = accepted->Value();
 
   RlimitGuard guard;
   // Low enough to exhaust quickly, high enough that the fixture's
@@ -119,32 +148,29 @@ TEST_F(AcceptRetryTest, ServerKeepsAcceptingAfterFdExhaustionClears) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   hoard.FillToLimit();
 
-  // Park several connections in the backlog. Each FreeOne hands the
-  // client's socket(2) its slot back, so after the connect the table is
-  // full again and the server cannot admit them all.
+  // Park several connections in the backlog. Each connect hands the
+  // client's socket(2) one freed slot, so after it the table is full
+  // again and the server cannot admit them all.
   constexpr int kPending = 4;
   std::vector<TcpConn> parked;
   for (int i = 0; i < kPending; ++i) {
-    hoard.FreeOne();
-    auto conn = TcpConn::Connect("127.0.0.1", server_->port());
+    auto conn = ConnectStarved(&hoard, port);
     ASSERT_TRUE(conn.ok()) << conn.status().ToString();
     parked.push_back(std::move(*conn));
   }
 
   // The accept loop must be hitting EMFILE and surviving it: retries
   // climb while the loop thread stays alive.
-  ASSERT_TRUE(Await([this, &before] {
-    return server_->stats().accept_retries > before.accept_retries;
+  ASSERT_TRUE(Await([retries, retries_before] {
+    return retries->Value() > retries_before;
   })) << "accept loop never reported a transient retry";
   // It cannot have served everything yet -- the table has no room.
-  EXPECT_LT(server_->stats().sessions_accepted,
-            before.sessions_accepted + kPending);
+  EXPECT_LT(accepted->Value(), accepted_before + kPending);
 
   // Pressure clears: every parked connection must now be served.
   hoard.CloseAll();
-  ASSERT_TRUE(Await([this, &before] {
-    return server_->stats().sessions_accepted >=
-           before.sessions_accepted + kPending;
+  ASSERT_TRUE(Await([accepted, accepted_before] {
+    return accepted->Value() >= accepted_before + kPending;
   })) << "accept loop did not resume after fds freed";
 
   // And the sessions are live end to end: handshake over each
@@ -173,7 +199,11 @@ TEST_F(AcceptRetryTest, StopWhileStarvedShutsDownPromptly) {
   // an EMFILE squeeze returns quickly (the backoff sleeps are chopped
   // into stop-checked slices).
   StartServer(DefaultLanes(), ServerOptions());
-  const ServerStats before = server_->stats();
+  QueryServer* server = server_.get();
+  const uint16_t port = server->port();
+  metrics::Counter* retries =
+      server->metrics()->GetCounter("server_accept_retries");
+  const uint64_t retries_before = retries->Value();
 
   RlimitGuard guard;
   rlimit squeezed = guard.orig;
@@ -184,18 +214,17 @@ TEST_F(AcceptRetryTest, StopWhileStarvedShutsDownPromptly) {
   hoard.FillToLimit();
   std::vector<TcpConn> parked;
   for (int i = 0; i < 2; ++i) {
-    hoard.FreeOne();
-    auto conn = TcpConn::Connect("127.0.0.1", server_->port());
+    auto conn = ConnectStarved(&hoard, port);
     ASSERT_TRUE(conn.ok()) << conn.status().ToString();
     parked.push_back(std::move(*conn));
   }
-  ASSERT_TRUE(Await([this, &before] {
-    return server_->stats().accept_retries > before.accept_retries;
+  ASSERT_TRUE(Await([retries, retries_before] {
+    return retries->Value() > retries_before;
   }));
 
   hoard.CloseAll();  // Stop() needs no fds, but teardown below might.
   auto start = std::chrono::steady_clock::now();
-  server_->Stop();
+  server->Stop();
   auto took = std::chrono::steady_clock::now() - start;
   EXPECT_LT(took, std::chrono::seconds(2));
 }

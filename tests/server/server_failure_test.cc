@@ -199,7 +199,7 @@ TEST_F(ServerFailureTest, ZeroLengthFrameIsAFatalProtocolError) {
   ASSERT_TRUE(conn.ok());
   ASSERT_TRUE(conn->WriteAll(Bytes({0x00, 0x00, 0x00, 0x00})).ok());
   ExpectFatalErrorThenClose(&*conn, StatusCode::kInvalidArgument);
-  EXPECT_GE(server_->stats().protocol_errors, 1u);
+  EXPECT_GE(ServerCounter("server_protocol_errors"), 1u);
 }
 
 TEST_F(ServerFailureTest, OversizedFrameIsAFatalProtocolError) {

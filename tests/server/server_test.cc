@@ -133,7 +133,7 @@ TEST_F(ServerTest, AuthenticatedAccessControlsTheDoor) {
   auto outcome = right->Query(kQuickSql);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->kind, QueryOutcome::Kind::kDone);
-  EXPECT_GE(server_->stats().auth_failures, 2u);
+  EXPECT_GE(ServerCounter("server_auth_failures"), 2u);
 }
 
 TEST_F(ServerTest, SessionCeilingAnswersBusyAtTheDoor) {
@@ -149,7 +149,7 @@ TEST_F(ServerTest, SessionCeilingAnswersBusyAtTheDoor) {
   auto third = Connect("u3");
   ASSERT_FALSE(third.ok());
   EXPECT_EQ(third.status().code(), StatusCode::kUnavailable);
-  EXPECT_GE(server_->stats().sessions_refused, 1u);
+  EXPECT_GE(ServerCounter("server_sessions_refused"), 1u);
 
   // Freeing a slot readmits: close one session and poll (teardown is
   // asynchronous) until a new connection succeeds.
@@ -192,7 +192,7 @@ TEST_F(ServerTest, QuickLaneDepthShedsBeforeParsing) {
   ASSERT_EQ(outcome->kind, QueryOutcome::Kind::kBusy);
   EXPECT_EQ(outcome->busy.retry_after_ms, 75u);
   EXPECT_GE(outcome->busy.quick_queued, 1u);
-  EXPECT_GE(server_->stats().busy_shed, 1u);
+  EXPECT_GE(ServerCounter("server_busy_shed"), 1u);
 
   release.set_value();
   EXPECT_EQ(AwaitTerminal(blocked), JobState::kSucceeded);
@@ -239,12 +239,11 @@ TEST_F(ServerTest, StatsCountTheConversation) {
             QueryOutcome::Kind::kError);
   ASSERT_TRUE(client->Bye().ok());
 
-  ServerStats stats = server_->stats();
-  EXPECT_GE(stats.sessions_accepted, 1u);
+  EXPECT_GE(ServerCounter("server_sessions_accepted"), 1u);
   // The parse error is refused at submit: it never reaches a lane.
-  EXPECT_EQ(stats.queries_submitted, 1u);
-  EXPECT_EQ(stats.queries_succeeded, 1u);
-  EXPECT_EQ(stats.queries_failed, 0u);
+  EXPECT_EQ(ServerCounter("server_queries_submitted"), 1u);
+  EXPECT_EQ(ServerCounter("server_queries_succeeded"), 1u);
+  EXPECT_EQ(ServerCounter("server_queries_failed"), 0u);
 }
 
 TEST_F(ServerTest, StatsFrameShipsTheMetricsSnapshot) {
@@ -346,7 +345,7 @@ TEST_F(ServerTest, ConcurrentSessionsAllComplete) {
   // thread does its bookkeeping just after. Join the session threads
   // before reading the counters.
   server_->Stop();
-  EXPECT_EQ(server_->stats().queries_succeeded,
+  EXPECT_EQ(ServerCounter("server_queries_succeeded"),
             static_cast<uint64_t>(kSessions) * 3);
 }
 
@@ -460,21 +459,20 @@ TEST_F(ServerTest, CacheVerdictCountersTrackEveryQuery) {
 
   // The session thread folds verdicts into the counters after the DONE
   // frame is on the wire; poll for the last one to land.
-  ServerStats stats;
+  auto verdicts = [this] {
+    return ServerCounter("server_cache_hits") +
+           ServerCounter("server_cache_misses") +
+           ServerCounter("server_cache_containment");
+  };
   auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  do {
-    stats = server_->stats();
-    if (stats.cache_hits + stats.cache_misses + stats.cache_containment >=
-        3) {
-      break;
-    }
+  while (verdicts() < 3 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  } while (std::chrono::steady_clock::now() < deadline);
-  EXPECT_EQ(stats.queries_succeeded, 3u);
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_containment, 1u);
+  }
+  EXPECT_EQ(ServerCounter("server_queries_succeeded"), 3u);
+  EXPECT_EQ(ServerCounter("server_cache_misses"), 1u);
+  EXPECT_EQ(ServerCounter("server_cache_hits"), 1u);
+  EXPECT_EQ(ServerCounter("server_cache_containment"), 1u);
 
   // The local engine must outlive the scheduler: tear down in order.
   server_.reset();

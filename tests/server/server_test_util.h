@@ -86,6 +86,11 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(server_->Start().ok());
   }
 
+  /// The value of the server's registry counter `name` ("server_...").
+  uint64_t ServerCounter(const char* name) const {
+    return server_->metrics()->GetCounter(name)->Value();
+  }
+
   Result<server::Client> Connect(const std::string& user,
                                  const std::string& token = "") {
     return server::Client::Connect("127.0.0.1", server_->port(), user,

@@ -1,12 +1,13 @@
-// The slow-query log: a scheduler with slowlog_dir set traces every
-// job and persists chrome://tracing captures for jobs at or over the
-// slow_query_seconds threshold, pruned to slowlog_max_files newest.
+// The slow-query contract: a job whose run time reaches
+// slow_query_seconds emits one slow_query event whenever the scheduler
+// has an event log, and -- only when it has a trace ring, the one place
+// captures live -- runs traced and pushes its chrome://tracing capture
+// there, with the event naming the capture's ring id.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +17,6 @@
 #include "catalog/sky_generator.h"
 #include "core/eventlog.h"
 #include "core/io.h"
-#include "core/metrics.h"
 #include "query/trace.h"
 #include "query/federated_engine.h"
 #include "workbench/scheduler.h"
@@ -60,19 +60,28 @@ class SlowLogTest : public ::testing::Test {
   std::string TempDir(const char* tag) {
     std::string dir = ::testing::TempDir() + "slowlog_" + tag + "_" +
                       std::to_string(::getpid());
-    std::remove(dir.c_str());
+    std::filesystem::remove_all(dir);
     return dir;
   }
 
-  std::vector<std::string> Captures(const std::string& dir) {
-    std::vector<std::string> names;
-    auto entries = ListDir(dir);
-    if (!entries.ok()) return names;
-    for (const std::string& name : *entries) {
-      if (name.rfind("slow-", 0) == 0) names.push_back(name);
+  /// Every event-log line of `log` that reports a slow_query.
+  static std::vector<std::string> SlowQueryLines(const EventLog& log) {
+    std::vector<std::string> lines;
+    for (const std::string& name : ListEventLogFiles(log.dir())) {
+      auto data = ReadFileToString(log.dir() + "/" + name);
+      if (!data.ok()) continue;
+      size_t start = 0;
+      while (start < data->size()) {
+        size_t end = data->find('\n', start);
+        if (end == std::string::npos) end = data->size();
+        std::string line = data->substr(start, end - start);
+        if (line.find("\"event\":\"slow_query\"") != std::string::npos) {
+          lines.push_back(std::move(line));
+        }
+        start = end + 1;
+      }
     }
-    std::sort(names.begin(), names.end());
-    return names;
+    return lines;
   }
 
   static catalog::ObjectStore* source_;
@@ -84,98 +93,13 @@ catalog::ObjectStore* SlowLogTest::source_ = nullptr;
 ShardedStore* SlowLogTest::sharded_ = nullptr;
 FederatedQueryEngine* SlowLogTest::engine_ = nullptr;
 
-TEST_F(SlowLogTest, ThresholdZeroCapturesEveryJob) {
-  const std::string dir = TempDir("all");
-  metrics::Registry registry;
-  JobScheduler::Options opt;
-  opt.quick_workers = 1;
-  opt.long_workers = 1;
-  opt.slowlog_dir = dir;
-  opt.slow_query_seconds = 0.0;  // Every job is "slow".
-  opt.metrics = &registry;
-  MyDb mydb;
-  JobScheduler scheduler(engine_, &mydb, opt);
-
-  auto job = scheduler.Submit(
-      "ana", "SELECT COUNT(*) FROM photo WHERE r < 23");
-  ASSERT_TRUE(job.ok());
-  auto snap = scheduler.Wait(*job);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_EQ(snap->state, JobState::kSucceeded);
-
-  auto captures = Captures(dir);
-  ASSERT_EQ(captures.size(), 1u);
-  // The capture is chrome://tracing JSON carrying the job's identity
-  // and its stage spans.
-  auto json = ReadFileToString(dir + "/" + captures[0]);
-  ASSERT_TRUE(json.ok());
-  EXPECT_NE(json->find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json->find("\"admission_wait\""), std::string::npos);
-  EXPECT_NE(json->find("\"fan_out\""), std::string::npos);
-  EXPECT_NE(json->find("COUNT(*)"), std::string::npos);
-  EXPECT_NE(json->find("\"user\":\"ana\""), std::string::npos);
-  EXPECT_EQ(registry.GetCounter("workbench_slowlog_writes")->Value(), 1u);
-}
-
-TEST_F(SlowLogTest, HighThresholdWritesNothing) {
-  const std::string dir = TempDir("none");
-  JobScheduler::Options opt;
-  opt.quick_workers = 1;
-  opt.long_workers = 1;
-  opt.slowlog_dir = dir;
-  opt.slow_query_seconds = 3600.0;  // Nothing is that slow.
-  MyDb mydb;
-  JobScheduler scheduler(engine_, &mydb, opt);
-
-  auto job = scheduler.Submit("ana", "SELECT COUNT(*) FROM photo");
-  ASSERT_TRUE(job.ok());
-  ASSERT_TRUE(scheduler.Wait(*job).ok());
-  EXPECT_TRUE(Captures(dir).empty());
-}
-
-TEST_F(SlowLogTest, PrunesToMaxFilesNewestSurvive) {
-  const std::string dir = TempDir("prune");
-  JobScheduler::Options opt;
-  opt.quick_workers = 1;
-  opt.long_workers = 1;
-  opt.slowlog_dir = dir;
-  opt.slow_query_seconds = 0.0;
-  opt.slowlog_max_files = 3;
-  MyDb mydb;
-  JobScheduler scheduler(engine_, &mydb, opt);
-
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 6; ++i) {
-    auto job = scheduler.Submit(
-        "ana", "SELECT COUNT(*) FROM photo WHERE r < " +
-                   std::to_string(18 + i));
-    ASSERT_TRUE(job.ok());
-    auto snap = scheduler.Wait(*job);
-    ASSERT_TRUE(snap.ok());
-    ids.push_back(*job);
-  }
-
-  auto captures = Captures(dir);
-  ASSERT_EQ(captures.size(), 3u);
-  // Fixed-width naming makes lexicographic order age order: the three
-  // survivors must be the three newest job ids.
-  for (size_t i = 0; i < 3; ++i) {
-    char expected[32];
-    std::snprintf(expected, sizeof(expected), "slow-%08llu.json",
-                  static_cast<unsigned long long>(ids[ids.size() - 3 + i]));
-    EXPECT_EQ(captures[i], expected);
-  }
-}
-
 TEST_F(SlowLogTest, SlowJobEmitsEventAndLandsInTraceRing) {
-  const std::string dir = TempDir("ring");
   auto events = EventLog::Open(TempDir("ring_events"));
   ASSERT_TRUE(events.ok());
   query::TraceRing ring(8);
   JobScheduler::Options opt;
   opt.quick_workers = 1;
   opt.long_workers = 1;
-  opt.slowlog_dir = dir;
   opt.slow_query_seconds = 0.0;  // Every job is "slow".
   opt.events = events->get();
   opt.trace_ring = &ring;
@@ -187,38 +111,67 @@ TEST_F(SlowLogTest, SlowJobEmitsEventAndLandsInTraceRing) {
   ASSERT_TRUE(job.ok());
   ASSERT_TRUE(scheduler.Wait(*job).ok());
 
-  // The slow_query event carries user, SQL, and run time.
-  EXPECT_EQ((*events)->events_written(), 1u);
-  bool found = false;
-  for (const std::string& name :
-       ListEventLogFiles((*events)->dir())) {
-    auto data = ReadFileToString((*events)->dir() + "/" + name);
-    ASSERT_TRUE(data.ok());
-    if (data->find("\"event\":\"slow_query\"") != std::string::npos &&
-        data->find("\"user\":\"ana\"") != std::string::npos) {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-
   // The capture is in the /tracez ring, flagged slow, with the full
-  // chrome JSON.
+  // chrome JSON: the job's identity and its stage spans.
   auto captures = ring.List();
   ASSERT_EQ(captures.size(), 1u);
   EXPECT_EQ(captures[0].job_id, *job);
   EXPECT_EQ(captures[0].user, "ana");
   EXPECT_TRUE(captures[0].slow);
   EXPECT_GT(captures[0].seconds, 0.0);
-  EXPECT_NE(captures[0].chrome_json.find("\"traceEvents\""),
-            std::string::npos);
+  const std::string& json = captures[0].chrome_json;
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(json.find("\"admission_wait\""), std::string::npos);
+  EXPECT_NE(json.find("\"fan_out\""), std::string::npos);
+  EXPECT_NE(json.find("COUNT(*)"), std::string::npos);
+  EXPECT_NE(json.find("\"user\":\"ana\""), std::string::npos);
   EXPECT_EQ(ring.Find(captures[0].id).job_id, *job);
   EXPECT_EQ(ring.Find(9999).id, 0u);  // Unknown id: empty capture.
+
+  // One slow_query event carries user, SQL, run time, and the ring id
+  // /tracez?id= finds the capture under.
+  EXPECT_EQ((*events)->events_written(), 1u);
+  auto lines = SlowQueryLines(**events);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"user\":\"ana\""), std::string::npos);
+  EXPECT_NE(lines[0].find("\"seconds\":"), std::string::npos);
+  const std::string trace_field =
+      "\"trace\":\"" + std::to_string(captures[0].id) + "\"";
+  EXPECT_NE(lines[0].find(trace_field), std::string::npos) << lines[0];
+}
+
+TEST_F(SlowLogTest, SlowQueryEventFiresWithoutTraceRing) {
+  // Slowness is the run time alone: with an event log and no ring the
+  // job runs untraced, yet still reports itself -- once, and with no
+  // trace id, since nothing was captured.
+  auto events = EventLog::Open(TempDir("events_only"));
+  ASSERT_TRUE(events.ok());
+  JobScheduler::Options opt;
+  opt.quick_workers = 1;
+  opt.long_workers = 1;
+  opt.slow_query_seconds = 0.0;  // Every job is "slow".
+  opt.events = events->get();
+  MyDb mydb;
+  JobScheduler scheduler(engine_, &mydb, opt);
+
+  auto job = scheduler.Submit(
+      "ana", "SELECT COUNT(*) FROM photo WHERE r < 21");
+  ASSERT_TRUE(job.ok());
+  auto snap = scheduler.Wait(*job);
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(snap->state, JobState::kSucceeded);
+
+  auto lines = SlowQueryLines(**events);
+  ASSERT_EQ(lines.size(), 1u);
+  const std::string id_field = "\"id\":" + std::to_string(*job);
+  EXPECT_NE(lines[0].find(id_field), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("\"user\":\"ana\""), std::string::npos);
+  EXPECT_EQ(lines[0].find("\"trace\":"), std::string::npos) << lines[0];
 }
 
 TEST_F(SlowLogTest, TraceRingSamplingWithoutSlowlogDir) {
-  // No slowlog_dir: tracing is still enabled by the ring, and with
-  // trace_sample_every=1 every job is pushed (slow=false under a high
-  // threshold).
+  // The ring alone enables tracing, and with trace_sample_every=1 every
+  // job is pushed (slow=false under a high threshold).
   query::TraceRing ring(4);
   JobScheduler::Options opt;
   opt.quick_workers = 1;
@@ -245,9 +198,12 @@ TEST_F(SlowLogTest, TraceRingSamplingWithoutSlowlogDir) {
 }
 
 TEST_F(SlowLogTest, NoSlowlogDirMeansNoTracingNoFiles) {
+  // No ring and no event log: a slow job has nowhere to report, runs
+  // untraced, and still succeeds.
   JobScheduler::Options opt;
   opt.quick_workers = 1;
   opt.long_workers = 1;
+  opt.slow_query_seconds = 0.0;
   MyDb mydb;
   JobScheduler scheduler(engine_, &mydb, opt);
   auto job = scheduler.Submit("ana", "SELECT COUNT(*) FROM photo");
