@@ -7,6 +7,10 @@
 // photometric rows and against the tag vertical partition, and report
 // bytes touched (the I/O the paper's ratio is about) plus measured CPU
 // scan time. The bytes ratio at paper row sizes is the headline number.
+// Both tables run the one columnar scan kernel over the same column
+// arrays -- the tag is a view of them at the tag's precision, not a
+// second copy -- so in memory a scan pays only for the columns its
+// predicate reads, whichever table it names.
 
 #include <benchmark/benchmark.h>
 

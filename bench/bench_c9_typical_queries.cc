@@ -200,14 +200,12 @@ void BM_FindingChart(benchmark::State& state) {
 }
 BENCHMARK(BM_FindingChart)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
-// --- Columnar scan kernel vs row path -------------------------------
+// --- Columnar scan kernel ------------------------------------------
 //
-// The scan-bound cases below run the same SQL through the same mapped
-// snapshot store twice: once with the columnar kernel disabled (the
-// executor walks materialized PhotoObj rows and interprets the
-// predicate per row) and once enabled (the kernel streams per-container
-// column arrays in chunks). Single scan thread and no tag rewrite, so
-// the delta is purely the execution path.
+// The scan-bound cases below run SQL through the mapped snapshot store
+// on the columnar kernel (per-container column arrays streamed in
+// chunks). Single scan thread and no tag rewrite, so the figures are the
+// kernel's over the full photo columns.
 
 /// Snapshot of the canonical bench sky on disk; written once, shared by
 /// the mapped-store and cold-start benchmarks.
@@ -235,21 +233,18 @@ ObjectStore& MappedBenchStore() {
   return *store;
 }
 
-query::FederatedQueryEngine::Options ScanOptions(bool columnar) {
+query::FederatedQueryEngine::Options ScanOptions() {
   query::FederatedQueryEngine::Options opt;
-  // Pin the scan to photo containers (the tag partition has no column
-  // views) and one thread so the kernel-vs-row delta is undiluted.
+  // Pin the scan to the full photo columns and one thread.
   opt.planner.auto_tag_selection = false;
   opt.executor.scan_threads = 1;
-  opt.executor.columnar_kernel = columnar;
   return opt;
 }
 
-void ScanBench(benchmark::State& state, const char* sql, bool columnar) {
+void ScanBench(benchmark::State& state, const char* sql) {
   FederatedQueryEngine engine({Shard{0, &MappedBenchStore(), nullptr}},
-                              ScanOptions(columnar));
-  // Warm up: the row path lazily materializes rows from the mapped
-  // columns on first touch; that one-time cost is not the scan.
+                              ScanOptions());
+  // Warm up: first touch faults the mapped pages in.
   { auto warm = engine.Execute(sql); benchmark::DoNotOptimize(warm.ok()); }
   for (auto _ : state) {
     auto r = engine.Execute(sql);
@@ -266,46 +261,33 @@ constexpr char kScanCountSql[] =
 constexpr char kScanAvgSql[] =
     "SELECT AVG(g) FROM photo WHERE class = 'GALAXY'";
 
-void BM_ScanFilterRowPath(benchmark::State& state) {
-  ScanBench(state, kScanFilterSql, false);
-}
-BENCHMARK(BM_ScanFilterRowPath)->Unit(benchmark::kMicrosecond)->UseRealTime();
-
 void BM_ScanFilterColumnar(benchmark::State& state) {
-  ScanBench(state, kScanFilterSql, true);
+  ScanBench(state, kScanFilterSql);
 }
 BENCHMARK(BM_ScanFilterColumnar)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
-void BM_ScanCountRowPath(benchmark::State& state) {
-  ScanBench(state, kScanCountSql, false);
-}
-BENCHMARK(BM_ScanCountRowPath)->Unit(benchmark::kMicrosecond)->UseRealTime();
-
 void BM_ScanCountColumnar(benchmark::State& state) {
-  ScanBench(state, kScanCountSql, true);
+  ScanBench(state, kScanCountSql);
 }
 BENCHMARK(BM_ScanCountColumnar)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
-void BM_ScanAvgRowPath(benchmark::State& state) {
-  ScanBench(state, kScanAvgSql, false);
-}
-BENCHMARK(BM_ScanAvgRowPath)->Unit(benchmark::kMicrosecond)->UseRealTime();
-
 void BM_ScanAvgColumnar(benchmark::State& state) {
-  ScanBench(state, kScanAvgSql, true);
+  ScanBench(state, kScanAvgSql);
 }
 BENCHMARK(BM_ScanAvgColumnar)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
-// --- Cold start: decode-and-rebuild vs mmap-and-adopt ---------------
+// --- Cold start: read + verify + copy columns vs mmap-and-adopt ------
 
-void BM_ColdStartDecode(benchmark::State& state) {
+void BM_ColdStartReadVerifyCopy(benchmark::State& state) {
   const std::string& path = BenchSnapshotPath();
   for (auto _ : state) {
     auto store = persist::SnapshotReader(path).Read();
     benchmark::DoNotOptimize(store->object_count());
   }
 }
-BENCHMARK(BM_ColdStartDecode)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_ColdStartReadVerifyCopy)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_ColdStartMmap(benchmark::State& state) {
   const std::string& path = BenchSnapshotPath();

@@ -129,11 +129,9 @@ Result<MyDbRecoveryReport> MyDb::AttachStorage() {
   for (const auto& [user, tables] : state.live) {
     for (const auto& [name, bytes] : tables) {
       const std::string path = TablePath(user, name);
-      // Mapped cold start: adopt the snapshot's columns in place (same
-      // verification, no rebuild); the legacy path decodes row stores.
-      auto store = options_.map_snapshots
-                       ? persist::MapSnapshotStore(path)
-                       : persist::SnapshotReader(path).Read();
+      // Mapped cold start: adopt the snapshot's columns in place
+      // (verified, no rebuild).
+      auto store = persist::MapSnapshotStore(path);
       if (!store.ok()) {
         return Status::Corruption(
             "committed table mydb." + name + " of user '" + user +

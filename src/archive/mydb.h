@@ -25,7 +25,8 @@
 //   tables/<user>/<name>.snap     one snapshot per live table
 //
 // Recovery (inside AttachStorage) replays the journal to learn which
-// tables are committed, loads exactly those snapshots, and deletes
+// tables are committed, maps exactly those snapshots (each table serves
+// scans straight off its file's pages, no rebuild), and deletes
 // orphans (snapshots with no committed CREATE: the debris of a crash
 // mid-INTO).
 
@@ -72,11 +73,6 @@ class MyDb {
     /// Durable-store root. Empty = in-memory only (tables die with the
     /// process). Non-empty: call AttachStorage() before use.
     std::string persist_dir;
-    /// Recover tables as zero-copy mapped snapshots (columnar views
-    /// over mmap'd files; no store rebuild) instead of decoding them
-    /// into row stores. Query answers are identical either way; off is
-    /// only useful for comparing the two paths.
-    bool map_snapshots = true;
   };
 
   MyDb() : MyDb(Options()) {}

@@ -1,5 +1,7 @@
 #include "catalog/columnar.h"
 
+#include <algorithm>
+
 namespace sdss::catalog {
 
 PhotoObj ColumnarBlock::MaterializeObject(size_t i) const {
@@ -32,6 +34,51 @@ std::vector<PhotoObj> ColumnarBlock::Materialize() const {
   return out;
 }
 
+void ColumnStore::Append(const ColumnarBlock& block) {
+  Reserve(n_ + block.n);
+  size_t offset = 0;
+  ForEachColumn(block, [&](const auto& column, const auto&) {
+    using T = typename std::decay_t<decltype(column)>::value_type;
+    if (block.n > 0) {
+      std::memcpy(bytes_.data() + offset + n_ * sizeof(T), column.data(),
+                  block.n * sizeof(T));
+    }
+    offset += cap_ * sizeof(T);
+  });
+  n_ += block.n;
+}
+
+ColumnarBlock ColumnStore::View() const {
+  ColumnarBlock b;
+  b.n = n_;
+  size_t offset = 0;
+  ForEachColumn(b, [&](auto& column, const auto&) {
+    using Ref = std::decay_t<decltype(column)>;
+    column = Ref(bytes_.data() + offset);
+    offset += cap_ * sizeof(typename Ref::value_type);
+  });
+  return b;
+}
+
+void ColumnStore::Reserve(size_t rows) {
+  if (rows <= cap_) return;
+  const size_t cap = std::max(rows, 2 * cap_);
+  std::vector<char> grown(cap * kBytesPerObject);
+  size_t from = 0;
+  size_t to = 0;
+  ColumnarBlock types;
+  ForEachColumn(types, [&](const auto& column, const auto&) {
+    using T = typename std::decay_t<decltype(column)>::value_type;
+    if (n_ > 0) {
+      std::memcpy(grown.data() + to, bytes_.data() + from, n_ * sizeof(T));
+    }
+    from += cap_ * sizeof(T);
+    to += cap * sizeof(T);
+  });
+  bytes_ = std::move(grown);
+  cap_ = cap;
+}
+
 double ColumnGetter::operator()(const ColumnarBlock& b, size_t i) const {
   switch (field_) {
     case Field::kObjId:
@@ -46,6 +93,12 @@ double ColumnGetter::operator()(const ColumnarBlock& b, size_t i) const {
       return b.y[i];
     case Field::kZ:
       return b.z[i];
+    case Field::kTagX:
+      return static_cast<double>(static_cast<float>(b.x[i]));
+    case Field::kTagY:
+      return static_cast<double>(static_cast<float>(b.y[i]));
+    case Field::kTagZ:
+      return static_cast<double>(static_cast<float>(b.z[i]));
     case Field::kMag:
       return static_cast<double>(b.mag[index_][i]);
     case Field::kMagErr:
@@ -93,6 +146,15 @@ void GatherAs(const ColumnRef<T>& col, size_t base, size_t m,
   }
 }
 
+/// GatherAs for a double column read at the tag's float precision.
+void GatherAsFloat(const ColumnRef<double>& col, size_t base, size_t m,
+                   double* out) {
+  col.CopyN(base, m, out);
+  for (size_t k = 0; k < m; ++k) {
+    out[k] = static_cast<double>(static_cast<float>(out[k]));
+  }
+}
+
 }  // namespace
 
 void ColumnGetter::Gather(const ColumnarBlock& b, size_t base, size_t m,
@@ -115,6 +177,15 @@ void ColumnGetter::Gather(const ColumnarBlock& b, size_t base, size_t m,
       return;
     case Field::kZ:
       GatherAs(b.z, base, m, out);
+      return;
+    case Field::kTagX:
+      GatherAsFloat(b.x, base, m, out);
+      return;
+    case Field::kTagY:
+      GatherAsFloat(b.y, base, m, out);
+      return;
+    case Field::kTagZ:
+      GatherAsFloat(b.z, base, m, out);
       return;
     case Field::kMag:
       GatherAs(b.mag[index_], base, m, out);
@@ -181,6 +252,24 @@ Result<ColumnGetter> ResolveColumn(const std::string& name) {
     }
   }
   return Status::NotFound("unknown attribute: " + name);
+}
+
+Result<ColumnGetter> ResolveTagColumn(const std::string& name) {
+  if (!IsTagAttribute(name)) {
+    return Status::NotFound("not a tag attribute: " + name);
+  }
+  using F = ColumnGetter::Field;
+  ColumnGetter g;
+  if (name == "cx") {
+    g.field_ = F::kTagX;
+  } else if (name == "cy") {
+    g.field_ = F::kTagY;
+  } else if (name == "cz") {
+    g.field_ = F::kTagZ;
+  } else {
+    return ResolveColumn(name);
+  }
+  return g;
 }
 
 }  // namespace sdss::catalog

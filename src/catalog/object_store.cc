@@ -13,34 +13,34 @@ using htm::Region;
 using htm::Trixel;
 
 const std::vector<PhotoObj>& Container::rows() const {
-  if (columnar.n == 0) return objects;
   LazyRows* l = lazy_.get();
-  if (!l->rows_ready.load(std::memory_order_acquire)) {
+  if (!l->ready.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(l->mu);
-    if (!l->rows_ready.load(std::memory_order_relaxed)) {
+    if (!l->ready.load(std::memory_order_relaxed)) {
       l->rows = columnar.Materialize();
-      l->rows_ready.store(true, std::memory_order_release);
+      l->ready.store(true, std::memory_order_release);
     }
   }
   return l->rows;
 }
 
-const std::vector<TagObj>& Container::tag_rows() const {
-  if (!columnar_tags) return tags;
-  LazyRows* l = lazy_.get();
-  if (!l->tags_ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(l->mu);
-    if (!l->tags_ready.load(std::memory_order_relaxed)) {
-      std::vector<TagObj> built;
-      built.reserve(columnar.n);
-      for (size_t i = 0; i < columnar.n; ++i) {
-        built.push_back(TagObj::FromPhoto(columnar.MaterializeObject(i)));
-      }
-      l->tags = std::move(built);
-      l->tags_ready.store(true, std::memory_order_release);
-    }
+template <typename At>
+Status Container::Append(size_t m, const At& at) {
+  if (mapping_ != nullptr) {
+    return Status::FailedPrecondition(
+        "container " + std::to_string(trixel.raw()) +
+        " is a mapped snapshot view and immutable");
   }
-  return l->tags;
+  if (owned_ == nullptr) {
+    owned_ = std::make_shared<ColumnStore>();
+  } else if (owned_.use_count() > 1) {
+    // Copy on write: a container copy shares these columns.
+    owned_ = std::make_shared<ColumnStore>(*owned_);
+  }
+  owned_->Append(m, at);
+  columnar = owned_->View();
+  lazy_ = std::make_shared<LazyRows>();
+  return Status::OK();
 }
 
 ObjectStore::ObjectStore(StoreOptions options)
@@ -52,14 +52,9 @@ Status ObjectStore::Insert(const PhotoObj& obj) {
   BumpEpoch();
   HtmId trixel = index_.Locate(obj.pos);
   Container& c = containers_[trixel.raw()];
-  if (c.columnar.n > 0) {
-    return Status::FailedPrecondition(
-        "container " + std::to_string(trixel.raw()) +
-        " is columnar (mapped snapshot) and immutable");
-  }
   if (!c.trixel.valid()) c.trixel = trixel;
-  c.objects.push_back(obj);
-  if (options_.build_tags) c.tags.push_back(TagObj::FromPhoto(obj));
+  SDSS_RETURN_IF_ERROR(
+      c.Append(1, [&obj](size_t) -> const PhotoObj& { return obj; }));
   ++object_count_;
   return Status::OK();
 }
@@ -82,23 +77,15 @@ Status ObjectStore::BulkLoad(std::vector<PhotoObj> objects) {
     size_t j = i;
     while (j < keys.size() && keys[j].first == raw) ++j;
     Container& c = containers_[raw];
-    if (c.columnar.n > 0) {
-      return Status::FailedPrecondition(
-          "container " + std::to_string(raw) +
-          " is columnar (mapped snapshot) and immutable");
-    }
     if (!c.trixel.valid()) {
       auto id = HtmId::FromRaw(raw);
       if (!id.ok()) return id.status();
       c.trixel = *id;
     }
-    c.objects.reserve(c.objects.size() + (j - i));
-    if (options_.build_tags) c.tags.reserve(c.tags.size() + (j - i));
-    for (size_t k = i; k < j; ++k) {
-      const PhotoObj& obj = objects[keys[k].second];
-      c.objects.push_back(obj);
-      if (options_.build_tags) c.tags.push_back(TagObj::FromPhoto(obj));
-    }
+    SDSS_RETURN_IF_ERROR(
+        c.Append(j - i, [&](size_t k) -> const PhotoObj& {
+          return objects[keys[i + k].second];
+        }));
     object_count_ += j - i;
     i = j;
   }
@@ -111,7 +98,7 @@ StoreStats ObjectStore::Stats() const {
   s.container_count = containers_.size();
   for (const auto& [raw, c] : containers_) {
     s.full_bytes += c.FullBytes();
-    s.tag_bytes += c.TagBytes();
+    if (options_.build_tags) s.tag_bytes += c.TagBytes();
     s.max_container_objects =
         std::max<uint64_t>(s.max_container_objects, c.size());
   }
@@ -143,8 +130,11 @@ void ObjectStore::ForEachObject(
 
 void ObjectStore::ForEachTag(
     const std::function<void(const TagObj&)>& fn) const {
+  if (!options_.build_tags) return;
   for (const auto& [raw, c] : containers_) {
-    for (const TagObj& t : c.tag_rows()) fn(t);
+    for (size_t i = 0; i < c.size(); ++i) {
+      fn(TagObj::FromPhoto(c.columnar.MaterializeObject(i)));
+    }
   }
 }
 
@@ -245,7 +235,8 @@ ObjectStore ObjectStore::ExtractContainers(
 }
 
 Status ObjectStore::AdoptContainer(htm::HtmId trixel,
-                                   std::vector<PhotoObj> objects) {
+                                   const ColumnarBlock& block,
+                                   std::shared_ptr<const void> backing) {
   if (!trixel.valid() || trixel.level() != options_.cluster_level) {
     return Status::InvalidArgument(
         "adopted container trixel is not at the store's cluster level");
@@ -257,35 +248,14 @@ Status ObjectStore::AdoptContainer(htm::HtmId trixel,
   }
   Container& c = containers_[trixel.raw()];
   c.trixel = trixel;
-  c.objects = std::move(objects);
-  if (options_.build_tags) {
-    c.tags.reserve(c.objects.size());
-    for (const PhotoObj& o : c.objects) {
-      c.tags.push_back(TagObj::FromPhoto(o));
-    }
+  if (backing != nullptr) {
+    c.columnar = block;
+    c.mapping_ = std::move(backing);
+  } else {
+    c.owned_ = std::make_shared<ColumnStore>();
+    c.owned_->Append(block);
+    c.columnar = c.owned_->View();
   }
-  object_count_ += c.objects.size();
-  return Status::OK();
-}
-
-Status ObjectStore::AdoptColumnarContainer(
-    htm::HtmId trixel, const ColumnarBlock& block,
-    std::shared_ptr<const void> backing) {
-  if (!trixel.valid() || trixel.level() != options_.cluster_level) {
-    return Status::InvalidArgument(
-        "adopted container trixel is not at the store's cluster level");
-  }
-  if (containers_.count(trixel.raw()) > 0) {
-    return Status::AlreadyExists("container " +
-                                 std::to_string(trixel.raw()) +
-                                 " already present");
-  }
-  Container& c = containers_[trixel.raw()];
-  c.trixel = trixel;
-  c.columnar = block;
-  c.columnar_tags = options_.build_tags;
-  c.backing = std::move(backing);
-  c.lazy_ = std::make_shared<Container::LazyRows>();
   object_count_ += block.n;
   return Status::OK();
 }

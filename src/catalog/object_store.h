@@ -7,6 +7,10 @@
 // predict output volume and search time; spatial queries accept FULL
 // containers wholesale and filter PARTIAL containers per object, exactly
 // as the index section of the paper describes.
+//
+// Every container stores its objects as columns (Container); the tag
+// vertical partition is a narrow view over those same columns, not a
+// second copy of the data.
 
 #ifndef SDSS_CATALOG_OBJECT_STORE_H_
 #define SDSS_CATALOG_OBJECT_STORE_H_
@@ -34,62 +38,55 @@ struct StoreOptions {
   /// a few thousand occupied for a partial-sky survey).
   int cluster_level = 6;
 
-  /// Maintain the tag vertical partition alongside the full objects.
+  /// Serve the tag vertical partition (a view over the same columns;
+  /// without it, tag scans yield nothing).
   bool build_tags = true;
 };
 
-/// One clustering unit: the objects of a single trixel, stored
-/// contiguously, plus the tag partition of the same objects.
+/// One clustering unit: the objects of a single trixel, stored as
+/// columns (catalog/columnar.h).
 ///
-/// A container is backed either by materialized row vectors (`objects`
-/// / `tags`, the load path) or by a ColumnarBlock over externally owned
-/// bytes (the mapped-snapshot cold-start path; `columnar.n > 0` and
-/// `objects` stays empty). Readers that need rows go through `rows()` /
-/// `tag_rows()`, which materialize a columnar container at most once;
-/// the columnar scan kernel reads `columnar` directly and never pays
-/// that cost. Copying a container (ExtractContainers) shares the lazy
-/// cache and the mapping ownership.
+/// `columnar` is the container's only representation. Its bytes live
+/// in a mapped snapshot (the cold-start path: the container is
+/// immutable and Insert/BulkLoad into it fail) or in a ColumnStore the
+/// container owns (BulkLoad, Insert, AdoptContainer without a backing).
+/// Copies (ExtractContainers, copying a store) share either; a mutation
+/// of shared owned columns copies them first, so a copy never sees a
+/// later change to its source. The tag partition is not stored: a tag
+/// scan reads the same columns at the tag's precision.
 struct Container {
   htm::HtmId trixel;
-  std::vector<PhotoObj> objects;
-  std::vector<TagObj> tags;  ///< Parallel to `objects` when tags enabled.
-
-  /// Column views into the mapped snapshot; `n == 0` for row-backed
-  /// containers. `backing` keeps the mapping (and thus every column
-  /// pointer) alive for as long as any copy of this container exists.
   ColumnarBlock columnar;
-  bool columnar_tags = false;  ///< Tag partition served from columns.
-  std::shared_ptr<const void> backing;
 
-  size_t size() const {
-    return columnar.n > 0 ? columnar.n : objects.size();
-  }
+  size_t size() const { return columnar.n; }
 
-  /// The container's objects as rows. Row-backed: `objects` verbatim.
-  /// Columnar: materialized on first use (thread-safe, cached).
+  /// The container's objects as rows, materialized on first use
+  /// (thread-safe, cached until the next mutation). For consumers that
+  /// need PhotoObj rows: the pair join, QueryRegion, ForEachObject.
   const std::vector<PhotoObj>& rows() const;
 
-  /// The tag partition as rows; materialized on first use for columnar
-  /// containers of tag-keeping stores.
-  const std::vector<TagObj>& tag_rows() const;
-
   uint64_t FullBytes() const { return size() * sizeof(PhotoObj); }
-  uint64_t TagBytes() const {
-    return (columnar_tags ? columnar.n : tags.size()) * sizeof(TagObj);
-  }
+  /// Size of the container's tag partition in a store that keeps one.
+  uint64_t TagBytes() const { return size() * sizeof(TagObj); }
 
  private:
-  /// Once-only row materialization for columnar containers. Shared so
-  /// container copies (and the const scan paths) fill one cache;
-  /// double-checked under `mu` with acquire/release ready flags.
+  /// Once-only row materialization. Shared so container copies (and the
+  /// const scan paths) fill one cache; double-checked under `mu` with an
+  /// acquire/release ready flag. Replaced, not cleared, on mutation.
   struct LazyRows {
     std::mutex mu;
-    std::atomic<bool> rows_ready{false};
-    std::atomic<bool> tags_ready{false};
+    std::atomic<bool> ready{false};
     std::vector<PhotoObj> rows;
-    std::vector<TagObj> tags;
   };
-  mutable std::shared_ptr<LazyRows> lazy_;
+
+  /// Appends `m` objects (`at(k)` the k-th) to the owned columns,
+  /// copying them first when shared. FailedPrecondition when mapped.
+  template <typename At>
+  Status Append(size_t m, const At& at);
+
+  std::shared_ptr<const void> mapping_;  ///< Keeps mapped bytes alive.
+  std::shared_ptr<ColumnStore> owned_;   ///< Owned columns, or null.
+  mutable std::shared_ptr<LazyRows> lazy_ = std::make_shared<LazyRows>();
 
   friend class ObjectStore;
 };
@@ -120,11 +117,11 @@ class ObjectStore {
   /// derivation of the store's contents -- notably query results in
   /// query::ResultCache -- can be stamped with the epoch it was
   /// computed at and invalidated the instant the data moves. Adoption
-  /// (AdoptContainer / AdoptColumnarContainer, the snapshot recovery
-  /// path) deliberately does NOT bump: recovery rebuilds a store, it
-  /// does not mutate one, and the writer's epoch is reinstated via
-  /// RestoreEpoch so a recovered archive continues the same generation
-  /// sequence instead of silently restarting it.
+  /// (AdoptContainer, the snapshot recovery path) deliberately does NOT
+  /// bump: recovery rebuilds a store, it does not mutate one, and the
+  /// writer's epoch is reinstated via RestoreEpoch so a recovered
+  /// archive continues the same generation sequence instead of silently
+  /// restarting it.
   uint64_t epoch() const { return epoch_; }
 
   /// Marks the store mutated. Called by every mutating entry point;
@@ -158,7 +155,8 @@ class ObjectStore {
   /// Sequential scan over every object (the scan-machine access path).
   void ForEachObject(const std::function<void(const PhotoObj&)>& fn) const;
 
-  /// Scan over every tag (the fast vertical-partition path).
+  /// Scan over every tag (the vertical partition; nothing when the store
+  /// keeps none). Tags are projected from the columns on the fly.
   void ForEachTag(const std::function<void(const TagObj&)>& fn) const;
 
   /// Spatial query: calls `fn` exactly once for every object inside
@@ -204,25 +202,20 @@ class ObjectStore {
   /// per-server shard stores from a replication placement.
   ObjectStore ExtractContainers(const std::vector<uint64_t>& ids) const;
 
-  /// Deserialization hook: installs `objects` as the container of
+  /// Deserialization hook: installs `block` as the container of
   /// `trixel` verbatim -- no re-clustering, positions are trusted -- so
-  /// a store recovered from a persist::Snapshot has byte-identical
+  /// a store recovered from a persist snapshot has byte-identical
   /// container layout (and therefore identical scan behavior) to the
-  /// store that was written. The trixel must be at cluster_level and
-  /// not already present; tags are rebuilt when the store keeps them.
-  Status AdoptContainer(htm::HtmId trixel, std::vector<PhotoObj> objects);
-
-  /// Zero-copy sibling of AdoptContainer: installs column views over an
-  /// externally owned byte range (an mmap'd snapshot) as the container
-  /// of `trixel`. No rows are built -- cold start from a mapped
-  /// snapshot costs only the directory walk. `backing` must own the
-  /// bytes every column of `block` points into; the store (and any
-  /// container copies handed out later) share that ownership. Same
-  /// level/uniqueness rules as AdoptContainer. Columnar containers are
-  /// immutable: Insert/BulkLoad into their trixel fail.
-  Status AdoptColumnarContainer(htm::HtmId trixel,
-                                const ColumnarBlock& block,
-                                std::shared_ptr<const void> backing);
+  /// store that was written. With `backing` null the columns are copied
+  /// into arrays the container owns. Otherwise the container is a
+  /// zero-copy, immutable view: `backing` must own the bytes every
+  /// column of `block` points into, and the store (and any container
+  /// copies handed out later) share that ownership -- cold start from a
+  /// mapped snapshot costs only the directory walk. The trixel must be
+  /// at cluster_level (InvalidArgument) and not already present
+  /// (AlreadyExists).
+  Status AdoptContainer(htm::HtmId trixel, const ColumnarBlock& block,
+                        std::shared_ptr<const void> backing = nullptr);
 
   /// Removes everything.
   void Clear();

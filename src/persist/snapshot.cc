@@ -1,7 +1,8 @@
 #include "persist/snapshot.h"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -26,147 +27,95 @@ size_t HeaderBytes(uint32_t version) {
   return version >= 2 ? kHeaderBytesV1 + 8 : kHeaderBytesV1;
 }
 /// Fixed bytes of one object across all columns (the n-proportional part
-/// of a container block).
-constexpr uint64_t kBytesPerObject = 8 +       // obj_id
-                                     3 * 8 +   // x y z
-                                     2 * 8 +   // ra dec
-                                     5 * 4 +   // mag
-                                     5 * 4 +   // mag_err
-                                     8 * 4 +   // profile
-                                     3 * 4 +   // petro sb redshift
-                                     4 +       // flags
-                                     1 +       // class
-                                     8;        // htm_leaf
-
-void PutF32(std::string* dst, float v) {
-  PutFixed32(dst, std::bit_cast<uint32_t>(v));
-}
-void PutF64(std::string* dst, double v) {
-  PutFixed64(dst, std::bit_cast<uint64_t>(v));
-}
-bool GetF32(Cursor* c, float* v) {
-  uint32_t bits;
-  if (!c->GetFixed32(&bits)) return false;
-  *v = std::bit_cast<float>(bits);
-  return true;
-}
-bool GetF64(Cursor* c, double* v) {
-  uint64_t bits;
-  if (!c->GetFixed64(&bits)) return false;
-  *v = std::bit_cast<double>(bits);
-  return true;
-}
+/// of a container block). The column list is the file format: changing
+/// it needs a new version.
+constexpr uint64_t kBytesPerObject = catalog::kBytesPerObject;
+static_assert(kBytesPerObject == 145, "column list changed: bump kVersion");
 
 Status Corrupt(const std::string& why) {
   return Status::Corruption("snapshot: " + why);
 }
 
 void EncodeContainer(const catalog::Container& c, std::string* out) {
-  // rows() (not `objects`) so a store adopted from a mapped snapshot
-  // re-encodes to the identical byte string.
-  const auto& objs = c.rows();
-  const uint64_t n = objs.size();
+  const catalog::ColumnarBlock& block = c.columnar;
   PutFixed64(out, c.trixel.raw());
-  PutFixed64(out, n);
-  for (const auto& o : objs) PutFixed64(out, o.obj_id);
-  for (const auto& o : objs) PutF64(out, o.pos.x);
-  for (const auto& o : objs) PutF64(out, o.pos.y);
-  for (const auto& o : objs) PutF64(out, o.pos.z);
-  for (const auto& o : objs) PutF64(out, o.ra_deg);
-  for (const auto& o : objs) PutF64(out, o.dec_deg);
-  for (int b = 0; b < catalog::kNumBands; ++b) {
-    for (const auto& o : objs) PutF32(out, o.mag[b]);
-  }
-  for (int b = 0; b < catalog::kNumBands; ++b) {
-    for (const auto& o : objs) PutF32(out, o.mag_err[b]);
-  }
-  for (int p = 0; p < catalog::kProfileBins; ++p) {
-    for (const auto& o : objs) PutF32(out, o.profile[p]);
-  }
-  for (const auto& o : objs) PutF32(out, o.petro_radius_arcsec);
-  for (const auto& o : objs) PutF32(out, o.surface_brightness);
-  for (const auto& o : objs) PutF32(out, o.redshift);
-  for (const auto& o : objs) PutFixed32(out, o.flags);
-  for (const auto& o : objs) {
-    PutFixed8(out, static_cast<uint8_t>(o.obj_class));
-  }
-  for (const auto& o : objs) PutFixed64(out, o.htm_leaf);
+  PutFixed64(out, block.n);
+  // Column bytes are already the file's little-endian layout.
+  catalog::ForEachColumn(block, [&](const auto& column, const auto&) {
+    using T = typename std::decay_t<decltype(column)>::value_type;
+    if (block.n > 0) out->append(column.data(), block.n * sizeof(T));
+  });
 }
 
 /// Lays column views over one container's `n`-object column block
-/// starting at `bytes` (the byte just past the trixel/n prefix). Offsets
-/// mirror EncodeContainer's write order exactly.
+/// starting at `bytes` (the byte just past the trixel/n prefix).
 catalog::ColumnarBlock IndexColumns(const char* bytes, uint64_t n) {
-  using catalog::ColumnRef;
   catalog::ColumnarBlock b;
   b.n = n;
   const char* cur = bytes;
-  auto take = [&cur, n](size_t elem_bytes) {
-    const char* col = cur;
-    cur += elem_bytes * n;
-    return col;
-  };
-  b.obj_id = ColumnRef<uint64_t>(take(8));
-  b.x = ColumnRef<double>(take(8));
-  b.y = ColumnRef<double>(take(8));
-  b.z = ColumnRef<double>(take(8));
-  b.ra = ColumnRef<double>(take(8));
-  b.dec = ColumnRef<double>(take(8));
-  for (int band = 0; band < catalog::kNumBands; ++band) {
-    b.mag[static_cast<size_t>(band)] = ColumnRef<float>(take(4));
-  }
-  for (int band = 0; band < catalog::kNumBands; ++band) {
-    b.mag_err[static_cast<size_t>(band)] = ColumnRef<float>(take(4));
-  }
-  for (int p = 0; p < catalog::kProfileBins; ++p) {
-    b.profile[static_cast<size_t>(p)] = ColumnRef<float>(take(4));
-  }
-  b.petro = ColumnRef<float>(take(4));
-  b.sb = ColumnRef<float>(take(4));
-  b.redshift = ColumnRef<float>(take(4));
-  b.flags = ColumnRef<uint32_t>(take(4));
-  b.obj_class = ColumnRef<uint8_t>(take(1));
-  b.htm_leaf = ColumnRef<uint64_t>(take(8));
+  catalog::ForEachColumn(b, [&](auto& column, const auto&) {
+    using Ref = std::decay_t<decltype(column)>;
+    column = Ref(cur);
+    cur += sizeof(typename Ref::value_type) * n;
+  });
   return b;
 }
 
-bool DecodeContainer(Cursor* cursor, uint64_t* trixel_raw,
-                     std::vector<catalog::PhotoObj>* objs) {
-  uint64_t n = 0;
-  if (!cursor->GetFixed64(trixel_raw) || !cursor->GetFixed64(&n)) {
-    return false;
+using Blocks = std::vector<std::pair<htm::HtmId, catalog::ColumnarBlock>>;
+
+/// The one validating walk over an encoded snapshot: verifies the header
+/// and CRC, then every container block's bounds, trixel (valid, at the
+/// header's cluster level, strictly ascending) and the object total, and
+/// indexes each block's columns as views into `data`. Every way the file
+/// can be wrong is a kCorruption.
+Result<SnapshotHeader> WalkSnapshot(std::string_view data, Blocks* blocks) {
+  auto header = DecodeSnapshotHeader(data);
+  if (!header.ok()) return header.status();
+
+  Cursor cursor(data.substr(0, data.size() - kTrailerBytes));
+  cursor.Skip(HeaderBytes(header->version));
+  uint64_t total_objects = 0;
+  blocks->clear();
+  // Reserve only what the bytes can hold: a corrupt count must not
+  // drive the allocation.
+  blocks->reserve(std::min<uint64_t>(header->container_count,
+                                     cursor.remaining() / 16));
+  for (uint64_t i = 0; i < header->container_count; ++i) {
+    uint64_t trixel_raw = 0;
+    uint64_t n = 0;
+    if (!cursor.GetFixed64(&trixel_raw) || !cursor.GetFixed64(&n)) {
+      return Corrupt("truncated container block " + std::to_string(i));
+    }
+    // Division avoids overflow on a corrupt (huge) count.
+    if (n > cursor.remaining() / kBytesPerObject) {
+      return Corrupt("truncated container block " + std::to_string(i));
+    }
+    auto trixel = htm::HtmId::FromRaw(trixel_raw);
+    if (!trixel.ok()) return Corrupt("invalid container trixel id");
+    if (trixel->level() != header->cluster_level) {
+      return Corrupt("container trixel off the cluster level");
+    }
+    if (!blocks->empty() && trixel_raw <= blocks->back().first.raw()) {
+      return Corrupt("container trixels out of order");
+    }
+    blocks->emplace_back(*trixel,
+                         IndexColumns(data.data() + cursor.position(), n));
+    cursor.Skip(n * kBytesPerObject);
+    total_objects += n;
   }
-  // Division avoids overflow on a corrupt (huge) count.
-  if (n > cursor->remaining() / kBytesPerObject) return false;
-  objs->assign(n, catalog::PhotoObj{});
-  auto& v = *objs;
-  bool ok = true;
-  for (auto& o : v) ok = ok && cursor->GetFixed64(&o.obj_id);
-  for (auto& o : v) ok = ok && GetF64(cursor, &o.pos.x);
-  for (auto& o : v) ok = ok && GetF64(cursor, &o.pos.y);
-  for (auto& o : v) ok = ok && GetF64(cursor, &o.pos.z);
-  for (auto& o : v) ok = ok && GetF64(cursor, &o.ra_deg);
-  for (auto& o : v) ok = ok && GetF64(cursor, &o.dec_deg);
-  for (int b = 0; b < catalog::kNumBands; ++b) {
-    for (auto& o : v) ok = ok && GetF32(cursor, &o.mag[b]);
+  if (!cursor.done()) return Corrupt("trailing bytes after containers");
+  if (total_objects != header->object_count) {
+    return Corrupt("object count mismatch");
   }
-  for (int b = 0; b < catalog::kNumBands; ++b) {
-    for (auto& o : v) ok = ok && GetF32(cursor, &o.mag_err[b]);
-  }
-  for (int p = 0; p < catalog::kProfileBins; ++p) {
-    for (auto& o : v) ok = ok && GetF32(cursor, &o.profile[p]);
-  }
-  for (auto& o : v) ok = ok && GetF32(cursor, &o.petro_radius_arcsec);
-  for (auto& o : v) ok = ok && GetF32(cursor, &o.surface_brightness);
-  for (auto& o : v) ok = ok && GetF32(cursor, &o.redshift);
-  for (auto& o : v) ok = ok && cursor->GetFixed32(&o.flags);
-  for (auto& o : v) {
-    uint8_t cls = 0;
-    ok = ok && cursor->GetFixed8(&cls);
-    o.obj_class = static_cast<catalog::ObjClass>(cls);
-  }
-  for (auto& o : v) ok = ok && cursor->GetFixed64(&o.htm_leaf);
-  return ok;
+  return header;
+}
+
+/// An empty store configured as the snapshot's header says.
+catalog::ObjectStore StoreFor(const SnapshotHeader& header) {
+  catalog::StoreOptions options;
+  options.cluster_level = header.cluster_level;
+  options.build_tags = header.build_tags;
+  return catalog::ObjectStore(options);
 }
 
 }  // namespace
@@ -232,29 +181,13 @@ Result<SnapshotHeader> DecodeSnapshotHeader(std::string_view data) {
 }
 
 Result<catalog::ObjectStore> DecodeSnapshot(std::string_view data) {
-  auto header = DecodeSnapshotHeader(data);
+  Blocks blocks;
+  auto header = WalkSnapshot(data, &blocks);
   if (!header.ok()) return header.status();
-
-  catalog::StoreOptions options;
-  options.cluster_level = header->cluster_level;
-  options.build_tags = header->build_tags;
-  catalog::ObjectStore store(options);
-
-  Cursor cursor(data.substr(0, data.size() - kTrailerBytes));
-  cursor.Skip(HeaderBytes(header->version));
-  for (uint64_t i = 0; i < header->container_count; ++i) {
-    uint64_t trixel_raw = 0;
-    std::vector<catalog::PhotoObj> objects;
-    if (!DecodeContainer(&cursor, &trixel_raw, &objects)) {
-      return Corrupt("truncated container block " + std::to_string(i));
-    }
-    auto trixel = htm::HtmId::FromRaw(trixel_raw);
-    if (!trixel.ok()) return Corrupt("invalid container trixel id");
-    SDSS_RETURN_IF_ERROR(store.AdoptContainer(*trixel, std::move(objects)));
-  }
-  if (!cursor.done()) return Corrupt("trailing bytes after containers");
-  if (store.object_count() != header->object_count) {
-    return Corrupt("object count mismatch");
+  catalog::ObjectStore store = StoreFor(*header);
+  for (const auto& [trixel, block] : blocks) {
+    // Owned copies: the store outlives `data`.
+    SDSS_RETURN_IF_ERROR(store.AdoptContainer(trixel, block));
   }
   // Adoption did not bump; the recovered store continues the writer's
   // generation sequence (and re-encodes to the identical byte string).
@@ -287,44 +220,9 @@ Result<MappedSnapshot> MappedSnapshot::Open(const std::string& path) {
 
   MappedSnapshot snap;
   snap.file_ = std::move(*file);
-  const std::string_view data = snap.file_.view();
-
-  auto header = DecodeSnapshotHeader(data);
+  auto header = WalkSnapshot(snap.file_.view(), &snap.blocks_);
   if (!header.ok()) return header.status();
   snap.header_ = *header;
-
-  // Walk the container directory, validating exactly what
-  // DecodeSnapshot validates, but record view offsets instead of
-  // materializing objects.
-  Cursor cursor(data.substr(0, data.size() - kTrailerBytes));
-  cursor.Skip(HeaderBytes(snap.header_.version));
-  uint64_t total_objects = 0;
-  uint64_t prev_raw = 0;
-  snap.blocks_.reserve(snap.header_.container_count);
-  for (uint64_t i = 0; i < snap.header_.container_count; ++i) {
-    uint64_t trixel_raw = 0;
-    uint64_t n = 0;
-    if (!cursor.GetFixed64(&trixel_raw) || !cursor.GetFixed64(&n)) {
-      return Corrupt("truncated container block " + std::to_string(i));
-    }
-    if (n > cursor.remaining() / kBytesPerObject) {
-      return Corrupt("truncated container block " + std::to_string(i));
-    }
-    auto trixel = htm::HtmId::FromRaw(trixel_raw);
-    if (!trixel.ok()) return Corrupt("invalid container trixel id");
-    if (!snap.blocks_.empty() && trixel_raw <= prev_raw) {
-      return Corrupt("container trixels out of order");
-    }
-    prev_raw = trixel_raw;
-    snap.blocks_.emplace_back(
-        *trixel, IndexColumns(data.data() + cursor.position(), n));
-    cursor.Skip(n * kBytesPerObject);
-    total_objects += n;
-  }
-  if (!cursor.done()) return Corrupt("trailing bytes after containers");
-  if (total_objects != snap.header_.object_count) {
-    return Corrupt("object count mismatch");
-  }
   return snap;
 }
 
@@ -333,12 +231,9 @@ Result<catalog::ObjectStore> AdoptStore(
   if (snap == nullptr) {
     return Status::InvalidArgument("null mapped snapshot");
   }
-  catalog::StoreOptions options;
-  options.cluster_level = snap->header().cluster_level;
-  options.build_tags = snap->header().build_tags;
-  catalog::ObjectStore store(options);
+  catalog::ObjectStore store = StoreFor(snap->header());
   for (const auto& [trixel, block] : snap->blocks()) {
-    SDSS_RETURN_IF_ERROR(store.AdoptColumnarContainer(trixel, block, snap));
+    SDSS_RETURN_IF_ERROR(store.AdoptContainer(trixel, block, snap));
   }
   store.RestoreEpoch(snap->header().epoch);
   return store;

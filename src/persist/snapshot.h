@@ -5,8 +5,10 @@
 // a per-container column, containers in trixel order -- so a recovered
 // store is bit-exact (re-encoding it yields the identical byte string)
 // and scans at the same speed as the store that was written: container
-// clustering, contiguity, and the tag partition all survive the round
-// trip (tags are rebuilt deterministically from the photo columns).
+// clustering and contiguity survive the round trip, and the in-memory
+// containers are these same columns (catalog::ForEachColumn lists their
+// order once, for the writer and both readers). The tag partition is a
+// view over the photo columns, so only its build_tags flag is stored.
 //
 // On-disk format (see BUILDING.md "On-disk formats"):
 //
@@ -60,8 +62,10 @@ struct SnapshotHeader {
 std::string EncodeSnapshot(const catalog::ObjectStore& store);
 
 /// Decodes and verifies a snapshot byte string (magic, version, CRC,
-/// exact length) into a freshly built store. Corruption anywhere --
-/// truncation, a flipped bit, trailing garbage -- fails with
+/// exact length, container trixels valid, at the header's cluster level
+/// and strictly ascending) into a freshly built store whose containers
+/// own copies of the columns. Corruption anywhere -- truncation, a
+/// flipped bit, trailing garbage, a malformed directory -- fails with
 /// kCorruption; no partial store is ever returned.
 Result<catalog::ObjectStore> DecodeSnapshot(std::string_view data);
 
@@ -106,10 +110,9 @@ class SnapshotReader {
 /// A verified snapshot file held as a read-only memory mapping, with
 /// every container's columns indexed as zero-copy views into the mapped
 /// bytes. Open() pays one sequential pass for the CRC plus a directory
-/// walk; no object is ever materialized. The same corruption cases
-/// DecodeSnapshot rejects (bad magic, wrong version, truncation, CRC
-/// mismatch, trailing bytes, count mismatches) fail here with
-/// kCorruption too.
+/// walk; no object is ever materialized. The walk is DecodeSnapshot's
+/// own, so both readers reject exactly the same files, all with
+/// kCorruption.
 class MappedSnapshot {
  public:
   /// Maps and verifies `path`, indexing per-container column views.

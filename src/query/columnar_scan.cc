@@ -2,7 +2,8 @@
 
 namespace sdss::query {
 
-bool ColumnarScan::CompileExpr(const Expr& e, std::unique_ptr<Node>* out) {
+Status ColumnarScan::CompileExpr(const Expr& e, bool tag,
+                                 std::unique_ptr<Node>* out) {
   auto node = std::make_unique<Node>();
   node->kind = e.kind();
   switch (e.kind()) {
@@ -10,47 +11,51 @@ bool ColumnarScan::CompileExpr(const Expr& e, std::unique_ptr<Node>* out) {
       node->literal = e.literal();
       break;
     case Expr::Kind::kAttr: {
-      auto getter = catalog::ResolveColumn(e.attr());
-      if (!getter.ok()) return false;
+      auto getter = tag ? catalog::ResolveTagColumn(e.attr())
+                        : catalog::ResolveColumn(e.attr());
+      if (!getter.ok()) return getter.status();
       node->getter = *getter;
       break;
     }
     case Expr::Kind::kNeg:
     case Expr::Kind::kNot:
-      if (!CompileExpr(*e.lhs(), &node->lhs)) return false;
+      SDSS_RETURN_IF_ERROR(CompileExpr(*e.lhs(), tag, &node->lhs));
       break;
     case Expr::Kind::kSpatial:
       node->region = e.region();
+      node->tag_position = tag;
       break;
     case Expr::Kind::kBinary:
       node->op = e.op();
-      if (!CompileExpr(*e.lhs(), &node->lhs)) return false;
-      if (!CompileExpr(*e.rhs(), &node->rhs)) return false;
+      SDSS_RETURN_IF_ERROR(CompileExpr(*e.lhs(), tag, &node->lhs));
+      SDSS_RETURN_IF_ERROR(CompileExpr(*e.rhs(), tag, &node->rhs));
       break;
   }
   *out = std::move(node);
-  return true;
+  return Status::OK();
 }
 
-bool ColumnarScan::Compile(const PlanNode& node,
-                           const std::vector<std::string>& attrs,
-                           ColumnarScan* out) {
-  if (node.table == TableRef::kTag) return false;
+Status ColumnarScan::Compile(const PlanNode& node,
+                             const std::vector<std::string>& attrs,
+                             ColumnarScan* out) {
   out->sample_ = node.sample;
+  out->tag_ = node.table == TableRef::kTag;
   out->pred_.reset();
   out->simple_cmp_ = false;
   out->values_.clear();
-  if (node.predicate && !CompileExpr(*node.predicate, &out->pred_)) {
-    return false;
+  if (node.predicate) {
+    SDSS_RETURN_IF_ERROR(
+        CompileExpr(*node.predicate, out->tag_, &out->pred_));
+    CompileSimpleCompare(out);
   }
-  if (out->pred_ != nullptr) CompileSimpleCompare(out);
   out->values_.reserve(attrs.size());
   for (const std::string& name : attrs) {
-    auto getter = catalog::ResolveColumn(name);
-    if (!getter.ok()) return false;
+    auto getter = out->tag_ ? catalog::ResolveTagColumn(name)
+                            : catalog::ResolveColumn(name);
+    if (!getter.ok()) return getter.status();
     out->values_.push_back(*getter);
   }
-  return true;
+  return Status::OK();
 }
 
 void ColumnarScan::CompileSimpleCompare(ColumnarScan* out) {
@@ -116,7 +121,10 @@ double ColumnarScan::EvalNode(const Node& n,
     case Expr::Kind::kNot:
       return EvalNode(*n.lhs, b, i, err) != 0.0 ? 0.0 : 1.0;
     case Expr::Kind::kSpatial:
-      return n.region.Contains(b.Position(i)) ? 1.0 : 0.0;
+      return n.region.Contains(n.tag_position ? b.TagPosition(i)
+                                              : b.Position(i))
+                 ? 1.0
+                 : 0.0;
     case Expr::Kind::kBinary: {
       // Short-circuit structure and child order mirror Expr::Eval: a
       // divisor behind an untaken AND/OR arm is never evaluated, and an
@@ -174,7 +182,7 @@ double ColumnarScan::EvalNode(const Node& n,
 void ColumnarScan::ProjectRow(const catalog::ColumnarBlock& block,
                               size_t i, ResultRow* row) const {
   row->obj_id = block.obj_id[i];
-  row->pos = block.Position(i);
+  row->pos = tag_ ? block.TagPosition(i) : block.Position(i);
   row->values.clear();
   row->values.reserve(values_.size());
   for (const catalog::ColumnGetter& get : values_) {

@@ -1,20 +1,21 @@
-// The columnar scan kernel: predicate + projection/aggregate input
-// compiled once per scan leaf, then executed directly over a
-// container's column views (catalog::ColumnarBlock) without ever
-// materializing a PhotoObj or resolving an attribute name per row.
+// The columnar scan kernel -- the one way a scan leaf reads a
+// container: predicate + projection/aggregate input compiled once per
+// scan leaf, then executed directly over a container's column views
+// (catalog::ColumnarBlock) without ever materializing a PhotoObj or
+// resolving an attribute name per row. Photo, mydb and tag leaves all
+// run it; a tag leaf reads the same columns at the tag partition's
+// precision (catalog::ResolveTagColumn, ColumnarBlock::TagPosition).
 //
-// Bit-exactness contract: for any node the kernel accepts, its answers
-// are identical to the row path's (VisitMatches + GetAttribute) --
-// attribute conversions go through catalog::ResolveColumn (which
-// mirrors GetAttribute), expression evaluation mirrors Expr::Eval
-// recursion exactly, and sampling draws one Bernoulli variate per row
-// in row order. Division mirrors the row path's divide-by-zero error:
-// evaluation order (including AND/OR short-circuiting) is identical,
-// so the kernel errors on exactly the rows the row path errors on, with
-// the same status, and rows the row path would have emitted before the
-// erroring row are still emitted first. Nodes whose behavior the kernel
-// cannot mirror (tag-partition scans; attributes with no column) are
-// rejected at Compile time and take the row path.
+// Bit-exactness contract: answers are identical to the row oracle's
+// (Expr::EvalBool + GetAttribute over Container::rows(), or
+// GetTagAttribute over TagObj::FromPhoto rows for tag leaves) --
+// attribute conversions go through the resolvers, which mirror those
+// accessors, expression evaluation mirrors Expr::Eval recursion
+// exactly, and sampling draws one Bernoulli variate per row in row
+// order. Division mirrors Expr::Eval's divide-by-zero error: evaluation
+// order (including AND/OR short-circuiting) is identical, so the kernel
+// errors on exactly the row the oracle errors on, with the same status,
+// and the rows before it are still emitted first.
 
 #ifndef SDSS_QUERY_COLUMNAR_SCAN_H_
 #define SDSS_QUERY_COLUMNAR_SCAN_H_
@@ -42,11 +43,12 @@ class ColumnarScan {
 
   /// Compiles the scan leaf `node` with `attrs` as its value columns
   /// (the projection for row scans; the aggregate input, possibly
-  /// empty, for pushdown). Returns false -- leaving `out` unusable --
-  /// when the node must take the row path.
-  static bool Compile(const PlanNode& node,
-                      const std::vector<std::string>& attrs,
-                      ColumnarScan* out);
+  /// empty, for pushdown). Fails -- leaving `out` unusable -- only for
+  /// an attribute the leaf's table does not have, which a plan that
+  /// passed the planner's attribute validation never references.
+  static Status Compile(const PlanNode& node,
+                        const std::vector<std::string>& attrs,
+                        ColumnarScan* out);
 
   /// Runs sampling + predicate over rows [0, block.n) in row order,
   /// calling `visit(i)` for every surviving row; `visit` returning
@@ -55,9 +57,9 @@ class ColumnarScan {
   /// accounting and cancellation poll); returning false aborts.
   /// Returns true iff the whole block completed. A predicate evaluation
   /// error (divide by zero) aborts the block after visiting the chunk's
-  /// earlier survivors -- exactly the rows the row path emits before
-  /// its erroring row -- and reports the row path's status through
-  /// `error` when non-null.
+  /// earlier survivors -- exactly the rows Expr::Eval emits before its
+  /// erroring row -- and reports Expr::Eval's status through `error`
+  /// when non-null.
   template <typename Visit, typename Tick>
   bool Scan(const catalog::ColumnarBlock& block, Rng* rng,
             const Visit& visit, const Tick& tick,
@@ -88,9 +90,10 @@ class ColumnarScan {
             bool err = false;
             const double v = EvalNode(*pred_, block, base + k, &err);
             if (err) {
-              // The row path emits every earlier match before the
-              // erroring row stops the container; mirror it, then fail
-              // with the identical status (expr.cc's kDiv error).
+              // Row-at-a-time evaluation emits every earlier match
+              // before the erroring row stops the container; mirror it,
+              // then fail with the identical status (expr.cc's kDiv
+              // error).
               for (size_t j = 0; j < k; ++j) {
                 if (keep[j] != 0 && !visit(base + j)) return false;
               }
@@ -110,8 +113,8 @@ class ColumnarScan {
     return true;
   }
 
-  /// Projects row `i` into `row`: obj_id plus the compiled value
-  /// columns, in `attrs` order.
+  /// Projects row `i` into `row`: obj_id, the position (the tag's for
+  /// tag leaves) and the compiled value columns, in `attrs` order.
   void ProjectRow(const catalog::ColumnarBlock& block, size_t i,
                   ResultRow* row) const;
 
@@ -130,6 +133,7 @@ class ColumnarScan {
     double literal = 0.0;
     catalog::ColumnGetter getter;
     htm::Region region;
+    bool tag_position = false;  ///< kSpatial over a tag leaf.
     std::unique_ptr<Node> lhs, rhs;
   };
 
@@ -137,11 +141,13 @@ class ColumnarScan {
   /// (including AND/OR short-circuit structure and the left-to-right
   /// error propagation a zero divisor triggers). `*err` is set -- and
   /// the return value meaningless -- on the first divide-by-zero, in
-  /// exactly the evaluation-order position the row path errors at.
+  /// exactly the evaluation-order position Expr::Eval errors at.
   static double EvalNode(const Node& n, const catalog::ColumnarBlock& b,
                          size_t i, bool* err);
 
-  static bool CompileExpr(const Expr& e, std::unique_ptr<Node>* out);
+  /// Compiles `e`, resolving attributes on the tag partition when `tag`.
+  static Status CompileExpr(const Expr& e, bool tag,
+                            std::unique_ptr<Node>* out);
 
   /// Recognizes a predicate that is exactly one `attr op literal`
   /// comparison (either operand order) and fills the simple-compare
@@ -194,6 +200,7 @@ class ColumnarScan {
   }
 
   double sample_ = 1.0;
+  bool tag_ = false;            ///< A tag leaf: tag positions.
   std::unique_ptr<Node> pred_;  ///< Null = accept all.
   bool simple_cmp_ = false;     ///< Scan may take the vectorized path.
   BinOp cmp_op_ = BinOp::kLt;

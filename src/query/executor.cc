@@ -16,9 +16,7 @@ namespace {
 
 using catalog::Container;
 using catalog::GetAttribute;
-using catalog::GetTagAttribute;
 using catalog::PhotoObj;
-using catalog::TagObj;
 
 /// One morsel's scan counters: kept locally while the morsel runs and
 /// added to the query's totals once when it ends, never per object.
@@ -80,116 +78,6 @@ struct RunContext {
     totals.Add(t);
   }
 };
-
-// Projects one photo object into a row. Returns false (and reports) on
-// evaluation error.
-bool ProjectInto(const PhotoObj& o,
-                 const std::vector<std::string>& projection,
-                 RunContext* ctx, ResultRow* row) {
-  row->obj_id = o.obj_id;
-  row->pos = o.pos;
-  row->values.clear();
-  row->values.reserve(projection.size());
-  for (const std::string& name : projection) {
-    auto v = GetAttribute(o, name);
-    if (!v.ok()) {
-      ctx->ReportError(v.status());
-      return false;
-    }
-    row->values.push_back(*v);
-  }
-  return true;
-}
-
-bool ProjectInto(const TagObj& t,
-                 const std::vector<std::string>& projection,
-                 RunContext* ctx, ResultRow* row) {
-  row->obj_id = t.obj_id;
-  row->pos = t.Position();
-  row->values.clear();
-  row->values.reserve(projection.size());
-  for (const std::string& name : projection) {
-    auto v = GetTagAttribute(t, name);
-    if (!v.ok()) {
-      ctx->ReportError(v.status());
-      return false;
-    }
-    row->values.push_back(*v);
-  }
-  return true;
-}
-
-Result<double> GetAnyAttribute(const PhotoObj& o, const std::string& n) {
-  return GetAttribute(o, n);
-}
-Result<double> GetAnyAttribute(const TagObj& t, const std::string& n) {
-  return GetTagAttribute(t, n);
-}
-Vec3 PositionOf(const PhotoObj& o) { return o.pos; }
-Vec3 PositionOf(const TagObj& t) { return t.Position(); }
-
-// Walks one container's rows (tag or photo) applying sampling and the
-// predicate. Calls `on_match` for every surviving object; returns false
-// when the morsel must abort (error reported, or on_match said stop).
-template <typename T, typename OnMatch>
-bool VisitMatches(const std::vector<T>& rows, const PlanNode* node,
-                  Rng* rng, RunContext* ctx, ScanTally* tally,
-                  const OnMatch& on_match) {
-  for (const T& obj : rows) {
-    if (ctx->Cancelled()) return false;
-    ++tally->objects_examined;
-    if (node->sample < 1.0 && !rng->Bernoulli(node->sample)) continue;
-    if (node->predicate) {
-      RowAccessor acc{
-          [&obj](const std::string& n) { return GetAnyAttribute(obj, n); },
-          PositionOf(obj)};
-      auto ok = node->predicate->EvalBool(acc);
-      if (!ok.ok()) {
-        ctx->ReportError(ok.status());
-        return false;
-      }
-      if (!*ok) continue;
-    }
-    if (!on_match(obj)) return false;
-  }
-  return true;
-}
-
-// Scans one container of a scan leaf -- THE definition of which objects
-// the leaf yields, shared by the row-emitting scan and the aggregate
-// pushdown so the two can never diverge. The tag partition and
-// containers without column views take the row path (`on_obj(obj)` per
-// survivor); the rest run the compiled `kernel` when non-null
-// (`on_idx(block, i)` per survivor). Returns false when the morsel must
-// abort.
-template <typename OnObj, typename OnIdx>
-bool ScanContainer(const Container* c, const PlanNode* node,
-                   const ColumnarScan* kernel, Rng* rng, RunContext* ctx,
-                   ScanTally* tally, const OnObj& on_obj,
-                   const OnIdx& on_idx) {
-  ++tally->containers_scanned;
-  if (node->table == TableRef::kTag) {
-    tally->bytes_touched += c->TagBytes();
-    return VisitMatches(c->tag_rows(), node, rng, ctx, tally, on_obj);
-  }
-  tally->bytes_touched += c->FullBytes();
-  if (kernel == nullptr || c->columnar.n == 0) {
-    return VisitMatches(c->rows(), node, rng, ctx, tally, on_obj);
-  }
-  ++tally->containers_columnar;
-  const catalog::ColumnarBlock& block = c->columnar;
-  Status error;
-  const bool completed = kernel->Scan(
-      block, rng, [&](size_t i) { return on_idx(block, i); },
-      [&](size_t examined) {
-        if (ctx->Halted()) return false;
-        tally->objects_examined += examined;
-        return true;
-      },
-      &error);
-  if (!error.ok()) ctx->ReportError(error);
-  return completed;
-}
 
 // Evaluates a pair-join predicate under the assignment (a = x, b = y).
 Result<bool> PairHolds(const PlanNode* node, const PhotoObj& x,
@@ -397,45 +285,80 @@ class TreeRunner {
   }
 
  private:
-  /// The leaf's compiled column kernel, or null when the leaf takes the
-  /// row path (kernel off, tag or mydb leaf, or a rejected predicate).
-  const ColumnarScan* Compile(const PlanNode* scan,
-                              ColumnarScan* kernel) const {
-    return options_.columnar_kernel && scan->columnar_eligible &&
-                   ColumnarScan::Compile(*scan, scan->projection, kernel)
-               ? kernel
-               : nullptr;
+  /// A scan or mydb-scan leaf ready to run.
+  struct Leaf {
+    const PlanNode* node = nullptr;
+    std::vector<const Container*> containers;
+    ColumnarScan kernel;
+    bool personal = false;  ///< A mydb leaf: no access recording.
+    bool tag = false;       ///< Reads the tag partition.
+    bool empty = false;     ///< A tag leaf over a store keeping none.
+  };
+
+  /// Collects `scan`'s containers -- a mydb leaf reads its own
+  /// (personal, unsharded) store, to which the shard assignment never
+  /// applies -- and compiles its kernel. Returns false (error reported)
+  /// when compilation fails.
+  bool Prepare(const PlanNode* scan, Leaf* leaf) {
+    leaf->node = scan;
+    leaf->personal = scan->type == PlanNodeType::kMyDbScan;
+    const catalog::ObjectStore* store =
+        leaf->personal ? scan->mydb_store : store_;
+    leaf->containers = CollectScanContainers(
+        scan, store, leaf->personal ? nullptr : filter_);
+    leaf->tag = scan->table == TableRef::kTag;
+    leaf->empty = leaf->tag && !store->options().build_tags;
+    Status compiled =
+        ColumnarScan::Compile(*scan, scan->projection, &leaf->kernel);
+    if (!compiled.ok()) ctx_->ReportError(compiled);
+    return compiled.ok();
   }
 
-  /// The containers `scan` reads: a mydb leaf scans its own (personal,
-  /// unsharded) store, to which the shard assignment never applies.
-  std::vector<const Container*> Containers(const PlanNode* scan) const {
-    return scan->type == PlanNodeType::kMyDbScan
-               ? CollectScanContainers(scan, scan->mydb_store, nullptr)
-               : CollectScanContainers(scan, store_, filter_);
+  /// Scans container `ci` of `leaf` with its compiled kernel -- THE
+  /// definition of which objects the leaf yields, shared by the
+  /// row-emitting scan and the aggregate pushdown so the two can never
+  /// diverge. Calls `on_match(i)` for every surviving row of the
+  /// container's column block; returns false when the morsel must abort.
+  template <typename OnMatch>
+  bool ScanContainer(const Leaf& leaf, size_t ci, ScanTally* tally,
+                     const OnMatch& on_match) {
+    const Container* c = leaf.containers[ci];
+    if (!leaf.personal) ctx_->RecordContainerAccess(c);
+    // Seeded by container INDEX, not claim order: the same query
+    // samples the same objects on every run, whichever thread runs the
+    // morsel.
+    Rng rng(leaf.node->sample_seed + ci * 7919);
+    ++tally->containers_scanned;
+    ++tally->containers_columnar;
+    if (leaf.empty) return true;
+    tally->bytes_touched += leaf.tag ? c->TagBytes() : c->FullBytes();
+    Status error;
+    const bool completed = leaf.kernel.Scan(
+        c->columnar, &rng, on_match,
+        [&](size_t examined) {
+          if (ctx_->Halted()) return false;
+          tally->objects_examined += examined;
+          return true;
+        },
+        &error);
+    if (!error.ok()) ctx_->ReportError(error);
+    return completed;
   }
 
   /// Scan leaf: one morsel per container, streamed through the exchange.
   bool Scan(const PlanNode* node, const BatchSink& emit) {
-    const std::vector<const Container*> containers = Containers(node);
-    ColumnarScan storage;
-    const ColumnarScan* kernel = Compile(node, &storage);
-    const bool personal = node->type == PlanNodeType::kMyDbScan;
+    Leaf leaf;
+    if (!Prepare(node, &leaf)) return false;
     const size_t batch_size = options_.batch_size;
     const Morsel morsel = [&](size_t ci, const BatchSink& out) {
       if (ctx_->Halted()) return;
-      const Container* c = containers[ci];
-      if (!personal) ctx_->RecordContainerAccess(c);
-      // Seeded by container INDEX, not claim order: the same query
-      // samples the same objects on every run and on every execution
-      // path (row or columnar kernel), whichever thread runs the morsel.
-      Rng rng(node->sample_seed + ci * 7919);
+      const Container* c = leaf.containers[ci];
       ScanTally tally;
       RowBatch batch;
       batch.reserve(batch_size);
       ResultRow row;
-      // Appends the projected `row`, handing full batches downstream.
-      auto append = [&] {
+      const bool completed = ScanContainer(leaf, ci, &tally, [&](size_t i) {
+        leaf.kernel.ProjectRow(c->columnar, i, &row);
         ++tally.objects_matched;
         batch.push_back(row);
         if (batch.size() < batch_size) return true;
@@ -443,20 +366,11 @@ class TreeRunner {
         batch.clear();
         batch.reserve(batch_size);
         return more;
-      };
-      const bool completed = ScanContainer(
-          c, node, kernel, &rng, ctx_, &tally,
-          [&](const auto& obj) {
-            return ProjectInto(obj, node->projection, ctx_, &row) && append();
-          },
-          [&](const catalog::ColumnarBlock& block, size_t i) {
-            kernel->ProjectRow(block, i, &row);
-            return append();
-          });
+      });
       ctx_->Add(tally);
       if (completed && !batch.empty()) out(std::move(batch));
     };
-    return StreamMorsels(pool_, containers.size(), morsel, emit);
+    return StreamMorsels(pool_, leaf.containers.size(), morsel, emit);
   }
 
   /// Aggregate pushdown: the fold runs inside the container morsels, so
@@ -464,41 +378,21 @@ class TreeRunner {
   /// over the (pruned) containers.
   bool AggregatePushdown(const PlanNode* node, const PlanNode* scan,
                          const BatchSink& emit) {
-    const std::vector<const Container*> containers = Containers(scan);
-    ColumnarScan storage;
-    const ColumnarScan* kernel = Compile(scan, &storage);
-    const bool personal = scan->type == PlanNodeType::kMyDbScan;
-    const std::string* attr =
-        scan->projection.empty() ? nullptr : &scan->projection[0];
+    Leaf leaf;
+    if (!Prepare(scan, &leaf)) return false;
+    const bool has_input = !scan->projection.empty();
     std::mutex fold_mu;
     AggFold total;
-    pool_->ParallelFor(containers.size(), [&](size_t ci) {
+    pool_->ParallelFor(leaf.containers.size(), [&](size_t ci) {
       if (ctx_->Halted()) return;
-      const Container* c = containers[ci];
-      if (!personal) ctx_->RecordContainerAccess(c);
-      // Index-seeded like the row-emitting scan.
-      Rng rng(scan->sample_seed + ci * 7919);
+      const Container* c = leaf.containers[ci];
       ScanTally tally;
       AggFold local;
-      const bool completed = ScanContainer(
-          c, scan, kernel, &rng, ctx_, &tally,
-          [&](const auto& obj) {
-            if (attr != nullptr) {
-              auto v = GetAnyAttribute(obj, *attr);
-              if (!v.ok()) {
-                ctx_->ReportError(v.status());
-                return false;
-              }
-              local.Add(*v);
-            }
-            ++local.count;
-            return true;
-          },
-          [&](const catalog::ColumnarBlock& block, size_t i) {
-            if (attr != nullptr) local.Add(kernel->Value(block, i));
-            ++local.count;
-            return true;
-          });
+      const bool completed = ScanContainer(leaf, ci, &tally, [&](size_t i) {
+        if (has_input) local.Add(leaf.kernel.Value(c->columnar, i));
+        ++local.count;
+        return true;
+      });
       if (completed) tally.objects_matched = local.count;
       ctx_->Add(tally);
       if (!completed) return;
@@ -515,7 +409,8 @@ class TreeRunner {
   /// 2 compares buckets as morsels, binding each qualifying pair to its
   /// satisfying (a, b) assignment before projection.
   bool PairJoin(const PlanNode* node, const BatchSink& emit) {
-    const std::vector<const Container*> containers = Containers(node);
+    const std::vector<const Container*> containers =
+        CollectScanContainers(node, store_, filter_);
     dataflow::PairHasher hasher(node->pair_max_sep_arcsec,
                                 node->pair_bucket_level);
     std::mutex hash_mu;

@@ -38,8 +38,9 @@ struct ExecStats {
 
   // Scan-side counters (summed over all scan leaves).
   uint64_t containers_scanned = 0;
-  /// How many scanned containers ran the columnar kernel (0 when the
-  /// store has no mapped containers or the kernel is off / fell back).
+  /// How many scanned containers ran the columnar scan kernel: every
+  /// container a scan or mydb-scan leaf reads (tag leaves included);
+  /// only the pair join's phase-1 containers, which read rows, are not.
   uint64_t containers_columnar = 0;
   uint64_t objects_examined = 0;
   uint64_t objects_matched = 0;
@@ -130,10 +131,6 @@ class Executor {
   struct Options {
     size_t scan_threads = 4;   ///< Pool width for container fan-out.
     size_t batch_size = 512;   ///< Rows per pushed batch.
-    /// Run eligible scan leaves as compiled column loops over
-    /// containers that carry column views (mapped snapshots). Answers
-    /// are bit-identical to the row path; this only changes speed.
-    bool columnar_kernel = true;
   };
 
   explicit Executor(const catalog::ObjectStore* store)

@@ -470,7 +470,6 @@ Result<std::unique_ptr<PlanNode>> PlanSelect(const SelectQuery& s,
   scan->predicate = s.where;
   scan->projection = projection;
   scan->sample = s.sample;
-  scan->columnar_eligible = table != TableRef::kTag;
   if (options.use_spatial_index && s.where) {
     htm::Region region;
     if (ExtractRegion(s.where, &region)) {

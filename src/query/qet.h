@@ -36,7 +36,7 @@ struct ResultRow {
   uint64_t obj_id = 0;
   uint64_t obj_id_b = 0;
   /// Unit position of the object, carried verbatim from the scan leaf
-  /// (row path: PhotoObj/TagObj pos; columnar: ColumnarBlock::Position).
+  /// (ColumnarBlock::Position, or TagPosition for tag leaves).
   /// Lets spatial predicates be re-evaluated over a materialized row
   /// bit-identically to the original scan -- the hook query::ResultCache
   /// containment filtering hangs off. Zero for pair-join rows.
@@ -114,11 +114,6 @@ struct PlanNode {
   std::vector<std::string> projection; ///< Output column names.
   double sample = 1.0;                 ///< Bernoulli sampling fraction.
   uint64_t sample_seed = 7777;
-  /// Planner marker: this leaf reads full photo rows (not the tag
-  /// partition), so the executor may run its columnar kernel over
-  /// containers that carry column views. The executor still compiles
-  /// the predicate/projection and falls back per node if it can't.
-  bool columnar_eligible = false;
 
   // -- kMyDbScan -----------------------------------------------------
   // Like kScan, but over a personal result store resolved at plan time

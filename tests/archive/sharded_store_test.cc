@@ -64,7 +64,7 @@ TEST(ShardedStoreTest, LiveShardsPartitionTheSourceExactly) {
       EXPECT_TRUE(assigned_ids.insert(raw).second)
           << "container " << raw << " routed to two shards";
       assigned_objects +=
-          shard.store->containers().at(raw).objects.size();
+          shard.store->containers().at(raw).size();
     }
   }
   EXPECT_EQ(assigned_ids.size(), store.container_count());
@@ -106,7 +106,7 @@ TEST(ShardedStoreTest, FailoverReroutesToSurvivingReplica) {
   for (const auto& shard : *after) {
     EXPECT_NE(shard.server, 2u) << "downed server still routed";
     for (uint64_t raw : *shard.assigned) {
-      objects += shard.store->containers().at(raw).objects.size();
+      objects += shard.store->containers().at(raw).size();
     }
   }
   EXPECT_EQ(objects, store.object_count());

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "catalog/sky_generator.h"
 #include "core/coords.h"
@@ -46,7 +49,7 @@ TEST(ObjectStoreTest, ObjectsLandInTheirTrixelContainer) {
   ASSERT_TRUE(store.BulkLoad(objs).ok());
   htm::HtmIndex index(store.cluster_level());
   for (const auto& [raw, container] : store.containers()) {
-    for (const PhotoObj& o : container.objects) {
+    for (const PhotoObj& o : container.rows()) {
       EXPECT_EQ(index.Locate(o.pos).raw(), raw);
     }
   }
@@ -55,12 +58,12 @@ TEST(ObjectStoreTest, ObjectsLandInTheirTrixelContainer) {
 TEST(ObjectStoreTest, TagsParallelObjects) {
   ObjectStore store;
   ASSERT_TRUE(store.BulkLoad(SmallSky(200, 200, 10)).ok());
-  for (const auto& [raw, c] : store.containers()) {
-    ASSERT_EQ(c.objects.size(), c.tags.size());
-    for (size_t i = 0; i < c.objects.size(); ++i) {
-      EXPECT_EQ(c.objects[i].obj_id, c.tags[i].obj_id);
-    }
-  }
+  std::vector<uint64_t> object_ids, tag_ids;
+  store.ForEachObject(
+      [&](const PhotoObj& o) { object_ids.push_back(o.obj_id); });
+  store.ForEachTag([&](const TagObj& t) { tag_ids.push_back(t.obj_id); });
+  EXPECT_EQ(object_ids.size(), store.object_count());
+  EXPECT_EQ(tag_ids, object_ids);
 }
 
 TEST(ObjectStoreTest, TagsCanBeDisabled) {
@@ -69,6 +72,9 @@ TEST(ObjectStoreTest, TagsCanBeDisabled) {
   StoreStats stats = store.Stats();
   EXPECT_EQ(stats.tag_bytes, 0u);
   EXPECT_GT(stats.full_bytes, 0u);
+  size_t tags = 0;
+  store.ForEachTag([&tags](const TagObj&) { ++tags; });
+  EXPECT_EQ(tags, 0u);
 }
 
 TEST(ObjectStoreTest, StatsAggregate) {
@@ -216,7 +222,7 @@ TEST(ObjectStoreTest, FindContainer) {
   const Container* c = store.FindContainer(id);
   ASSERT_NE(c, nullptr);
   bool found = false;
-  for (const auto& o : c->objects) {
+  for (const auto& o : c->rows()) {
     if (o.obj_id == objs[0].obj_id) found = true;
   }
   EXPECT_TRUE(found);
@@ -237,7 +243,7 @@ TEST(ObjectStoreTest, ExtractContainersCopiesWholesale) {
   for (const auto& [raw, c] : store.containers()) {
     if (take) {
       ids.push_back(raw);
-      expected_objects += c.objects.size();
+      expected_objects += c.size();
     }
     take = !take;
   }
@@ -249,10 +255,11 @@ TEST(ObjectStoreTest, ExtractContainersCopiesWholesale) {
   for (uint64_t raw : ids) {
     const auto& original = store.containers().at(raw);
     const auto& copy = sub.containers().at(raw);
-    ASSERT_EQ(copy.objects.size(), original.objects.size());
-    EXPECT_EQ(copy.objects[0].obj_id, original.objects[0].obj_id);
-    EXPECT_EQ(copy.tags.size(), original.tags.size());
+    ASSERT_EQ(copy.size(), original.size());
+    EXPECT_EQ(copy.rows()[0].obj_id, original.rows()[0].obj_id);
+    EXPECT_EQ(copy.TagBytes(), original.TagBytes());
   }
+  EXPECT_EQ(sub.Stats().tag_bytes, expected_objects * sizeof(TagObj));
 }
 
 TEST(ObjectStoreTest, ExtractContainersIgnoresUnknownAndDuplicateIds) {
@@ -262,7 +269,7 @@ TEST(ObjectStoreTest, ExtractContainersIgnoresUnknownAndDuplicateIds) {
   ObjectStore sub = store.ExtractContainers({raw, raw, 0xdeadbeefULL});
   EXPECT_EQ(sub.container_count(), 1u);
   EXPECT_EQ(sub.object_count(),
-            store.containers().at(raw).objects.size());
+            store.containers().at(raw).size());
 }
 
 TEST(ObjectStoreTest, ExtractContainersPartitionIsLossless) {
@@ -281,6 +288,134 @@ TEST(ObjectStoreTest, ExtractContainersPartitionIsLossless) {
     total += store.ExtractContainers(part).object_count();
   }
   EXPECT_EQ(total, store.object_count());
+}
+
+/// Every container's object ids, read through the column views.
+std::map<uint64_t, std::vector<uint64_t>> IdsByContainer(
+    const ObjectStore& store) {
+  std::map<uint64_t, std::vector<uint64_t>> ids;
+  for (const auto& [raw, c] : store.containers()) {
+    for (size_t i = 0; i < c.size(); ++i) {
+      ids[raw].push_back(c.columnar.obj_id[i]);
+    }
+  }
+  return ids;
+}
+
+TEST(ObjectStoreTest, CopiesNeverSeeLaterMutationsOfTheirSource) {
+  ObjectStore store;
+  const auto objs = SmallSky(800, 600, 20);
+  ASSERT_TRUE(store.BulkLoad(objs).ok());
+  std::vector<uint64_t> all_ids;
+  for (const auto& [raw, c] : store.containers()) all_ids.push_back(raw);
+
+  // Copies taken before the mutations, one with its row cache filled.
+  ObjectStore extracted = store.ExtractContainers(all_ids);
+  ObjectStore sampled = store.Sample(0.5, 3);
+  ObjectStore whole = store;
+  extracted.ForEachObject([](const PhotoObj&) {});
+  const auto extracted_ids = IdsByContainer(extracted);
+  const auto sampled_ids = IdsByContainer(sampled);
+  const auto whole_ids = IdsByContainer(whole);
+
+  // Mutate every source container: inserts and a bulk load land in the
+  // trixels the copies share.
+  std::vector<PhotoObj> more(objs.begin(), objs.begin() + 300);
+  for (PhotoObj& o : more) o.obj_id += 1'000'000;
+  for (size_t i = 0; i < 100; ++i) ASSERT_TRUE(store.Insert(more[i]).ok());
+  ASSERT_TRUE(
+      store.BulkLoad(std::vector<PhotoObj>(more.begin() + 100, more.end()))
+          .ok());
+  EXPECT_EQ(store.object_count(), objs.size() + more.size());
+  std::vector<uint64_t> source_all, expected_all;
+  for (const auto& [raw, ids] : IdsByContainer(store)) {
+    source_all.insert(source_all.end(), ids.begin(), ids.end());
+  }
+  for (const PhotoObj& o : objs) expected_all.push_back(o.obj_id);
+  for (const PhotoObj& o : more) expected_all.push_back(o.obj_id);
+  std::sort(source_all.begin(), source_all.end());
+  std::sort(expected_all.begin(), expected_all.end());
+  EXPECT_EQ(source_all, expected_all);
+
+  EXPECT_EQ(IdsByContainer(extracted), extracted_ids);
+  EXPECT_EQ(IdsByContainer(sampled), sampled_ids);
+  EXPECT_EQ(IdsByContainer(whole), whole_ids);
+  EXPECT_EQ(extracted.object_count(), objs.size());
+  uint64_t rows = 0;
+  extracted.ForEachObject([&rows](const PhotoObj& o) {
+    EXPECT_LT(o.obj_id, 1'000'000u);
+    ++rows;
+  });
+  EXPECT_EQ(rows, objs.size());
+
+  // And the other way round: mutating a copy leaves the source alone.
+  const auto source_ids = IdsByContainer(store);
+  ASSERT_TRUE(whole.BulkLoad(more).ok());
+  EXPECT_EQ(IdsByContainer(store), source_ids);
+}
+
+TEST(ObjectStoreTest, GrowingOwnedColumnsKeepEveryField) {
+  // One bulk load vs the same objects arriving in three steps (bulk,
+  // single inserts, bulk): every container grows and moves its columns,
+  // and must still hold every field of every object, in input order.
+  const auto objs = SmallSky(600, 400, 20);
+  ObjectStore once, grown;
+  ASSERT_TRUE(once.BulkLoad(objs).ok());
+  const size_t half = objs.size() / 2;
+  ASSERT_TRUE(grown
+                  .BulkLoad(std::vector<PhotoObj>(objs.begin(),
+                                                  objs.begin() + half))
+                  .ok());
+  for (size_t i = half; i < half + 50; ++i) {
+    ASSERT_TRUE(grown.Insert(objs[i]).ok());
+  }
+  ASSERT_TRUE(grown
+                  .BulkLoad(std::vector<PhotoObj>(objs.begin() + half + 50,
+                                                  objs.end()))
+                  .ok());
+  std::vector<PhotoObj> a, b;
+  once.ForEachObject([&a](const PhotoObj& o) { a.push_back(o); });
+  grown.ForEachObject([&b](const PhotoObj& o) { b.push_back(o); });
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].obj_id, b[i].obj_id) << "row " << i;
+    EXPECT_EQ(a[i].pos.x, b[i].pos.x);
+    EXPECT_EQ(a[i].pos.y, b[i].pos.y);
+    EXPECT_EQ(a[i].pos.z, b[i].pos.z);
+    EXPECT_EQ(a[i].ra_deg, b[i].ra_deg);
+    EXPECT_EQ(a[i].dec_deg, b[i].dec_deg);
+    EXPECT_EQ(a[i].mag, b[i].mag);
+    EXPECT_EQ(a[i].mag_err, b[i].mag_err);
+    EXPECT_EQ(a[i].profile, b[i].profile);
+    EXPECT_EQ(a[i].petro_radius_arcsec, b[i].petro_radius_arcsec);
+    EXPECT_EQ(a[i].surface_brightness, b[i].surface_brightness);
+    EXPECT_EQ(a[i].redshift, b[i].redshift);
+    EXPECT_EQ(a[i].flags, b[i].flags);
+    EXPECT_EQ(a[i].obj_class, b[i].obj_class);
+    EXPECT_EQ(a[i].htm_leaf, b[i].htm_leaf);
+  }
+}
+
+TEST(ObjectStoreTest, RowsAfterInsertIncludeTheInsert) {
+  ObjectStore store;
+  const auto objs = SmallSky(300, 0, 0);
+  ASSERT_TRUE(store.BulkLoad(objs).ok());
+  htm::HtmIndex index(store.cluster_level());
+  const htm::HtmId trixel = index.Locate(objs[0].pos);
+  const Container* c = store.FindContainer(trixel);
+  ASSERT_NE(c, nullptr);
+  const size_t before = c->rows().size();  // Fills the row cache.
+
+  PhotoObj extra = objs[0];
+  extra.obj_id = 424242;
+  ASSERT_TRUE(store.Insert(extra).ok());
+  c = store.FindContainer(trixel);
+  ASSERT_NE(c, nullptr);
+  ASSERT_EQ(c->size(), before + 1);
+  ASSERT_EQ(c->rows().size(), before + 1);
+  EXPECT_EQ(c->rows().back().obj_id, 424242u);
+  EXPECT_EQ(c->columnar.obj_id[before], 424242u);
+  EXPECT_EQ(c->rows().back().pos.x, extra.pos.x);
 }
 
 }  // namespace

@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/sky_generator.h"
 #include "core/io.h"
 #include "htm/region.h"
+#include "persist/crc32.h"
 
 namespace sdss::persist {
 namespace {
@@ -38,21 +41,21 @@ void ExpectStoresIdentical(const catalog::ObjectStore& a,
                            const catalog::ObjectStore& b) {
   ASSERT_EQ(a.object_count(), b.object_count());
   ASSERT_EQ(a.container_count(), b.container_count());
+  ASSERT_EQ(a.Stats().tag_bytes, b.Stats().tag_bytes);
   auto bit = b.containers().begin();
   for (const auto& [raw, ca] : a.containers()) {
     ASSERT_NE(bit, b.containers().end());
     const catalog::Container& cb = bit->second;
     ASSERT_EQ(raw, bit->first);
     ASSERT_EQ(ca.trixel.raw(), cb.trixel.raw());
-    ASSERT_EQ(ca.objects.size(), cb.objects.size());
-    ASSERT_EQ(ca.tags.size(), cb.tags.size());
-    for (size_t i = 0; i < ca.objects.size(); ++i) {
+    ASSERT_EQ(ca.size(), cb.size());
+    for (size_t i = 0; i < ca.size(); ++i) {
       // Field-wise bit-exactness (memcmp would also compare struct
       // padding, which is unspecified). The EncodeSnapshot equality in
       // the callers covers every field; these spot checks localize a
       // failure to the object.
-      const catalog::PhotoObj& oa = ca.objects[i];
-      const catalog::PhotoObj& ob = cb.objects[i];
+      const catalog::PhotoObj& oa = ca.rows()[i];
+      const catalog::PhotoObj& ob = cb.rows()[i];
       ASSERT_EQ(oa.obj_id, ob.obj_id) << "container " << raw;
       ASSERT_EQ(oa.pos.x, ob.pos.x);
       ASSERT_EQ(oa.ra_deg, ob.ra_deg);
@@ -209,6 +212,114 @@ TEST(PersistSnapshotTest, WriterAndReaderRoundTripThroughAFile) {
   auto header = reader.ReadHeader();
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->object_count, store.object_count());
+  fs::remove_all(dir);
+}
+
+/// Byte ranges of the container blocks of an encoded version-2 snapshot.
+std::vector<std::pair<size_t, size_t>> ContainerBlocks(
+    const std::string& encoded) {
+  constexpr size_t kHeaderBytes = 8 + 4 + 4 + 1 + 8 + 8 + 8;
+  constexpr size_t kBytesPerObject = 145;
+  std::vector<std::pair<size_t, size_t>> blocks;
+  size_t pos = kHeaderBytes;
+  while (pos + 4 < encoded.size()) {
+    uint64_t n = 0;
+    std::memcpy(&n, encoded.data() + pos + 8, sizeof(n));
+    const size_t len = 16 + n * kBytesPerObject;
+    blocks.emplace_back(pos, len);
+    pos += len;
+  }
+  return blocks;
+}
+
+uint64_t TrixelAt(const std::string& encoded, size_t pos) {
+  uint64_t raw = 0;
+  std::memcpy(&raw, encoded.data() + pos, sizeof(raw));
+  return raw;
+}
+
+void SetTrixelAt(std::string* encoded, size_t pos, uint64_t raw) {
+  std::memcpy(encoded->data() + pos, &raw, sizeof(raw));
+}
+
+/// Rewrites the CRC trailer so only the directory is malformed.
+void Reseal(std::string* encoded) {
+  const uint32_t crc = Crc32(encoded->data(), encoded->size() - 4);
+  std::memcpy(encoded->data() + encoded->size() - 4, &crc, sizeof(crc));
+}
+
+TEST(PersistSnapshotTest, MalformedDirectoriesAreCorruptionForEveryReader) {
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "snapshot_malformed_directory";
+  fs::remove_all(dir);
+  ASSERT_TRUE(CreateDirs(dir.string()).ok());
+  catalog::ObjectStore store = MakeStore(/*build_tags=*/true, 71);
+  const std::string encoded = EncodeSnapshot(store);
+  const auto blocks = ContainerBlocks(encoded);
+  ASSERT_EQ(blocks.size(), store.container_count());
+  ASSERT_GE(blocks.size(), 2u);
+  const auto [pos0, len0] = blocks[0];
+  const auto [pos1, len1] = blocks[1];
+
+  // Two container blocks swapped: each block intact, order broken.
+  std::string swapped = encoded.substr(0, pos0) +
+                        encoded.substr(pos1, len1) +
+                        encoded.substr(pos0, len0) +
+                        encoded.substr(pos1 + len1);
+  // The second container claims the first one's trixel.
+  std::string duplicate = encoded;
+  SetTrixelAt(&duplicate, pos1, TrixelAt(encoded, pos0));
+  // The first container's trixel is its (valid) parent, one level up.
+  std::string off_level = encoded;
+  SetTrixelAt(&off_level, pos0, TrixelAt(encoded, pos0) >> 2);
+
+  for (auto& [name, bytes] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"swapped", swapped},
+           {"duplicate", duplicate},
+           {"off_level", off_level}}) {
+    SCOPED_TRACE(name);
+    Reseal(&bytes);
+    ASSERT_EQ(bytes.size(), encoded.size());
+    const std::string path = (dir / (name + ".snap")).string();
+    ASSERT_TRUE(WriteFileDurable(path, bytes).ok());
+
+    auto decoded = DecodeSnapshot(bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << decoded.status().ToString();
+    auto read = SnapshotReader(path).Read();
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
+        << read.status().ToString();
+    auto mapped = MapSnapshotStore(path);
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption)
+        << mapped.status().ToString();
+  }
+  fs::remove_all(dir);
+}
+
+TEST(PersistSnapshotTest, MappedContainersRefuseMutation) {
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "snapshot_mapped_immutable";
+  fs::remove_all(dir);
+  ASSERT_TRUE(CreateDirs(dir.string()).ok());
+  const std::string path = (dir / "t.snap").string();
+  catalog::ObjectStore store = MakeStore(/*build_tags=*/false, 72);
+  ASSERT_TRUE(SnapshotWriter(path).Write(store).ok());
+  auto mapped = MapSnapshotStore(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  const catalog::PhotoObj obj = store.containers().begin()->second.rows()[0];
+  EXPECT_EQ(mapped->Insert(obj).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(mapped->BulkLoad({obj}).code(),
+            StatusCode::kFailedPrecondition);
+  // Immutability travels with the container into extracted copies.
+  catalog::ObjectStore copy =
+      mapped->ExtractContainers({store.containers().begin()->first});
+  EXPECT_EQ(copy.Insert(obj).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(mapped->object_count(), store.object_count());
   fs::remove_all(dir);
 }
 

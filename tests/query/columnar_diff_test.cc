@@ -1,16 +1,19 @@
-// Differential suite pinning the columnar scan kernel to the row path:
-// the same SQL over (a) the original row store, (b) the mmap'd snapshot
-// store with the kernel enabled, and (c) the mapped store with the
-// kernel switched off must agree BIT-identically -- not approximately.
-// Covers cone/rect/band scans, every aggregate, SAMPLE, set operations,
-// tag queries (which always take the row path), and federated fleets of
-// 1-8 shards whose members are mapped stores.
+// Differential suite pinning the columnar scan kernel -- the one scan
+// path -- to a row oracle, bit for bit: for every query's scan leaves,
+// the kernel's survivors, projected values, aggregate inputs, SAMPLE
+// draws and divide-by-zero row must equal Expr::EvalBool over each
+// container's rows() (GetAttribute, or GetTagAttribute over
+// TagObj::FromPhoto for tag leaves) under the same per-container Rng
+// seed. End to end, a mapped-snapshot store and an owned-column store
+// (row-built by BulkLoad) must answer identically, alone and as
+// federated fleets of 1-8 shards. Covers cone/rect/band scans, every
+// aggregate, SAMPLE, set operations and tag queries.
 //
 // Determinism note: float accumulation order and the SAMPLE Rng stream
-// depend on container visit order, so every engine here runs with
+// depend on container visit order, so the engines here run with
 // scan_threads = 1 -- that makes "bit-identical" a meaningful assertion
-// rather than a tolerance. A final test re-checks multiset equality
-// under the default thread count.
+// rather than a tolerance. One test re-checks multiset equality under
+// the default thread count.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -23,8 +26,11 @@
 
 #include "archive/sharded_store.h"
 #include "catalog/sky_generator.h"
+#include "core/random.h"
 #include "persist/snapshot.h"
+#include "query/columnar_scan.h"
 #include "query/federated_engine.h"
+#include "query/parser.h"
 
 namespace sdss::query {
 namespace {
@@ -73,7 +79,6 @@ enum class Mode { kRows, kOrdered, kAggregate };
 struct DiffQuery {
   std::string sql;
   Mode mode = Mode::kRows;
-  bool photo_scan = true;  ///< Expect the kernel to engage (not tag-only).
 };
 
 std::vector<DiffQuery> DiffQueries() {
@@ -126,14 +131,19 @@ std::vector<DiffQuery> DiffQueries() {
       {"SELECT obj_id, r FROM photo WHERE r < 20 EXCEPT "
        "SELECT obj_id, r FROM photo WHERE class = 'STAR'",
        M::kRows},
-      // Tag queries: the kernel never runs (the tag partition has no
-      // column views) but the mapped store's lazily rebuilt tag rows
-      // must still answer identically.
-      {"SELECT * FROM tag WHERE r < 19", M::kRows, false},
+      // Tag queries: the kernel reads the photo columns at the tag's
+      // precision (float cx/cy/cz, renormalized position).
+      {"SELECT * FROM tag WHERE r < 19", M::kRows},
       {"SELECT obj_id, r FROM tag WHERE r < 20 ORDER BY r LIMIT 40",
-       M::kOrdered, false},
-      {"SELECT AVG(r) FROM tag WHERE g - r < 1.0", M::kAggregate, false},
-      // Division runs on the kernel too, with the row path's exact
+       M::kOrdered},
+      {"SELECT AVG(r) FROM tag WHERE g - r < 1.0", M::kAggregate},
+      {"SELECT obj_id, cx, cz FROM tag WHERE CIRCLE('GAL', 30, 70, 8) "
+       "AND cy > -0.5",
+       M::kRows},
+      {"SELECT obj_id, cy FROM tag WHERE cz > 0.4", M::kRows},
+      {"SELECT SUM(cz) FROM tag WHERE CIRCLE('GAL', 120, 55, 10)",
+       M::kAggregate},
+      // Division runs on the kernel too, with Expr::Eval's exact
       // divide-by-zero semantics (these divisors never hit zero; the
       // erroring cases get their own test below).
       {"SELECT obj_id FROM photo WHERE r / 2 < 10.2", M::kRows},
@@ -159,8 +169,8 @@ SortedRows Sorted(const QueryResult& r) {
 /// Bit-exact equivalence of two results under `mode`. Doubles compare
 /// with ==: the kernel's contract is the SAME bits, not close bits.
 /// Scan counters compare too unless the query carries a bare LIMIT --
-/// a filled limit cancels upstream scans at a point that differs
-/// between the per-row path and the chunked kernel.
+/// a filled limit cancels upstream scans at a point that depends on
+/// which morsels the pool had started.
 void ExpectIdentical(const QueryResult& want, const QueryResult& got,
                      Mode mode, const std::string& context) {
   SCOPED_TRACE(context);
@@ -189,16 +199,14 @@ void ExpectIdentical(const QueryResult& want, const QueryResult& got,
   }
 }
 
-FederatedQueryEngine::Options SingleThreaded(bool columnar_kernel) {
+FederatedQueryEngine::Options SingleThreaded(bool auto_tag = false) {
   FederatedQueryEngine::Options opts;
   opts.executor.scan_threads = 1;
-  opts.executor.columnar_kernel = columnar_kernel;
-  // Without this, nearly every query in the list auto-selects the tag
-  // vertical partition (its attributes all live in the tag) and never
-  // reaches a photo container. Pinning selects to the photo table is
-  // what makes this a KERNEL differential; the explicit FROM tag
-  // queries cover the tag path.
-  opts.planner.auto_tag_selection = false;
+  // With auto tag selection on, nearly every query in the list
+  // rewrites onto the tag partition (its attributes all live in the
+  // tag) and never reads the photo columns at full precision; the
+  // tests run both settings.
+  opts.planner.auto_tag_selection = auto_tag;
   return opts;
 }
 
@@ -206,6 +214,136 @@ FederatedQueryEngine::Options SingleThreaded(bool columnar_kernel) {
 FederatedQueryEngine OneShard(const catalog::ObjectStore* store,
                               FederatedQueryEngine::Options options) {
   return FederatedQueryEngine({Shard{0, store, nullptr}}, options);
+}
+
+/// What one scan leaf yields from one container.
+struct LeafRun {
+  std::vector<ResultRow> rows;     ///< Survivors, projected.
+  std::vector<double> agg_inputs;  ///< The first value column per row.
+  uint64_t rng_after = 0;          ///< Next draw of the sample stream.
+  Status status;                   ///< Divide by zero, else OK.
+};
+
+/// The oracle: row-at-a-time sampling, Expr::EvalBool and attribute
+/// lookup over the container's rows (their tag projection for a tag
+/// leaf), seeded as the executor seeds container `ci`.
+LeafRun OracleScan(const PlanNode& leaf, const catalog::Container& c,
+                   size_t ci) {
+  LeafRun run;
+  Rng rng(leaf.sample_seed + ci * 7919);
+  const bool tag = leaf.table == TableRef::kTag;
+  for (const catalog::PhotoObj& o : c.rows()) {
+    if (leaf.sample < 1.0 && !rng.Bernoulli(leaf.sample)) continue;
+    const catalog::TagObj t = catalog::TagObj::FromPhoto(o);
+    RowAccessor acc{[&](const std::string& name) {
+                      return tag ? catalog::GetTagAttribute(t, name)
+                                 : catalog::GetAttribute(o, name);
+                    },
+                    tag ? t.Position() : o.pos};
+    if (leaf.predicate) {
+      auto keep = leaf.predicate->EvalBool(acc);
+      if (!keep.ok()) {
+        run.status = keep.status();
+        break;
+      }
+      if (!*keep) continue;
+    }
+    ResultRow row;
+    row.obj_id = tag ? t.obj_id : o.obj_id;
+    row.pos = acc.position;
+    for (const std::string& name : leaf.projection) {
+      auto v = acc.get(name);
+      EXPECT_TRUE(v.ok()) << name;
+      row.values.push_back(v.ok() ? *v : 0.0);
+    }
+    if (!row.values.empty()) run.agg_inputs.push_back(row.values[0]);
+    run.rows.push_back(std::move(row));
+  }
+  run.rng_after = rng.Next64();
+  return run;
+}
+
+/// The kernel over the same container and seed.
+LeafRun KernelScan(const PlanNode& leaf, const catalog::Container& c,
+                   size_t ci) {
+  LeafRun run;
+  ColumnarScan kernel;
+  Status compiled = ColumnarScan::Compile(leaf, leaf.projection, &kernel);
+  EXPECT_TRUE(compiled.ok()) << compiled.ToString();
+  if (!compiled.ok()) return run;
+  Rng rng(leaf.sample_seed + ci * 7919);
+  kernel.Scan(
+      c.columnar, &rng,
+      [&](size_t i) {
+        ResultRow row;
+        kernel.ProjectRow(c.columnar, i, &row);
+        if (!leaf.projection.empty()) {
+          run.agg_inputs.push_back(kernel.Value(c.columnar, i));
+        }
+        run.rows.push_back(std::move(row));
+        return true;
+      },
+      [](size_t) { return true; }, &run.status);
+  run.rng_after = rng.Next64();
+  return run;
+}
+
+void CollectScanLeaves(const PlanNode* node,
+                       std::vector<const PlanNode*>* leaves) {
+  if (node->type == PlanNodeType::kScan) leaves->push_back(node);
+  for (const auto& child : node->children) {
+    CollectScanLeaves(child.get(), leaves);
+  }
+}
+
+/// Runs every scan leaf of `sql`'s plan over every container of `store`
+/// through the kernel and the oracle and demands identical bits.
+/// Returns how many leaves read the tag partition.
+size_t ExpectLeavesMatchOracle(const catalog::ObjectStore& store,
+                               const std::string& sql, bool auto_tag) {
+  SCOPED_TRACE(sql + (auto_tag ? " [auto tag]" : ""));
+  auto parsed = Parse(sql);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) return 0;
+  PlannerOptions planner;
+  planner.auto_tag_selection = auto_tag;
+  auto plan = BuildPlan(*parsed, store, planner);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (!plan.ok()) return 0;
+  std::vector<const PlanNode*> leaves;
+  CollectScanLeaves(plan->root.get(), &leaves);
+  EXPECT_FALSE(leaves.empty());
+  size_t tag_leaves = 0;
+  for (const PlanNode* leaf : leaves) {
+    tag_leaves += leaf->table == TableRef::kTag ? 1 : 0;
+    size_t ci = 0;
+    for (const auto& [raw, c] : store.containers()) {
+      SCOPED_TRACE("container " + std::to_string(raw));
+      const LeafRun want = OracleScan(*leaf, c, ci);
+      const LeafRun got = KernelScan(*leaf, c, ci);
+      ++ci;
+      EXPECT_EQ(want.status.code(), got.status.code());
+      EXPECT_EQ(want.status.message(), got.status.message());
+      // The kernel draws a whole chunk's variates before evaluating it,
+      // so the streams agree afterwards only when no row errored.
+      if (want.status.ok()) {
+        EXPECT_EQ(want.rng_after, got.rng_after) << "sample draws differ";
+      }
+      EXPECT_EQ(want.agg_inputs, got.agg_inputs);
+      EXPECT_EQ(want.rows.size(), got.rows.size());
+      if (want.rows.size() != got.rows.size()) continue;
+      for (size_t i = 0; i < want.rows.size(); ++i) {
+        const ResultRow& a = want.rows[i];
+        const ResultRow& b = got.rows[i];
+        EXPECT_EQ(a.obj_id, b.obj_id) << "row " << i;
+        EXPECT_EQ(a.pos.x, b.pos.x) << "row " << i;
+        EXPECT_EQ(a.pos.y, b.pos.y) << "row " << i;
+        EXPECT_EQ(a.pos.z, b.pos.z) << "row " << i;
+        EXPECT_EQ(a.values, b.values) << "row " << i;
+      }
+    }
+  }
+  return tag_leaves;
 }
 
 class ColumnarDiffTest : public ::testing::Test {
@@ -230,7 +368,9 @@ class ColumnarDiffTest : public ::testing::Test {
     row_store_ = nullptr;
     fs::remove_all(MapDir());
   }
+  /// Row-built: BulkLoad into owned columns.
   static catalog::ObjectStore* row_store_;
+  /// The same objects mapped from a snapshot of row_store_.
   static catalog::ObjectStore* mapped_store_;
   inline static std::string map_error_;
 };
@@ -239,44 +379,45 @@ catalog::ObjectStore* ColumnarDiffTest::row_store_ = nullptr;
 catalog::ObjectStore* ColumnarDiffTest::mapped_store_ = nullptr;
 
 TEST_F(ColumnarDiffTest, KernelMatchesRowPathBitExactly) {
-  FederatedQueryEngine rows = OneShard(row_store_, SingleThreaded(false));
-  FederatedQueryEngine kernel = OneShard(mapped_store_, SingleThreaded(true));
-  FederatedQueryEngine fallback =
-      OneShard(mapped_store_, SingleThreaded(false));
-
+  // Leaf level: the kernel against the row oracle, photo leaves and
+  // (with auto tag selection) the tag partition.
+  size_t tag_leaves = 0;
   for (const DiffQuery& q : DiffQueries()) {
-    auto want = rows.Execute(q.sql);
-    ASSERT_TRUE(want.ok()) << q.sql << ": " << want.status().ToString();
-    auto via_kernel = kernel.Execute(q.sql);
-    ASSERT_TRUE(via_kernel.ok())
-        << q.sql << ": " << via_kernel.status().ToString();
-    auto via_fallback = fallback.Execute(q.sql);
-    ASSERT_TRUE(via_fallback.ok())
-        << q.sql << ": " << via_fallback.status().ToString();
+    for (bool auto_tag : {false, true}) {
+      tag_leaves += ExpectLeavesMatchOracle(*row_store_, q.sql, auto_tag);
+    }
+  }
+  EXPECT_GT(tag_leaves, 10u);
 
-    ExpectIdentical(*want, *via_kernel, q.mode, q.sql + " [kernel]");
-    ExpectIdentical(*want, *via_fallback, q.mode, q.sql + " [fallback]");
-
-    // The row store has no column views, so its engine never reports
-    // columnar containers; the mapped store with the kernel on must
-    // (except for tag scans and leaves the kernel declines).
-    EXPECT_EQ(want->exec.containers_columnar, 0u) << q.sql;
-    EXPECT_EQ(via_fallback->exec.containers_columnar, 0u) << q.sql;
-    if (q.photo_scan) {
-      EXPECT_GT(via_kernel->exec.containers_columnar, 0u) << q.sql;
-    } else {
-      EXPECT_EQ(via_kernel->exec.containers_columnar, 0u) << q.sql;
+  // Engine level: owned columns and mapped columns answer identically,
+  // and every scanned container runs the kernel.
+  for (bool auto_tag : {false, true}) {
+    FederatedQueryEngine owned =
+        OneShard(row_store_, SingleThreaded(auto_tag));
+    FederatedQueryEngine mapped =
+        OneShard(mapped_store_, SingleThreaded(auto_tag));
+    for (const DiffQuery& q : DiffQueries()) {
+      auto want = owned.Execute(q.sql);
+      ASSERT_TRUE(want.ok()) << q.sql << ": " << want.status().ToString();
+      auto got = mapped.Execute(q.sql);
+      ASSERT_TRUE(got.ok()) << q.sql << ": " << got.status().ToString();
+      ExpectIdentical(*want, *got, q.mode, q.sql);
+      for (const QueryResult* r : {&*want, &*got}) {
+        EXPECT_GT(r->exec.containers_columnar, 0u) << q.sql;
+        EXPECT_EQ(r->exec.containers_columnar, r->exec.containers_scanned)
+            << q.sql;
+      }
     }
   }
 }
 
 TEST_F(ColumnarDiffTest, RuntimeErrorsSurfaceIdentically) {
-  // The kernel runs division leaves itself now, so its divide-by-zero
-  // must surface with the row path's exact status -- whether the zero
-  // divisor hits on the very first row or midway through a container's
-  // chunked predicate loop.
-  FederatedQueryEngine rows = OneShard(row_store_, SingleThreaded(false));
-  FederatedQueryEngine kernel = OneShard(mapped_store_, SingleThreaded(true));
+  // Divide by zero must surface with Expr::Eval's exact status on
+  // exactly the oracle's row -- whether the zero divisor hits on the
+  // very first row or midway through a container's chunked predicate
+  // loop -- and identically from owned and mapped stores.
+  FederatedQueryEngine owned = OneShard(row_store_, SingleThreaded());
+  FederatedQueryEngine mapped = OneShard(mapped_store_, SingleThreaded());
   for (const char* sql : {
            // Every row divides by zero: the first chunk errors at k=0.
            "SELECT obj_id FROM photo WHERE 1 / (r - r) > 0",
@@ -290,10 +431,12 @@ TEST_F(ColumnarDiffTest, RuntimeErrorsSurfaceIdentically) {
            "AND 1 / (class - 1) > 0",
        }) {
     SCOPED_TRACE(sql);
-    auto a = rows.Execute(sql);
-    auto b = kernel.Execute(sql);
+    ExpectLeavesMatchOracle(*row_store_, sql, /*auto_tag=*/false);
+    auto a = owned.Execute(sql);
+    auto b = mapped.Execute(sql);
     ASSERT_FALSE(a.ok());
     ASSERT_FALSE(b.ok());
+    EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(a.status().code(), b.status().code());
     EXPECT_EQ(a.status().message(), b.status().message());
   }
@@ -304,14 +447,14 @@ TEST_F(ColumnarDiffTest, ParallelScansStillAgreeAsMultisets) {
   // compare order-free queries only (integer rows and COUNT).
   FederatedQueryEngine::Options opts;
   opts.planner.auto_tag_selection = false;
-  FederatedQueryEngine rows = OneShard(row_store_, opts);
-  FederatedQueryEngine kernel = OneShard(mapped_store_, opts);
+  FederatedQueryEngine owned = OneShard(row_store_, opts);
+  FederatedQueryEngine mapped = OneShard(mapped_store_, opts);
   for (const char* sql :
        {"SELECT obj_id, r FROM photo WHERE CIRCLE('GAL', 120, 55, 10)",
         "SELECT obj_id FROM photo WHERE class = 'QSO'",
         "SELECT COUNT(*) FROM photo WHERE r < 21"}) {
-    auto want = rows.Execute(sql);
-    auto got = kernel.Execute(sql);
+    auto want = owned.Execute(sql);
+    auto got = mapped.Execute(sql);
     ASSERT_TRUE(want.ok() && got.ok()) << sql;
     ExpectIdentical(*want, *got,
                     want->is_aggregate ? Mode::kAggregate : Mode::kRows,
@@ -326,8 +469,8 @@ TEST_F(ColumnarDiffTest, MappedColdStartSkipsRebuild) {
   ASSERT_EQ(mapped_store_->container_count(),
             row_store_->container_count());
   for (const auto& [raw, c] : mapped_store_->containers()) {
-    EXPECT_GT(c.columnar.n, 0u) << "container " << raw;
-    EXPECT_TRUE(c.objects.empty()) << "container " << raw;
+    EXPECT_GT(c.size(), 0u) << "container " << raw;
+    EXPECT_EQ(c.size(), row_store_->containers().at(raw).size());
   }
   // Mapped containers are immutable: mutation is refused whole. The
   // refused Insert still bumps the store's epoch, which the snapshot
@@ -382,26 +525,72 @@ TEST(ColumnarFederationTest, MappedShardFleetsMatchRowFleets) {
       mapped_shards.push_back(std::move(shard));
     }
 
-    FederatedQueryEngine::Options opts;
-    opts.executor.scan_threads = 1;
-    opts.planner.auto_tag_selection = false;
-    FederatedQueryEngine row_fed(*row_shards, opts);
-    FederatedQueryEngine mapped_fed(mapped_shards, opts);
-
-    bool saw_columnar = false;
-    for (const DiffQuery& q : DiffQueries()) {
-      auto want = row_fed.Execute(q.sql);
-      ASSERT_TRUE(want.ok()) << q.sql << ": " << want.status().ToString();
-      auto got = mapped_fed.Execute(q.sql);
-      ASSERT_TRUE(got.ok()) << q.sql << ": " << got.status().ToString();
-      ExpectIdentical(*want, *got, q.mode, q.sql);
-      saw_columnar |= got->exec.containers_columnar > 0;
-      EXPECT_EQ(want->exec.containers_columnar, 0u) << q.sql;
+    for (bool auto_tag : {false, true}) {
+      FederatedQueryEngine row_fed(*row_shards, SingleThreaded(auto_tag));
+      FederatedQueryEngine mapped_fed(mapped_shards,
+                                      SingleThreaded(auto_tag));
+      for (const DiffQuery& q : DiffQueries()) {
+        auto want = row_fed.Execute(q.sql);
+        ASSERT_TRUE(want.ok()) << q.sql << ": " << want.status().ToString();
+        auto got = mapped_fed.Execute(q.sql);
+        ASSERT_TRUE(got.ok()) << q.sql << ": " << got.status().ToString();
+        ExpectIdentical(*want, *got, q.mode, q.sql);
+        // The kernel (and its stat) flows through the federated merge.
+        for (const QueryResult* r : {&*want, &*got}) {
+          EXPECT_GT(r->exec.containers_columnar, 0u) << q.sql;
+          EXPECT_EQ(r->exec.containers_columnar,
+                    r->exec.containers_scanned)
+              << q.sql;
+        }
+      }
     }
-    // The kernel (and its stat) flows through the federated merge.
-    EXPECT_TRUE(saw_columnar);
   }
   fs::remove_all(MapDir());
+}
+
+TEST(ColumnarFederationTest, MixedFleetTagScansReadOnlyTaggedShards) {
+  // One shard's store keeps no tag partition: a tag scan over the fleet
+  // returns exactly the other shards' tag rows, and the untagged shard
+  // contributes nothing (not its photo rows).
+  catalog::ObjectStore sky = MakeSky(8303);
+  archive::ReplicationOptions repl;
+  repl.num_servers = 3;
+  repl.base_replicas = 1;
+  archive::ShardedStore sharded(sky, repl);
+  auto shards = sharded.LiveShards();
+  ASSERT_TRUE(shards.ok()) << shards.status().ToString();
+  ASSERT_EQ(shards->size(), 3u);
+
+  catalog::StoreOptions untagged_options;
+  untagged_options.build_tags = false;
+  catalog::ObjectStore untagged(untagged_options);
+  std::vector<catalog::PhotoObj> shard0_rows;
+  (*shards)[0].store->ForEachObject(
+      [&](const catalog::PhotoObj& o) { shard0_rows.push_back(o); });
+  ASSERT_TRUE(untagged.BulkLoad(shard0_rows).ok());
+  std::vector<Shard> mixed = *shards;
+  mixed[0].store = &untagged;
+
+  std::vector<uint64_t> expected;
+  for (size_t i = 1; i < mixed.size(); ++i) {
+    for (uint64_t raw : *mixed[i].assigned) {
+      for (const catalog::PhotoObj& o :
+           mixed[i].store->containers().at(raw).rows()) {
+        if (o.mag[catalog::kR] < 21.0f) expected.push_back(o.obj_id);
+      }
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  std::sort(expected.begin(), expected.end());
+
+  FederatedQueryEngine fed(mixed, SingleThreaded());
+  auto got = fed.Execute("SELECT obj_id FROM tag WHERE r < 21");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  std::vector<uint64_t> ids;
+  for (const ResultRow& row : got->rows) ids.push_back(row.obj_id);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, expected);
+  EXPECT_GT(got->exec.containers_scanned, 0u);
 }
 
 }  // namespace

@@ -203,6 +203,20 @@ TEST_F(AcceptRetryTest, StopWhileStarvedShutsDownPromptly) {
   const uint16_t port = server->port();
   metrics::Counter* retries =
       server->metrics()->GetCounter("server_accept_retries");
+  metrics::Gauge* active =
+      server->metrics()->GetGauge("server_sessions_active");
+  // One full session before the squeeze: when the accept loop wins a
+  // freed descriptor below, the session it builds must not be the
+  // first of its types UBSan's vptr check sees -- a first sighting
+  // probes memory through a pipe, which fails without descriptors and
+  // reads as a bad vptr.
+  {
+    auto ok = Connect("alice");
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_TRUE(ok->Bye().ok());
+  }
+  ASSERT_TRUE(Await([active] { return active->Value() == 0; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const uint64_t retries_before = retries->Value();
 
   RlimitGuard guard;
