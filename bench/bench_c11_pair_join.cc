@@ -147,13 +147,27 @@ BENCHMARK(BM_ClusterHashMachine)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+/// Reports how many containers the last join read and how many of
+/// those ran the columnar scan kernel (every one, since phase 1 filters
+/// on it).
+void ReportKernelCounters(benchmark::State& state,
+                          const query::ExecStats& exec) {
+  state.counters["containers_scanned"] =
+      static_cast<double>(exec.containers_scanned);
+  state.counters["columnar_containers"] =
+      static_cast<double>(exec.containers_columnar);
+}
+
 void BM_SingleStoreJoin(benchmark::State& state) {
   ObjectStore store = MakeBenchStore(0.3);
   FederatedQueryEngine engine({Shard{0, &store, nullptr}});
+  query::ExecStats exec;
   for (auto _ : state) {
     auto r = engine.Execute(kLensSql);
     benchmark::DoNotOptimize(r->rows.size());
+    exec = r->exec;
   }
+  ReportKernelCounters(state, exec);
 }
 BENCHMARK(BM_SingleStoreJoin)->Unit(benchmark::kMillisecond)->UseRealTime();
 
@@ -167,14 +181,15 @@ void BM_FleetPairJoin(benchmark::State& state) {
     return;
   }
   FederatedQueryEngine fed(*shards);
-  uint64_t shipped = 0;
+  query::ExecStats exec;
   for (auto _ : state) {
     auto r = fed.Execute(kLensSql);
     benchmark::DoNotOptimize(r->rows.size());
-    shipped = r->exec.bytes_shipped;
+    exec = r->exec;
   }
   state.counters["bytes_shipped"] =
-      benchmark::Counter(static_cast<double>(shipped));
+      benchmark::Counter(static_cast<double>(exec.bytes_shipped));
+  ReportKernelCounters(state, exec);
 }
 BENCHMARK(BM_FleetPairJoin)
     ->Arg(2)

@@ -231,7 +231,7 @@ void PrintC15() {
   mut.Run(count_sql);
   std::vector<double> warm_s, miss_s;
   catalog::PhotoObj extra =
-      mut.store.containers().begin()->second.rows()[0];
+      mut.store.containers().begin()->second.columnar.MaterializeObject(0);
   for (int rep = 0; rep < kReps; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
     mut.Run(count_sql);
@@ -300,7 +300,7 @@ void BM_EpochBumpMiss(benchmark::State& state) {
   MutableFleet& mut = SharedMutableFleet();
   const std::string sql = "SELECT COUNT(*) FROM photo WHERE r > 14";
   catalog::PhotoObj extra =
-      mut.store.containers().begin()->second.rows()[0];
+      mut.store.containers().begin()->second.columnar.MaterializeObject(0);
   uint64_t next_id = 910'000'000;
   mut.Run(sql);
   for (auto _ : state) {

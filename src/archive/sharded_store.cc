@@ -109,11 +109,9 @@ Status ShardedStore::PromoteHotContainers(double top_fraction,
       }
       // Promotion copies data the fleet already serves: no result any
       // reader could have cached changes, so the copy must not look
-      // like a mutation. BulkLoad bumps the receiving store's epoch;
-      // reinstate it.
-      const uint64_t epoch = stores_[server].epoch();
-      SDSS_RETURN_IF_ERROR(stores_[server].BulkLoad(src->rows()));
-      stores_[server].RestoreEpoch(epoch);
+      // like a mutation -- and adoption is epoch-neutral.
+      SDSS_RETURN_IF_ERROR(
+          stores_[server].AdoptContainer(src->trixel, src->columnar));
     }
   }
   return Status::OK();

@@ -8,9 +8,11 @@
 // BulkLoad / Insert / adoption of a decoded snapshot). The query
 // executor's scan kernel runs predicate and aggregate loops directly
 // over the views, for the full object and for the tag partition alike
-// (a tag leaf reads the same columns through ResolveTagColumn); what
-// still needs row objects (the pair join, INTO sinks, the catalog's
-// row walkers) materializes them on demand via Materialize().
+// (a tag leaf reads the same columns through ResolveTagColumn), and
+// the pair join filters its candidates there too. Row objects are
+// never stored: what needs one (the pair join's survivors, INTO sinks,
+// the catalog's row walkers) decodes it on demand with
+// MaterializeObject().
 //
 // The column order is listed once, in ForEachColumn: the snapshot
 // writer, the snapshot directory walk and the owned column arrays all

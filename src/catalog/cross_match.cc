@@ -27,13 +27,15 @@ std::vector<MatchPair> CrossMatch(const ObjectStore& a, const ObjectStore& b,
     bool have_best = false;
     auto consider = [&](const Container* c) {
       if (c == nullptr) return;
-      for (const PhotoObj& ob : c->rows()) {
+      const ColumnarBlock& cb = c->columnar;
+      for (size_t k = 0; k < cb.n; ++k) {
         ++local.candidates_tested;
-        if (oa.pos.Dot(ob.pos) < cos_radius) continue;
+        const Vec3 pos_b = cb.Position(k);
+        if (oa.pos.Dot(pos_b) < cos_radius) continue;
         MatchPair m;
         m.obj_id_a = oa.obj_id;
-        m.obj_id_b = ob.obj_id;
-        m.separation_arcsec = RadToArcsec(oa.pos.AngleTo(ob.pos));
+        m.obj_id_b = cb.obj_id[k];
+        m.separation_arcsec = RadToArcsec(oa.pos.AngleTo(pos_b));
         if (options.best_match_only) {
           if (!have_best || m.separation_arcsec < best.separation_arcsec) {
             best = m;

@@ -12,18 +12,6 @@ using htm::HtmId;
 using htm::Region;
 using htm::Trixel;
 
-const std::vector<PhotoObj>& Container::rows() const {
-  LazyRows* l = lazy_.get();
-  if (!l->ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(l->mu);
-    if (!l->ready.load(std::memory_order_relaxed)) {
-      l->rows = columnar.Materialize();
-      l->ready.store(true, std::memory_order_release);
-    }
-  }
-  return l->rows;
-}
-
 template <typename At>
 Status Container::Append(size_t m, const At& at) {
   if (mapping_ != nullptr) {
@@ -39,7 +27,6 @@ Status Container::Append(size_t m, const At& at) {
   }
   owned_->Append(m, at);
   columnar = owned_->View();
-  lazy_ = std::make_shared<LazyRows>();
   return Status::OK();
 }
 
@@ -124,7 +111,9 @@ std::map<uint64_t, uint64_t> ObjectStore::DensityMap() const {
 void ObjectStore::ForEachObject(
     const std::function<void(const PhotoObj&)>& fn) const {
   for (const auto& [raw, c] : containers_) {
-    for (const PhotoObj& o : c.rows()) fn(o);
+    for (size_t i = 0; i < c.size(); ++i) {
+      fn(c.columnar.MaterializeObject(i));
+    }
   }
 }
 
@@ -150,11 +139,12 @@ ObjectStore::SpatialScanStats ObjectStore::QueryRegion(
     id.RangeAtLevel(options_.cluster_level, &first, &last);
     for (auto it = containers_.lower_bound(first);
          it != containers_.end() && it->first < last; ++it) {
+      const ColumnarBlock& b = it->second.columnar;
       ++stats.full_containers;
       stats.bytes_touched += it->second.FullBytes();
-      for (const PhotoObj& o : it->second.rows()) {
+      for (size_t i = 0; i < b.n; ++i) {
         ++stats.accepted;
-        fn(o);
+        fn(b.MaterializeObject(i));
       }
     }
   }
@@ -163,13 +153,14 @@ ObjectStore::SpatialScanStats ObjectStore::QueryRegion(
     id.RangeAtLevel(options_.cluster_level, &first, &last);
     for (auto it = containers_.lower_bound(first);
          it != containers_.end() && it->first < last; ++it) {
+      const ColumnarBlock& b = it->second.columnar;
       ++stats.partial_containers;
       stats.bytes_touched += it->second.FullBytes();
-      for (const PhotoObj& o : it->second.rows()) {
+      for (size_t i = 0; i < b.n; ++i) {
         ++stats.objects_tested;
-        if (region.Contains(o.pos)) {
+        if (region.Contains(b.Position(i))) {
           ++stats.accepted;
-          fn(o);
+          fn(b.MaterializeObject(i));
         }
       }
     }

@@ -15,12 +15,10 @@
 #ifndef SDSS_CATALOG_OBJECT_STORE_H_
 #define SDSS_CATALOG_OBJECT_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "catalog/columnar.h"
@@ -53,32 +51,20 @@ struct StoreOptions {
 /// Copies (ExtractContainers, copying a store) share either; a mutation
 /// of shared owned columns copies them first, so a copy never sees a
 /// later change to its source. The tag partition is not stored: a tag
-/// scan reads the same columns at the tag's precision.
+/// scan reads the same columns at the tag's precision. Rows are never
+/// kept: a consumer that needs a PhotoObj decodes it from the columns
+/// (ColumnarBlock::MaterializeObject) when it needs it.
 struct Container {
   htm::HtmId trixel;
   ColumnarBlock columnar;
 
   size_t size() const { return columnar.n; }
 
-  /// The container's objects as rows, materialized on first use
-  /// (thread-safe, cached until the next mutation). For consumers that
-  /// need PhotoObj rows: the pair join, QueryRegion, ForEachObject.
-  const std::vector<PhotoObj>& rows() const;
-
   uint64_t FullBytes() const { return size() * sizeof(PhotoObj); }
   /// Size of the container's tag partition in a store that keeps one.
   uint64_t TagBytes() const { return size() * sizeof(TagObj); }
 
  private:
-  /// Once-only row materialization. Shared so container copies (and the
-  /// const scan paths) fill one cache; double-checked under `mu` with an
-  /// acquire/release ready flag. Replaced, not cleared, on mutation.
-  struct LazyRows {
-    std::mutex mu;
-    std::atomic<bool> ready{false};
-    std::vector<PhotoObj> rows;
-  };
-
   /// Appends `m` objects (`at(k)` the k-th) to the owned columns,
   /// copying them first when shared. FailedPrecondition when mapped.
   template <typename At>
@@ -86,7 +72,6 @@ struct Container {
 
   std::shared_ptr<const void> mapping_;  ///< Keeps mapped bytes alive.
   std::shared_ptr<ColumnStore> owned_;   ///< Owned columns, or null.
-  mutable std::shared_ptr<LazyRows> lazy_ = std::make_shared<LazyRows>();
 
   friend class ObjectStore;
 };
@@ -117,11 +102,12 @@ class ObjectStore {
   /// derivation of the store's contents -- notably query results in
   /// query::ResultCache -- can be stamped with the epoch it was
   /// computed at and invalidated the instant the data moves. Adoption
-  /// (AdoptContainer, the snapshot recovery path) deliberately does NOT
-  /// bump: recovery rebuilds a store, it does not mutate one, and the
-  /// writer's epoch is reinstated via RestoreEpoch so a recovered
-  /// archive continues the same generation sequence instead of silently
-  /// restarting it.
+  /// (AdoptContainer: the snapshot recovery path, and replica promotion,
+  /// which copies a container the fleet already serves) deliberately
+  /// does NOT bump: it adds no data a reader could have seen change.
+  /// Recovery reinstates the writer's epoch via RestoreEpoch, so a
+  /// recovered archive continues the same generation sequence instead
+  /// of silently restarting it.
   uint64_t epoch() const { return epoch_; }
 
   /// Marks the store mutated. Called by every mutating entry point;
@@ -129,8 +115,7 @@ class ObjectStore {
   /// contract.
   void BumpEpoch() { ++epoch_; }
 
-  /// Recovery (and epoch-neutral maintenance, e.g. replica promotion)
-  /// hook: reinstates a previously observed epoch verbatim.
+  /// Recovery hook: reinstates a previously observed epoch verbatim.
   void RestoreEpoch(uint64_t epoch) { epoch_ = epoch; }
 
   /// Inserts one object (computes its container from pos). Prefer
@@ -153,6 +138,8 @@ class ObjectStore {
   std::map<uint64_t, uint64_t> DensityMap() const;
 
   /// Sequential scan over every object (the scan-machine access path).
+  /// Each object is decoded from the columns for the call: `fn`'s
+  /// reference is valid only until it returns.
   void ForEachObject(const std::function<void(const PhotoObj&)>& fn) const;
 
   /// Scan over every tag (the vertical partition; nothing when the store
@@ -161,8 +148,10 @@ class ObjectStore {
 
   /// Spatial query: calls `fn` exactly once for every object inside
   /// `region`. Containers FULLy inside are accepted without per-object
-  /// tests; PARTIAL containers are filtered with the exact Region test.
-  /// Returns the number of objects visited (accepted).
+  /// tests; PARTIAL containers are filtered with the exact Region test
+  /// on the position columns, and only accepted objects are decoded (as
+  /// in ForEachObject, for the call only). Returns the number of
+  /// objects visited (accepted).
   struct SpatialScanStats {
     uint64_t accepted = 0;
     uint64_t full_containers = 0;

@@ -23,8 +23,9 @@ Status ClusterSim::LoadPartitioned(const catalog::ObjectStore& store) {
     size_t node = idx % nodes_.size();
     container_order_.push_back(raw);
     node_containers_[node].emplace_back(raw, container.size());
-    const auto& rows = container.rows();
-    nodes_[node].insert(nodes_[node].end(), rows.begin(), rows.end());
+    for (size_t i = 0; i < container.size(); ++i) {
+      nodes_[node].push_back(container.columnar.MaterializeObject(i));
+    }
     ++idx;
   }
   return Status::OK();

@@ -1,14 +1,15 @@
-// The columnar scan kernel -- the one way a scan leaf reads a
-// container: predicate + projection/aggregate input compiled once per
-// scan leaf, then executed directly over a container's column views
+// The columnar scan kernel -- the one way a leaf reads a container:
+// predicate + projection/aggregate input compiled once per leaf, then
+// executed directly over a container's column views
 // (catalog::ColumnarBlock) without ever materializing a PhotoObj or
 // resolving an attribute name per row. Photo, mydb and tag leaves all
-// run it; a tag leaf reads the same columns at the tag partition's
-// precision (catalog::ResolveTagColumn, ColumnarBlock::TagPosition).
+// run it, and so do the pair join's phase 1 and its ghost harvest; a
+// tag leaf reads the same columns at the tag partition's precision
+// (catalog::ResolveTagColumn, ColumnarBlock::TagPosition).
 //
 // Bit-exactness contract: answers are identical to the row oracle's
-// (Expr::EvalBool + GetAttribute over Container::rows(), or
-// GetTagAttribute over TagObj::FromPhoto rows for tag leaves) --
+// (Expr::EvalBool + GetAttribute over ColumnarBlock::Materialize() rows,
+// or GetTagAttribute over TagObj::FromPhoto rows for tag leaves) --
 // attribute conversions go through the resolvers, which mirror those
 // accessors, expression evaluation mirrors Expr::Eval recursion
 // exactly, and sampling draws one Bernoulli variate per row in row

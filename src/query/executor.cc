@@ -126,38 +126,6 @@ bool ProjectPairInto(const PlanNode* node, const PhotoObj& a,
   return true;
 }
 
-// The containers a scan leaf must visit: pruned by the HTM cover when the
-// node carries a region, restricted to the shard assignment when
-// federated.
-std::vector<const Container*> CollectScanContainers(
-    const PlanNode* node, const catalog::ObjectStore* store,
-    const std::unordered_set<uint64_t>* container_filter) {
-  std::vector<const Container*> containers;
-  auto assigned = [container_filter](uint64_t raw) {
-    return container_filter == nullptr || container_filter->count(raw) > 0;
-  };
-  if (node->has_region) {
-    htm::CoverResult cover = htm::Cover(node->region,
-                                        store->cluster_level());
-    auto add_range = [&](htm::HtmId id) {
-      uint64_t first, last;
-      id.RangeAtLevel(store->cluster_level(), &first, &last);
-      const auto& all = store->containers();
-      for (auto it = all.lower_bound(first);
-           it != all.end() && it->first < last; ++it) {
-        if (assigned(it->first)) containers.push_back(&it->second);
-      }
-    };
-    for (htm::HtmId id : cover.full) add_range(id);
-    for (htm::HtmId id : cover.partial) add_range(id);
-  } else {
-    for (const auto& [raw, c] : store->containers()) {
-      if (assigned(raw)) containers.push_back(&c);
-    }
-  }
-  return containers;
-}
-
 /// Runs one plan tree on the thread that calls Run. Streaming and
 /// blocking nodes are plain code over their child's batch stream; only
 /// scan-shaped work (scan leaves, aggregate pushdown, both pair-join
@@ -285,7 +253,7 @@ class TreeRunner {
   }
 
  private:
-  /// A scan or mydb-scan leaf ready to run.
+  /// A scan, mydb-scan or pair-join leaf ready to run.
   struct Leaf {
     const PlanNode* node = nullptr;
     std::vector<const Container*> containers;
@@ -308,17 +276,23 @@ class TreeRunner {
         scan, store, leaf->personal ? nullptr : filter_);
     leaf->tag = scan->table == TableRef::kTag;
     leaf->empty = leaf->tag && !store->options().build_tags;
-    Status compiled =
-        ColumnarScan::Compile(*scan, scan->projection, &leaf->kernel);
+    // A pair join's projection names pair columns; its kernel only
+    // filters (phase 1).
+    Status compiled = ColumnarScan::Compile(
+        *scan,
+        scan->type == PlanNodeType::kPairJoin ? std::vector<std::string>{}
+                                              : scan->projection,
+        &leaf->kernel);
     if (!compiled.ok()) ctx_->ReportError(compiled);
     return compiled.ok();
   }
 
   /// Scans container `ci` of `leaf` with its compiled kernel -- THE
   /// definition of which objects the leaf yields, shared by the
-  /// row-emitting scan and the aggregate pushdown so the two can never
-  /// diverge. Calls `on_match(i)` for every surviving row of the
-  /// container's column block; returns false when the morsel must abort.
+  /// row-emitting scan, the aggregate pushdown and the pair join's
+  /// phase 1 so they can never diverge. Calls `on_match(i)` for every
+  /// surviving row of the container's column block; returns false when
+  /// the morsel must abort.
   template <typename OnMatch>
   bool ScanContainer(const Leaf& leaf, size_t ci, ScanTally* tally,
                      const OnMatch& on_match) {
@@ -403,52 +377,42 @@ class TreeRunner {
     return emit({FinishAggregate(node->agg, node->agg_partial, total)});
   }
 
-  /// The shard-local spatial hash join: phase 1 scans the (assigned)
-  /// containers and hashes surviving objects into a PairHasher -- plus
-  /// any boundary ghosts the federated engine shipped here -- and phase
-  /// 2 compares buckets as morsels, binding each qualifying pair to its
-  /// satisfying (a, b) assignment before projection.
+  /// The shard-local spatial hash join: phase 1 runs the join's filter
+  /// over the (assigned) containers with the scan kernel and hashes the
+  /// survivors into a PairHasher -- plus any boundary ghosts the
+  /// federated engine shipped here -- and phase 2 compares buckets as
+  /// morsels, binding each qualifying pair to its satisfying (a, b)
+  /// assignment before projection.
   bool PairJoin(const PlanNode* node, const BatchSink& emit) {
-    const std::vector<const Container*> containers =
-        CollectScanContainers(node, store_, filter_);
+    Leaf leaf;
+    if (!Prepare(node, &leaf)) return false;
     dataflow::PairHasher hasher(node->pair_max_sep_arcsec,
                                 node->pair_bucket_level);
+    // Phase-1 survivors decoded once, one slot per container: the join
+    // owns them for the query and the hasher points into them.
+    std::vector<std::vector<PhotoObj>> survivors(leaf.containers.size());
     std::mutex hash_mu;
-    pool_->ParallelFor(containers.size(), [&](size_t ci) {
+    pool_->ParallelFor(leaf.containers.size(), [&](size_t ci) {
       if (ctx_->Halted()) return;
-      const Container* c = containers[ci];
-      ctx_->RecordContainerAccess(c);
+      const catalog::ColumnarBlock& block = leaf.containers[ci]->columnar;
+      std::vector<PhotoObj>& objs = survivors[ci];
       ScanTally tally;
-      tally.containers_scanned = 1;
-      tally.bytes_touched = c->FullBytes();
-      // Filter + cover outside the lock; insert under it.
-      std::vector<std::pair<const PhotoObj*, dataflow::PairHasher::BucketSet>>
-          selected;
-      bool completed = true;
-      for (const PhotoObj& o : c->rows()) {
-        if (ctx_->Cancelled()) {
-          completed = false;
-          break;
-        }
-        ++tally.objects_examined;
-        if (node->pair_select) {
-          RowAccessor acc{
-              [&o](const std::string& n) { return GetAttribute(o, n); },
-              o.pos};
-          auto ok = node->pair_select->EvalBool(acc);
-          if (!ok.ok()) {
-            ctx_->ReportError(ok.status());
-            completed = false;
-            break;
-          }
-          if (!*ok) continue;
-        }
-        selected.emplace_back(&o, hasher.ComputeBuckets(o));
-      }
+      const bool completed = ScanContainer(leaf, ci, &tally, [&](size_t i) {
+        objs.push_back(block.MaterializeObject(i));
+        return true;
+      });
       ctx_->Add(tally);
       if (!completed) return;
+      // Covers outside the lock; insert under it.
+      std::vector<dataflow::PairHasher::BucketSet> buckets;
+      buckets.reserve(objs.size());
+      for (const PhotoObj& o : objs) {
+        buckets.push_back(hasher.ComputeBuckets(o));
+      }
       std::lock_guard<std::mutex> lock(hash_mu);
-      for (const auto& [o, buckets] : selected) hasher.AddComputed(o, buckets);
+      for (size_t k = 0; k < objs.size(); ++k) {
+        hasher.AddComputed(&objs[k], buckets[k]);
+      }
     });
     if (ghosts_ != nullptr && !ctx_->has_error()) {
       ctx_->bytes_shipped += ghosts_->objects.size() * sizeof(PhotoObj);
@@ -545,6 +509,35 @@ class TreeRunner {
 };
 
 }  // namespace
+
+std::vector<const catalog::Container*> CollectScanContainers(
+    const PlanNode* node, const catalog::ObjectStore* store,
+    const std::unordered_set<uint64_t>* container_filter) {
+  std::vector<const catalog::Container*> containers;
+  auto assigned = [container_filter](uint64_t raw) {
+    return container_filter == nullptr || container_filter->count(raw) > 0;
+  };
+  if (node->has_region) {
+    htm::CoverResult cover = htm::Cover(node->region,
+                                        store->cluster_level());
+    auto add_range = [&](htm::HtmId id) {
+      uint64_t first, last;
+      id.RangeAtLevel(store->cluster_level(), &first, &last);
+      const auto& all = store->containers();
+      for (auto it = all.lower_bound(first);
+           it != all.end() && it->first < last; ++it) {
+        if (assigned(it->first)) containers.push_back(&it->second);
+      }
+    };
+    for (htm::HtmId id : cover.full) add_range(id);
+    for (htm::HtmId id : cover.partial) add_range(id);
+  } else {
+    for (const auto& [raw, c] : store->containers()) {
+      if (assigned(raw)) containers.push_back(&c);
+    }
+  }
+  return containers;
+}
 
 ResultRow FinishAggregate(AggFunc agg, bool partial, const AggFold& f) {
   ResultRow result;

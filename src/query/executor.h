@@ -39,8 +39,8 @@ struct ExecStats {
   // Scan-side counters (summed over all scan leaves).
   uint64_t containers_scanned = 0;
   /// How many scanned containers ran the columnar scan kernel: every
-  /// container a scan or mydb-scan leaf reads (tag leaves included);
-  /// only the pair join's phase-1 containers, which read rows, are not.
+  /// container a scan, mydb-scan or pair-join leaf reads (tag leaves
+  /// included), so it equals containers_scanned.
   uint64_t containers_columnar = 0;
   uint64_t objects_examined = 0;
   uint64_t objects_matched = 0;
@@ -105,6 +105,15 @@ ResultRow FinishAggregate(AggFunc agg, bool partial, const AggFold& fold);
 /// Returns false once the sink stops consumption.
 bool EmitRows(RowBatch&& rows, size_t batch_size, const BatchSink& sink);
 
+/// The containers a scan or pair-join leaf reads from `store`, in the
+/// order it reads them: pruned by the node's HTM cover when it carries
+/// a region, and restricted to `container_filter` (a shard assignment)
+/// when non-null. The executor's leaves and the federated join's ghost
+/// harvest both read exactly this list.
+std::vector<const catalog::Container*> CollectScanContainers(
+    const PlanNode* node, const catalog::ObjectStore* store,
+    const std::unordered_set<uint64_t>* container_filter);
+
 /// Observes every archive container a scan actually reads (called once
 /// per container per scan, from whichever thread runs the container's
 /// morsel -- implementations must be thread-safe). The workbench binds
@@ -153,7 +162,7 @@ class Executor {
   /// serving). `join_ghosts`, when non-null, feeds the tree's
   /// pair-join leaf the boundary objects neighboring shards shipped
   /// here. `cancel`, when non-null, is a cooperative cancel flag: the
-  /// scan and join loops poll it per object/pair, and a raised flag
+  /// scan and join loops poll it per chunk/pair, and a raised flag
   /// aborts the tree with a Cancelled status (the batch-workbench job
   /// cancellation path). `access_recorder`, when non-null, sees the id
   /// of every non-personal container the tree scans.

@@ -11,7 +11,9 @@
 #include <utility>
 
 #include "core/angle.h"
+#include "core/random.h"
 #include "htm/cover.h"
+#include "query/columnar_scan.h"
 
 namespace sdss::query {
 namespace {
@@ -80,13 +82,14 @@ bool AnyTagScan(const PlanNode* node) {
   return false;
 }
 
-/// Phase A of the federated neighbor join: each shard walks its
-/// assigned containers and, for every phase-1 survivor whose separation
-/// cap (htm::Cover at the container level) reaches a container another
-/// shard serves, ships a copy of the object to that shard. Symmetric
-/// shipping is what lets every shard emit exactly the pairs whose
-/// lower-id member it owns: the partner of any in-radius pair is
-/// guaranteed present, locally or as a ghost.
+/// Phase A of the federated neighbor join: each shard runs the join's
+/// phase-1 kernel over the containers its join leaf reads and, for
+/// every survivor whose separation cap (htm::Cover at the container
+/// level) reaches a container another shard serves, ships a copy of
+/// the object to that shard. Symmetric shipping is what lets every
+/// shard emit exactly the pairs whose lower-id member it owns: the
+/// partner of any in-radius pair is guaranteed present, locally or as a
+/// ghost.
 Result<std::vector<PairJoinGhosts>> HarvestJoinGhosts(
     ThreadPool* pool, const std::vector<Shard>& shards, const PlanNode* join,
     const std::atomic<bool>* cancel) {
@@ -107,16 +110,8 @@ Result<std::vector<PairJoinGhosts>> HarvestJoinGhosts(
     }
   }
 
-  // When the join is spatially pruned, only containers its region
-  // cover touches can hold candidates -- skip the rest of the harvest.
-  std::unordered_set<uint64_t> region_raws;
-  if (join->has_region) {
-    int level = shards[0].store->cluster_level();
-    htm::ForEachRawInCover(
-        htm::Cover(join->region, level), level,
-        [&region_raws](uint64_t raw) { region_raws.insert(raw); });
-  }
-
+  ColumnarScan kernel;
+  SDSS_RETURN_IF_ERROR(ColumnarScan::Compile(*join, {}, &kernel));
   double sep_deg = ArcsecToDeg(join->pair_max_sep_arcsec);
   std::vector<std::vector<std::vector<catalog::PhotoObj>>> staged(
       n, std::vector<std::vector<catalog::PhotoObj>>(n));
@@ -125,43 +120,45 @@ Result<std::vector<PairJoinGhosts>> HarvestJoinGhosts(
   pool->ParallelFor(n, [&](size_t i) {
     const Shard& shard = shards[i];
     int level = shard.store->cluster_level();
+    const std::vector<const catalog::Container*> containers =
+        CollectScanContainers(join, shard.store, shard.assigned.get());
     std::vector<size_t> dests;
-    for (const auto& [raw, c] : shard.store->containers()) {
-      if (shard.assigned != nullptr && shard.assigned->count(raw) == 0) {
-        continue;
-      }
-      if (join->has_region && region_raws.count(raw) == 0) continue;
-      for (const catalog::PhotoObj& o : c.rows()) {
-        if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-          errors[i] = Status::Cancelled("query cancelled");
-          return;
-        }
-        if (join->pair_select) {
-          RowAccessor acc{[&o](const std::string& name) {
-                            return catalog::GetAttribute(o, name);
-                          },
-                          o.pos};
-          auto ok = join->pair_select->EvalBool(acc);
-          if (!ok.ok()) {
-            errors[i] = ok.status();
-            return;
-          }
-          if (!*ok) continue;
-        }
-        // Which foreign shards serve a container within the cap?
-        dests.clear();
-        htm::ForEachRawInCover(
-            htm::Cover(htm::Region::CircleAround(o.pos, sep_deg), level),
-            level, [&](uint64_t raw2) {
-              auto it = owner.find(raw2);
-              if (it == owner.end() || it->second == i) return;
-              if (std::find(dests.begin(), dests.end(), it->second) ==
-                  dests.end()) {
-                dests.push_back(it->second);
-              }
-            });
-        for (size_t d : dests) staged[i][d].push_back(o);
-      }
+    for (size_t ci = 0; ci < containers.size(); ++ci) {
+      const catalog::ColumnarBlock& block = containers[ci]->columnar;
+      // Seeded as the shard's executor seeds the same container.
+      Rng rng(join->sample_seed + ci * 7919);
+      const bool completed = kernel.Scan(
+          block, &rng,
+          [&](size_t k) {
+            // Which foreign shards serve a container within the cap?
+            dests.clear();
+            htm::ForEachRawInCover(
+                htm::Cover(
+                    htm::Region::CircleAround(block.Position(k), sep_deg),
+                    level),
+                level, [&](uint64_t raw2) {
+                  auto it = owner.find(raw2);
+                  if (it == owner.end() || it->second == i) return;
+                  if (std::find(dests.begin(), dests.end(), it->second) ==
+                      dests.end()) {
+                    dests.push_back(it->second);
+                  }
+                });
+            if (dests.empty()) return true;
+            const catalog::PhotoObj o = block.MaterializeObject(k);
+            for (size_t d : dests) staged[i][d].push_back(o);
+            return true;
+          },
+          [&](size_t) {
+            if (cancel == nullptr ||
+                !cancel->load(std::memory_order_relaxed)) {
+              return true;
+            }
+            errors[i] = Status::Cancelled("query cancelled");
+            return false;
+          },
+          &errors[i]);
+      if (!completed) return;
     }
   });
   for (const Status& s : errors) {

@@ -165,7 +165,7 @@ std::string PlanNode::Explain(int indent) const {
                     pair_max_sep_arcsec, pair_bucket_level);
       out += buf;
       if (has_region) out += " [spatially pruned]";
-      if (pair_select) out += " select " + pair_select->ToString();
+      if (predicate) out += " select " + predicate->ToString();
       if (pair_where) out += " pair " + pair_where->ToString();
       break;
     }
@@ -364,7 +364,7 @@ Result<std::unique_ptr<PlanNode>> PlanJoinSelect(
   node->pair_max_sep_arcsec = join.max_sep_arcsec;
   node->pair_bucket_level =
       dataflow::PairHasher::ChooseBucketLevel(join.max_sep_arcsec);
-  node->pair_select = std::move(select_expr);
+  node->predicate = std::move(select_expr);
   node->pair_where = std::move(pair_expr);
   node->pair_alias_a = join.alias_a;
   node->pair_alias_b = join.alias_b;

@@ -125,8 +125,10 @@ struct PlanNode {
   std::string mydb_name;
 
   // -- kPairJoin -----------------------------------------------------
-  // A leaf like kScan (it reads containers itself: the hash machine
-  // needs whole PhotoObjs, not projected rows). Emits one row per
+  // A leaf like kScan: phase 1 runs `predicate` (the unqualified
+  // conjuncts AND the derived either-side filter; null = every object
+  // is a candidate) over its containers with the scan kernel, and only
+  // the survivors are decoded for the hash machine. Emits one row per
   // unordered pair within the separation; `projection` names are
   // alias-qualified ("a.r", "b.g") or the separation pseudo-column
   // "sep".
@@ -134,9 +136,6 @@ struct PlanNode {
   /// Bucket depth of the hash, chosen by the planner from the
   /// separation (PairHasher::ChooseBucketLevel).
   int pair_bucket_level = 10;
-  /// Phase-1 per-object filter (unqualified conjuncts AND the derived
-  /// either-side filter); null = every object is a candidate.
-  Expr::Ptr pair_select;
   /// Pair predicate: the conjunction of alias-qualified conjuncts. A
   /// pair {x, y} qualifies when SOME assignment of its members to
   /// (a, b) satisfies it; the satisfying assignment (lower-id member

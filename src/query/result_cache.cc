@@ -186,9 +186,9 @@ void FingerprintNode(const PlanNode& n, std::string* out) {
     case PlanNodeType::kPairJoin:
       std::snprintf(buf, sizeof(buf), " sep=%.17g", n.pair_max_sep_arcsec);
       *out += buf;
-      if (n.pair_select != nullptr) {
+      if (n.predicate != nullptr) {
         *out += " ps=";
-        CanonKey(*n.pair_select, out);
+        CanonKey(*n.predicate, out);
       }
       if (n.pair_where != nullptr) {
         *out += " pw=";

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "catalog/sky_generator.h"
 #include "htm/trixel.h"
@@ -27,6 +30,16 @@ ObjectStore MakeStore(uint64_t seed = 33) {
   ObjectStore store;
   EXPECT_TRUE(store.BulkLoad(SkyGenerator(m).Generate()).ok());
   return store;
+}
+
+/// Every column's bytes, in the canonical column order.
+std::vector<std::string> ColumnBytes(const catalog::ColumnarBlock& block) {
+  std::vector<std::string> out;
+  catalog::ForEachColumn(block, [&](const auto& column, const auto&) {
+    using T = typename std::decay_t<decltype(column)>::value_type;
+    out.emplace_back(column.data(), block.n * sizeof(T));
+  });
+  return out;
 }
 
 ReplicationOptions Opts(size_t servers, size_t replicas) {
@@ -159,7 +172,11 @@ TEST(ShardedStoreTest, PromotedHotContainerServedByHeatChosenServer) {
   size_t old_primary = (*before)[0];
   sharded.RecordAccess(hot, 100000);
 
+  // Promotion copies data the fleet already serves: the fleet's epoch
+  // (every cached answer's stamp) must not move.
+  const uint64_t epoch = sharded.Epoch();
   ASSERT_TRUE(sharded.PromoteHotContainers(/*top_fraction=*/0.0005, 1).ok());
+  EXPECT_EQ(sharded.Epoch(), epoch);
 
   // The heat-chosen server now holds a materialized copy and is the
   // preferred read target.
@@ -168,7 +185,14 @@ TEST(ShardedStoreTest, PromotedHotContainerServedByHeatChosenServer) {
   ASSERT_EQ(after->size(), 2u);
   size_t promoted = (*after)[0];
   EXPECT_NE(promoted, old_primary);
-  EXPECT_GT(sharded.server_store(promoted).containers().count(hot), 0u);
+  ASSERT_GT(sharded.server_store(promoted).containers().count(hot), 0u);
+  // The copy holds the source's columns bit for bit, in row order.
+  const catalog::Container& copy =
+      sharded.server_store(promoted).containers().at(hot);
+  const catalog::Container& source = store.containers().at(hot);
+  EXPECT_EQ(copy.trixel.raw(), source.trixel.raw());
+  ASSERT_EQ(copy.size(), source.size());
+  EXPECT_EQ(ColumnBytes(copy.columnar), ColumnBytes(source.columnar));
 
   auto shards = sharded.LiveShards();
   ASSERT_TRUE(shards.ok());

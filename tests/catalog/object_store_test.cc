@@ -49,7 +49,7 @@ TEST(ObjectStoreTest, ObjectsLandInTheirTrixelContainer) {
   ASSERT_TRUE(store.BulkLoad(objs).ok());
   htm::HtmIndex index(store.cluster_level());
   for (const auto& [raw, container] : store.containers()) {
-    for (const PhotoObj& o : container.rows()) {
+    for (const PhotoObj& o : container.columnar.Materialize()) {
       EXPECT_EQ(index.Locate(o.pos).raw(), raw);
     }
   }
@@ -222,7 +222,7 @@ TEST(ObjectStoreTest, FindContainer) {
   const Container* c = store.FindContainer(id);
   ASSERT_NE(c, nullptr);
   bool found = false;
-  for (const auto& o : c->rows()) {
+  for (const auto& o : c->columnar.Materialize()) {
     if (o.obj_id == objs[0].obj_id) found = true;
   }
   EXPECT_TRUE(found);
@@ -256,7 +256,8 @@ TEST(ObjectStoreTest, ExtractContainersCopiesWholesale) {
     const auto& original = store.containers().at(raw);
     const auto& copy = sub.containers().at(raw);
     ASSERT_EQ(copy.size(), original.size());
-    EXPECT_EQ(copy.rows()[0].obj_id, original.rows()[0].obj_id);
+    EXPECT_EQ(copy.columnar.MaterializeObject(0).obj_id,
+              original.columnar.MaterializeObject(0).obj_id);
     EXPECT_EQ(copy.TagBytes(), original.TagBytes());
   }
   EXPECT_EQ(sub.Stats().tag_bytes, expected_objects * sizeof(TagObj));
@@ -404,7 +405,7 @@ TEST(ObjectStoreTest, RowsAfterInsertIncludeTheInsert) {
   const htm::HtmId trixel = index.Locate(objs[0].pos);
   const Container* c = store.FindContainer(trixel);
   ASSERT_NE(c, nullptr);
-  const size_t before = c->rows().size();  // Fills the row cache.
+  const size_t before = c->size();
 
   PhotoObj extra = objs[0];
   extra.obj_id = 424242;
@@ -412,10 +413,11 @@ TEST(ObjectStoreTest, RowsAfterInsertIncludeTheInsert) {
   c = store.FindContainer(trixel);
   ASSERT_NE(c, nullptr);
   ASSERT_EQ(c->size(), before + 1);
-  ASSERT_EQ(c->rows().size(), before + 1);
-  EXPECT_EQ(c->rows().back().obj_id, 424242u);
+  const std::vector<PhotoObj> rows = c->columnar.Materialize();
+  ASSERT_EQ(rows.size(), before + 1);
+  EXPECT_EQ(rows.back().obj_id, 424242u);
   EXPECT_EQ(c->columnar.obj_id[before], 424242u);
-  EXPECT_EQ(c->rows().back().pos.x, extra.pos.x);
+  EXPECT_EQ(rows.back().pos.x, extra.pos.x);
 }
 
 }  // namespace

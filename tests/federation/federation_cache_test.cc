@@ -159,7 +159,8 @@ TEST(FederationCacheTest, EpochBumpInvalidatesMidStream) {
 
   // Any mutation bumps the store epoch; the cached count is now a lie
   // and must never be served again.
-  catalog::PhotoObj extra = store.containers().begin()->second.rows()[0];
+  catalog::PhotoObj extra =
+      store.containers().begin()->second.columnar.MaterializeObject(0);
   extra.obj_id = 77'777'777;
   ASSERT_TRUE(store.Insert(extra).ok());
 

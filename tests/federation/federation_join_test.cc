@@ -74,14 +74,14 @@ PairSet ResultPairs(const QueryResult& r) {
 }
 
 PairSet BruteLensPairs(const ObjectStore& store, double sep_arcsec) {
-  std::vector<const PhotoObj*> objs;
-  store.ForEachObject([&objs](const PhotoObj& o) { objs.push_back(&o); });
+  std::vector<PhotoObj> objs;
+  store.ForEachObject([&objs](const PhotoObj& o) { objs.push_back(o); });
   double cos_sep = std::cos(ArcsecToRad(sep_arcsec));
   PairSet pairs;
   for (size_t i = 0; i < objs.size(); ++i) {
     for (size_t j = i + 1; j < objs.size(); ++j) {
-      const PhotoObj& a = *objs[i];
-      const PhotoObj& b = *objs[j];
+      const PhotoObj& a = objs[i];
+      const PhotoObj& b = objs[j];
       if (a.pos.Dot(b.pos) < cos_sep) continue;
       double ag = a.mag[1], ar = a.mag[2], bg = b.mag[1], br = b.mag[2];
       if (((ag - ar) - bg) + br >= 0.05) continue;

@@ -333,7 +333,7 @@ TEST(PersistRecoveryFuzzTest, MyDbMappedRecoveryColdStartsColumnar) {
   for (const auto& [raw, c] : (*mapped_table)->containers()) {
     ASSERT_GT(c.size(), 0u) << "container " << raw;
     catalog::ObjectStore copy = (*mapped_table)->ExtractContainers({raw});
-    EXPECT_EQ(copy.Insert(c.rows()[0]).code(),
+    EXPECT_EQ(copy.Insert(c.columnar.MaterializeObject(0)).code(),
               StatusCode::kFailedPrecondition)
         << "container " << raw;
   }

@@ -54,8 +54,8 @@ void ExpectStoresIdentical(const catalog::ObjectStore& a,
       // padding, which is unspecified). The EncodeSnapshot equality in
       // the callers covers every field; these spot checks localize a
       // failure to the object.
-      const catalog::PhotoObj& oa = ca.rows()[i];
-      const catalog::PhotoObj& ob = cb.rows()[i];
+      const catalog::PhotoObj oa = ca.columnar.MaterializeObject(i);
+      const catalog::PhotoObj ob = cb.columnar.MaterializeObject(i);
       ASSERT_EQ(oa.obj_id, ob.obj_id) << "container " << raw;
       ASSERT_EQ(oa.pos.x, ob.pos.x);
       ASSERT_EQ(oa.ra_deg, ob.ra_deg);
@@ -138,7 +138,8 @@ TEST(PersistSnapshotTest, EpochSurvivesTheRoundTrip) {
   // must restore it exactly or cached answers from before a crash could
   // be served over different data.
   catalog::ObjectStore store = MakeStore(/*build_tags=*/false);
-  catalog::PhotoObj extra = store.containers().begin()->second.rows()[0];
+  catalog::PhotoObj extra =
+      store.containers().begin()->second.columnar.MaterializeObject(0);
   extra.obj_id = 99'999'999;
   ASSERT_TRUE(store.Insert(extra).ok());
   ASSERT_TRUE(store.Insert(extra).ok());
@@ -311,7 +312,8 @@ TEST(PersistSnapshotTest, MappedContainersRefuseMutation) {
   auto mapped = MapSnapshotStore(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
-  const catalog::PhotoObj obj = store.containers().begin()->second.rows()[0];
+  const catalog::PhotoObj obj =
+      store.containers().begin()->second.columnar.MaterializeObject(0);
   EXPECT_EQ(mapped->Insert(obj).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(mapped->BulkLoad({obj}).code(),
             StatusCode::kFailedPrecondition);

@@ -1,13 +1,14 @@
 // Differential suite pinning the columnar scan kernel -- the one scan
-// path -- to a row oracle, bit for bit: for every query's scan leaves,
-// the kernel's survivors, projected values, aggregate inputs, SAMPLE
-// draws and divide-by-zero row must equal Expr::EvalBool over each
-// container's rows() (GetAttribute, or GetTagAttribute over
-// TagObj::FromPhoto for tag leaves) under the same per-container Rng
-// seed. End to end, a mapped-snapshot store and an owned-column store
-// (row-built by BulkLoad) must answer identically, alone and as
-// federated fleets of 1-8 shards. Covers cone/rect/band scans, every
-// aggregate, SAMPLE, set operations and tag queries.
+// path -- to a row oracle, bit for bit: for every query's scan and
+// pair-join leaves, the kernel's survivors, projected values, aggregate
+// inputs, SAMPLE draws and divide-by-zero row must equal Expr::EvalBool
+// over each container's decoded rows (ColumnarBlock::Materialize(); via
+// GetAttribute, or GetTagAttribute over TagObj::FromPhoto for tag
+// leaves) under the same per-container Rng seed. End to end, a
+// mapped-snapshot store and an owned-column store (row-built by
+// BulkLoad) must answer identically, alone and as federated fleets of
+// 1-8 shards. Covers cone/rect/band scans, every aggregate, SAMPLE, set
+// operations, tag queries and neighbour joins.
 //
 // Determinism note: float accumulation order and the SAMPLE Rng stream
 // depend on container visit order, so the engines here run with
@@ -19,7 +20,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,6 +83,23 @@ struct DiffQuery {
   std::string sql;
   Mode mode = Mode::kRows;
 };
+
+/// The neighbour joins: the served mining shapes (quasar-galaxy and
+/// galaxy-galaxy pairs inside a circle, at separations wide enough to
+/// find pairs on this sparse sky) and the colour-twin lens query, whose
+/// phase-1 filter is empty.
+const char kQsoGalaxyJoin[] =
+    "SELECT a.obj_id, b.obj_id, sep FROM photo AS a JOIN photoobj AS b "
+    "WITHIN 3600 ARCSEC WHERE CIRCLE('GAL', 120, 55, 20) AND "
+    "a.class = 'QSO' AND b.class = 'GALAXY' AND b.r > 17.5";
+const char kGalaxyPairsJoin[] =
+    "SELECT a.obj_id, b.obj_id, sep FROM photo AS a JOIN photoobj AS b "
+    "WITHIN 60 ARCSEC WHERE CIRCLE('GAL', 30, 70, 12) AND "
+    "a.class = 'GALAXY' AND b.class = 'GALAXY' AND a.r < 22.5";
+const char kLensJoin[] =
+    "SELECT a.obj_id, b.obj_id, sep FROM photo AS a JOIN photo AS b "
+    "WITHIN 30 ARCSEC WHERE a.g - a.r - b.g + b.r < 0.05 AND "
+    "b.g - b.r - a.g + a.r < 0.05";
 
 std::vector<DiffQuery> DiffQueries() {
   using M = Mode;
@@ -153,6 +173,10 @@ std::vector<DiffQuery> DiffQueries() {
        "u / (g + 1) < 1.2",
        M::kRows},
       {"SELECT AVG(r) FROM photo WHERE u / (g + 1) < 1.2", M::kAggregate},
+      // Joins: phase 1 filters on the kernel.
+      {kQsoGalaxyJoin, M::kRows},
+      {kGalaxyPairsJoin, M::kRows},
+      {kLensJoin, M::kRows},
   };
 }
 
@@ -224,15 +248,22 @@ struct LeafRun {
   Status status;                   ///< Divide by zero, else OK.
 };
 
+/// The value columns a leaf's kernel is compiled with: its projection,
+/// or none for a pair join (whose phase 1 only filters).
+std::vector<std::string> LeafAttrs(const PlanNode& leaf) {
+  if (leaf.type == PlanNodeType::kPairJoin) return {};
+  return leaf.projection;
+}
+
 /// The oracle: row-at-a-time sampling, Expr::EvalBool and attribute
-/// lookup over the container's rows (their tag projection for a tag
-/// leaf), seeded as the executor seeds container `ci`.
+/// lookup over the container's decoded rows (their tag projection for a
+/// tag leaf), seeded as the executor seeds container `ci`.
 LeafRun OracleScan(const PlanNode& leaf, const catalog::Container& c,
                    size_t ci) {
   LeafRun run;
   Rng rng(leaf.sample_seed + ci * 7919);
   const bool tag = leaf.table == TableRef::kTag;
-  for (const catalog::PhotoObj& o : c.rows()) {
+  for (const catalog::PhotoObj& o : c.columnar.Materialize()) {
     if (leaf.sample < 1.0 && !rng.Bernoulli(leaf.sample)) continue;
     const catalog::TagObj t = catalog::TagObj::FromPhoto(o);
     RowAccessor acc{[&](const std::string& name) {
@@ -251,7 +282,7 @@ LeafRun OracleScan(const PlanNode& leaf, const catalog::Container& c,
     ResultRow row;
     row.obj_id = tag ? t.obj_id : o.obj_id;
     row.pos = acc.position;
-    for (const std::string& name : leaf.projection) {
+    for (const std::string& name : LeafAttrs(leaf)) {
       auto v = acc.get(name);
       EXPECT_TRUE(v.ok()) << name;
       row.values.push_back(v.ok() ? *v : 0.0);
@@ -268,7 +299,8 @@ LeafRun KernelScan(const PlanNode& leaf, const catalog::Container& c,
                    size_t ci) {
   LeafRun run;
   ColumnarScan kernel;
-  Status compiled = ColumnarScan::Compile(leaf, leaf.projection, &kernel);
+  const std::vector<std::string> attrs = LeafAttrs(leaf);
+  Status compiled = ColumnarScan::Compile(leaf, attrs, &kernel);
   EXPECT_TRUE(compiled.ok()) << compiled.ToString();
   if (!compiled.ok()) return run;
   Rng rng(leaf.sample_seed + ci * 7919);
@@ -277,7 +309,7 @@ LeafRun KernelScan(const PlanNode& leaf, const catalog::Container& c,
       [&](size_t i) {
         ResultRow row;
         kernel.ProjectRow(c.columnar, i, &row);
-        if (!leaf.projection.empty()) {
+        if (!attrs.empty()) {
           run.agg_inputs.push_back(kernel.Value(c.columnar, i));
         }
         run.rows.push_back(std::move(row));
@@ -290,14 +322,18 @@ LeafRun KernelScan(const PlanNode& leaf, const catalog::Container& c,
 
 void CollectScanLeaves(const PlanNode* node,
                        std::vector<const PlanNode*>* leaves) {
-  if (node->type == PlanNodeType::kScan) leaves->push_back(node);
+  if (node->type == PlanNodeType::kScan ||
+      node->type == PlanNodeType::kPairJoin) {
+    leaves->push_back(node);
+  }
   for (const auto& child : node->children) {
     CollectScanLeaves(child.get(), leaves);
   }
 }
 
-/// Runs every scan leaf of `sql`'s plan over every container of `store`
-/// through the kernel and the oracle and demands identical bits.
+/// Runs every scan and pair-join leaf of `sql`'s plan over every
+/// container of `store` through the kernel and the oracle and demands
+/// identical bits.
 /// Returns how many leaves read the tag partition.
 size_t ExpectLeavesMatchOracle(const catalog::ObjectStore& store,
                                const std::string& sql, bool auto_tag) {
@@ -379,8 +415,9 @@ catalog::ObjectStore* ColumnarDiffTest::row_store_ = nullptr;
 catalog::ObjectStore* ColumnarDiffTest::mapped_store_ = nullptr;
 
 TEST_F(ColumnarDiffTest, KernelMatchesRowPathBitExactly) {
-  // Leaf level: the kernel against the row oracle, photo leaves and
-  // (with auto tag selection) the tag partition.
+  // Leaf level: the kernel against the row oracle, photo leaves, the
+  // joins' phase-1 filters and (with auto tag selection) the tag
+  // partition.
   size_t tag_leaves = 0;
   for (const DiffQuery& q : DiffQueries()) {
     for (bool auto_tag : {false, true}) {
@@ -402,6 +439,11 @@ TEST_F(ColumnarDiffTest, KernelMatchesRowPathBitExactly) {
       auto got = mapped.Execute(q.sql);
       ASSERT_TRUE(got.ok()) << q.sql << ": " << got.status().ToString();
       ExpectIdentical(*want, *got, q.mode, q.sql);
+      // The joins find pairs on this sky, so their answers compare
+      // something.
+      if (q.sql.find(" JOIN ") != std::string::npos) {
+        EXPECT_FALSE(want->rows.empty()) << q.sql;
+      }
       for (const QueryResult* r : {&*want, &*got}) {
         EXPECT_GT(r->exec.containers_columnar, 0u) << q.sql;
         EXPECT_EQ(r->exec.containers_columnar, r->exec.containers_scanned)
@@ -411,13 +453,28 @@ TEST_F(ColumnarDiffTest, KernelMatchesRowPathBitExactly) {
   }
 }
 
+/// Fleets of 3 and 8 servers over `sky` (two replicas per container).
+std::vector<std::unique_ptr<archive::ShardedStore>> Fleets(
+    const catalog::ObjectStore& sky) {
+  std::vector<std::unique_ptr<archive::ShardedStore>> fleets;
+  for (size_t servers : {size_t{3}, size_t{8}}) {
+    archive::ReplicationOptions repl;
+    repl.num_servers = servers;
+    repl.base_replicas = 2;
+    fleets.push_back(std::make_unique<archive::ShardedStore>(sky, repl));
+  }
+  return fleets;
+}
+
 TEST_F(ColumnarDiffTest, RuntimeErrorsSurfaceIdentically) {
   // Divide by zero must surface with Expr::Eval's exact status on
   // exactly the oracle's row -- whether the zero divisor hits on the
   // very first row or midway through a container's chunked predicate
-  // loop -- and identically from owned and mapped stores.
+  // loop -- and identically from owned and mapped stores and from
+  // fleets (where a join's ghost harvest runs the filter first).
   FederatedQueryEngine owned = OneShard(row_store_, SingleThreaded());
   FederatedQueryEngine mapped = OneShard(mapped_store_, SingleThreaded());
+  const auto fleets = Fleets(*row_store_);
   for (const char* sql : {
            // Every row divides by zero: the first chunk errors at k=0.
            "SELECT obj_id FROM photo WHERE 1 / (r - r) > 0",
@@ -429,6 +486,9 @@ TEST_F(ColumnarDiffTest, RuntimeErrorsSurfaceIdentically) {
            // AND short-circuiting decides which rows divide at all.
            "SELECT obj_id FROM photo WHERE CIRCLE('GAL', 30, 70, 20) "
            "AND 1 / (class - 1) > 0",
+           // The same divisor in a join's phase-1 filter.
+           "SELECT a.obj_id, b.obj_id FROM photo AS a JOIN photo AS b "
+           "WITHIN 5 ARCSEC WHERE 1 / (class - 1) > 0",
        }) {
     SCOPED_TRACE(sql);
     ExpectLeavesMatchOracle(*row_store_, sql, /*auto_tag=*/false);
@@ -437,8 +497,43 @@ TEST_F(ColumnarDiffTest, RuntimeErrorsSurfaceIdentically) {
     ASSERT_FALSE(a.ok());
     ASSERT_FALSE(b.ok());
     EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(a.status().message(), "division by zero");
     EXPECT_EQ(a.status().code(), b.status().code());
     EXPECT_EQ(a.status().message(), b.status().message());
+    for (const auto& fleet : fleets) {
+      auto shards = fleet->LiveShards();
+      ASSERT_TRUE(shards.ok()) << shards.status().ToString();
+      FederatedQueryEngine fed(*shards, SingleThreaded());
+      auto f = fed.Execute(sql);
+      ASSERT_FALSE(f.ok()) << shards->size() << " shards";
+      EXPECT_EQ(f.status().code(), a.status().code());
+      EXPECT_EQ(f.status().message(), a.status().message());
+    }
+  }
+}
+
+TEST_F(ColumnarDiffTest, CancelledJoinsFailCancelled) {
+  // A flag raised before the run stops the join's phase 1 on one store
+  // and the ghost harvest on a fleet.
+  std::atomic<bool> cancel{true};
+  ExecContext ctx;
+  ctx.cancel = &cancel;
+  std::vector<std::vector<Shard>> fleets = {{Shard{0, row_store_, nullptr}}};
+  const auto sharded = Fleets(*row_store_);
+  for (const auto& fleet : sharded) {
+    auto shards = fleet->LiveShards();
+    ASSERT_TRUE(shards.ok()) << shards.status().ToString();
+    fleets.push_back(*shards);
+  }
+  for (const std::vector<Shard>& shards : fleets) {
+    SCOPED_TRACE(std::to_string(shards.size()) + " shards");
+    FederatedQueryEngine engine(shards, SingleThreaded());
+    for (const char* sql : {kGalaxyPairsJoin, kLensJoin}) {
+      SCOPED_TRACE(sql);
+      auto r = engine.Execute(sql, ctx);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+    }
   }
 }
 
@@ -478,9 +573,8 @@ TEST_F(ColumnarDiffTest, MappedColdStartSkipsRebuild) {
   // leave the shared one byte-identical to its source.
   auto probe = MapStore(*row_store_, "insert_probe");
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
-  catalog::PhotoObj obj = row_store_->containers().begin()
-                              ->second.rows()
-                              .front();
+  catalog::PhotoObj obj =
+      row_store_->containers().begin()->second.columnar.MaterializeObject(0);
   Status insert = probe->Insert(obj);
   EXPECT_EQ(insert.code(), StatusCode::kFailedPrecondition);
   // The density map (admission + routing) survives adoption.
@@ -575,7 +669,7 @@ TEST(ColumnarFederationTest, MixedFleetTagScansReadOnlyTaggedShards) {
   for (size_t i = 1; i < mixed.size(); ++i) {
     for (uint64_t raw : *mixed[i].assigned) {
       for (const catalog::PhotoObj& o :
-           mixed[i].store->containers().at(raw).rows()) {
+           mixed[i].store->containers().at(raw).columnar.Materialize()) {
         if (o.mag[catalog::kR] < 21.0f) expected.push_back(o.obj_id);
       }
     }

@@ -193,7 +193,7 @@ TEST_F(PairJoinTest, PlanShapeAndExplain) {
   EXPECT_DOUBLE_EQ(n->pair_max_sep_arcsec, 10.0);
   EXPECT_GE(n->pair_bucket_level, 9);
   EXPECT_LE(n->pair_bucket_level, 12);
-  ASSERT_NE(n->pair_select, nullptr);   // The unqualified r < 22.
+  ASSERT_NE(n->predicate, nullptr);     // The unqualified r < 22.
   ASSERT_NE(n->pair_where, nullptr);    // The color-similarity conjuncts.
 
   std::string explain = plan->Explain();

@@ -191,7 +191,7 @@ class MyDbPlanTest : public PlanTest {
     ASSERT_TRUE(personal_->BulkLoad(store_->Sample(0.2, 9)
                                         .containers()
                                         .begin()
-                                        ->second.rows())
+                                        ->second.columnar.Materialize())
                     .ok());
   }
   static void TearDownTestSuite() {
