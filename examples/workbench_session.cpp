@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "archive/mydb.h"
@@ -106,14 +107,19 @@ int main() {
               LaneName(refine_done->lane));
 
   std::printf("[3] quick job: aggregate the derived table\n");
-  auto agg = scheduler.Submit("miner",
-                              "SELECT AVG(r) FROM mydb.bright");
+  // Rows stream to the submitter's hook as the job produces them; the
+  // scheduler keeps none.
+  double avg = 0.0;
+  sdss::workbench::StreamHooks hooks;
+  hooks.on_batch = [&avg](const sdss::query::RowBatch& batch) {
+    if (!batch.empty()) avg = batch[0].values.at(0);
+    return true;
+  };
+  auto agg = scheduler.Submit("miner", "SELECT AVG(r) FROM mydb.bright",
+                              std::move(hooks));
   if (!agg.ok()) return 1;
-  (void)scheduler.Wait(*agg);
-  auto avg = scheduler.TakeResult(*agg);
-  if (avg.ok()) {
-    std::printf("    AVG(r) over mydb.bright = %.4f\n",
-                avg->aggregate_value);
+  if (scheduler.Wait(*agg)->state == sdss::workbench::JobState::kSucceeded) {
+    std::printf("    AVG(r) over mydb.bright = %.4f\n", avg);
   }
 
   // -- Cancellation ---------------------------------------------------

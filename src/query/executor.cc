@@ -580,17 +580,6 @@ bool EmitRows(RowBatch&& rows, size_t batch_size, const BatchSink& sink) {
   return true;
 }
 
-Executor::Executor(const catalog::ObjectStore* store, Options options,
-                   ThreadPool* shared_pool)
-    : store_(store), options_(options) {
-  if (shared_pool != nullptr) {
-    pool_ = shared_pool;
-  } else {
-    owned_pool_ = std::make_unique<ThreadPool>(options.scan_threads);
-    pool_ = owned_pool_.get();
-  }
-}
-
 Result<ExecStats> Executor::RunTree(
     const PlanNode* root, const std::function<bool(RowBatch&&)>& on_batch,
     const std::unordered_set<uint64_t>* container_filter,

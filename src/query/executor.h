@@ -20,7 +20,6 @@
 #include <atomic>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <unordered_set>
 
 #include "catalog/object_store.h"
@@ -131,9 +130,9 @@ struct PairJoinGhosts {
 
 /// Executes plans against one store.
 ///
-/// The scan pool is either owned (default) or injected: nested engines
-/// (the federated fan-out runs one Executor per shard) share one pool so
-/// N shards do not oversubscribe the machine with N * scan_threads
+/// The scan pool is injected and never owned: nested engines (the
+/// federated fan-out runs one Executor per shard) share one pool so N
+/// shards do not oversubscribe the machine with N * scan_threads
 /// workers. RunTree itself starts no thread.
 class Executor {
  public:
@@ -142,12 +141,10 @@ class Executor {
     size_t batch_size = 512;   ///< Rows per pushed batch.
   };
 
-  explicit Executor(const catalog::ObjectStore* store)
-      : Executor(store, Options()) {}
-  /// With `shared_pool` null the executor owns a pool of `scan_threads`
-  /// workers; otherwise it scans on the injected pool and owns nothing.
+  /// Scans on `pool`, which must outlive the executor.
   Executor(const catalog::ObjectStore* store, Options options,
-           ThreadPool* shared_pool = nullptr);
+           ThreadPool* pool)
+      : store_(store), options_(options), pool_(pool) {}
 
   /// Runs a plan subtree on the calling thread, invoking `on_batch` --
   /// on this thread only -- for every batch that reaches `root` (in ASAP
@@ -178,7 +175,6 @@ class Executor {
  private:
   const catalog::ObjectStore* store_;
   Options options_;
-  std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_;
 };
 

@@ -563,12 +563,6 @@ Result<ExecStats> FederatedQueryEngine::RunShard(
     trace->Num(span, "bytes_shipped", static_cast<double>(st->bytes_shipped));
     trace->Num(span, "rows", static_cast<double>(st->rows_emitted));
     trace->Num(span, "seconds", st->seconds_total);
-    trace->Note(span, "kernel",
-                st->containers_columnar > 0
-                    ? (st->containers_columnar == st->containers_scanned
-                           ? "columnar"
-                           : "mixed")
-                    : "row");
   }
   TraceEnd(trace, span);
   return st;

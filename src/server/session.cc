@@ -165,18 +165,11 @@ bool Session::HandleQuery(std::string_view payload) {
   auto pending = std::make_shared<Pending>();
   std::shared_ptr<Wire> wire = wire_;
   workbench::StreamHooks hooks;
-  hooks.on_header = [pending, wire](const query::ResultHeader& header) {
+  hooks.on_header = [wire](uint64_t job_id, workbench::Lane lane,
+                           const query::ResultHeader& header) {
     HeaderMsg msg;
-    {
-      // SubmitStreaming returns right after enqueue, so a lane worker
-      // can reach this hook before the session thread learned the job
-      // id -- wait for it (microseconds; the submitter fills it in
-      // directly after the call returns).
-      std::unique_lock<std::mutex> lock(pending->mu);
-      pending->cv.wait(lock, [&pending] { return pending->id_ready; });
-      msg.job_id = pending->job_id;
-      msg.lane = pending->lane == workbench::Lane::kLong ? 1 : 0;
-    }
+    msg.job_id = job_id;
+    msg.lane = lane == workbench::Lane::kLong ? 1 : 0;
     msg.is_aggregate = header.is_aggregate;
     msg.columns = header.columns;
     wire->Write(EncodeHeader(msg));  // Failure surfaces on the next batch.
@@ -226,7 +219,7 @@ bool Session::HandleQuery(std::string_view payload) {
   };
 
   Result<uint64_t> submitted =
-      scheduler->SubmitStreaming(user_, query->sql, std::move(hooks));
+      scheduler->Submit(user_, query->sql, std::move(hooks));
   if (!submitted.ok()) {
     if (submitted.status().code() == StatusCode::kUnavailable) {
       // Bounded admission refused the lane: same verdict as the
@@ -238,14 +231,6 @@ bool Session::HandleQuery(std::string_view payload) {
     return true;
   }
   server_->counters_.queries_submitted->Inc();
-  {
-    std::lock_guard<std::mutex> lock(pending->mu);
-    pending->job_id = *submitted;
-    Result<workbench::JobSnapshot> snap = scheduler->Snapshot(*submitted);
-    if (snap.ok()) pending->lane = snap->lane;
-    pending->id_ready = true;
-    pending->cv.notify_all();
-  }
   return DrainInFlight(pending, *submitted);
 }
 

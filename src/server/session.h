@@ -3,10 +3,11 @@
 // A session runs on its own thread: it performs the HELLO handshake,
 // binds the connection to the authenticated user, then loops reading
 // frames. Every QUERY is routed through the workbench scheduler's
-// streaming submission, so admission pricing, lane quotas, per-user
-// concurrency, and cooperative cancel all apply to wire traffic exactly
-// as they do to in-process submissions -- the session adds only the
-// fast-path BUSY shed (quick lane past the threshold) in front of them.
+// Submit with streaming hooks, so admission pricing, lane quotas,
+// per-user concurrency, and cooperative cancel all apply to wire
+// traffic exactly as they do to in-process submissions -- the session
+// adds only the fast-path BUSY shed (quick lane past the threshold) in
+// front of them.
 //
 // Threading: the session thread reads; the lane worker executing the
 // in-flight job writes HEADER/ROWS/DONE frames. The shared Wire
@@ -68,17 +69,12 @@ class Session {
   uint64_t id() const { return id_; }
 
  private:
-  /// Coordination between the session thread and the hooks of one
-  /// streaming submission. The job id is assigned when SubmitStreaming
-  /// returns, but a worker can start the job first, so on_header waits
-  /// for `id_ready`; `done` flips exactly once, after the terminal
-  /// frame (DONE or ERROR) went to the wire.
+  /// The terminal handoff from one submission's on_complete hook to the
+  /// session thread's drain loop: `done` flips exactly once, just before
+  /// the terminal frame (DONE or ERROR) goes to the wire.
   struct Pending {
     std::mutex mu;
     std::condition_variable cv;
-    bool id_ready = false;
-    uint64_t job_id = 0;
-    workbench::Lane lane = workbench::Lane::kQuick;
     bool done = false;
     workbench::JobState state = workbench::JobState::kQueued;
     /// Result-cache verdict of the terminal snapshot (at most one set);

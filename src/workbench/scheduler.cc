@@ -16,6 +16,12 @@ double SecondsBetween(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
+/// True for the three terminal states.
+bool IsTerminal(JobState state) {
+  return state == JobState::kSucceeded || state == JobState::kFailed ||
+         state == JobState::kCancelled;
+}
+
 /// Journal record types: one per job transition. SUBMIT carries the
 /// whole admission decision (the job re-plans from SQL when it runs, so
 /// nothing else needs to survive); START and TERMINAL are keyed by id.
@@ -218,10 +224,7 @@ JobScheduler::~JobScheduler() {
     // the executors unwind at the next cancellation point.
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [id, job] : jobs_) {
-      if (job->snap.state == JobState::kQueued ||
-          job->snap.state == JobState::kRunning) {
-        job->cancel.store(true);
-      }
+      if (!IsTerminal(job->snap.state)) job->cancel.store(true);
     }
   }
   queue_.Shutdown();
@@ -261,22 +264,14 @@ void JobScheduler::AutoPruneLocked() {
   if (cap == 0) return;
   size_t terminal = 0;
   for (const auto& [id, job] : jobs_) {
-    JobState state = job->snap.state;
-    if (state == JobState::kSucceeded || state == JobState::kFailed ||
-        state == JobState::kCancelled) {
-      ++terminal;
-    }
+    if (IsTerminal(job->snap.state)) ++terminal;
   }
   // Oldest first (jobs_ is ascending by id). A terminal job still
   // awaiting its hook or holding parked Wait() calls is skipped -- it
   // counts against the cap but cannot be freed yet.
   for (auto it = jobs_.begin(); it != jobs_.end() && terminal > cap;) {
     Job* job = it->second.get();
-    JobState state = job->snap.state;
-    bool done = state == JobState::kSucceeded ||
-                state == JobState::kFailed ||
-                state == JobState::kCancelled;
-    if (done && job->notified && job->waiters == 0) {
+    if (IsTerminal(job->snap.state) && job->notified && job->waiters == 0) {
       it = jobs_.erase(it);
       --terminal;
     } else {
@@ -301,20 +296,8 @@ QueueDepths JobScheduler::LaneDepths() const {
 }
 
 Result<uint64_t> JobScheduler::Submit(const std::string& user,
-                                      const std::string& sql) {
-  return SubmitInternal(user, sql, /*streaming=*/false, StreamHooks{});
-}
-
-Result<uint64_t> JobScheduler::SubmitStreaming(const std::string& user,
-                                               const std::string& sql,
-                                               StreamHooks hooks) {
-  return SubmitInternal(user, sql, /*streaming=*/true, std::move(hooks));
-}
-
-Result<uint64_t> JobScheduler::SubmitInternal(const std::string& user,
-                                              const std::string& sql,
-                                              bool streaming,
-                                              StreamHooks hooks) {
+                                      const std::string& sql,
+                                      StreamHooks hooks) {
   if (shutting_down_.load()) {
     return Status::FailedPrecondition("scheduler is shutting down");
   }
@@ -340,8 +323,7 @@ Result<uint64_t> JobScheduler::SubmitInternal(const std::string& user,
       for (const auto& [id, other] : jobs_) {
         if (other->snap.user == user &&
             other->snap.into == estimate->into_mydb &&
-            (other->snap.state == JobState::kQueued ||
-             other->snap.state == JobState::kRunning)) {
+            !IsTerminal(other->snap.state)) {
           taken = true;
           break;
         }
@@ -363,7 +345,6 @@ Result<uint64_t> JobScheduler::SubmitInternal(const std::string& user,
                        ? Lane::kLong
                        : Lane::kQuick;
   job->submitted = std::chrono::steady_clock::now();
-  job->streaming = streaming;
   job->hooks = std::move(hooks);
 
   uint64_t id;
@@ -437,10 +418,8 @@ Result<SchedulerRecoveryReport> JobScheduler::RecoverFrom(
       job->snap = rj.snap;
       job->submitted = now;
       if (rj.terminal) {
-        // Bookkeeping survives; the result rows do not. No hook is
-        // pending (it belonged to the dead incarnation), so the job is
-        // immediately reapable.
-        job->result_taken = true;
+        // Bookkeeping survives. No hook is pending (it belonged to the
+        // dead incarnation), so the job is immediately reapable.
         job->notified = true;
         ++report.terminal_restored;
       } else if (rj.started) {
@@ -453,7 +432,6 @@ Result<SchedulerRecoveryReport> JobScheduler::RecoverFrom(
             "job was RUNNING when the scheduler went down; resubmit to "
             "retry");
         job->snap.retryable = true;
-        job->result_taken = true;
         job->notified = true;
         ++report.failed_running;
         // Fold the verdict into the journal so the next recovery (and
@@ -550,66 +528,12 @@ Result<JobSnapshot> JobScheduler::Wait(uint64_t job_id) {
     return Status::NotFound("no job " + std::to_string(job_id));
   }
   Job* job = it->second.get();
-  // Parked waiters pin the job: neither retention cap nor manual prune
-  // may free it while this predicate still dereferences it.
+  // Parked waiters pin the job: the retention cap may not free it while
+  // this predicate still dereferences it.
   ++job->waiters;
-  done_cv_.wait(lock, [job] {
-    return job->snap.state == JobState::kSucceeded ||
-           job->snap.state == JobState::kFailed ||
-           job->snap.state == JobState::kCancelled;
-  });
+  done_cv_.wait(lock, [job] { return IsTerminal(job->snap.state); });
   --job->waiters;
   return job->snap;
-}
-
-Result<query::QueryResult> JobScheduler::TakeResult(uint64_t job_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = jobs_.find(job_id);
-  if (it == jobs_.end()) {
-    return Status::NotFound("no job " + std::to_string(job_id));
-  }
-  Job* job = it->second.get();
-  if (job->snap.state != JobState::kSucceeded) {
-    return Status::FailedPrecondition(
-        "job " + std::to_string(job_id) + " is " +
-        JobStateName(job->snap.state));
-  }
-  if (!job->snap.into.empty()) {
-    return Status::FailedPrecondition(
-        "job " + std::to_string(job_id) + " materialized into mydb." +
-        job->snap.into + "; query that table instead");
-  }
-  if (job->streaming) {
-    return Status::FailedPrecondition(
-        "job " + std::to_string(job_id) +
-        " streamed its result; there is nothing to take");
-  }
-  if (job->result_taken) {
-    return Status::FailedPrecondition(
-        "result of job " + std::to_string(job_id) + " already taken");
-  }
-  job->result_taken = true;
-  return std::move(job->result);
-}
-
-size_t JobScheduler::PruneTerminalJobs() {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t pruned = 0;
-  for (auto it = jobs_.begin(); it != jobs_.end();) {
-    Job* job = it->second.get();
-    JobState state = job->snap.state;
-    // Same eligibility as the retention cap: a terminal job whose hook
-    // has not returned, or with Wait() calls parked on it, stays.
-    if ((state == JobState::kSucceeded || state == JobState::kFailed ||
-         state == JobState::kCancelled) &&
-        job->notified && job->waiters == 0) {
-      it = jobs_.erase(it);
-      ++pruned;
-    } else {
-      ++it;
-    }
-  }
-  return pruned;
 }
 
 std::vector<JobSnapshot> JobScheduler::Jobs() const {
@@ -694,51 +618,65 @@ void JobScheduler::RunJob(Job* job) {
     };
   }
 
-  Status status;
-  query::ExecStats exec;
+  // The one sink. An INTO job's rows become the PhotoObjs of one
+  // all-or-nothing MyDb::Put, under the owner's byte quota so a runaway
+  // result aborts early; every other job's rows go to on_batch as the
+  // executor produces them, or are only counted. Nothing is retained.
+  // The job's id and lane are fixed at admission, so they are read here
+  // without mu_.
+  const bool into = !job->snap.into.empty();
+  ctx.into_sink = into;
+  const std::vector<std::string>& names = catalog::PhotoAttributeNames();
+  const uint64_t budget = into ? mydb_->RemainingBytes(job->snap.user) : 0;
+  std::vector<catalog::PhotoObj> objects;
+  Status sink_error;
   uint64_t rows = 0;
-  query::QueryResult result;
-  if (!job->snap.into.empty()) {
-    status = ExecuteInto(job, ctx, &exec, &rows);
-  } else if (job->streaming) {
-    // The wire path: batches flow to the hooks as the executor produces
-    // them; nothing is retained in scheduler memory.
-    uint64_t emitted = 0;
-    bool sink_stopped = false;
-    auto stats = engine_->ExecuteStreaming(
-        job->snap.sql,
-        [job](const query::ResultHeader& header) {
-          if (job->hooks.on_header) job->hooks.on_header(header);
-        },
-        [job, &emitted, &sink_stopped](const query::RowBatch& batch) {
-          emitted += batch.size();
+  auto stats = engine_->ExecuteStreaming(
+      job->snap.sql,
+      [job](const query::ResultHeader& header) {
+        if (job->hooks.on_header) {
+          job->hooks.on_header(job->snap.id, job->snap.lane, header);
+        }
+      },
+      [&](const query::RowBatch& batch) {
+        rows += batch.size();
+        if (!into) {
           if (job->hooks.on_batch && !job->hooks.on_batch(batch)) {
-            sink_stopped = true;
+            // The consumer walked away mid-stream (client disconnect):
+            // the job is a cancellation, not a success with missing rows.
+            sink_error =
+                Status::Cancelled("stream consumer stopped mid-result");
             return false;
           }
           return true;
-        },
-        ctx);
-    if (!stats.ok()) {
-      status = stats.status();
-    } else if (sink_stopped) {
-      // The consumer walked away mid-stream (client disconnect): the
-      // job is a cancellation, not a success with missing rows.
-      status = Status::Cancelled("stream consumer stopped mid-result");
-      exec = *stats;
-      rows = emitted;
-    } else {
-      exec = *stats;
-      rows = emitted;
-    }
+        }
+        for (const query::ResultRow& row : batch) {
+          auto obj = catalog::PhotoObjFromRow(names, row.values);
+          if (!obj.ok()) {
+            sink_error = obj.status();
+            return false;
+          }
+          objects.push_back(std::move(obj).value());
+        }
+        if (objects.size() * sizeof(catalog::PhotoObj) > budget) {
+          sink_error = Status::ResourceExhausted(
+              "mydb quota of user '" + job->snap.user +
+              "' exceeded while materializing mydb." + job->snap.into);
+          return false;
+        }
+        return true;
+      },
+      ctx);
+  Status status;
+  query::ExecStats exec;
+  if (!stats.ok()) {
+    status = stats.status();
+    rows = 0;
   } else {
-    auto run = engine_->Execute(job->snap.sql, ctx);
-    if (run.ok()) {
-      result = std::move(run).value();
-      exec = result.exec;
-      rows = result.rows.size();
-    } else {
-      status = run.status();
+    exec = *stats;
+    status = sink_error;
+    if (status.ok() && into) {
+      status = mydb_->Put(job->snap.user, job->snap.into, std::move(objects));
     }
   }
 
@@ -750,9 +688,6 @@ void JobScheduler::RunJob(Job* job) {
     job->snap.seconds_running =
         SecondsBetween(job->started, std::chrono::steady_clock::now());
     if (status.ok()) {
-      job->result = std::move(result);
-      // A streaming job's rows are already gone to the hooks.
-      job->result_taken = job->streaming;
       job->snap.state = JobState::kSucceeded;
     } else {
       job->snap.state = status.code() == StatusCode::kCancelled
@@ -822,51 +757,6 @@ void JobScheduler::UpdateLaneGauges() {
   g_quick_running_->Set(static_cast<int64_t>(d.quick_running));
   g_long_queued_->Set(static_cast<int64_t>(d.long_queued));
   g_long_running_->Set(static_cast<int64_t>(d.long_running));
-}
-
-Status JobScheduler::ExecuteInto(Job* job, const query::ExecContext& base,
-                                 query::ExecStats* exec, uint64_t* rows) {
-  query::ExecContext ctx = base;
-  ctx.into_sink = true;  // This sink IS the materialization.
-  const std::vector<std::string>& names = catalog::PhotoAttributeNames();
-  const uint64_t budget = mydb_->RemainingBytes(job->snap.user);
-  std::vector<catalog::PhotoObj> objects;
-  Status convert_error;
-  bool over_quota = false;
-
-  auto stats = engine_->ExecuteStreaming(
-      job->snap.sql,
-      [job](const query::ResultHeader& header) {
-        // A streaming INTO job still announces its shape; the rows
-        // themselves go to the store, not the hooks.
-        if (job->hooks.on_header) job->hooks.on_header(header);
-      },
-      [&](const query::RowBatch& batch) {
-        for (const query::ResultRow& row : batch) {
-          auto obj = catalog::PhotoObjFromRow(names, row.values);
-          if (!obj.ok()) {
-            convert_error = obj.status();
-            return false;
-          }
-          objects.push_back(std::move(obj).value());
-        }
-        if (objects.size() * sizeof(catalog::PhotoObj) > budget) {
-          over_quota = true;  // Stop streaming; nothing gets stored.
-          return false;
-        }
-        return true;
-      },
-      ctx);
-  if (!stats.ok()) return stats.status();
-  if (!convert_error.ok()) return convert_error;
-  if (over_quota) {
-    return Status::ResourceExhausted(
-        "mydb quota of user '" + job->snap.user +
-        "' exceeded while materializing mydb." + job->snap.into);
-  }
-  *exec = *stats;
-  *rows = objects.size();
-  return mydb_->Put(job->snap.user, job->snap.into, std::move(objects));
 }
 
 }  // namespace sdss::workbench

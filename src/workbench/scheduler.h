@@ -13,6 +13,11 @@
 // store -- quota-checked, all-or-nothing -- so the next step of a mining
 // workflow reads derived data instead of re-scanning the fleet.
 //
+// Every job streams: its rows go to the submitter's StreamHooks as the
+// executor produces them (or, for INTO, to the MyDB store), and the
+// scheduler keeps only bookkeeping -- never a result. A job submitted
+// without hooks counts its rows and keeps nothing.
+//
 // Durability (optional): RecoverFrom(dir) turns the scheduler into a
 // crash-safe service. Every job transition (submit, start, terminal) is
 // appended to a persist::Journal in `dir`, and recovery replays a prior
@@ -22,10 +27,10 @@
 // with an Aborted error and `retryable` set (their side effects are
 // unknown; INTO jobs are safe to resubmit because the MyDB commit
 // protocol is all-or-nothing), and already-terminal jobs come back as
-// bookkeeping so Snapshot/Jobs keep answering (results themselves are
-// not retained across restarts). Shutdown deliberately journals
-// nothing for in-flight jobs -- a clean exit and a SIGKILL look
-// identical to recovery, which is what makes the crash path testable.
+// bookkeeping so Snapshot/Jobs keep answering. Shutdown deliberately
+// journals nothing for in-flight jobs -- a clean exit and a SIGKILL
+// look identical to recovery, which is what makes the crash path
+// testable.
 
 #ifndef SDSS_WORKBENCH_SCHEDULER_H_
 #define SDSS_WORKBENCH_SCHEDULER_H_
@@ -97,10 +102,10 @@ struct QueueDepths {
   }
 };
 
-/// Callbacks a streaming submission receives as its job executes -- the
-/// query server's wire path: batches go to the socket as the executor
-/// produces them instead of materializing a QueryResult in scheduler
-/// memory first.
+/// Callbacks a submission receives as its job executes -- the query
+/// server's wire path: batches go to the socket as the executor produces
+/// them, and nothing is materialized in scheduler memory. Every hook is
+/// optional.
 ///
 /// Threading: on_header and on_batch run on the lane worker executing
 /// the job; on_complete runs exactly once per terminal transition, on
@@ -109,9 +114,12 @@ struct QueueDepths {
 /// not block for long (they hold a lane worker) and must not call
 /// Wait() on their own job; Snapshot/Cancel are safe.
 struct StreamHooks {
-  /// The result shape, once, before the first batch. Not invoked for
-  /// jobs that fail before planning or are cancelled while queued.
-  std::function<void(const query::ResultHeader&)> on_header;
+  /// The job's id and admission lane, then the result shape: once,
+  /// before the first batch. Not invoked for jobs that fail before
+  /// planning or are cancelled while queued.
+  std::function<void(uint64_t job_id, Lane lane,
+                     const query::ResultHeader& header)>
+      on_header;
   /// Batches in ASAP order. Return false to stop consuming (the client
   /// vanished): remaining upstream work is abandoned and the job
   /// finishes as cancelled. Never invoked for INTO jobs (their rows go
@@ -160,10 +168,9 @@ class JobScheduler {
     size_t max_queued_quick = 0;
     size_t max_queued_long = 0;
     /// Retention cap on terminal bookkeeping (0 = unlimited, the
-    /// in-process default). When set, every terminal transition prunes
-    /// the oldest completed jobs -- and their untaken results -- down
-    /// to this many, so a long-lived service no longer needs to call
-    /// PruneTerminalJobs() on a timer to stay bounded. Jobs whose
+    /// in-process default), and the only reaper: when set, every
+    /// terminal transition prunes the oldest completed jobs down to this
+    /// many, so a long-lived service stays bounded. Jobs whose
     /// completion hook has not fired yet, or that a Wait() is still
     /// parked on, are never pruned out from under their observers.
     size_t max_retained_terminal_jobs = 0;
@@ -206,22 +213,16 @@ class JobScheduler {
   /// called before the first Submit (FailedPrecondition otherwise).
   /// QUEUED jobs are re-enqueued under their original ids in original
   /// lane order; RUNNING jobs become FAILED/Aborted with `retryable`
-  /// set; terminal jobs are restored as bookkeeping (their results are
-  /// gone: TakeResult answers FailedPrecondition).
+  /// set; terminal jobs are restored as bookkeeping.
   Result<SchedulerRecoveryReport> RecoverFrom(const std::string& dir);
 
-  /// Parses, prices, and enqueues `sql` for `user`. Returns the job id,
-  /// or the parse/plan error (nothing is queued on failure), or
+  /// Parses, prices, and enqueues `sql` for `user`; the job streams its
+  /// result through `hooks`. INTO jobs materialize into MyDB instead, so
+  /// their hooks see on_header and on_complete only. Returns the job
+  /// id, or the parse/plan error (nothing is queued on failure), or
   /// kUnavailable when the target lane is at its configured bound.
-  Result<uint64_t> Submit(const std::string& user, const std::string& sql);
-
-  /// Like Submit, but the job streams its result through `hooks`
-  /// instead of materializing it (TakeResult answers FailedPrecondition
-  /// for streaming jobs). INTO jobs still materialize into MyDB;
-  /// their hooks see on_header and on_complete only.
-  Result<uint64_t> SubmitStreaming(const std::string& user,
-                                   const std::string& sql,
-                                   StreamHooks hooks);
+  Result<uint64_t> Submit(const std::string& user, const std::string& sql,
+                          StreamHooks hooks = {});
 
   /// Cancels a job: a queued job terminates immediately; a running job
   /// has its cooperative cancel flag raised and terminates at the
@@ -236,17 +237,8 @@ class JobScheduler {
   /// snapshot.
   Result<JobSnapshot> Wait(uint64_t job_id);
 
-  /// Moves a succeeded non-INTO job's result out of the scheduler.
-  Result<query::QueryResult> TakeResult(uint64_t job_id);
-
   /// All jobs, ascending id.
   std::vector<JobSnapshot> Jobs() const;
-
-  /// Drops terminal jobs (and their retained results) from the
-  /// bookkeeping, returning how many were freed. A long-lived service
-  /// must call this periodically: completed jobs are otherwise kept
-  /// forever so Snapshot/TakeResult keep answering.
-  size_t PruneTerminalJobs();
 
   size_t QueueDepth(Lane lane) const { return queue_.Depth(lane); }
 
@@ -263,10 +255,6 @@ class JobScheduler {
     std::atomic<bool> cancel{false};
     std::chrono::steady_clock::time_point submitted;
     std::chrono::steady_clock::time_point started;
-    query::QueryResult result;
-    bool result_taken = false;
-    /// Set for SubmitStreaming jobs; such a job never materializes.
-    bool streaming = false;
     StreamHooks hooks;
     /// Terminal hook has returned (set under mu_): the job is safe for
     /// the retention cap to reap.
@@ -276,9 +264,6 @@ class JobScheduler {
     int waiters = 0;
   };
 
-  Result<uint64_t> SubmitInternal(const std::string& user,
-                                  const std::string& sql, bool streaming,
-                                  StreamHooks hooks);
   void WorkerLoop(Lane lane);
   void RunJob(Job* job);
   /// Fires a terminal job's on_complete hook. Must be called without
@@ -295,12 +280,6 @@ class JobScheduler {
   /// Callers skip this for shutdown-driven terminals (see the file
   /// comment: shutdown must look like a crash to recovery).
   void JournalTerminal(const JobSnapshot& snap);
-  /// The INTO sink: streams the select, rebuilds full PhotoObjs from the
-  /// rows, and hands them to MyDb::Put whole. Enforces the owner's byte
-  /// quota while streaming so a runaway result aborts early -- and a
-  /// failed or cancelled job stores nothing (no partial container).
-  Status ExecuteInto(Job* job, const query::ExecContext& ctx,
-                     query::ExecStats* exec, uint64_t* rows);
   /// Refreshes the per-lane queued/running gauges from LaneDepths().
   /// Takes mu_ (via LaneDepths) -- call without the lock held.
   void UpdateLaneGauges();

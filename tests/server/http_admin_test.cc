@@ -321,7 +321,7 @@ TEST_F(HttpAdminHealthTest, HealthzFlipsWhenQuickLanePinsAndRecovers) {
     cv.wait(lock, [&] { return release; });
     return true;
   };
-  auto wedge = scheduler.SubmitStreaming(
+  auto wedge = scheduler.Submit(
       "ana", "SELECT COUNT(*) FROM photo WHERE r < 23", std::move(hooks));
   ASSERT_TRUE(wedge.ok()) << wedge.status().ToString();
   while (!parked.load()) std::this_thread::yield();

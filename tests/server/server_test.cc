@@ -61,6 +61,35 @@ TEST_F(ServerTest, HandshakeThenQueryMatchesDirectExecution) {
   EXPECT_TRUE(client->Bye().ok());
 }
 
+TEST_F(ServerTest, HeaderCarriesTheJobsOwnIdAndLane) {
+  auto lanes = DefaultLanes();
+  // Below the fleet's full-scan price, above a pruned cone's: a
+  // full-catalog COUNT is admitted to the LONG lane.
+  lanes.quick_lane_max_bytes = 1ull << 20;
+  StartServer(lanes, ServerOptions());
+  auto client = Connect("alice");
+  ASSERT_TRUE(client.ok());
+
+  auto cone = client->Query(kQuickSql);
+  ASSERT_TRUE(cone.ok());
+  ASSERT_EQ(cone->kind, QueryOutcome::Kind::kDone);
+  ASSERT_TRUE(cone->have_header);
+  EXPECT_EQ(cone->header.job_id, cone->done.job_id);
+  EXPECT_EQ(cone->header.lane, 0);
+
+  auto full = client->Query("SELECT COUNT(*) FROM photo");
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->kind, QueryOutcome::Kind::kDone);
+  ASSERT_TRUE(full->have_header);
+  EXPECT_EQ(full->header.job_id, full->done.job_id);
+  EXPECT_NE(full->header.job_id, cone->header.job_id);
+  EXPECT_EQ(full->header.lane, 1);
+  auto snap = scheduler_->Snapshot(full->done.job_id);
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(snap->lane, workbench::Lane::kLong);
+  EXPECT_TRUE(client->Bye().ok());
+}
+
 TEST_F(ServerTest, SeveralStatementsOverOneSession) {
   StartServer(DefaultLanes(), ServerOptions());
   auto client = Connect("alice");

@@ -103,8 +103,9 @@ class ServerTest : public ::testing::Test {
   uint64_t BlockWorker(const std::string& user,
                        std::shared_future<void> gate) {
     workbench::StreamHooks hooks;
-    hooks.on_header = [gate](const query::ResultHeader&) { gate.wait(); };
-    auto id = scheduler_->SubmitStreaming(user, kQuickSql, std::move(hooks));
+    hooks.on_header = [gate](uint64_t, workbench::Lane,
+                             const query::ResultHeader&) { gate.wait(); };
+    auto id = scheduler_->Submit(user, kQuickSql, std::move(hooks));
     EXPECT_TRUE(id.ok());
     // Wait until the job occupies its worker (header reached = running).
     for (;;) {

@@ -81,6 +81,18 @@ class WorkbenchSchedulerTest : public ::testing::Test {
     return opt;
   }
 
+  /// Hooks that append every streamed row to `rows`. The caller reads
+  /// `rows` only after Wait() returned: the batches arrive on a lane
+  /// worker before the job turns terminal.
+  static StreamHooks CollectRows(query::RowBatch* rows) {
+    StreamHooks hooks;
+    hooks.on_batch = [rows](const query::RowBatch& batch) {
+      rows->insert(rows->end(), batch.begin(), batch.end());
+      return true;
+    };
+    return hooks;
+  }
+
   /// Polls until the job leaves kQueued. Returns its state.
   static JobState AwaitStarted(JobScheduler& sched, uint64_t id) {
     for (;;) {
@@ -114,7 +126,9 @@ TEST_F(WorkbenchSchedulerTest, CostEstimateChoosesTheLane) {
   EXPECT_EQ(qsnap->lane, Lane::kQuick);
   EXPECT_LT(qsnap->predicted_bytes, sched.options().quick_lane_max_bytes);
 
-  auto heavy = sched.Submit("alice", "SELECT COUNT(*) FROM photo");
+  query::RowBatch rows;
+  auto heavy =
+      sched.Submit("alice", "SELECT COUNT(*) FROM photo", CollectRows(&rows));
   ASSERT_TRUE(heavy.ok());
   auto lsnap = sched.Snapshot(*heavy);
   ASSERT_TRUE(lsnap.ok());
@@ -124,12 +138,9 @@ TEST_F(WorkbenchSchedulerTest, CostEstimateChoosesTheLane) {
   auto done = sched.Wait(*heavy);
   ASSERT_TRUE(done.ok());
   EXPECT_EQ(done->state, JobState::kSucceeded);
-  auto result = sched.TakeResult(*heavy);
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result->aggregate_value,
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(rows[0].values.at(0),
                    static_cast<double>(source_->object_count()));
-  // A result can only be taken once.
-  EXPECT_FALSE(sched.TakeResult(*heavy).ok());
 }
 
 TEST_F(WorkbenchSchedulerTest, SubmitRejectsBadQueriesUpFront) {
@@ -188,18 +199,19 @@ TEST_F(WorkbenchSchedulerTest, ThreeStepMiningWorkflowOnFourShards) {
   EXPECT_EQ(refine_done->rows, truth_refined->rows.size());
 
   // Step 3 (quick lane): aggregate the derived data.
-  auto agg = sched.Submit("miner", "SELECT AVG(r) FROM mydb.bright");
+  query::RowBatch avg;
+  auto agg = sched.Submit("miner", "SELECT AVG(r) FROM mydb.bright",
+                          CollectRows(&avg));
   ASSERT_TRUE(agg.ok());
   EXPECT_EQ(sched.Snapshot(*agg)->lane, Lane::kQuick);
   auto agg_done = sched.Wait(*agg);
   ASSERT_TRUE(agg_done.ok());
   ASSERT_EQ(agg_done->state, JobState::kSucceeded);
-  auto avg = sched.TakeResult(*agg);
-  ASSERT_TRUE(avg.ok());
+  ASSERT_EQ(avg.size(), 1u);
   auto truth_avg =
       engine_->Execute("SELECT AVG(r) FROM photo WHERE r < 20.5");
   ASSERT_TRUE(truth_avg.ok());
-  EXPECT_NEAR(avg->aggregate_value, truth_avg->aggregate_value,
+  EXPECT_NEAR(avg[0].values.at(0), truth_avg->aggregate_value,
               1e-9 * std::fabs(truth_avg->aggregate_value));
 
   // The whole mining workflow ran while the heavy job never left the
@@ -301,24 +313,52 @@ TEST_F(WorkbenchSchedulerTest, IntoAnExistingNameFailsWholesale) {
 }
 
 TEST_F(WorkbenchSchedulerTest, PruneDropsOnlyTerminalJobs) {
-  JobScheduler sched(engine_, mydb_.get(), TwoLaneOptions());
-  auto quick = sched.Submit(
-      "alice",
-      "SELECT COUNT(*) FROM photo WHERE CIRCLE('GAL', 30, 70, 3)");
-  ASSERT_TRUE(quick.ok());
-  ASSERT_EQ(sched.Wait(*quick)->state, JobState::kSucceeded);
-  auto heavy = sched.Submit("load", kHeavyJoinSql);
+  // The heavy job's verdict is read from its hook: once terminal it may
+  // be reaped before a Wait() could look it up.
+  std::atomic<bool> heavy_cancelled{false};
+  JobScheduler::Options opt = TwoLaneOptions();
+  opt.max_retained_terminal_jobs = 1;
+  JobScheduler sched(engine_, mydb_.get(), opt);
+  // Wait() can return between a terminal transition and the worker's
+  // prune; poll briefly for the bookkeeping to settle.
+  auto settle_at = [&sched](size_t jobs) {
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (sched.Jobs().size() > jobs &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return sched.Jobs().size();
+  };
+
+  StreamHooks hooks;
+  hooks.on_complete = [&heavy_cancelled](const JobSnapshot& snap) {
+    heavy_cancelled.store(snap.state == JobState::kCancelled);
+  };
+  auto heavy = sched.Submit("load", kHeavyJoinSql, std::move(hooks));
   ASSERT_TRUE(heavy.ok());
   ASSERT_EQ(AwaitStarted(sched, *heavy), JobState::kRunning);
+  const std::string cone =
+      "SELECT COUNT(*) FROM photo WHERE CIRCLE('GAL', 30, 70, 3)";
+  auto first = sched.Submit("alice", cone);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(sched.Wait(*first)->state, JobState::kSucceeded);
+  auto second = sched.Submit("alice", cone);
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(sched.Wait(*second)->state, JobState::kSucceeded);
 
-  EXPECT_EQ(sched.PruneTerminalJobs(), 1u);
-  EXPECT_FALSE(sched.Snapshot(*quick).ok());
-  EXPECT_TRUE(sched.Snapshot(*heavy).ok());
+  // Two quick jobs finished against a cap of 1: the older is reaped, and
+  // the running job, older than both, is never a candidate.
+  EXPECT_EQ(settle_at(2), 2u);
+  EXPECT_FALSE(sched.Snapshot(*first).ok());
+  EXPECT_TRUE(sched.Snapshot(*second).ok());
+  auto running = sched.Snapshot(*heavy);
+  ASSERT_TRUE(running.ok());
+  EXPECT_EQ(running->state, JobState::kRunning);
 
   ASSERT_TRUE(sched.Cancel(*heavy).ok());
-  EXPECT_EQ(sched.Wait(*heavy)->state, JobState::kCancelled);
-  EXPECT_EQ(sched.PruneTerminalJobs(), 1u);
-  EXPECT_TRUE(sched.Jobs().empty());
+  EXPECT_EQ(settle_at(1), 1u);
+  EXPECT_TRUE(heavy_cancelled.load());
 }
 
 TEST_F(WorkbenchSchedulerTest, PerUserQuotaHoldsSecondJobInQueue) {
@@ -424,8 +464,10 @@ TEST_F(WorkbenchSchedulerTest, LaneDepthsReportQueuedAndRunningPerLane) {
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   StreamHooks hooks;
-  hooks.on_header = [gate](const query::ResultHeader&) { gate.wait(); };
-  auto blocked = sched.SubmitStreaming(
+  hooks.on_header = [gate](uint64_t, Lane, const query::ResultHeader&) {
+    gate.wait();
+  };
+  auto blocked = sched.Submit(
       "blocker",
       "SELECT COUNT(*) FROM photo WHERE CIRCLE('GAL', 30, 70, 3)",
       std::move(hooks));
@@ -457,8 +499,10 @@ TEST_F(WorkbenchSchedulerTest, BoundedAdmissionRefusesWithUnavailable) {
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   StreamHooks hooks;
-  hooks.on_header = [gate](const query::ResultHeader&) { gate.wait(); };
-  auto blocked = sched.SubmitStreaming(
+  hooks.on_header = [gate](uint64_t, Lane, const query::ResultHeader&) {
+    gate.wait();
+  };
+  auto blocked = sched.Submit(
       "blocker",
       "SELECT COUNT(*) FROM photo WHERE CIRCLE('GAL', 30, 70, 3)",
       std::move(hooks));
@@ -497,13 +541,18 @@ TEST_F(WorkbenchSchedulerTest, StreamingJobDeliversHeaderBatchesTerminal) {
   std::mutex mu;
   query::ResultHeader header;
   bool header_seen = false;
+  uint64_t header_id = 0;
+  Lane header_lane = Lane::kLong;
   uint64_t rows_streamed = 0;
   bool complete_seen = false;
   JobSnapshot final_snap;
 
   StreamHooks hooks;
-  hooks.on_header = [&](const query::ResultHeader& h) {
+  hooks.on_header = [&](uint64_t job_id, Lane lane,
+                        const query::ResultHeader& h) {
     std::lock_guard<std::mutex> lock(mu);
+    header_id = job_id;
+    header_lane = lane;
     header = h;
     header_seen = true;
   };
@@ -519,9 +568,11 @@ TEST_F(WorkbenchSchedulerTest, StreamingJobDeliversHeaderBatchesTerminal) {
     final_snap = snap;
   };
 
-  auto id = sched.SubmitStreaming("alice", sql, std::move(hooks));
+  auto id = sched.Submit("alice", sql, std::move(hooks));
   ASSERT_TRUE(id.ok());
-  ASSERT_EQ(sched.Wait(*id)->state, JobState::kSucceeded);
+  auto done = sched.Wait(*id);
+  ASSERT_TRUE(done.ok());
+  ASSERT_EQ(done->state, JobState::kSucceeded);
 
   auto direct = engine_->Execute(sql);
   ASSERT_TRUE(direct.ok());
@@ -529,15 +580,14 @@ TEST_F(WorkbenchSchedulerTest, StreamingJobDeliversHeaderBatchesTerminal) {
   ASSERT_TRUE(header_seen);
   EXPECT_EQ(header.columns, (std::vector<std::string>{"obj_id", "r"}));
   EXPECT_FALSE(header.is_aggregate);
+  // The header knows its own job: the id Submit returned, and the lane
+  // admission chose.
+  EXPECT_EQ(header_id, *id);
+  EXPECT_EQ(header_lane, done->lane);
   EXPECT_EQ(rows_streamed, direct->rows.size());
   ASSERT_TRUE(complete_seen);
   EXPECT_EQ(final_snap.state, JobState::kSucceeded);
   EXPECT_EQ(final_snap.rows, rows_streamed);
-
-  // A streaming job never materializes: there is nothing to take.
-  auto take = sched.TakeResult(*id);
-  ASSERT_FALSE(take.ok());
-  EXPECT_EQ(take.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(WorkbenchSchedulerTest, StreamingSinkStopCancelsTheJob) {
@@ -550,7 +600,7 @@ TEST_F(WorkbenchSchedulerTest, StreamingSinkStopCancelsTheJob) {
     EXPECT_EQ(snap.state, JobState::kCancelled);
     complete_seen.store(true);
   };
-  auto id = sched.SubmitStreaming(
+  auto id = sched.Submit(
       "alice", "SELECT obj_id, r FROM photo WHERE r < 21",
       std::move(hooks));
   ASSERT_TRUE(id.ok());
@@ -569,10 +619,11 @@ TEST_F(WorkbenchSchedulerTest, CancelWhileQueuedFiresOnComplete) {
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   StreamHooks blocker_hooks;
-  blocker_hooks.on_header = [gate](const query::ResultHeader&) {
+  blocker_hooks.on_header = [gate](uint64_t, Lane,
+                                   const query::ResultHeader&) {
     gate.wait();
   };
-  auto blocked = sched.SubmitStreaming(
+  auto blocked = sched.Submit(
       "blocker",
       "SELECT COUNT(*) FROM photo WHERE CIRCLE('GAL', 30, 70, 3)",
       std::move(blocker_hooks));
@@ -582,14 +633,15 @@ TEST_F(WorkbenchSchedulerTest, CancelWhileQueuedFiresOnComplete) {
   std::atomic<bool> header_seen{false};
   std::atomic<bool> complete_seen{false};
   StreamHooks hooks;
-  hooks.on_header = [&header_seen](const query::ResultHeader&) {
+  hooks.on_header = [&header_seen](uint64_t, Lane,
+                                   const query::ResultHeader&) {
     header_seen.store(true);
   };
   hooks.on_complete = [&complete_seen](const JobSnapshot& snap) {
     EXPECT_EQ(snap.state, JobState::kCancelled);
     complete_seen.store(true);
   };
-  auto queued = sched.SubmitStreaming(
+  auto queued = sched.Submit(
       "alice", "SELECT COUNT(*) FROM photo WHERE CIRCLE('GAL', 120, 55, 3)",
       std::move(hooks));
   ASSERT_TRUE(queued.ok());
@@ -641,18 +693,15 @@ TEST_F(WorkbenchSchedulerTest, TerminalRetentionCapPrunesOldestJobs) {
   }
   ASSERT_EQ(sched.Jobs().size(), 2u);
 
-  // The newest two survive; the oldest three are gone -- results and
-  // all, which is exactly what a bounded long-lived service wants.
+  // The newest two survive; the oldest three are gone, which is exactly
+  // what a bounded long-lived service wants.
   EXPECT_FALSE(sched.Snapshot(ids[0]).ok());
   EXPECT_FALSE(sched.Snapshot(ids[1]).ok());
   EXPECT_FALSE(sched.Snapshot(ids[2]).ok());
   EXPECT_TRUE(sched.Snapshot(ids[3]).ok());
   EXPECT_TRUE(sched.Snapshot(ids[4]).ok());
-  auto result = sched.TakeResult(ids[4]);
-  EXPECT_TRUE(result.ok());
 
-  // A cap of 0 (the default) retains everything -- the manual sweep is
-  // then the only reaper.
+  // A cap of 0 (the default) retains everything.
   JobScheduler unbounded(engine_, mydb_.get(), TwoLaneOptions());
   for (int i = 0; i < 3; ++i) {
     auto id = unbounded.Submit("load", sql);
@@ -660,8 +709,6 @@ TEST_F(WorkbenchSchedulerTest, TerminalRetentionCapPrunesOldestJobs) {
     ASSERT_EQ(unbounded.Wait(*id)->state, JobState::kSucceeded);
   }
   EXPECT_EQ(unbounded.Jobs().size(), 3u);
-  EXPECT_EQ(unbounded.PruneTerminalJobs(), 3u);
-  EXPECT_TRUE(unbounded.Jobs().empty());
 }
 
 }  // namespace
