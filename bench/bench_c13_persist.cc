@@ -3,18 +3,20 @@
 //
 // The persistence subsystem's price list. Snapshots are the MyDB
 // materialization tax (one durable columnar file per table) and the
-// restart tax (every committed table is re-read); the journal append is
-// on every submit/start/terminal transition, so its latency bounds the
-// workbench's admission rate; cold recovery is the service's
-// time-to-first-query after a crash. Compare interleaved medians (see
-// BUILDING.md: this box is 1-core and noisy; never trust single runs).
+// restart tax (every committed table is re-read); the synced journal
+// append is on every submit/start/terminal transition of an INTO job,
+// so its latency bounds the workbench's INTO admission rate; cold
+// recovery is the service's time-to-first-query after a crash. Compare
+// interleaved medians (see BUILDING.md; never trust single runs).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,11 +41,11 @@ using archive::ShardedStore;
 using query::FederatedQueryEngine;
 using workbench::JobScheduler;
 using workbench::JobState;
+using workbench::Lane;
+using workbench::StreamHooks;
 
-constexpr char kBlockingJoinSql[] =
-    "SELECT COUNT(*) FROM photo AS a JOIN photoobj AS b WITHIN 3 DEG";
-constexpr char kQuickConeSql[] =
-    "SELECT COUNT(*) FROM photo WHERE CIRCLE('GAL', 30, 70, 3)";
+constexpr char kBlockingIntoSql[] =
+    "SELECT * INTO mydb.everything FROM photo";
 constexpr int kSessionJobs = 100;
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
@@ -57,8 +59,9 @@ fs::path BenchDir(const std::string& name) {
 }
 
 /// One fleet + a recorded "crashed" 100-job session for the whole
-/// binary: a mining join was RUNNING and 100 quick cones were QUEUED
-/// when the process died.
+/// binary: a full-catalog INTO was RUNNING and 100 cone INTOs were
+/// QUEUED when the process died. Only INTO jobs are journaled, so only
+/// they make a recovery inventory.
 struct PersistBench {
   catalog::ObjectStore store;
   std::unique_ptr<ShardedStore> sharded;
@@ -87,26 +90,48 @@ struct PersistBench {
   }
 
   void RecordCrashedSession() {
+    const fs::path live = BenchDir("session_live");
+    fs::remove_all(live);
     fs::remove_all(session_dir);
+    // The running INTO parks in its header hook until the crash image
+    // is taken, so it is RUNNING in the journal however fast it is.
+    // (Declared first: the scheduler's teardown joins the parked worker.)
+    std::mutex mu;
+    std::condition_variable cv;
+    bool crashed = false;
     MyDb mydb;
     JobScheduler sched(fed.get(), &mydb, SerialOptions());
-    if (!sched.RecoverFrom(session_dir.string()).ok()) std::abort();
-    // One user: the running join occupies the only per-user slot, so
+    if (!sched.RecoverFrom(live.string()).ok()) std::abort();
+    StreamHooks hold;
+    hold.on_header = [&](uint64_t, Lane, const query::ResultHeader&) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&crashed] { return crashed; });
+    };
+    // One user: the running INTO occupies the only per-user slot, so
     // the 100 cones pile up QUEUED -- the worst-case recovery inventory.
-    auto join = sched.Submit("miner", kBlockingJoinSql);
-    if (!join.ok()) std::abort();
-    while (sched.Snapshot(*join)->state == JobState::kQueued) {
+    auto into = sched.Submit("miner", kBlockingIntoSql, hold);
+    if (!into.ok()) std::abort();
+    while (sched.Snapshot(*into)->state == JobState::kQueued) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     for (int i = 0; i < kSessionJobs; ++i) {
-      if (!sched.Submit("miner", kQuickConeSql).ok()) std::abort();
+      std::string sql = "SELECT * INTO mydb.cone";
+      sql += std::to_string(i);
+      sql += " FROM photo WHERE CIRCLE('GAL', 30, 70, 3)";
+      if (!sched.Submit("miner", sql).ok()) std::abort();
     }
-    // Scope exit tears the scheduler down without terminal records:
-    // SIGKILL-equivalent for the journal.
+    // The journal as a SIGKILL at this instant leaves it.
+    fs::copy(live, session_dir, fs::copy_options::recursive);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      crashed = true;
+    }
+    cv.notify_all();
+    // Scope exit tears the live session down; it is never recovered.
   }
 
   /// Copies the master session and times RecoverFrom on the copy.
-  double RecoverOnce(size_t* requeued) {
+  double RecoverOnce(workbench::SchedulerRecoveryReport* out) {
     const fs::path scratch = BenchDir("session_scratch");
     fs::remove_all(scratch);
     fs::copy(session_dir, scratch, fs::copy_options::recursive);
@@ -116,7 +141,7 @@ struct PersistBench {
     auto report = sched.RecoverFrom(scratch.string());
     double secs = SecondsSince(t0);
     if (!report.ok()) std::abort();
-    if (requeued != nullptr) *requeued = report->requeued_ids.size();
+    if (out != nullptr) *out = *report;
     return secs;
   }
 };
@@ -159,9 +184,7 @@ void PrintC13() {
               snap_mb / read_s,
               static_cast<unsigned long long>(loaded->object_count()));
 
-  persist::Journal::Options jopt;
-  jopt.sync_each_append = true;
-  auto journal = persist::Journal::Open((dir / "journal").string(), jopt);
+  auto journal = persist::Journal::Open((dir / "journal").string());
   if (!journal.ok()) std::abort();
   const std::string record(256, 'j');
   t0 = std::chrono::steady_clock::now();
@@ -173,12 +196,13 @@ void PrintC13() {
               "256-B records\n",
               append_s / 200 * 1e6);
 
-  size_t requeued = 0;
-  double recover_s = pb.RecoverOnce(&requeued);
+  workbench::SchedulerRecoveryReport report;
+  double recover_s = pb.RecoverOnce(&report);
   std::printf("cold recovery of a crashed %d-job session: %.1f ms "
-              "(%zu QUEUED jobs re-enqueued,\n1 RUNNING join -> "
+              "(%zu QUEUED INTO jobs re-enqueued,\n%llu RUNNING INTO -> "
               "failed-retryable)\n",
-              kSessionJobs, recover_s * 1e3, requeued);
+              kSessionJobs, recover_s * 1e3, report.requeued_ids.size(),
+              static_cast<unsigned long long>(report.failed_running));
   fs::remove_all(dir);
 }
 
@@ -216,14 +240,12 @@ void BM_SnapshotRead(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotRead)->Unit(benchmark::kMillisecond);
 
-/// Arg 0: buffered appends (explicit Sync amortized elsewhere);
-/// arg 1: fdatasync on every append (the workbench default).
+/// One 256-B record, fdatasync'd: the price of every journaled
+/// transition.
 void BM_JournalAppend(benchmark::State& state) {
   const fs::path dir = BenchDir("bm_append");
   fs::remove_all(dir);
-  persist::Journal::Options opt;
-  opt.sync_each_append = state.range(0) == 1;
-  auto journal = persist::Journal::Open(dir.string(), opt);
+  auto journal = persist::Journal::Open(dir.string());
   if (!journal.ok()) std::abort();
   const std::string record(256, 'j');
   for (auto _ : state) {
@@ -232,7 +254,7 @@ void BM_JournalAppend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   fs::remove_all(dir);
 }
-BENCHMARK(BM_JournalAppend)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_JournalAppend)->Unit(benchmark::kMicrosecond);
 
 void BM_ColdRecovery(benchmark::State& state) {
   PersistBench& pb = Fixture();
@@ -253,6 +275,7 @@ int main(int argc, char** argv) {
   sdss::bench::PrintC13();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
+  std::filesystem::remove_all(sdss::bench::BenchDir("session_live"));
   std::filesystem::remove_all(sdss::bench::BenchDir("session_master"));
   std::filesystem::remove_all(sdss::bench::BenchDir("session_scratch"));
   return 0;

@@ -116,8 +116,9 @@ LoadResult RunLoad(int sessions, int per_session) {
   threads.reserve(sessions);
   for (int s = 0; s < sessions; ++s) {
     threads.emplace_back([&f, &result, &mu, s, per_session] {
-      auto client = Client::Connect("127.0.0.1", f.server->port(),
-                                    "u" + std::to_string(s));
+      std::string user = "u";
+      user += std::to_string(s);
+      auto client = Client::Connect("127.0.0.1", f.server->port(), user);
       if (!client.ok()) {
         std::lock_guard<std::mutex> lock(mu);
         ++result.connect_failures;

@@ -133,7 +133,9 @@ std::string Schema::ToObjectivityDdl() const {
       out += OoType(f.type);
       out += " " + f.name;
       if (f.array_length > 0) {
-        out += "[" + std::to_string(f.array_length) + "]";
+        out += "[";
+        out += std::to_string(f.array_length);
+        out += "]";
       }
       out += ";";
       if (!f.doc.empty()) out += "  // " + f.doc;

@@ -36,6 +36,12 @@ const char* StatusCodeName(StatusCode code) {
   return "Unknown";
 }
 
+Status Status::FromCode(StatusCode code, std::string msg) {
+  if (code == StatusCode::kOk) return OK();
+  if (code > StatusCode::kUnavailable) code = StatusCode::kInternal;
+  return Status(code, std::move(msg));
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string s = StatusCodeName(code_);

@@ -90,6 +90,10 @@ class Status {
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }
+  /// Rebuilds a status from a decoded (code, message) pair -- a journal
+  /// record or a wire frame. kOk drops the message; a code this build
+  /// does not know becomes kInternal.
+  static Status FromCode(StatusCode code, std::string msg);
 
   /// True iff the operation succeeded.
   bool ok() const { return code_ == StatusCode::kOk; }

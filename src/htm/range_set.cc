@@ -105,8 +105,11 @@ std::string RangeSet::ToString() const {
   std::string s = "{";
   for (size_t i = 0; i < ranges_.size(); ++i) {
     if (i > 0) s += ", ";
-    s += "[" + std::to_string(ranges_[i].first) + "," +
-         std::to_string(ranges_[i].last) + ")";
+    s += "[";
+    s += std::to_string(ranges_[i].first);
+    s += ",";
+    s += std::to_string(ranges_[i].last);
+    s += ")";
   }
   s += "}";
   return s;

@@ -160,33 +160,18 @@ Status Journal::Append(std::string_view record) {
     written += static_cast<size_t>(n);
   }
   segment_bytes_written_ += frame.size();
-  if (options_.sync_each_append) {
-    const auto f0 = std::chrono::steady_clock::now();
-    if (::fdatasync(fd_) != 0) {
-      // The record was written but not acknowledged durable -- yet the
-      // kernel may still flush it later. The only safe stance is to stop
-      // appending: the record stays un-acked AND nothing lands behind it.
-      return PoisonLocked(Status::IOError(
-          "journal sync: " + std::string(std::strerror(errno))));
-    }
-    if (m_fsync_us_ != nullptr) m_fsync_us_->Record(ElapsedUs(f0));
-  }
-  ++records_;
-  if (m_appends_ != nullptr) m_appends_->Inc();
-  if (m_append_us_ != nullptr) m_append_us_->Record(ElapsedUs(t0));
-  return Status::OK();
-}
-
-Status Journal::Sync() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!poisoned_.ok()) return poisoned_;
-  if (fd_ < 0) return Status::FailedPrecondition("journal is closed");
   const auto f0 = std::chrono::steady_clock::now();
   if (::fdatasync(fd_) != 0) {
+    // The record was written but not acknowledged durable -- yet the
+    // kernel may still flush it later. The only safe stance is to stop
+    // appending: the record stays un-acked AND nothing lands behind it.
     return PoisonLocked(Status::IOError(
         "journal sync: " + std::string(std::strerror(errno))));
   }
   if (m_fsync_us_ != nullptr) m_fsync_us_->Record(ElapsedUs(f0));
+  ++records_;
+  if (m_appends_ != nullptr) m_appends_->Inc();
+  if (m_append_us_ != nullptr) m_append_us_->Record(ElapsedUs(t0));
   return Status::OK();
 }
 

@@ -44,11 +44,6 @@ class Journal {
     /// A segment exceeding this after an append is closed and the next
     /// append opens a fresh one.
     uint64_t segment_bytes = 4ull << 20;
-    /// fdatasync after every append: the record is durable when Append
-    /// returns. Turning this off batches syncs into explicit Sync()
-    /// calls (faster, but a crash can lose un-synced suffix records --
-    /// replay still stops cleanly, it just stops earlier).
-    bool sync_each_append = true;
     /// Metrics registry the journal publishes into
     /// (persist_journal_appends counter, persist_journal_append_us /
     /// persist_journal_fsync_us latency histograms). Null = no
@@ -76,17 +71,14 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Appends one framed record (durable on return when
-  /// sync_each_append). After a write or sync failure the journal is
-  /// POISONED: the segment may hold a partial frame, and bytes whose
+  /// Appends one framed record and fdatasyncs it: the record is durable
+  /// when Append returns OK. After a write or sync failure the journal
+  /// is POISONED: the segment may hold a partial frame, and bytes whose
   /// sync failed may still reach the disk later, so no further record
-  /// may be appended behind them -- every subsequent Append/Sync
-  /// returns the original error. (Replay handles the torn segment; a
-  /// reopened journal starts a fresh one.)
+  /// may be appended behind them -- every subsequent Append returns the
+  /// original error. (Replay handles the torn segment; a reopened
+  /// journal starts a fresh one.)
   Status Append(std::string_view record);
-
-  /// Flushes appended-but-unsynced records to stable storage.
-  Status Sync();
 
   const std::string& dir() const { return dir_; }
   uint64_t records_appended() const;
@@ -117,7 +109,7 @@ class Journal {
   metrics::Histogram* m_fsync_us_ = nullptr;
   metrics::Gauge* g_poisoned_ = nullptr;
   mutable std::mutex mu_;
-  Status poisoned_;  ///< Non-OK once an append/sync failed.
+  Status poisoned_;  ///< Non-OK once an append failed.
   int fd_ = -1;
   uint64_t segment_ = 0;
   uint64_t segment_bytes_written_ = 0;

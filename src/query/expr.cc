@@ -190,9 +190,16 @@ std::string Expr::ToString() const {
       return "NOT (" + lhs_->ToString() + ")";
     case Kind::kSpatial:
       return description_;
-    case Kind::kBinary:
-      return "(" + lhs_->ToString() + " " + BinOpName(op_) + " " +
-             rhs_->ToString() + ")";
+    case Kind::kBinary: {
+      std::string s = "(";
+      s += lhs_->ToString();
+      s += " ";
+      s += BinOpName(op_);
+      s += " ";
+      s += rhs_->ToString();
+      s += ")";
+      return s;
+    }
   }
   return "?";
 }

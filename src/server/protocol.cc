@@ -73,39 +73,7 @@ const char* MsgTypeName(MsgType type) {
   return "?";
 }
 
-Status ErrorMsg::ToStatus() const {
-  switch (code) {
-    case StatusCode::kOk:
-      return Status::OK();
-    case StatusCode::kInvalidArgument:
-      return Status::InvalidArgument(message);
-    case StatusCode::kNotFound:
-      return Status::NotFound(message);
-    case StatusCode::kAlreadyExists:
-      return Status::AlreadyExists(message);
-    case StatusCode::kOutOfRange:
-      return Status::OutOfRange(message);
-    case StatusCode::kIOError:
-      return Status::IOError(message);
-    case StatusCode::kCorruption:
-      return Status::Corruption(message);
-    case StatusCode::kNotSupported:
-      return Status::NotSupported(message);
-    case StatusCode::kFailedPrecondition:
-      return Status::FailedPrecondition(message);
-    case StatusCode::kResourceExhausted:
-      return Status::ResourceExhausted(message);
-    case StatusCode::kInternal:
-      return Status::Internal(message);
-    case StatusCode::kCancelled:
-      return Status::Cancelled(message);
-    case StatusCode::kAborted:
-      return Status::Aborted(message);
-    case StatusCode::kUnavailable:
-      return Status::Unavailable(message);
-  }
-  return Status::Internal(message);
-}
+Status ErrorMsg::ToStatus() const { return Status::FromCode(code, message); }
 
 std::string EncodeHello(const HelloMsg& msg) {
   std::string body;

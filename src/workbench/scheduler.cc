@@ -22,6 +22,12 @@ bool IsTerminal(JobState state) {
          state == JobState::kCancelled;
 }
 
+/// The one durability decision: a job is journaled -- and recovered --
+/// only when its effect outlives the connection. Only an INTO job's
+/// MyDB commit does; a read-only job's rows went to a consumer that a
+/// restart has lost, so re-running it would send them nowhere.
+bool IsDurable(const JobSnapshot& snap) { return !snap.into.empty(); }
+
 /// Journal record types: one per job transition. SUBMIT carries the
 /// whole admission decision (the job re-plans from SQL when it runs, so
 /// nothing else needs to survive); START and TERMINAL are keyed by id.
@@ -55,41 +61,6 @@ std::string EncodeTerminal(const JobSnapshot& snap) {
   persist::PutFixed8(&rec, static_cast<uint8_t>(snap.error.code()));
   persist::PutLengthPrefixed(&rec, snap.error.message());
   return rec;
-}
-
-/// Rebuilds a Status from its journaled (code, message) pair.
-Status MakeStatus(StatusCode code, std::string msg) {
-  switch (code) {
-    case StatusCode::kOk:
-      return Status::OK();
-    case StatusCode::kInvalidArgument:
-      return Status::InvalidArgument(std::move(msg));
-    case StatusCode::kNotFound:
-      return Status::NotFound(std::move(msg));
-    case StatusCode::kAlreadyExists:
-      return Status::AlreadyExists(std::move(msg));
-    case StatusCode::kOutOfRange:
-      return Status::OutOfRange(std::move(msg));
-    case StatusCode::kIOError:
-      return Status::IOError(std::move(msg));
-    case StatusCode::kCorruption:
-      return Status::Corruption(std::move(msg));
-    case StatusCode::kNotSupported:
-      return Status::NotSupported(std::move(msg));
-    case StatusCode::kFailedPrecondition:
-      return Status::FailedPrecondition(std::move(msg));
-    case StatusCode::kResourceExhausted:
-      return Status::ResourceExhausted(std::move(msg));
-    case StatusCode::kInternal:
-      return Status::Internal(std::move(msg));
-    case StatusCode::kCancelled:
-      return Status::Cancelled(std::move(msg));
-    case StatusCode::kAborted:
-      return Status::Aborted(std::move(msg));
-    case StatusCode::kUnavailable:
-      return Status::Unavailable(std::move(msg));
-  }
-  return Status::Internal(std::move(msg));
 }
 
 /// One job's journal history folded to its state at the crash.
@@ -159,7 +130,7 @@ Status ApplyJobRecord(std::string_view record,
       it->second.terminal = true;
       it->second.snap.state = static_cast<JobState>(state);
       it->second.snap.error =
-          MakeStatus(static_cast<StatusCode>(code), std::string(msg));
+          Status::FromCode(static_cast<StatusCode>(code), std::string(msg));
       // An Aborted terminal is the crash-interruption verdict a prior
       // recovery journaled: keep the retryable marking across restarts.
       it->second.snap.retryable =
@@ -364,10 +335,11 @@ Result<uint64_t> JobScheduler::Submit(const std::string& user,
     }
     id = next_id_++;
     job->snap.id = id;
-    if (journal_ != nullptr) {
+    if (journal_ != nullptr && IsDurable(job->snap)) {
       // The SUBMIT record is durable before the job is visible anywhere:
-      // a job that exists can always be recovered. On append failure
-      // nothing is queued (the id gap is harmless).
+      // an INTO job that exists can always be recovered. On append
+      // failure nothing is queued (the id gap is harmless), so a
+      // poisoned journal refuses INTO jobs and keeps serving reads.
       SDSS_RETURN_IF_ERROR(journal_->Append(EncodeSubmit(job->snap)));
     }
     jobs_.emplace(id, std::move(job));
@@ -409,11 +381,14 @@ Result<SchedulerRecoveryReport> JobScheduler::RecoverFrom(
     if (!journal.ok()) return journal.status();
     journal_ = std::move(*journal);
 
-    report.jobs_seen = replayed.size();
     uint64_t max_id = 0;
     const auto now = std::chrono::steady_clock::now();
     for (auto& [id, rj] : replayed) {
       max_id = std::max(max_id, id);
+      // A read-only job in a journal written before reads stopped being
+      // journaled: it has nothing to recover.
+      if (!IsDurable(rj.snap)) continue;
+      ++report.jobs_seen;
       auto job = std::make_unique<Job>();
       job->snap = rj.snap;
       job->submitted = now;
@@ -447,7 +422,11 @@ Result<SchedulerRecoveryReport> JobScheduler::RecoverFrom(
       }
       jobs_.emplace(id, std::move(job));
     }
-    next_id_ = max_id + 1;
+    // Ids stay unique across restarts -- the event log and the trace
+    // ring key on them and outlive an incarnation -- though read-only
+    // jobs leave no record: each incarnation issues ids from its own
+    // 2^32 block, picked by the fresh segment Open just allocated.
+    next_id_ = std::max(max_id, (journal_->current_segment() - 1) << 32) + 1;
     // Ascending id = original submission order = original per-lane
     // order (Submit pushes under this same lock, so queue order and id
     // order cannot diverge).
@@ -460,7 +439,7 @@ Result<SchedulerRecoveryReport> JobScheduler::RecoverFrom(
 }
 
 void JobScheduler::JournalTerminal(const JobSnapshot& snap) {
-  if (journal_ == nullptr) return;
+  if (journal_ == nullptr || !IsDurable(snap)) return;
   (void)journal_->Append(EncodeTerminal(snap));
 }
 
@@ -568,7 +547,7 @@ void JobScheduler::WorkerLoop(Lane lane) {
         job->started = std::chrono::steady_clock::now();
         job->snap.seconds_queued =
             SecondsBetween(job->submitted, job->started);
-        if (journal_ != nullptr) {
+        if (journal_ != nullptr && IsDurable(job->snap)) {
           (void)journal_->Append(EncodeStart(id));
         }
         run = true;

@@ -19,15 +19,19 @@
 // without hooks counts its rows and keeps nothing.
 //
 // Durability (optional): RecoverFrom(dir) turns the scheduler into a
-// crash-safe service. Every job transition (submit, start, terminal) is
-// appended to a persist::Journal in `dir`, and recovery replays a prior
-// incarnation's journal: jobs that were QUEUED at the crash are
-// re-enqueued in their original lane order (the engine re-plans from
-// SQL, so they simply run), jobs that were RUNNING are marked FAILED
-// with an Aborted error and `retryable` set (their side effects are
-// unknown; INTO jobs are safe to resubmit because the MyDB commit
-// protocol is all-or-nothing), and already-terminal jobs come back as
-// bookkeeping so Snapshot/Jobs keep answering. Shutdown deliberately
+// crash-safe service for the one job effect that outlives a connection,
+// an INTO job's MyDB commit. Every INTO job transition (submit, start,
+// terminal) is appended to a persist::Journal in `dir`, and recovery
+// replays a prior incarnation's journal: INTO jobs that were QUEUED at
+// the crash are re-enqueued in their original lane order (the engine
+// re-plans from SQL, so they simply run), ones that were RUNNING are
+// marked FAILED with an Aborted error and `retryable` set (the MyDB
+// commit protocol is all-or-nothing, so a resubmit is safe), and
+// already-terminal ones come back as bookkeeping so Snapshot/Jobs keep
+// answering. Read-only jobs are never journaled: their rows went to a
+// consumer a restart has lost, so recovery neither re-runs nor fails
+// them, and their terminal bookkeeping does not survive a restart. Job
+// ids still never repeat across incarnations. Shutdown deliberately
 // journals nothing for in-flight jobs -- a clean exit and a SIGKILL
 // look identical to recovery, which is what makes the crash path
 // testable.
@@ -131,8 +135,8 @@ struct StreamHooks {
 
 /// What JobScheduler::RecoverFrom rebuilt from a prior incarnation.
 struct SchedulerRecoveryReport {
-  uint64_t jobs_seen = 0;            ///< Distinct job ids in the journal.
-  /// Jobs re-enqueued because they were QUEUED at the crash, in their
+  uint64_t jobs_seen = 0;            ///< Distinct INTO jobs journaled.
+  /// INTO jobs re-enqueued because they were QUEUED at the crash, in their
   /// original submission (and therefore lane) order.
   std::vector<uint64_t> requeued_ids;
   uint64_t failed_running = 0;       ///< RUNNING at crash -> retryable.
@@ -208,19 +212,22 @@ class JobScheduler {
   JobScheduler(const JobScheduler&) = delete;
   JobScheduler& operator=(const JobScheduler&) = delete;
 
-  /// Recovers a prior incarnation's jobs from the journal in `dir` and
-  /// starts journaling this incarnation's transitions there. Must be
-  /// called before the first Submit (FailedPrecondition otherwise).
-  /// QUEUED jobs are re-enqueued under their original ids in original
-  /// lane order; RUNNING jobs become FAILED/Aborted with `retryable`
-  /// set; terminal jobs are restored as bookkeeping.
+  /// Recovers a prior incarnation's INTO jobs from the journal in `dir`
+  /// and starts journaling this incarnation's INTO transitions there.
+  /// Must be called before the first Submit (FailedPrecondition
+  /// otherwise). QUEUED INTO jobs are re-enqueued under their original
+  /// ids in original lane order; RUNNING ones become FAILED/Aborted with
+  /// `retryable` set; terminal ones are restored as bookkeeping.
+  /// Read-only jobs left no record, so nothing of them comes back. Each
+  /// incarnation issues ids from its own 2^32 block, so no id repeats.
   Result<SchedulerRecoveryReport> RecoverFrom(const std::string& dir);
 
   /// Parses, prices, and enqueues `sql` for `user`; the job streams its
   /// result through `hooks`. INTO jobs materialize into MyDB instead, so
   /// their hooks see on_header and on_complete only. Returns the job
   /// id, or the parse/plan error (nothing is queued on failure), or
-  /// kUnavailable when the target lane is at its configured bound.
+  /// kUnavailable when the target lane is at its configured bound, or,
+  /// for an INTO job only, the journal's error once it is poisoned.
   Result<uint64_t> Submit(const std::string& user, const std::string& sql,
                           StreamHooks hooks = {});
 
@@ -276,7 +283,8 @@ class JobScheduler {
   /// Erases the oldest completed jobs beyond the retention cap. Only
   /// notified, observer-free jobs are eligible. Requires mu_.
   void AutoPruneLocked();
-  /// Appends a terminal-transition record; no-op when not journaling.
+  /// Appends a terminal-transition record; no-op when not journaling or
+  /// for a read-only job.
   /// Callers skip this for shutdown-driven terminals (see the file
   /// comment: shutdown must look like a crash to recovery).
   void JournalTerminal(const JobSnapshot& snap);

@@ -34,6 +34,17 @@ TEST(StatusTest, AllFactoriesProduceMatchingCodes) {
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
 }
 
+TEST(StatusTest, FromCodeRebuildsADecodedStatus) {
+  EXPECT_EQ(Status::FromCode(StatusCode::kAborted, "crash"),
+            Status::Aborted("crash"));
+  EXPECT_EQ(Status::FromCode(StatusCode::kUnavailable, "busy"),
+            Status::Unavailable("busy"));
+  EXPECT_EQ(Status::FromCode(StatusCode::kOk, "ignored"), Status::OK());
+  // A code past the last known one (a newer writer, a flipped byte).
+  EXPECT_EQ(Status::FromCode(static_cast<StatusCode>(200), "odd"),
+            Status::Internal("odd"));
+}
+
 TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_EQ(Status::NotFound("a"), Status::NotFound("a"));
   EXPECT_FALSE(Status::NotFound("a") == Status::NotFound("b"));

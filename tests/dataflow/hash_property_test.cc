@@ -86,8 +86,11 @@ INSTANTIATE_TEST_SUITE_P(
         // Radii from 2 arcsec to 2 arcmin.
         ::testing::Values(2.0, 15.0, 60.0, 120.0)),
     [](const ::testing::TestParamInfo<std::tuple<int, double>>& info) {
-      return "L" + std::to_string(std::get<0>(info.param)) + "_Sep" +
-             std::to_string(static_cast<int>(std::get<1>(info.param)));
+      std::string name = "L";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_Sep";
+      name += std::to_string(static_cast<int>(std::get<1>(info.param)));
+      return name;
     });
 
 }  // namespace

@@ -160,7 +160,8 @@ TEST(FitsFuzzTest, RoundTripSurvivesManySchemas) {
     int cols = static_cast<int>(rng.UniformInt(1, 6));
     for (int c = 0; c < cols; ++c) {
       ColumnSpec spec;
-      spec.name = "C" + std::to_string(c);
+      spec.name = "C";
+      spec.name += std::to_string(c);
       switch (rng.UniformInt(0, 4)) {
         case 0:
           spec.type = ColumnType::kFloat;

@@ -153,7 +153,9 @@ TEST_P(LookupPropertyTest, ContainmentAndHierarchy) {
 INSTANTIATE_TEST_SUITE_P(Depths, LookupPropertyTest,
                          ::testing::Values(0, 1, 2, 4, 6, 8, 10, 12, 14, 20),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "L" + std::to_string(info.param);
+                           std::string name = "L";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // Trixel area properties per depth: counts are 8*4^L and areas sum to 4pi.
@@ -179,7 +181,9 @@ TEST_P(AreaPropertyTest, AreasTileTheSphere) {
 INSTANTIATE_TEST_SUITE_P(Depths, AreaPropertyTest, ::testing::Values(0, 1, 2,
                                                                      3, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "L" + std::to_string(info.param);
+                           std::string name = "L";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -152,8 +152,11 @@ INSTANTIATE_TEST_SUITE_P(
                       Workload{100, 400},   // Dense, mostly merged.
                       Workload{50, 10000}), // Sparse over a big universe.
     [](const ::testing::TestParamInfo<Workload>& info) {
-      return "I" + std::to_string(info.param.intervals) + "_U" +
-             std::to_string(info.param.universe);
+      std::string name = "I";
+      name += std::to_string(info.param.intervals);
+      name += "_U";
+      name += std::to_string(info.param.universe);
+      return name;
     });
 
 }  // namespace

@@ -247,7 +247,9 @@ TEST_F(PersistJournalTest, SegmentNamesAreOrderedAndDurable) {
   auto journal = Journal::Open(dir_.string(), options);
   ASSERT_TRUE(journal.ok());
   for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE((*journal)->Append("r" + std::to_string(i)).ok());
+    std::string record = "r";
+    record += std::to_string(i);
+    ASSERT_TRUE((*journal)->Append(record).ok());
   }
   auto segments = ListJournalSegments(dir_.string());
   ASSERT_GE(segments.size(), 12u);

@@ -398,7 +398,9 @@ TEST_F(ServerTest, FinishedSessionThreadsAreReaped) {
   // finished session threads, so the process must not accumulate one
   // zombie thread per session ever served.
   for (int i = 0; i < 40; ++i) {
-    auto client = Connect("u" + std::to_string(i));
+    std::string user = "u";
+    user += std::to_string(i);
+    auto client = Connect(user);
     ASSERT_TRUE(client.ok());
     ASSERT_TRUE(client->Bye().ok());
   }

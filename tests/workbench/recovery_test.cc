@@ -1,18 +1,25 @@
 // Kill-and-recover: the scheduler + MyDB durability contract. A "crash"
 // is SIGKILL-equivalent for state: the process-level objects are
 // destroyed (the destructor deliberately journals nothing for in-flight
-// jobs) and a fresh scheduler/MyDb reopens the same directories.
+// jobs) and a fresh scheduler/MyDb reopens the same directories -- or a
+// copy of the journal taken at the crash point, where a gated job must
+// stay RUNNING.
 //
-// Covered: QUEUED jobs re-enqueue in original lane order, RUNNING jobs
-// come back failed-retryable (Aborted), committed MyDB tables are
-// restored bit-exact (byte-compared snapshots), a crash mid-INTO leaves
-// zero partially materialized tables, and user cancellations survive.
+// Covered: QUEUED INTO jobs re-enqueue in original lane order and
+// materialize, RUNNING ones come back failed-retryable (Aborted),
+// committed MyDB tables are restored bit-exact (byte-compared
+// snapshots), a crash mid-INTO leaves zero partially materialized
+// tables, user cancellations survive, and read-only jobs leave nothing
+// in the journal.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +28,7 @@
 #include "archive/sharded_store.h"
 #include "catalog/sky_generator.h"
 #include "core/io.h"
+#include "core/metrics.h"
 #include "persist/snapshot.h"
 #include "query/federated_engine.h"
 #include "workbench/scheduler.h"
@@ -43,6 +51,55 @@ constexpr char kIntoBrightSql[] =
     "SELECT * INTO mydb.bright FROM photo WHERE r < 20.5";
 constexpr char kIntoDoomedSql[] =
     "SELECT * INTO mydb.doomed FROM photo";
+constexpr char kIntoEverythingSql[] =
+    "SELECT * INTO mydb.everything FROM photo";
+
+std::string ConeName(size_t i) {
+  std::string name = "cone";
+  name += std::to_string(i);
+  return name;
+}
+
+/// `SELECT * INTO mydb.<name>` over kQuickConeSql's cone.
+std::string IntoConeSql(const std::string& name) {
+  std::string sql = "SELECT * INTO mydb.";
+  sql += name;
+  sql += " FROM photo WHERE CIRCLE('GAL', 30, 70, 3)";
+  return sql;
+}
+
+/// Holds the job whose hooks it hands out in on_header -- RUNNING, its
+/// START journaled -- until Open(). Destruction opens it, so declare it
+/// after the scheduler: an early test exit cannot deadlock the
+/// scheduler's teardown on a parked worker.
+class Gate {
+ public:
+  ~Gate() { Open(); }
+  StreamHooks Hooks() const {
+    StreamHooks hooks;
+    hooks.on_header = [state = state_](uint64_t, Lane,
+                                       const query::ResultHeader&) {
+      std::unique_lock<std::mutex> lock(state->mu);
+      state->cv.wait(lock, [&state] { return state->open; });
+    };
+    return hooks;
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(state_->mu);
+      state_->open = true;
+    }
+    state_->cv.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = false;
+  };
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+};
 
 class WorkbenchRecoveryTest : public ::testing::Test {
  protected:
@@ -75,10 +132,19 @@ class WorkbenchRecoveryTest : public ::testing::Test {
   void SetUp() override {
     jobs_dir_ = FreshDir("jobs");
     mydb_dir_ = FreshDir("mydb");
+    image_dir_ = FreshDir("image");
   }
   void TearDown() override {
     fs::remove_all(jobs_dir_);
     fs::remove_all(mydb_dir_);
+    fs::remove_all(image_dir_);
+  }
+
+  /// The job journal as a crash at this instant leaves it: a copy of
+  /// jobs_dir_ the live scheduler can no longer append to.
+  std::string CrashImage() {
+    fs::copy(jobs_dir_, image_dir_, fs::copy_options::recursive);
+    return image_dir_.string();
   }
 
   fs::path FreshDir(const std::string& kind) {
@@ -116,6 +182,7 @@ class WorkbenchRecoveryTest : public ::testing::Test {
   static FederatedQueryEngine* engine_;
   fs::path jobs_dir_;
   fs::path mydb_dir_;
+  fs::path image_dir_;
 };
 
 catalog::ObjectStore* WorkbenchRecoveryTest::source_ = nullptr;
@@ -123,33 +190,37 @@ ShardedStore* WorkbenchRecoveryTest::sharded_ = nullptr;
 FederatedQueryEngine* WorkbenchRecoveryTest::engine_ = nullptr;
 
 TEST_F(WorkbenchRecoveryTest, QueuedJobsReenqueueInOrderRunningFails) {
-  MyDb mydb;
   uint64_t running_id = 0;
   std::vector<uint64_t> queued_ids;
+  std::string image;
   {
+    MyDb mydb;
     JobScheduler crashed(engine_, &mydb, SerialOptions());
+    Gate gate;
     auto fresh = crashed.RecoverFrom(jobs_dir_.string());
     ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
     EXPECT_EQ(fresh->jobs_seen, 0u);
 
-    // The mining join occupies alice's single running slot on the LONG
-    // lane; the three cones stay QUEUED on QUICK until the "crash".
-    auto heavy = crashed.Submit("alice", kHeavyJoinSql);
-    ASSERT_TRUE(heavy.ok());
-    running_id = *heavy;
+    // The gated full-catalog INTO occupies alice's single running slot
+    // on the LONG lane; the three cone INTOs stay QUEUED on QUICK until
+    // the crash.
+    auto everything = crashed.Submit("alice", kIntoEverythingSql,
+                                     gate.Hooks());
+    ASSERT_TRUE(everything.ok());
+    running_id = *everything;
     ASSERT_EQ(AwaitStarted(crashed, running_id), JobState::kRunning);
-    for (int i = 0; i < 3; ++i) {
-      auto id = crashed.Submit("alice", kQuickConeSql);
+    for (size_t i = 0; i < 3; ++i) {
+      auto id = crashed.Submit("alice", IntoConeSql(ConeName(i)));
       ASSERT_TRUE(id.ok());
       queued_ids.push_back(*id);
     }
     EXPECT_EQ(crashed.QueueDepth(Lane::kQuick), 3u);
-    // Scope exit == SIGKILL for the journal: in-flight jobs are torn
-    // down without terminal records.
+    image = CrashImage();
   }
 
+  MyDb mydb;
   JobScheduler revived(engine_, &mydb, SerialOptions());
-  auto report = revived.RecoverFrom(jobs_dir_.string());
+  auto report = revived.RecoverFrom(image);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->jobs_seen, 4u);
   EXPECT_EQ(report->failed_running, 1u);
@@ -157,28 +228,80 @@ TEST_F(WorkbenchRecoveryTest, QueuedJobsReenqueueInOrderRunningFails) {
   // Original lane order, original ids.
   EXPECT_EQ(report->requeued_ids, queued_ids);
 
-  // The interrupted join: FAILED, Aborted, and flagged retryable.
+  // The interrupted INTO: FAILED, Aborted, and flagged retryable.
   auto snap = revived.Snapshot(running_id);
   ASSERT_TRUE(snap.ok());
   EXPECT_EQ(snap->state, JobState::kFailed);
   EXPECT_EQ(snap->error.code(), StatusCode::kAborted);
   EXPECT_TRUE(snap->retryable);
-  EXPECT_EQ(snap->sql, kHeavyJoinSql);
+  EXPECT_EQ(snap->sql, kIntoEverythingSql);
+  EXPECT_FALSE(mydb.Find("alice", "everything").ok());
 
-  // The re-enqueued cones run to completion (serially: one worker, one
-  // per-user slot) and agree with a direct engine run. A requeued job
-  // has no hooks, so its COUNT is read from the stats: the aggregate
-  // pushdown counts exactly the objects it matched.
+  // The re-enqueued INTOs run to completion (serially: one worker, one
+  // per-user slot), and each MyDB table holds exactly the cone's
+  // objects.
   auto direct = engine_->Execute(kQuickConeSql);
   ASSERT_TRUE(direct.ok());
-  for (uint64_t id : queued_ids) {
-    auto done = revived.Wait(id);
+  for (size_t i = 0; i < queued_ids.size(); ++i) {
+    auto done = revived.Wait(queued_ids[i]);
     ASSERT_TRUE(done.ok());
     EXPECT_EQ(done->state, JobState::kSucceeded);
-    EXPECT_EQ(done->rows, 1u);
-    EXPECT_EQ(static_cast<double>(done->exec.objects_matched),
+    auto table = mydb.Find("alice", ConeName(i));
+    ASSERT_TRUE(table.ok());
+    EXPECT_EQ(static_cast<double>((*table)->object_count()),
               direct->aggregate_value);
+    EXPECT_EQ(done->rows, (*table)->object_count());
   }
+}
+
+TEST_F(WorkbenchRecoveryTest, ReadOnlyJobsLeaveNothingToRecover) {
+  MyDb mydb;
+  {
+    JobScheduler crashed(engine_, &mydb, SerialOptions());
+    ASSERT_TRUE(crashed.RecoverFrom(jobs_dir_.string()).ok());
+    auto heavy = crashed.Submit("alice", kHeavyJoinSql);
+    ASSERT_TRUE(heavy.ok());
+    ASSERT_EQ(AwaitStarted(crashed, *heavy), JobState::kRunning);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(crashed.Submit("alice", kQuickConeSql).ok());
+    }
+    EXPECT_EQ(crashed.QueueDepth(Lane::kQuick), 3u);
+  }
+  JobScheduler revived(engine_, &mydb, SerialOptions());
+  auto report = revived.RecoverFrom(jobs_dir_.string());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->jobs_seen, 0u);
+  EXPECT_EQ(report->journal.records, 0u);
+  EXPECT_TRUE(report->requeued_ids.empty());
+  EXPECT_EQ(report->failed_running, 0u);
+  EXPECT_EQ(report->terminal_restored, 0u);
+  EXPECT_TRUE(revived.Jobs().empty());
+  EXPECT_EQ(revived.QueueDepth(Lane::kQuick), 0u);
+}
+
+TEST_F(WorkbenchRecoveryTest, OnlyIntoJobsAppendToTheJournal) {
+  metrics::Registry registry;
+  JobScheduler::Options opt = SerialOptions();
+  opt.metrics = &registry;
+  MyDb mydb;
+  JobScheduler sched(engine_, &mydb, opt);
+  ASSERT_TRUE(sched.RecoverFrom(jobs_dir_.string()).ok());
+  metrics::Counter* appends = registry.GetCounter("persist_journal_appends");
+  for (int i = 0; i < 5; ++i) {
+    auto id = sched.Submit("alice", kQuickConeSql);
+    ASSERT_TRUE(id.ok());
+    auto done = sched.Wait(*id);
+    ASSERT_TRUE(done.ok());
+    EXPECT_EQ(done->state, JobState::kSucceeded);
+  }
+  EXPECT_EQ(appends->Value(), 0u) << "read-only jobs must not journal";
+
+  auto into = sched.Submit("alice", kIntoBrightSql);
+  ASSERT_TRUE(into.ok());
+  auto done = sched.Wait(*into);
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(done->state, JobState::kSucceeded);
+  EXPECT_EQ(appends->Value(), 3u) << "SUBMIT, START and TERMINAL";
 }
 
 TEST_F(WorkbenchRecoveryTest, CommittedTablesSurviveCrashMidInto) {
@@ -282,29 +405,36 @@ TEST_F(WorkbenchRecoveryTest, CommittedTablesSurviveCrashMidInto) {
 }
 
 TEST_F(WorkbenchRecoveryTest, UserCancellationsSurviveTheCrash) {
-  MyDb mydb;
   uint64_t cancelled_id = 0;
+  std::string image;
   {
+    MyDb mydb;
     JobScheduler crashed(engine_, &mydb, SerialOptions());
+    Gate gate;
     ASSERT_TRUE(crashed.RecoverFrom(jobs_dir_.string()).ok());
-    auto heavy = crashed.Submit("alice", kHeavyJoinSql);
-    ASSERT_TRUE(heavy.ok());
-    ASSERT_EQ(AwaitStarted(crashed, *heavy), JobState::kRunning);
-    auto queued = crashed.Submit("alice", kQuickConeSql);
+    auto everything = crashed.Submit("alice", kIntoEverythingSql,
+                                     gate.Hooks());
+    ASSERT_TRUE(everything.ok());
+    ASSERT_EQ(AwaitStarted(crashed, *everything), JobState::kRunning);
+    auto queued = crashed.Submit("alice", IntoConeSql("cone"));
     ASSERT_TRUE(queued.ok());
     cancelled_id = *queued;
     ASSERT_TRUE(crashed.Cancel(cancelled_id).ok());
+    image = CrashImage();
   }
+  MyDb mydb;
   JobScheduler revived(engine_, &mydb, SerialOptions());
-  auto report = revived.RecoverFrom(jobs_dir_.string());
+  auto report = revived.RecoverFrom(image);
   ASSERT_TRUE(report.ok());
   // The user's decision was journaled: the job is NOT re-enqueued.
   EXPECT_TRUE(report->requeued_ids.empty());
   EXPECT_EQ(report->terminal_restored, 1u);
+  EXPECT_EQ(report->failed_running, 1u);
   auto snap = revived.Snapshot(cancelled_id);
   ASSERT_TRUE(snap.ok());
   EXPECT_EQ(snap->state, JobState::kCancelled);
   EXPECT_FALSE(snap->retryable);
+  EXPECT_FALSE(mydb.Find("alice", "cone").ok());
 }
 
 TEST_F(WorkbenchRecoveryTest, RecoverFromGuardsItsPreconditions) {
