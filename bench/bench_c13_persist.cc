@@ -1,5 +1,6 @@
-// C13 -- durable archive: snapshot bandwidth, journal append latency,
-// and cold recovery of a crashed 100-job workbench session.
+// C13 -- durable archive: checksum rate, snapshot bandwidth, journal
+// append latency, and cold recovery of a crashed 100-job workbench
+// session.
 //
 // The persistence subsystem's price list. Snapshots are the MyDB
 // materialization tax (one durable columnar file per table) and the
@@ -25,6 +26,7 @@
 #include "archive/sharded_store.h"
 #include "bench_util.h"
 #include "core/io.h"
+#include "persist/crc32.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
 #include "query/federated_engine.h"
@@ -205,6 +207,20 @@ void PrintC13() {
               static_cast<unsigned long long>(report.failed_running));
   fs::remove_all(dir);
 }
+
+/// The CRC-32 every snapshot open and read and every journal frame
+/// pays, alone, over one 64 MiB buffer: the kernel's rate, not a cached
+/// one.
+void BM_Crc32(benchmark::State& state) {
+  std::string buf(size_t{64} << 20, '\0');
+  for (size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<char>(i * 131);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(persist::Crc32(buf));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotWrite(benchmark::State& state) {
   PersistBench& pb = Fixture();

@@ -75,7 +75,8 @@ int main() {
   if (public_latency.ok()) {
     std::printf("night-%d data reaches the public archive %s after "
                 "observation\n",
-                first_observed_night, FormatSimDuration(*public_latency).c_str());
+                first_observed_night,
+                FormatSimDuration(*public_latency).c_str());
   }
 
   // --- Science queries. -----------------------------------------------

@@ -59,8 +59,7 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   return *this;
 }
 
-Result<MappedFile> MappedFile::Open(const std::string& path,
-                                    bool sequential) {
+Result<MappedFile> MappedFile::Open(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     if (errno == ENOENT) {
@@ -89,7 +88,7 @@ Result<MappedFile> MappedFile::Open(const std::string& path,
       ::close(fd);
       return s;
     }
-    if (sequential) (void)::madvise(addr, file.size_, MADV_SEQUENTIAL);
+    (void)::madvise(addr, file.size_, MADV_SEQUENTIAL);
     file.addr_ = addr;
   }
   ::close(fd);  // The mapping outlives the descriptor.

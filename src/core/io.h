@@ -34,11 +34,9 @@ class MappedFile {
   MappedFile& operator=(const MappedFile&) = delete;
 
   /// Maps `path` read-only. An empty file maps to a valid empty view.
-  /// With `sequential`, advises the kernel the mapping will be read
-  /// front to back (madvise MADV_SEQUENTIAL -- aggressive readahead for
-  /// scan workloads).
-  static Result<MappedFile> Open(const std::string& path,
-                                 bool sequential = true);
+  /// Advises the kernel the mapping will be read front to back (madvise
+  /// MADV_SEQUENTIAL -- aggressive readahead for scan workloads).
+  static Result<MappedFile> Open(const std::string& path);
 
   bool valid() const { return mapped_; }
   const char* data() const { return static_cast<const char*>(addr_); }

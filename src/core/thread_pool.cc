@@ -54,7 +54,8 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
+void ThreadPool::ParallelFor(size_t n,
+                             const std::function<void(size_t)>& body) {
   if (n == 0) return;
 
   // Shared state lives on the heap: helper tasks may still be finishing

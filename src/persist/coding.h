@@ -16,6 +16,8 @@ namespace sdss::persist {
 
 void PutFixed8(std::string* dst, uint8_t v);
 void PutFixed32(std::string* dst, uint32_t v);
+/// Writes the 4 bytes PutFixed32 appends into `dst[0..3]`.
+void EncodeFixed32(char* dst, uint32_t v);
 void PutFixed64(std::string* dst, uint64_t v);
 /// u32 length prefix + raw bytes.
 void PutLengthPrefixed(std::string* dst, std::string_view v);

@@ -30,9 +30,10 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
 
 /// CRC of a frame: the len field followed by the payload.
 uint32_t FrameCrc(uint32_t len, std::string_view payload) {
-  std::string len_bytes;
-  PutFixed32(&len_bytes, len);
-  return Crc32(payload.data(), payload.size(), Crc32(len_bytes));
+  char len_bytes[4];
+  EncodeFixed32(len_bytes, len);
+  const uint32_t len_crc = Crc32(len_bytes, sizeof(len_bytes));
+  return Crc32(payload.data(), payload.size(), len_crc);
 }
 
 }  // namespace

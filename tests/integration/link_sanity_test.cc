@@ -12,7 +12,7 @@
 #include "dataflow/cluster.h"
 #include "fits/card.h"
 #include "htm/htm_id.h"
-#include "persist/crc32.h"
+#include "persist/journal.h"
 #include "query/parser.h"
 #include "server/protocol.h"
 #include "workbench/job_queue.h"
@@ -35,7 +35,8 @@ TEST(LinkSanityTest, FitsCardSerializesTo80Chars) {
 }
 
 TEST(LinkSanityTest, CatalogObjClassRoundTrip) {
-  const char* name = sdss::catalog::ObjClassName(sdss::catalog::ObjClass::kGalaxy);
+  const char* name =
+      sdss::catalog::ObjClassName(sdss::catalog::ObjClass::kGalaxy);
   auto parsed = sdss::catalog::ObjClassFromName(name);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value(), sdss::catalog::ObjClass::kGalaxy);
@@ -46,8 +47,8 @@ TEST(LinkSanityTest, DataflowClusterConstructs) {
   EXPECT_EQ(cluster.num_nodes(), 20u);
 }
 
-TEST(LinkSanityTest, PersistCrc32OfEmptyInput) {
-  EXPECT_EQ(sdss::persist::Crc32(nullptr, 0), 0u);
+TEST(LinkSanityTest, PersistListsNoSegmentsOfAMissingDir) {
+  EXPECT_TRUE(sdss::persist::ListJournalSegments("no_such_dir").empty());
 }
 
 TEST(LinkSanityTest, QueryParserAccepts) {
