@@ -7,9 +7,10 @@
 // Walks through the distributed story of the paper: (1) the replication
 // manager places every container on a primary plus replicas, (2)
 // ShardedStore materializes one store per server, (3) the federated
-// engine plans once and fans out to every live shard, merging streams
-// and partial aggregates, (4) failover keeps answers identical as long
-// as one replica of everything survives.
+// engine plans once, splits the plan at GATHER nodes and fans out to
+// every live shard, merging streams and partial aggregates, (4)
+// failover keeps answers identical as long as one replica of
+// everything survives. Exits 1 when any step fails.
 
 #include <cstdio>
 
@@ -91,24 +92,31 @@ int main() {
       "SELECT obj_id, ra, dec, r FROM photo WHERE "
       "CIRCLE('GAL', 30, 70, 6) AND r < 22 AND g - r < 1.2";
   std::printf("\nall %zu servers up:\n", fleet.num_servers());
-  RunAndReport(&fed, "finding chart (cone)", kChart);
-  RunAndReport(&fed, "COUNT(*) galaxies",
-               "SELECT COUNT(*) FROM photo WHERE class = 'GALAXY'");
-  RunAndReport(&fed, "AVG(r) bright objects",
-               "SELECT AVG(r) FROM photo WHERE r < 21");
-  RunAndReport(&fed, "brightest 10 quasars",
-               "SELECT obj_id, r FROM photo WHERE class = 'QSO' "
-               "ORDER BY r LIMIT 10");
+  bool ok = RunAndReport(&fed, "finding chart (cone)", kChart);
+  ok &= RunAndReport(&fed, "COUNT(*) galaxies",
+                     "SELECT COUNT(*) FROM photo WHERE class = 'GALAXY'");
+  ok &= RunAndReport(&fed, "AVG(r) bright objects",
+                     "SELECT AVG(r) FROM photo WHERE r < 21");
+  ok &= RunAndReport(&fed, "brightest 10 quasars",
+                     "SELECT obj_id, r FROM photo WHERE class = 'QSO' "
+                     "ORDER BY r LIMIT 10");
 
   // --- 3. The plan, with per-shard predictions. -----------------------
-  if (auto explain = fed.Explain(kChart); explain.ok()) {
-    std::printf("\nEXPLAIN %s\n%s", kChart, explain->c_str());
+  auto explain = fed.Explain(kChart);
+  if (!explain.ok()) {
+    std::fprintf(stderr, "EXPLAIN failed: %s\n",
+                 explain.status().ToString().c_str());
+    return 1;
   }
+  std::printf("\nEXPLAIN %s\n%s", kChart, explain->c_str());
 
   // --- 4. Kill a server; routing falls over to the replicas. ----------
   std::printf("\nmarking server 2 down (its containers re-route to "
               "surviving replicas)...\n");
-  (void)fleet.MarkServerDown(2);
+  if (auto down = fleet.MarkServerDown(2); !down.ok()) {
+    std::fprintf(stderr, "mark down failed: %s\n", down.ToString().c_str());
+    return 1;
+  }
   auto rerouted = fleet.LiveShards();
   if (!rerouted.ok()) {
     std::fprintf(stderr, "routing failed: %s\n",
@@ -118,9 +126,9 @@ int main() {
   fed.SetShards(*rerouted);
   std::printf("%zu live shards now serve the same %llu containers:\n",
               rerouted->size(), (unsigned long long)placement.containers);
-  RunAndReport(&fed, "finding chart (cone)", kChart);
-  RunAndReport(&fed, "COUNT(*) galaxies",
-               "SELECT COUNT(*) FROM photo WHERE class = 'GALAXY'");
+  ok &= RunAndReport(&fed, "finding chart (cone)", kChart);
+  ok &= RunAndReport(&fed, "COUNT(*) galaxies",
+                     "SELECT COUNT(*) FROM photo WHERE class = 'GALAXY'");
 
   // --- 5. Without replication, a dead server means lost data -- and the
   // router says so instead of returning a silent partial result.
@@ -132,5 +140,5 @@ int main() {
   std::printf("\nbase_replicas=1 with server 0 down: %s\n",
               broken.ok() ? "unexpectedly ok"
                           : broken.status().ToString().c_str());
-  return broken.ok() ? 1 : 0;
+  return ok && !broken.ok() ? 0 : 1;
 }

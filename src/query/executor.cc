@@ -136,13 +136,15 @@ class TreeRunner {
              const Executor::Options& options, ThreadPool* pool,
              RunContext* ctx,
              const std::unordered_set<uint64_t>* container_filter,
-             const PairJoinGhosts* join_ghosts)
+             const PairJoinGhosts* join_ghosts,
+             const GatherSource* gather_source)
       : store_(store),
         options_(options),
         pool_(pool),
         ctx_(ctx),
         filter_(container_filter),
-        ghosts_(join_ghosts) {}
+        ghosts_(join_ghosts),
+        gather_(gather_source) {}
 
   /// Runs `node`, handing each output batch to `emit` on this thread.
   /// Returns false when the stream ended early -- `emit` refused a batch
@@ -237,9 +239,22 @@ class TreeRunner {
             child->type == PlanNodeType::kMyDbScan) {
           return AggregatePushdown(node, child, emit);
         }
+        // Over a gather of shard partials, the input rows are
+        // {count, sum, min, max} states to combine, not values.
+        const bool partials = child->type == PlanNodeType::kGather &&
+                              child->children[0]->agg_partial;
         AggFold fold;
-        Run(child, [&fold](RowBatch&& batch) {
+        Run(child, [&fold, partials](RowBatch&& batch) {
           for (const ResultRow& r : batch) {
+            if (partials) {
+              AggFold part;
+              part.count = static_cast<uint64_t>(r.values[0]);
+              part.sum = r.values[1];
+              part.min_v = r.values[2];
+              part.max_v = r.values[3];
+              fold.Merge(part);
+              continue;
+            }
             ++fold.count;
             if (!r.values.empty()) fold.Add(r.values[0]);
           }
@@ -247,6 +262,23 @@ class TreeRunner {
         });
         if (ctx_->has_error()) return false;
         return emit({FinishAggregate(node->agg, node->agg_partial, fold)});
+      }
+      case PlanNodeType::kGather: {
+        if (gather_ == nullptr) {
+          ctx_->ReportError(
+              Status::Internal("GATHER node without a gather source"));
+          return false;
+        }
+        bool more = true;
+        const Status gathered = (*gather_)(*node, [&](RowBatch&& batch) {
+          more = emit(std::move(batch));
+          return more;
+        });
+        if (!gathered.ok()) {
+          ctx_->ReportError(gathered);
+          return false;
+        }
+        return more;
       }
     }
     return true;
@@ -506,6 +538,7 @@ class TreeRunner {
   RunContext* ctx_;
   const std::unordered_set<uint64_t>* filter_;
   const PairJoinGhosts* ghosts_;
+  const GatherSource* gather_;
 };
 
 }  // namespace
@@ -584,14 +617,15 @@ Result<ExecStats> Executor::RunTree(
     const PlanNode* root, const std::function<bool(RowBatch&&)>& on_batch,
     const std::unordered_set<uint64_t>* container_filter,
     const PairJoinGhosts* join_ghosts, const std::atomic<bool>* cancel,
-    const AccessRecorder* access_recorder) {
+    const AccessRecorder* access_recorder,
+    const GatherSource* gather_source) {
   if (root == nullptr) return Status::InvalidArgument("empty plan");
 
   RunContext ctx;
   ctx.cancel = cancel;
   ctx.access = access_recorder;
   TreeRunner runner(store_, options_, pool_, &ctx, container_filter,
-                    join_ghosts);
+                    join_ghosts, gather_source);
 
   const auto t0 = std::chrono::steady_clock::now();
   ExecStats stats;

@@ -11,7 +11,9 @@
 // among them. Scan morsels hand their batches to the calling thread
 // through StreamMorsels' bounded queue as soon as they are produced, so
 // the consumer "starts seeing results almost immediately", and the
-// caller's sink only ever runs on the calling thread.
+// caller's sink only ever runs on the calling thread. A GATHER node is a
+// leaf whose rows the caller's gather source supplies: that is how the
+// coordinator of a distributed plan (DistributePlan) reads the fleet.
 
 #ifndef SDSS_QUERY_EXECUTOR_H_
 #define SDSS_QUERY_EXECUTOR_H_
@@ -57,8 +59,8 @@ struct ExecStats {
                                    ///< entry's rows (cover containment).
 
   // Per-stage wall-clock breakdown (seconds), set once by the federated
-  // engine's run entry for every execution shape and surfaced in the
-  // wire protocol's DONE frame. There, seconds_total covers the run
+  // engine's run entry for every plan and surfaced in the wire
+  // protocol's DONE frame. There, seconds_total covers the run
   // after planning: cache probe + ghost harvest + fan-out never exceed
   // it, and seconds_stream_out is the part of the fan-out (or of a cache
   // answer) spent inside the caller's sink -- nonzero whenever rows were
@@ -67,13 +69,13 @@ struct ExecStats {
   double seconds_plan = 0.0;           ///< Parse + plan (Prepare).
   double seconds_cache_probe = 0.0;    ///< Result-cache consult.
   double seconds_ghost_harvest = 0.0;  ///< Join boundary-ghost exchange.
-  double seconds_fan_out = 0.0;        ///< Execution + merge + fold, wall.
+  double seconds_fan_out = 0.0;        ///< Execution + merge, wall.
   double seconds_stream_out = 0.0;     ///< Time inside the row sink.
 };
 
 /// Decomposed aggregate state: the executor's scan-side fold, the
-/// partial rows federated shard plans emit, and the federation-level
-/// combine all traffic in this one struct so the semantics (COUNT/SUM
+/// partial rows shard plans emit, and the coordinator's combine of those
+/// partials all traffic in this one struct so the semantics (COUNT/SUM
 /// add, MIN/MAX fold, AVG = sum/count, empty input finalizes to 0)
 /// cannot diverge between layers.
 struct AggFold {
@@ -128,6 +130,13 @@ struct PairJoinGhosts {
   std::vector<catalog::PhotoObj> objects;
 };
 
+/// Supplies the rows of a kGather node: runs `gather.children[0]` on
+/// every shard of the fleet and hands the merged stream to `emit`, on
+/// the thread that called RunTree. Stops once `emit` returns false;
+/// returns the first error of any shard.
+using GatherSource =
+    std::function<Status(const PlanNode& gather, const BatchSink& emit)>;
+
 /// Executes plans against one store.
 ///
 /// The scan pool is injected and never owned: nested engines (the
@@ -162,13 +171,17 @@ class Executor {
   /// scan and join loops poll it per chunk/pair, and a raised flag
   /// aborts the tree with a Cancelled status (the batch-workbench job
   /// cancellation path). `access_recorder`, when non-null, sees the id
-  /// of every non-personal container the tree scans.
+  /// of every non-personal container the tree scans. `gather_source`
+  /// feeds the tree's kGather nodes (a distributed plan's coordinator
+  /// tree); a gather without one fails the run. The scan counters of
+  /// what a gather runs are the source's to keep.
   Result<ExecStats> RunTree(
       const PlanNode* root, const std::function<bool(RowBatch&&)>& on_batch,
       const std::unordered_set<uint64_t>* container_filter = nullptr,
       const PairJoinGhosts* join_ghosts = nullptr,
       const std::atomic<bool>* cancel = nullptr,
-      const AccessRecorder* access_recorder = nullptr);
+      const AccessRecorder* access_recorder = nullptr,
+      const GatherSource* gather_source = nullptr);
 
   ThreadPool* pool() { return pool_; }
 

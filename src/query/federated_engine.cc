@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <iterator>
-#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -46,40 +45,6 @@ std::string StripExplainAnalyze(const std::string& sql) {
     if (pos == std::string::npos) return sql;
   }
   return sql.substr(pos);
-}
-
-/// The pair-join leaf of a plan chain, or null. Join plans are a linear
-/// agg/limit/sort chain over the kPairJoin leaf (the planner rejects
-/// joins inside set operations).
-const PlanNode* FindPairJoinNode(const PlanNode* root) {
-  const PlanNode* n = root;
-  while (n != nullptr && n->type != PlanNodeType::kPairJoin) {
-    n = n->children.empty() ? nullptr : n->children[0].get();
-  }
-  return n;
-}
-
-/// True when any leaf of the tree is a node of type `type` (set-operation
-/// trees have leaves on both sides).
-bool AnyNodeOfType(const PlanNode* node, PlanNodeType type) {
-  if (node == nullptr) return false;
-  if (node->type == type) return true;
-  for (const auto& c : node->children) {
-    if (AnyNodeOfType(c.get(), type)) return true;
-  }
-  return false;
-}
-
-/// True when the tree reads the tag table somewhere.
-bool AnyTagScan(const PlanNode* node) {
-  if (node == nullptr) return false;
-  if (node->type == PlanNodeType::kScan && node->table == TableRef::kTag) {
-    return true;
-  }
-  for (const auto& c : node->children) {
-    if (AnyTagScan(c.get())) return true;
-  }
-  return false;
 }
 
 /// Phase A of the federated neighbor join: each shard runs the join's
@@ -173,18 +138,6 @@ Result<std::vector<PairJoinGhosts>> HarvestJoinGhosts(
   return ghosts;
 }
 
-/// A branch LIMIT inside a set query is a global cap on that branch's
-/// contribution; per-shard set inputs would each apply it locally, so
-/// such queries run branch-by-branch at the federation level instead.
-bool AnyBranchLimit(const ParsedQuery& q) {
-  if (!q.IsSetQuery()) return false;
-  if (q.first.limit >= 0) return true;
-  for (const auto& [op, select] : q.rest) {
-    if (select.limit >= 0) return true;
-  }
-  return false;
-}
-
 /// Mixes an unordered pair of object ids into one hash (exact equality
 /// still decides membership -- collisions cannot drop pairs).
 struct PairKeyHash {
@@ -202,69 +155,6 @@ std::function<bool(RowBatch&&)> AppendTo(RowBatch* rows) {
                  std::make_move_iterator(batch.end()));
     return true;
   };
-}
-
-/// A sink folding every row into `fold`: shard-partial rows carry the
-/// decomposed {count, sum, min, max}, raw rows add their first value.
-std::function<bool(RowBatch&&)> FoldInto(AggFold* fold, bool partial_rows) {
-  return [fold, partial_rows](RowBatch&& batch) {
-    for (const ResultRow& r : batch) {
-      if (!partial_rows) {
-        ++fold->count;
-        if (!r.values.empty()) fold->Add(r.values[0]);
-      } else if (r.values.size() == 4) {
-        AggFold part;
-        part.count = static_cast<uint64_t>(r.values[0]);
-        part.sum = r.values[1];
-        part.min_v = r.values[2];
-        part.max_v = r.values[3];
-        fold->Merge(part);
-      }
-    }
-    return true;
-  };
-}
-
-bool IsSetNode(const PlanNode* node) {
-  return node->type == PlanNodeType::kUnion ||
-         node->type == PlanNodeType::kIntersect ||
-         node->type == PlanNodeType::kDifference;
-}
-
-/// The select branches of the planner's left-deep set-operation tree,
-/// left to right, each paired with the operator that folds it into the
-/// branches before it (the first branch's entry is its own type).
-std::vector<std::pair<PlanNodeType, const PlanNode*>> SetBranches(
-    const PlanNode* node) {
-  std::vector<std::pair<PlanNodeType, const PlanNode*>> out;
-  for (; IsSetNode(node); node = node->children[0].get()) {
-    out.emplace_back(node->type, node->children[1].get());
-  }
-  out.emplace_back(node->type, node);
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
-/// Folds `rhs` into `acc` with the executor's set semantics: bags keyed
-/// by obj_id, the left stream's order preserved.
-void ApplySetOp(PlanNodeType op, RowBatch* acc, RowBatch&& rhs) {
-  std::unordered_set<uint64_t> ids;
-  if (op == PlanNodeType::kUnion) {
-    for (const ResultRow& r : *acc) ids.insert(r.obj_id);
-    for (ResultRow& r : rhs) {
-      if (ids.insert(r.obj_id).second) acc->push_back(std::move(r));
-    }
-    return;
-  }
-  for (const ResultRow& r : rhs) ids.insert(r.obj_id);
-  const bool keep_if_present = op == PlanNodeType::kIntersect;
-  RowBatch kept;
-  for (ResultRow& r : *acc) {
-    if ((ids.count(r.obj_id) > 0) == keep_if_present) {
-      kept.push_back(std::move(r));
-    }
-  }
-  *acc = std::move(kept);
 }
 
 void AddScanCounters(const ExecStats& from, ExecStats* into) {
@@ -295,44 +185,6 @@ struct FederatedQueryEngine::Prepared {
   /// The plan reads a personal mydb store, which is never sharded.
   bool mydb = false;
   double seconds_plan = 0.0;  ///< Parse + plan wall time (Prepare).
-
-  /// Shape (a): a personal store or a fleet of one runs the whole tree
-  /// on one executor.
-  bool single_store() const { return mydb || shards.size() == 1; }
-};
-
-/// How the fan-out merges the shard streams: the subtree every shard
-/// runs, plus the global ORDER / LIMIT / dedupe the merge must mirror.
-struct FederatedQueryEngine::MergePolicy {
-  const PlanNode* root = nullptr;
-  /// K-way merge of per-shard sorted streams on (order_col, order_desc);
-  /// unordered streams interleave in ASAP arrival order.
-  bool ordered = false;
-  size_t order_col = 0;
-  bool order_desc = false;
-  /// Global row cap (-1 = none); per-shard limits are supersets of it.
-  int64_t limit = -1;
-  /// Drop pair rows another shard's stream already delivered.
-  bool dedupe_pairs = false;
-  /// Boundary ghosts for each shard's pair join, indexed like the shards.
-  const std::vector<PairJoinGhosts>* ghosts = nullptr;
-
-  /// The policy mirroring the ORDER/LIMIT wrappers at the top of `root`.
-  static MergePolicy ForChain(const PlanNode* root) {
-    MergePolicy policy;
-    policy.root = root;
-    const PlanNode* n = root;
-    if (n->type == PlanNodeType::kLimit) {
-      policy.limit = n->limit;
-      n = n->children[0].get();
-    }
-    if (n->type == PlanNodeType::kSort) {
-      policy.ordered = true;
-      policy.order_col = n->sort_column;
-      policy.order_desc = n->sort_desc;
-    }
-    return policy;
-  }
 };
 
 FederatedQueryEngine::FederatedQueryEngine(std::vector<Shard> shards,
@@ -413,12 +265,20 @@ Result<FederatedQueryEngine::Prepared> FederatedQueryEngine::Prepare(
     return plan.status();
   }
   prep.plan = std::move(plan).value();
-  prep.mydb = AnyNodeOfType(prep.plan.root.get(), PlanNodeType::kMyDbScan);
+  bool tag_scan = false;
+  ForEachLeaf(*prep.plan.root, [&](const PlanNode& leaf) {
+    prep.mydb = prep.mydb || leaf.type == PlanNodeType::kMyDbScan;
+    tag_scan = tag_scan || (leaf.type == PlanNodeType::kScan &&
+                            leaf.table == TableRef::kTag);
+  });
+  // A personal store or a fleet of one runs the logical tree whole;
+  // only a wider fleet splits it at gathers.
+  if (!prep.mydb && prep.shards.size() > 1) DistributePlan(&prep.plan);
 
   // A table no live shard can serve must be a clean refusal, not a
   // silently empty result: an explicit FROM tag against a fleet whose
   // stores were built without the tag partition scans nothing.
-  if (!prep.mydb && AnyTagScan(prep.plan.root.get())) {
+  if (!prep.mydb && tag_scan) {
     bool tag_on_some_shard = false;
     for (const Shard& shard : prep.shards) {
       if (shard.store->options().build_tags) {
@@ -524,9 +384,7 @@ Result<ExecStats> FederatedQueryEngine::Run(
     };
     const Sink& run_sink = cacheable ? tee : out;
     const auto f0 = std::chrono::steady_clock::now();
-    Status run = prep->single_store()
-                     ? RunSingleStore(*prep, ctx, run_sink, &stats)
-                     : RunFanOut(*prep, ctx, run_sink, &stats);
+    Status run = RunPlan(*prep, ctx, run_sink, &stats);
     if (!run.ok()) return run;
     stats.seconds_fan_out = SecondsSince(f0) - stats.seconds_ghost_harvest;
     // Install only a clean, complete answer observed under an unchanged
@@ -568,37 +426,60 @@ Result<ExecStats> FederatedQueryEngine::RunShard(
   return st;
 }
 
-Status FederatedQueryEngine::RunSingleStore(const Prepared& prep,
-                                            const ExecContext& ctx,
-                                            const Sink& sink,
-                                            ExecStats* stats) {
-  // The fan-out's span vocabulary -- a fan_out span with one shard child
-  // -- so EXPLAIN ANALYZE reads both shapes alike; no merge span, since
-  // the executor's root stream already is the answer.
-  const int fan_span = TraceBegin(ctx.trace, "fan_out");
-  TraceNum(ctx.trace, fan_span, "shards", 1.0);
-  const Shard& shard = prep.shards[0];
-  const int span = BeginShardSpan(ctx.trace, fan_span, 0, shard);
-  auto st = RunShard(shard, prep.plan.root.get(), sink, nullptr, ctx, span);
-  if (st.ok()) {
-    AddScanCounters(*st, stats);
-    TraceNum(ctx.trace, fan_span, "rows",
-             static_cast<double>(st->rows_emitted));
+Status FederatedQueryEngine::RunPlan(const Prepared& prep,
+                                     const ExecContext& ctx,
+                                     const Sink& sink, ExecStats* stats) {
+  if (prep.plan.distributed == nullptr) {
+    // The logical tree runs whole on one store: a fan-out to that one
+    // shard, with nothing to merge.
+    return FanOut({prep.shards[0]}, *prep.plan.root, nullptr, ctx, sink,
+                  stats);
   }
-  TraceEnd(ctx.trace, fan_span);
-  return st.status();
+  // The coordinator's tree runs here; its gathers fan out to the fleet.
+  const GatherSource source = [&](const PlanNode& gather,
+                                  const BatchSink& emit) {
+    return FanOut(prep.shards, *gather.children[0], &gather, ctx, emit,
+                  stats);
+  };
+  Executor coordinator(prep.shards[0].store, options_.executor, &pool_);
+  return coordinator
+      .RunTree(prep.plan.distributed.get(), sink, nullptr, nullptr,
+               ctx.cancel, nullptr, &source)
+      .status();
 }
 
-Status FederatedQueryEngine::FanOut(const Prepared& prep,
-                                    const ExecContext& ctx,
-                                    const MergePolicy& policy,
-                                    const Sink& sink, ExecStats* stats) {
-  const std::vector<Shard>& shards = prep.shards;
+Status FederatedQueryEngine::FanOut(const std::vector<Shard>& shards,
+                                    const PlanNode& part,
+                                    const PlanNode* gather,
+                                    const ExecContext& ctx, const Sink& emit,
+                                    ExecStats* stats) {
+  const bool pairs = gather != nullptr && gather->gather_pairs;
+  std::vector<PairJoinGhosts> ghosts;
+  if (pairs) {
+    // Phase A of the neighbor join: the boundary ghost exchange (its time
+    // is the seconds_ghost_harvest stage). In phase B every shard emits
+    // exactly the pairs whose lower-id member it serves.
+    const auto t0 = std::chrono::steady_clock::now();
+    const int ghost_span = TraceBegin(ctx.trace, "ghost_harvest");
+    const PlanNode* join = nullptr;  // The part's one leaf.
+    ForEachLeaf(part, [&join](const PlanNode& leaf) { join = &leaf; });
+    auto harvested = HarvestJoinGhosts(&pool_, shards, join, ctx.cancel);
+    stats->seconds_ghost_harvest += SecondsSince(t0);
+    if (harvested.ok()) {
+      uint64_t shipped = 0;
+      for (const PairJoinGhosts& g : *harvested) shipped += g.objects.size();
+      TraceNum(ctx.trace, ghost_span, "ghost_objects",
+               static_cast<double>(shipped));
+    }
+    TraceEnd(ctx.trace, ghost_span);
+    if (!harvested.ok()) return harvested.status();
+    ghosts = std::move(harvested).value();
+  }
+
   const size_t n = shards.size();
   QueryTrace* trace = ctx.trace;
   const int fan_span = TraceBegin(trace, "fan_out");
   TraceNum(trace, fan_span, "shards", static_cast<double>(n));
-
   // Shard spans open here, on the calling thread, so their Begin order
   // (= span index order) is deterministic whichever thread runs each
   // shard; each shard's run closes and annotates its own.
@@ -606,31 +487,26 @@ Status FederatedQueryEngine::FanOut(const Prepared& prep,
   for (size_t i = 0; i < n; ++i) {
     spans[i] = BeginShardSpan(trace, fan_span, i, shards[i]);
   }
-  const int merge_span = TraceBegin(trace, "merge", fan_span);
+  const int merge_span =
+      gather != nullptr ? TraceBegin(trace, "merge", fan_span)
+                        : QueryTrace::kNoSpan;
   std::vector<Result<ExecStats>> shard_stats(n, Result<ExecStats>(
                                                     ExecStats{}));
   // One morsel per shard, run on the pool or on this thread.
   const Morsel run_shard = [&](size_t i, const Sink& out) {
-    const PairJoinGhosts* ghosts =
-        policy.ghosts != nullptr ? &(*policy.ghosts)[i] : nullptr;
-    shard_stats[i] =
-        RunShard(shards[i], policy.root, out, ghosts, ctx, spans[i]);
+    shard_stats[i] = RunShard(shards[i], &part, out,
+                              ghosts.empty() ? nullptr : &ghosts[i], ctx,
+                              spans[i]);
   };
 
-  int64_t remaining = policy.limit < 0 ? std::numeric_limits<int64_t>::max()
-                                       : policy.limit;
   uint64_t rows = 0;
   // Drops pairs already delivered by another shard's stream. The
   // emission discipline makes fleet-wide duplicates impossible by
   // construction, so this is a cheap invariant backstop, keyed on the
   // unordered pair ids.
   std::unordered_set<std::pair<uint64_t, uint64_t>, PairKeyHash> seen_pairs;
-
-  // Dedupes (join merges), trims to the global limit, forwards to the
-  // sink. Returns false when consumption must stop.
   auto deliver = [&](RowBatch&& batch) -> bool {
-    if (remaining <= 0) return false;
-    if (policy.dedupe_pairs) {
+    if (pairs) {
       RowBatch unique;
       unique.reserve(batch.size());
       for (ResultRow& r : batch) {
@@ -642,15 +518,11 @@ Status FederatedQueryEngine::FanOut(const Prepared& prep,
       batch = std::move(unique);
     }
     if (batch.empty()) return true;
-    if (static_cast<int64_t>(batch.size()) > remaining) {
-      batch.resize(static_cast<size_t>(remaining));
-    }
-    remaining -= static_cast<int64_t>(batch.size());
     rows += batch.size();
-    return sink(std::move(batch)) && remaining > 0;
+    return emit(std::move(batch));
   };
 
-  if (policy.ordered) {
+  if (gather != nullptr && gather->gather_ordered) {
     // Every shard's stream is sorted and the merge needs every shard's
     // head, so each shard collects its whole output, then this thread
     // k-way merges them with the executor's sort comparator (value, then
@@ -660,29 +532,28 @@ Status FederatedQueryEngine::FanOut(const Prepared& prep,
     std::vector<size_t> pos(n, 0);
     RowBatch out;
     const size_t batch_size = options_.executor.batch_size;
-    bool more = remaining > 0;
+    bool more = true;
     while (more) {
       size_t best = n;
       for (size_t i = 0; i < n; ++i) {
         if (pos[i] == sorted[i].size()) continue;
         if (best == n ||
             RowBefore(sorted[i][pos[i]], sorted[best][pos[best]],
-                      policy.order_col, policy.order_desc)) {
+                      gather->sort_column, gather->sort_desc)) {
           best = i;
         }
       }
       if (best == n) break;
       out.push_back(std::move(sorted[best][pos[best]++]));
-      if (out.size() >= batch_size ||
-          static_cast<int64_t>(out.size()) >= remaining) {
+      if (out.size() >= batch_size) {
         more = deliver(std::move(out));
         out = RowBatch();
       }
     }
     if (more && !out.empty()) deliver(std::move(out));
   } else {
-    // ASAP: shard batches reach the sink in arrival order, on this
-    // thread; a refusal stops every shard still running.
+    // ASAP: shard batches reach the coordinator in arrival order, on
+    // this thread; a refusal stops every shard still running.
     StreamMorsels(&pool_, n, run_shard, deliver);
   }
 
@@ -693,80 +564,6 @@ Status FederatedQueryEngine::FanOut(const Prepared& prep,
     if (!r.ok()) return r.status();
     AddScanCounters(*r, stats);
   }
-  return Status::OK();
-}
-
-Status FederatedQueryEngine::RunFanOut(Prepared& prep, const ExecContext& ctx,
-                                       const Sink& sink, ExecStats* stats) {
-  PlanNode* root = prep.plan.root.get();
-  PlanNode* agg = root->type == PlanNodeType::kAggregate ? root : nullptr;
-  const PlanNode* body = agg != nullptr ? root->children[0].get() : root;
-  MergePolicy policy = MergePolicy::ForChain(body);
-  const PlanNode* join = FindPairJoinNode(body);
-  const bool branch_limits = AnyBranchLimit(prep.parsed);
-  // A decomposable aggregate runs on every shard in partial mode and
-  // ships {count, sum, min, max}. A LIMIT below the fold caps the global
-  // row set, and join pairs and branch-limited sets only exist after the
-  // merge, so those stream their rows up and fold here instead.
-  const bool partial =
-      agg != nullptr && join == nullptr && !branch_limits && policy.limit < 0;
-  AggFold fold;
-  const Sink rows = agg == nullptr ? sink : FoldInto(&fold, partial);
-
-  Status status;
-  if (join != nullptr) {
-    // Phase A: boundary ghost exchange between the shards (its time is
-    // the seconds_ghost_harvest stage).
-    const auto t0 = std::chrono::steady_clock::now();
-    const int ghost_span = TraceBegin(ctx.trace, "ghost_harvest");
-    auto ghosts = HarvestJoinGhosts(&pool_, prep.shards, join, ctx.cancel);
-    stats->seconds_ghost_harvest = SecondsSince(t0);
-    if (ghosts.ok()) {
-      uint64_t shipped = 0;
-      for (const PairJoinGhosts& g : *ghosts) shipped += g.objects.size();
-      TraceNum(ctx.trace, ghost_span, "ghost_objects",
-               static_cast<double>(shipped));
-    }
-    TraceEnd(ctx.trace, ghost_span);
-    if (!ghosts.ok()) return ghosts.status();
-    // Phase B: every shard emits exactly the pairs whose lower-id member
-    // it serves, merged and deduped here.
-    policy.ghosts = &*ghosts;
-    policy.dedupe_pairs = true;
-    status = FanOut(prep, ctx, policy, rows, stats);
-  } else if (branch_limits) {
-    // A branch LIMIT caps that branch globally, while per-shard set
-    // inputs would each apply it locally: every branch fans out as its
-    // own ordered and limited select, and the set algebra folds here.
-    const auto branches = SetBranches(body);
-    RowBatch acc;
-    for (size_t i = 0; status.ok() && i < branches.size(); ++i) {
-      RowBatch part;
-      status = FanOut(prep, ctx, MergePolicy::ForChain(branches[i].second),
-                      AppendTo(&part), stats);
-      if (i == 0) {
-        acc = std::move(part);
-      } else {
-        ApplySetOp(branches[i].first, &acc, std::move(part));
-      }
-    }
-    if (status.ok()) {
-      EmitRows(std::move(acc), options_.executor.batch_size, rows);
-    }
-  } else if (partial) {
-    MergePolicy partials;
-    partials.root = agg;
-    agg->agg_partial = true;
-    status = FanOut(prep, ctx, partials, rows, stats);
-    agg->agg_partial = false;
-  } else {
-    status = FanOut(prep, ctx, policy, rows, stats);
-  }
-  if (!status.ok() || agg == nullptr) return status;
-
-  const int fold_span = TraceBegin(ctx.trace, "fold");
-  sink(RowBatch{FinishAggregate(agg->agg, false, fold)});
-  TraceEnd(ctx.trace, fold_span);
   return Status::OK();
 }
 
@@ -1030,73 +827,63 @@ FederatedQueryEngine::ExplainAnalyze(const std::string& sql,
 
 std::vector<ShardPrediction> PredictShards(const std::vector<Shard>& shards,
                                            const Plan& plan) {
-  // The leftmost leaf shapes the scan: a (possibly region-pruned) kScan,
-  // or the kPairJoin leaf -- a full pass over the assigned containers
-  // plus boundary ghost traffic.
-  const PlanNode* leaf = plan.root.get();
-  while (leaf != nullptr && !leaf->children.empty() &&
-         leaf->type != PlanNodeType::kScan &&
-         leaf->type != PlanNodeType::kPairJoin) {
-    leaf = leaf->children[0].get();
-  }
-  const PlanNode* join =
-      leaf != nullptr && leaf->type == PlanNodeType::kPairJoin ? leaf
-                                                               : nullptr;
-
+  // Every leaf is a scan: a (possibly region-pruned) kScan, or a
+  // kPairJoin -- a pass over its containers plus boundary ghost traffic.
+  std::vector<const PlanNode*> leaves;
+  bool personal = false;
+  ForEachLeaf(*plan.root, [&](const PlanNode& leaf) {
+    leaves.push_back(&leaf);
+    personal = personal || leaf.type == PlanNodeType::kMyDbScan;
+  });
   std::vector<ShardPrediction> out;
   // A mydb plan reads a personal store, not the fleet: no shard slices.
-  if (leaf != nullptr && leaf->type == PlanNodeType::kMyDbScan) return out;
+  if (personal) return out;
   out.reserve(shards.size());
   for (const Shard& shard : shards) {
     ShardPrediction p;
     p.server = shard.server;
     const auto& containers = shard.store->containers();
-    auto assigned = [&shard](uint64_t raw) {
-      return shard.assigned == nullptr || shard.assigned->count(raw) > 0;
-    };
-    if (leaf != nullptr && leaf->has_region) {
-      int level = shard.store->cluster_level();
-      htm::CoverResult cover = htm::Cover(leaf->region, level);
-      auto add = [&](htm::HtmId id, bool full) {
-        uint64_t first, last;
-        id.RangeAtLevel(level, &first, &last);
-        for (auto it = containers.lower_bound(first);
-             it != containers.end() && it->first < last; ++it) {
-          if (!assigned(it->first)) continue;
-          ++p.containers;
-          p.bytes_to_scan += it->second.FullBytes();
-          uint64_t objs = it->second.size();
-          p.max_objects += objs;
-          if (full) {
-            p.min_objects += objs;
-            p.expected_objects += static_cast<double>(objs);
-          } else {
-            p.expected_objects += 0.5 * static_cast<double>(objs);
-          }
-        }
-      };
-      for (htm::HtmId id : cover.full) add(id, true);
-      for (htm::HtmId id : cover.partial) add(id, false);
-    } else {
-      for (const auto& [raw, c] : containers) {
-        if (!assigned(raw)) continue;
-        ++p.containers;
-        p.bytes_to_scan += c.FullBytes();
-        uint64_t objs = c.size();
-        p.max_objects += objs;
-        p.expected_objects += static_cast<double>(objs);
+    auto add = [&](uint64_t raw, const catalog::Container& c, bool full) {
+      if (shard.assigned != nullptr && shard.assigned->count(raw) == 0) {
+        return;
       }
-    }
-    if (join != nullptr && shards.size() > 1) {
-      // Boundary-band estimate from the density map alone: the share of
-      // a container's objects within the join radius of its edge scales
-      // like 3 * sep / side for a trixel ~90/2^level degrees across.
-      double side_deg =
-          90.0 / static_cast<double>(1u << shard.store->cluster_level());
-      double frac = std::min(
-          1.0, 3.0 * ArcsecToDeg(join->pair_max_sep_arcsec) / side_deg);
-      p.bytes_shipped =
-          static_cast<uint64_t>(frac * static_cast<double>(p.bytes_to_scan));
+      ++p.containers;
+      p.bytes_to_scan += c.FullBytes();
+      const uint64_t objs = c.size();
+      p.max_objects += objs;
+      if (full) p.min_objects += objs;
+      p.expected_objects += (full ? 1.0 : 0.5) * static_cast<double>(objs);
+    };
+    for (const PlanNode* leaf : leaves) {
+      const uint64_t bytes_before = p.bytes_to_scan;
+      if (leaf->has_region) {
+        int level = shard.store->cluster_level();
+        htm::CoverResult cover = htm::Cover(leaf->region, level);
+        auto add_range = [&](htm::HtmId id, bool full) {
+          uint64_t first, last;
+          id.RangeAtLevel(level, &first, &last);
+          for (auto it = containers.lower_bound(first);
+               it != containers.end() && it->first < last; ++it) {
+            add(it->first, it->second, full);
+          }
+        };
+        for (htm::HtmId id : cover.full) add_range(id, true);
+        for (htm::HtmId id : cover.partial) add_range(id, false);
+      } else {
+        for (const auto& [raw, c] : containers) add(raw, c, true);
+      }
+      if (leaf->type == PlanNodeType::kPairJoin && shards.size() > 1) {
+        // Boundary-band estimate from the density map alone: the share
+        // of a container's objects within the join radius of its edge
+        // scales like 3 * sep / side for a trixel ~90/2^level degrees
+        // across.
+        double side_deg =
+            90.0 / static_cast<double>(1u << shard.store->cluster_level());
+        double frac = std::min(
+            1.0, 3.0 * ArcsecToDeg(leaf->pair_max_sep_arcsec) / side_deg);
+        p.bytes_shipped += static_cast<uint64_t>(
+            frac * static_cast<double>(p.bytes_to_scan - bytes_before));
+      }
     }
     out.push_back(p);
   }

@@ -4,23 +4,28 @@
 // The paper's archive is explicitly distributed: "the base-data objects
 // will be spatially partitioned among the servers ... some of the
 // high-traffic data will be replicated among servers." This engine
-// parses and plans a query ONCE and runs it in one of two shapes:
+// parses and plans a query ONCE and runs it as one executor tree:
 //
-//  - single store: a personal (mydb) plan or a one-shard fleet runs the
-//    whole tree on one Executor -- no shard morsel, no merge, no partial
-//    aggregates. This is also the oracle the federation suites hold the
-//    fan-out against (a one-shard engine over the unsharded store).
-//  - fan-out: every live shard runs the plan as one morsel on the shared
-//    scan pool (the calling thread runs morsels too), the per-shard ASAP
-//    batch streams merge on the calling thread into a single ordered /
-//    limited stream, and partial aggregates combine (COUNT/SUM add,
-//    MIN/MAX fold, AVG = sum/count) -- so a query over N servers answers
-//    exactly like a query over one big store, and keeps answering when a
-//    server is marked down and its containers are re-routed to
-//    surviving replicas.
+//  - a personal (mydb) plan or a one-shard fleet runs its logical tree
+//    whole on one Executor. This is also the oracle the federation
+//    suites hold the fleet against (a one-shard engine over the
+//    unsharded store).
+//  - over a wider fleet, DistributePlan splits the tree at GATHER nodes
+//    and the coordinator's executor runs the part above them on the
+//    calling thread. Each gather runs its child on every live shard as
+//    one morsel on the shared scan pool (the calling thread runs
+//    morsels too) and merges the shard streams: k-way on the sort key
+//    when ordered, in ASAP arrival order otherwise, after a boundary
+//    ghost exchange and with pair dedupe for a neighbor join. Global
+//    LIMITs, partial-aggregate combines (COUNT/SUM add, MIN/MAX fold,
+//    AVG = sum/count) and branch-limited set algebra are ordinary
+//    executor nodes above the gathers -- so a query over N servers
+//    answers exactly like a query over one big store, and keeps
+//    answering when a server is marked down and its containers are
+//    re-routed to surviving replicas.
 //
-// Both shapes sit behind one run entry that owns the result cache, the
-// engine metrics and every per-stage clock. Neither starts a thread: the
+// One run entry owns the result cache (keyed by the logical tree), the
+// engine metrics and every per-stage clock. No thread is started: the
 // caller's sink runs only on the thread that called the engine.
 
 #ifndef SDSS_QUERY_FEDERATED_ENGINE_H_
@@ -115,21 +120,21 @@ struct ExecContext {
   /// the replica-promotion loop. Personal (mydb) scans never report.
   AccessRecorder access_recorder;
   /// Set only by a caller that will materialize the INTO target itself
-  /// (the workbench's ExecuteInto sink). Left false, Execute /
-  /// ExecuteStreaming refuse `SELECT ... INTO mydb.<name>` queries --
-  /// the engine alone would run the bare select and silently store
-  /// nothing. Explain and EstimateCost always accept INTO (they only
-  /// describe / price the select).
+  /// (the workbench, whose job sink stores the rows). Left false,
+  /// Execute / ExecuteStreaming refuse `SELECT ... INTO mydb.<name>`
+  /// queries -- the engine alone would run the bare select and silently
+  /// store nothing. Explain and EstimateCost always accept INTO (they
+  /// only describe / price the select).
   bool into_sink = false;
   /// Opt out of the semantic result cache for this run: neither consult
   /// it nor install into it (e.g. a caller that must observe real scan
   /// counters, or wants to force a fresh fleet pass).
   bool no_result_cache = false;
   /// Per-query span tree, null (tracing off) by default. When set, the
-  /// engine opens one span per pipeline stage -- plan, cache_probe,
-  /// ghost_harvest, fan_out with a child per shard, merge, fold -- and
-  /// annotates them with stage-local detail (containers, columnar
-  /// split, bytes scanned/shipped). Must outlive the run. The disabled
+  /// engine opens one span per pipeline stage -- plan, cache_probe, then
+  /// per gather ghost_harvest and fan_out with a child per shard and a
+  /// merge -- and annotates them with stage-local detail (containers,
+  /// columnar split, bytes scanned/shipped). Must outlive the run. The disabled
   /// path allocates nothing.
   QueryTrace* trace = nullptr;
 };
@@ -193,9 +198,9 @@ class FederatedQueryEngine {
   FederatedQueryEngine(std::vector<Shard> shards, Options options);
 
   /// Runs `sql` and materializes the result: a collecting sink over the
-  /// same run as ExecuteStreaming. FROM mydb.<name> plans run in the
-  /// single-store shape (a personal store is never sharded) but still
-  /// share the engine's scan pool.
+  /// same run as ExecuteStreaming. FROM mydb.<name> plans run whole on
+  /// one executor (a personal store is never sharded) but still share
+  /// the engine's scan pool.
   Result<QueryResult> Execute(const std::string& sql,
                               const ExecContext& ctx = {});
 
@@ -269,7 +274,6 @@ class FederatedQueryEngine {
 
  private:
   struct Prepared;
-  struct MergePolicy;
   using Sink = std::function<bool(RowBatch&&)>;
 
   std::vector<Shard> SnapshotShards() const;
@@ -279,25 +283,25 @@ class FederatedQueryEngine {
                            const ExecContext& ctx = {}) const;
   /// The one run entry behind Execute, ExecuteStreaming and
   /// ExplainAnalyze: prepares `sql`, refuses an unsinked INTO, hands the
-  /// plan to `on_plan`, then answers from the result cache or runs one
-  /// of the two execution shapes. It alone installs into the cache,
-  /// records the engine metrics and sets every ExecStats stage clock.
+  /// plan to `on_plan`, then answers from the result cache or runs the
+  /// plan. It alone installs into the cache, records the engine metrics
+  /// and sets every ExecStats stage clock.
   Result<ExecStats> Run(const std::string& sql, const ExecContext& ctx,
                         const std::function<void(const Prepared&)>& on_plan,
                         const Sink& sink);
-  /// Shape (a): the whole tree on one Executor over the first shard.
-  Status RunSingleStore(const Prepared& prep, const ExecContext& ctx,
-                        const Sink& sink, ExecStats* stats);
-  /// Shape (b): picks the merge policy for the plan (partial or
-  /// LIMIT-capped aggregate, pair join, branch-limited set query, plain
-  /// chain) and fans out.
-  Status RunFanOut(Prepared& prep, const ExecContext& ctx, const Sink& sink,
-                   ExecStats* stats);
-  /// The merge primitive: runs `policy.root` on every shard and merges
-  /// the streams into `sink`; adds the scan counters into `stats`.
-  Status FanOut(const Prepared& prep, const ExecContext& ctx,
-                const MergePolicy& policy, const Sink& sink,
-                ExecStats* stats);
+  /// Runs the plan's one executor tree: the logical tree on the first
+  /// shard when the plan was not distributed, the coordinator's tree
+  /// with FanOut as its gather source otherwise. Adds every shard's scan
+  /// counters into `stats`.
+  Status RunPlan(const Prepared& prep, const ExecContext& ctx,
+                 const Sink& sink, ExecStats* stats);
+  /// Runs `part` on every shard and merges the shard streams into `emit`
+  /// as `gather` directs: after the ghost exchange for a pair join, k-way
+  /// on the sort key when ordered, in arrival order otherwise, dropping
+  /// repeated pairs. A null `gather` runs a whole plan on one shard.
+  Status FanOut(const std::vector<Shard>& shards, const PlanNode& part,
+                const PlanNode* gather, const ExecContext& ctx,
+                const Sink& emit, ExecStats* stats);
   /// One shard's executor run of `root`, closing its trace span.
   Result<ExecStats> RunShard(const Shard& shard, const PlanNode* root,
                              const Sink& sink, const PairJoinGhosts* ghosts,
@@ -317,10 +321,10 @@ class FederatedQueryEngine {
   std::vector<Shard> shards_;
 };
 
-/// Per-shard density-map predictions for `plan`'s leftmost scan: the
-/// containers each shard would touch, the bytes it would read, and the
-/// expected object yield. Summing the slices gives the fleet-wide
-/// prediction.
+/// Per-shard density-map predictions for `plan`, summed over its scan
+/// and join leaves: the containers each shard would touch, the bytes it
+/// would read, the expected object yield and, for a pair join, the
+/// ghost traffic. Summing the slices gives the fleet-wide prediction.
 std::vector<ShardPrediction> PredictShards(const std::vector<Shard>& shards,
                                            const Plan& plan);
 

@@ -138,6 +138,8 @@ const char* PlanNodeTypeName(PlanNodeType t) {
       return "LIMIT";
     case PlanNodeType::kAggregate:
       return "AGGREGATE";
+    case PlanNodeType::kGather:
+      return "GATHER";
   }
   return "?";
 }
@@ -180,6 +182,13 @@ std::string PlanNode::Explain(int indent) const {
       out += std::string(" ") + AggFuncName(agg);
       if (agg_partial) out += " [partial]";
       break;
+    case PlanNodeType::kGather:
+      out += gather_ordered ? " ordered by column " +
+                                  std::to_string(sort_column) +
+                                  (sort_desc ? " desc" : " asc")
+                            : " asap";
+      if (gather_pairs) out += " [ghost exchange, pair dedupe]";
+      break;
     default:
       break;
   }
@@ -189,7 +198,8 @@ std::string PlanNode::Explain(int indent) const {
 }
 
 std::string Plan::Explain() const {
-  std::string out = root ? root->Explain() : "<empty>\n";
+  const PlanNode* tree = distributed ? distributed.get() : root.get();
+  std::string out = tree ? tree->Explain() : "<empty>\n";
   out += used_tag_store ? "store: tag partition\n" : "store: full photo\n";
   out += used_spatial_index ? "index: HTM cover\n" : "index: none\n";
   return out;
@@ -499,7 +509,101 @@ Result<std::unique_ptr<PlanNode>> PlanSelect(const SelectQuery& s,
   return node;
 }
 
+using NodePtr = std::shared_ptr<const PlanNode>;
+
+bool IsSetOperation(const PlanNode& node) {
+  return node.type == PlanNodeType::kUnion ||
+         node.type == PlanNodeType::kIntersect ||
+         node.type == PlanNodeType::kDifference;
+}
+
+// True when some select branch of the set tree `set` carries a LIMIT: a
+// global cap on that branch, which shard-local set inputs would each
+// apply locally.
+bool BranchLimited(const PlanNode& set) {
+  for (const NodePtr& c : set.children) {
+    if (IsSetOperation(*c) ? BranchLimited(*c)
+                           : c->type == PlanNodeType::kLimit) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// A gather over `shard_part`: ordered when the part's chain sorts below
+// its LIMIT, pair-deduping when the chain ends in a pair join.
+NodePtr GatherOver(NodePtr shard_part) {
+  auto gather = std::make_shared<PlanNode>();
+  gather->type = PlanNodeType::kGather;
+  const PlanNode* n = shard_part.get();
+  if (n->type == PlanNodeType::kLimit) n = n->children[0].get();
+  if (n->type == PlanNodeType::kSort) {
+    gather->gather_ordered = true;
+    gather->sort_column = n->sort_column;
+    gather->sort_desc = n->sort_desc;
+  }
+  while (!n->children.empty() && !IsSetOperation(*n)) {
+    n = n->children[0].get();
+  }
+  gather->gather_pairs = n->type == PlanNodeType::kPairJoin;
+  gather->children.push_back(std::move(shard_part));
+  return gather;
+}
+
+// The coordinator's tree for the logical subtree `node`.
+NodePtr Distribute(const NodePtr& node) {
+  switch (node->type) {
+    case PlanNodeType::kAggregate: {
+      NodePtr input = Distribute(node->children[0]);
+      if (input->type == PlanNodeType::kGather && !input->gather_pairs) {
+        // The whole body runs on every shard: fold it there, and let the
+        // coordinator combine the partials.
+        auto partial = std::make_shared<PlanNode>(*node);
+        partial->agg_partial = true;
+        input = GatherOver(std::move(partial));
+      }
+      auto agg = std::make_shared<PlanNode>(*node);
+      agg->children = {std::move(input)};
+      return agg;
+    }
+    case PlanNodeType::kUnion:
+    case PlanNodeType::kIntersect:
+    case PlanNodeType::kDifference: {
+      // Shards hold disjoint objects, so unlimited set algebra is exact
+      // shard by shard; a branch LIMIT is global, so its branch is
+      // gathered before the set operation runs here.
+      if (!BranchLimited(*node)) return GatherOver(node);
+      auto set = std::make_shared<PlanNode>(*node);
+      for (NodePtr& c : set->children) c = Distribute(c);
+      return set;
+    }
+    case PlanNodeType::kLimit: {
+      // Each shard's capped stream holds its share of the answer; the
+      // coordinator's copy of the LIMIT trims the merged stream.
+      auto limit = std::make_shared<PlanNode>(*node);
+      limit->children = {GatherOver(node)};
+      return limit;
+    }
+    default:
+      return GatherOver(node);
+  }
+}
+
 }  // namespace
+
+void ForEachLeaf(const PlanNode& node,
+                 const std::function<void(const PlanNode&)>& fn) {
+  if (node.type == PlanNodeType::kScan ||
+      node.type == PlanNodeType::kMyDbScan ||
+      node.type == PlanNodeType::kPairJoin) {
+    fn(node);
+  }
+  for (const auto& c : node.children) ForEachLeaf(*c, fn);
+}
+
+void DistributePlan(Plan* plan) {
+  plan->distributed = Distribute(plan->root);
+}
 
 Result<Plan> BuildPlan(const ParsedQuery& query,
                        const catalog::ObjectStore& store,
@@ -579,29 +683,26 @@ Result<Plan> BuildPlan(const ParsedQuery& query,
 
   plan.used_spatial_index = used_index;
 
-  // Density-map prediction for the first scan (the paper's output-volume
-  // estimate). Walk down to the leftmost leaf (scan or pair join).
-  const PlanNode* scan = root.get();
-  while (scan != nullptr && scan->type != PlanNodeType::kScan &&
-         scan->type != PlanNodeType::kMyDbScan &&
-         scan->type != PlanNodeType::kPairJoin) {
-    scan = scan->children.empty() ? nullptr : scan->children[0].get();
-  }
-  // A mydb leaf predicts against its own (personal) store, not the fleet.
-  const catalog::ObjectStore& pred_store =
-      scan != nullptr && scan->type == PlanNodeType::kMyDbScan
-          ? *scan->mydb_store
-          : store;
-  if (scan != nullptr && scan->has_region) {
-    plan.prediction = pred_store.PredictRegion(scan->region);
-  } else {
-    catalog::StoreStats stats = pred_store.Stats();
-    plan.prediction.min_objects = 0;
-    plan.prediction.max_objects = stats.object_count;
-    plan.prediction.expected_objects =
-        static_cast<double>(stats.object_count);
-    plan.prediction.bytes_to_scan = stats.full_bytes;
-  }
+  // Density-map prediction (the paper's output-volume estimate), summed
+  // over every leaf: a set query reads each of its branches. A mydb leaf
+  // predicts against its own (personal) store, not the fleet.
+  ForEachLeaf(*root, [&](const PlanNode& leaf) {
+    const catalog::ObjectStore& pred_store =
+        leaf.type == PlanNodeType::kMyDbScan ? *leaf.mydb_store : store;
+    catalog::ObjectStore::Prediction p;
+    if (leaf.has_region) {
+      p = pred_store.PredictRegion(leaf.region);
+    } else {
+      catalog::StoreStats stats = pred_store.Stats();
+      p.max_objects = stats.object_count;
+      p.expected_objects = static_cast<double>(stats.object_count);
+      p.bytes_to_scan = stats.full_bytes;
+    }
+    plan.prediction.expected_objects += p.expected_objects;
+    plan.prediction.min_objects += p.min_objects;
+    plan.prediction.max_objects += p.max_objects;
+    plan.prediction.bytes_to_scan += p.bytes_to_scan;
+  });
 
   plan.root = std::move(root);
   return plan;

@@ -10,9 +10,10 @@
 // intersection / difference nodes blocking on one side.
 //
 // This header defines the plan-node tree, the batch exchange the
-// executor streams scan output through, and the planner that lowers a
+// executor streams scan output through, the planner that lowers a
 // parsed query onto a specific ObjectStore (spatial cover extraction,
-// tag-store selection, and the density-map cost prediction).
+// tag-store selection, and the density-map cost prediction), and the
+// planner step that splits a fleet plan at GATHER nodes.
 
 #ifndef SDSS_QUERY_QET_H_
 #define SDSS_QUERY_QET_H_
@@ -97,14 +98,17 @@ enum class PlanNodeType {
   kSort,        ///< Blocking: drains child, sorts, then streams.
   kLimit,       ///< Streaming with early-out cancellation.
   kAggregate,   ///< Blocking: folds child stream to one row.
+  kGather,      ///< Coordinator leaf of a fleet plan: runs its child on
+                ///< every shard and merges the shard streams.
 };
 
 const char* PlanNodeTypeName(PlanNodeType t);
 
-/// A node of the QET.
+/// A node of the QET. Nodes are immutable once planned; a distributed
+/// tree shares the logical tree's subtrees instead of copying them.
 struct PlanNode {
   PlanNodeType type = PlanNodeType::kScan;
-  std::vector<std::unique_ptr<PlanNode>> children;
+  std::vector<std::shared_ptr<const PlanNode>> children;
 
   // -- kScan ---------------------------------------------------------
   TableRef table = TableRef::kPhoto;
@@ -144,7 +148,7 @@ struct PlanNode {
   std::string pair_alias_a = "a";
   std::string pair_alias_b = "b";
 
-  // -- kSort ---------------------------------------------------------
+  // -- kSort (and an ordered kGather's merge key) ---------------------
   size_t sort_column = 0;
   bool sort_desc = false;
 
@@ -153,27 +157,49 @@ struct PlanNode {
 
   // -- kAggregate ----------------------------------------------------
   AggFunc agg = AggFunc::kNone;
-  /// Partial mode (set by the federated engine on shard plans): emit the
+  /// Partial mode (the shard side of a DistributePlan split): emit the
   /// decomposed state {count, sum, min, max} instead of the final value,
   /// so per-shard partials combine exactly (COUNT/SUM add, MIN/MAX fold,
-  /// AVG = sum/count).
+  /// AVG = sum/count). An aggregate over a gather of partial aggregates
+  /// combines those rows instead of folding raw values.
   bool agg_partial = false;
+
+  // -- kGather -------------------------------------------------------
+  // The split point of a distributed plan. children[0] is the subtree
+  // every shard runs; the gather itself is a leaf of the coordinator's
+  // tree, whose rows the engine supplies (Executor::RunTree's gather
+  // source). An ordered gather k-way merges the sorted shard streams on
+  // (sort_column, sort_desc); an unordered one interleaves them in ASAP
+  // arrival order.
+  bool gather_ordered = false;
+  /// A pair-join gather: boundary ghosts are exchanged between the
+  /// shards before the fan-out, and a pair row another shard already
+  /// delivered is dropped.
+  bool gather_pairs = false;
 
   /// Indented plan explanation (EXPLAIN output).
   std::string Explain(int indent = 0) const;
 };
 
-/// A complete physical plan.
+/// A complete plan.
 struct Plan {
-  std::unique_ptr<PlanNode> root;
+  /// The logical tree: what the query means, and what the result cache
+  /// fingerprints and answers.
+  std::shared_ptr<const PlanNode> root;
+  /// The coordinator's tree when the plan runs over a fleet of several
+  /// shards (DistributePlan), null when it runs whole on one store.
+  std::shared_ptr<const PlanNode> distributed;
   std::vector<std::string> columns;  ///< Output column names.
   bool is_aggregate = false;
 
   /// Planner decisions, for instrumentation.
   bool used_tag_store = false;
   bool used_spatial_index = false;
-  catalog::ObjectStore::Prediction prediction;  ///< Density-map estimate.
+  /// Density-map estimate, summed over every scan and join leaf.
+  catalog::ObjectStore::Prediction prediction;
 
+  /// The tree that runs -- the distributed one when set -- plus the
+  /// planner decisions.
   std::string Explain() const;
 };
 
@@ -205,6 +231,21 @@ struct PlannerOptions {
 Result<Plan> BuildPlan(const ParsedQuery& query,
                        const catalog::ObjectStore& store,
                        const PlannerOptions& options = {});
+
+/// Calls `fn` for every scan, mydb-scan and pair-join leaf under
+/// `node`, left to right.
+void ForEachLeaf(const PlanNode& node,
+                 const std::function<void(const PlanNode&)>& fn);
+
+/// Splits a fleet plan for a fleet of several shards: sets
+/// `plan->distributed` to the logical tree cut at kGather nodes, leaving
+/// `plan->root` as it is. A select chain, or a set tree whose branches
+/// carry no LIMIT, runs whole on every shard under one gather (shards
+/// hold disjoint objects); a LIMIT is re-applied above its gather; an
+/// aggregate over a whole-gathered body runs in partial mode on the
+/// shards; a branch-limited set tree keeps its set nodes above one
+/// gather per branch. Never called for personal (mydb) plans.
+void DistributePlan(Plan* plan);
 
 }  // namespace sdss::query
 

@@ -212,6 +212,9 @@ void FingerprintNode(const PlanNode& n, std::string* out) {
     case PlanNodeType::kUnion:
     case PlanNodeType::kIntersect:
     case PlanNodeType::kDifference:
+    // The cache keys the logical tree, which has no gathers; how a plan
+    // is distributed never changes its answer.
+    case PlanNodeType::kGather:
       break;
   }
   for (const auto& c : n.children) FingerprintNode(*c, out);

@@ -1,9 +1,8 @@
 // Shared fixtures for the federation suite: canonical skies, the mixed
 // query list every test draws from, and result-equivalence checks. The
 // ground truth the fleet must match is a one-shard FederatedQueryEngine
-// over the unsharded store (SingleStore below), which runs every plan in
-// the engine's single-store shape: one executor, no merge, no partial
-// aggregates.
+// over the unsharded store (SingleStore below), which runs every plan
+// whole on one executor: no gather, no merge, no partial aggregates.
 
 #ifndef SDSS_TESTS_FEDERATION_FEDERATION_TEST_UTIL_H_
 #define SDSS_TESTS_FEDERATION_FEDERATION_TEST_UTIL_H_
@@ -132,6 +131,23 @@ inline std::vector<TestQuery> MixedQueries() {
       {"SELECT SUM(r) FROM photo WHERE r < 21 ORDER BY r LIMIT 10 "
        "EXCEPT SELECT r FROM photo WHERE class = 'STAR'",
        M::kAggregate},
+      // Gather placements under the coordinator's set nodes: a limited
+      // right branch, EXCEPT with a limited left branch, an aggregate
+      // over a branch-limited set, and a three-branch chain limited in
+      // the middle.
+      {"SELECT obj_id, r FROM photo WHERE class = 'QSO' UNION "
+       "SELECT obj_id, r FROM photo WHERE r < 18 ORDER BY r LIMIT 30",
+       M::kMultiset},
+      {"SELECT obj_id, r FROM photo WHERE r < 21 ORDER BY r LIMIT 30 "
+       "EXCEPT SELECT obj_id, r FROM photo WHERE class = 'STAR'",
+       M::kMultiset},
+      {"SELECT SUM(r) FROM photo WHERE r < 22 ORDER BY r LIMIT 40 "
+       "UNION SELECT r FROM photo WHERE class = 'QSO'",
+       M::kAggregate},
+      {"SELECT obj_id, r FROM photo WHERE class = 'QSO' UNION "
+       "SELECT obj_id, r FROM photo WHERE r < 21 ORDER BY r DESC LIMIT 25 "
+       "EXCEPT SELECT obj_id, r FROM photo WHERE class = 'STAR'",
+       M::kMultiset},
   };
 }
 

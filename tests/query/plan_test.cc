@@ -87,6 +87,22 @@ TEST_F(PlanTest, SetQueryBuildsLeftDeepTree) {
   EXPECT_EQ(plan->root->children[1]->type, PlanNodeType::kScan);
 }
 
+TEST_F(PlanTest, SetQueryPredictionSumsEveryBranch) {
+  // A cone joined to a full sweep reads both: pricing the set by its
+  // first branch alone would call a sweep cheap.
+  auto cone = PlanFor(
+      "SELECT obj_id, r FROM photo WHERE CIRCLE('GAL', 30, 70, 2)");
+  auto sweep = PlanFor("SELECT obj_id, r FROM photo WHERE class = 'QSO'");
+  auto both = PlanFor(
+      "SELECT obj_id, r FROM photo WHERE CIRCLE('GAL', 30, 70, 2) UNION "
+      "SELECT obj_id, r FROM photo WHERE class = 'QSO'");
+  ASSERT_TRUE(cone.ok() && sweep.ok() && both.ok());
+  EXPECT_EQ(both->prediction.bytes_to_scan,
+            cone->prediction.bytes_to_scan + sweep->prediction.bytes_to_scan);
+  EXPECT_EQ(both->prediction.max_objects,
+            cone->prediction.max_objects + sweep->prediction.max_objects);
+}
+
 TEST_F(PlanTest, SetQueryColumnCountMismatchRejected) {
   auto plan = PlanFor(
       "SELECT obj_id FROM photo UNION SELECT obj_id, r FROM photo");

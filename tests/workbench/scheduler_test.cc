@@ -143,6 +143,30 @@ TEST_F(WorkbenchSchedulerTest, CostEstimateChoosesTheLane) {
                    static_cast<double>(source_->object_count()));
 }
 
+TEST_F(WorkbenchSchedulerTest, SetQueryIsPricedByEveryBranch) {
+  // A small cone joined to a full sweep: the sweep branch alone decides
+  // the lane, wherever it stands in the set.
+  const std::string sweep =
+      "SELECT obj_id, r FROM photo WHERE class = 'QSO'";
+  const std::string cone_then_sweep =
+      "SELECT obj_id, r FROM photo WHERE CIRCLE('GAL', 30, 70, 2) UNION " +
+      sweep;
+  auto sweep_cost = engine_->EstimateCost(sweep);
+  auto set_cost = engine_->EstimateCost(cone_then_sweep);
+  ASSERT_TRUE(sweep_cost.ok() && set_cost.ok());
+  EXPECT_GE(set_cost->TotalBytes(), sweep_cost->TotalBytes());
+
+  JobScheduler sched(engine_, mydb_.get(), TwoLaneOptions());
+  auto job = sched.Submit("alice", cone_then_sweep);
+  ASSERT_TRUE(job.ok());
+  auto snap = sched.Snapshot(*job);
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(snap->lane, Lane::kLong);
+  auto done = sched.Wait(*job);
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(done->state, JobState::kSucceeded);
+}
+
 TEST_F(WorkbenchSchedulerTest, SubmitRejectsBadQueriesUpFront) {
   JobScheduler sched(engine_, mydb_.get(), TwoLaneOptions());
   EXPECT_FALSE(sched.Submit("alice", "SELECT nonsense FROM").ok());
