@@ -138,7 +138,7 @@ Result<MyDbRecoveryReport> MyDb::AttachStorage() {
             "' failed to load: " + store.status().ToString());
       }
       auto owned =
-          std::make_unique<catalog::ObjectStore>(std::move(*store));
+          std::make_shared<const catalog::ObjectStore>(std::move(*store));
       UserSpace& space = users_[user];
       const uint64_t loaded_bytes =
           owned->object_count() * sizeof(catalog::PhotoObj);
@@ -245,13 +245,13 @@ Status MyDb::Put(const std::string& user, const std::string& name,
   return Status::OK();
 }
 
-Result<const catalog::ObjectStore*> MyDb::Find(
+Result<std::shared_ptr<const catalog::ObjectStore>> MyDb::Find(
     const std::string& user, const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto uit = users_.find(user);
   if (uit != users_.end()) {
     auto tit = uit->second.tables.find(name);
-    if (tit != uit->second.tables.end()) return tit->second.get();
+    if (tit != uit->second.tables.end()) return tit->second;
   }
   return Status::NotFound("mydb." + name + " does not exist");
 }
@@ -327,11 +327,11 @@ uint64_t MyDb::RemainingBytes(const std::string& user) const {
 }
 
 query::MyDbResolver MyDb::ResolverFor(const std::string& user) const {
-  return [this, user](const std::string& name) -> const
-         catalog::ObjectStore* {
-           auto found = Find(user, name);
-           return found.ok() ? *found : nullptr;
-         };
+  return [this, user](const std::string& name)
+             -> std::shared_ptr<const catalog::ObjectStore> {
+    auto found = Find(user, name);
+    return found.ok() ? std::move(found).value() : nullptr;
+  };
 }
 
 }  // namespace sdss::archive

@@ -58,10 +58,11 @@ struct MyDbRecoveryReport {
 
 /// Thread-safe per-user namespace of named result stores.
 ///
-/// Store pointers returned by Find / the resolver stay valid until the
-/// table is dropped; callers must not Drop a table while a query planned
-/// against it is still executing (the workbench serializes this by
-/// running a user's jobs under a concurrency quota).
+/// Tables are shared-owned: Find and the resolver hand out an owner, so
+/// a plan holding one (a queued or running job's prepared statement)
+/// keeps reading the table as it stood when the plan was made, even
+/// across a Drop. Drop frees the name and the quota at once; the store
+/// itself goes when its last reader lets go.
 class MyDb {
  public:
   struct Options {
@@ -97,8 +98,8 @@ class MyDb {
              std::vector<catalog::PhotoObj> objects);
 
   /// The store backing mydb.<name>, or NotFound.
-  Result<const catalog::ObjectStore*> Find(const std::string& user,
-                                           const std::string& name) const;
+  Result<std::shared_ptr<const catalog::ObjectStore>> Find(
+      const std::string& user, const std::string& name) const;
 
   /// Drops mydb.<name>, releasing its bytes against the quota. Durably
   /// journaled before the table disappears from memory.
@@ -123,7 +124,8 @@ class MyDb {
 
  private:
   struct UserSpace {
-    std::map<std::string, std::unique_ptr<catalog::ObjectStore>> tables;
+    std::map<std::string, std::shared_ptr<const catalog::ObjectStore>>
+        tables;
     uint64_t used_bytes = 0;
     std::optional<uint64_t> quota_override;
   };

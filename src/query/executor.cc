@@ -303,7 +303,7 @@ class TreeRunner {
     leaf->node = scan;
     leaf->personal = scan->type == PlanNodeType::kMyDbScan;
     const catalog::ObjectStore* store =
-        leaf->personal ? scan->mydb_store : store_;
+        leaf->personal ? scan->mydb_store.get() : store_;
     leaf->containers = CollectScanContainers(
         scan, store, leaf->personal ? nullptr : filter_);
     leaf->tag = scan->table == TableRef::kTag;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iterator>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -166,6 +167,46 @@ void AddScanCounters(const ExecStats& from, ExecStats* into) {
   into->bytes_shipped += from.bytes_shipped;
 }
 
+/// The fleet-wide prediction: the per-shard slices summed. `shipped`
+/// receives the summed ghost traffic.
+catalog::ObjectStore::Prediction SumShards(
+    const std::vector<ShardPrediction>& slices, uint64_t* shipped) {
+  catalog::ObjectStore::Prediction total;
+  *shipped = 0;
+  for (const ShardPrediction& p : slices) {
+    total.expected_objects += p.expected_objects;
+    total.min_objects += p.min_objects;
+    total.max_objects += p.max_objects;
+    total.bytes_to_scan += p.bytes_to_scan;
+    *shipped += p.bytes_shipped;
+  }
+  return total;
+}
+
+/// The engine alone would run an INTO's bare select and store nothing,
+/// so a run refuses INTO unless its caller materializes the rows.
+Status RefuseUnsinkedInto(const PreparedQuery& prep, const ExecContext& ctx) {
+  if (prep.into().empty() || ctx.into_sink) return Status::OK();
+  return Status::InvalidArgument(
+      "INTO mydb." + prep.into() +
+      " must run through the batch workbench; the engine alone would "
+      "discard the materialization");
+}
+
+/// A personal store or a fleet of one runs the logical tree whole; only
+/// a wider fleet splits it at gathers.
+bool SplitsAtGathers(const PreparedQuery& prep,
+                     const std::vector<Shard>& shards) {
+  return !prep.mydb && shards.size() > 1;
+}
+
+/// EXPLAIN's tree: the one a run on `shards` takes.
+std::string ExplainRunTree(const PreparedQuery& prep,
+                           const std::vector<Shard>& shards) {
+  if (!SplitsAtGathers(prep, shards)) return prep.plan.Explain();
+  return prep.plan.Explain(DistributePlan(prep.plan.root).get());
+}
+
 /// Opens one shard's span under a fan_out span, on the shard's own
 /// display lane.
 int BeginShardSpan(QueryTrace* trace, int fan_span, size_t index,
@@ -177,15 +218,6 @@ int BeginShardSpan(QueryTrace* trace, int fan_span, size_t index,
 }
 
 }  // namespace
-
-struct FederatedQueryEngine::Prepared {
-  ParsedQuery parsed;
-  std::vector<Shard> shards;
-  Plan plan;
-  /// The plan reads a personal mydb store, which is never sharded.
-  bool mydb = false;
-  double seconds_plan = 0.0;  ///< Parse + plan wall time (Prepare).
-};
 
 FederatedQueryEngine::FederatedQueryEngine(std::vector<Shard> shards,
                                            Options options)
@@ -237,19 +269,19 @@ std::vector<Shard> FederatedQueryEngine::SnapshotShards() const {
   return shards_;
 }
 
-Result<FederatedQueryEngine::Prepared> FederatedQueryEngine::Prepare(
+Result<PreparedQuery> FederatedQueryEngine::Prepare(
     const std::string& sql, const ExecContext& ctx) const {
   auto t0 = std::chrono::steady_clock::now();
   const int plan_span = TraceBegin(ctx.trace, "plan");
-  Prepared prep;
+  PreparedQuery prep;
   auto parsed = Parse(sql);
   if (!parsed.ok()) {
     TraceEnd(ctx.trace, plan_span);
     return parsed.status();
   }
   prep.parsed = std::move(parsed).value();
-  prep.shards = SnapshotShards();
-  if (prep.shards.empty()) {
+  const std::vector<Shard> shards = SnapshotShards();
+  if (shards.empty()) {
     TraceEnd(ctx.trace, plan_span);
     return Status::FailedPrecondition("federation has no live shards");
   }
@@ -259,7 +291,7 @@ Result<FederatedQueryEngine::Prepared> FederatedQueryEngine::Prepare(
   // a per-user mydb namespace on top of the engine's planner options.
   PlannerOptions planner = options_.planner;
   if (ctx.mydb) planner.mydb = ctx.mydb;
-  auto plan = BuildPlan(prep.parsed, *prep.shards[0].store, planner);
+  auto plan = BuildPlan(prep.parsed, *shards[0].store, planner);
   if (!plan.ok()) {
     TraceEnd(ctx.trace, plan_span);
     return plan.status();
@@ -271,16 +303,13 @@ Result<FederatedQueryEngine::Prepared> FederatedQueryEngine::Prepare(
     tag_scan = tag_scan || (leaf.type == PlanNodeType::kScan &&
                             leaf.table == TableRef::kTag);
   });
-  // A personal store or a fleet of one runs the logical tree whole;
-  // only a wider fleet splits it at gathers.
-  if (!prep.mydb && prep.shards.size() > 1) DistributePlan(&prep.plan);
 
   // A table no live shard can serve must be a clean refusal, not a
   // silently empty result: an explicit FROM tag against a fleet whose
   // stores were built without the tag partition scans nothing.
   if (!prep.mydb && tag_scan) {
     bool tag_on_some_shard = false;
-    for (const Shard& shard : prep.shards) {
+    for (const Shard& shard : shards) {
       if (shard.store->options().build_tags) {
         tag_on_some_shard = true;
         break;
@@ -293,33 +322,36 @@ Result<FederatedQueryEngine::Prepared> FederatedQueryEngine::Prepare(
           "partition)");
     }
   }
+  prep.cacheable = cache_ != nullptr && !prep.mydb &&
+                   ResultCache::Cacheable(prep.parsed, prep.plan);
+  if (prep.cacheable) prep.fingerprint = ResultCache::Fingerprint(prep.plan);
   prep.seconds_plan = SecondsSince(t0);
-  TraceNum(ctx.trace, plan_span, "shards",
-           static_cast<double>(prep.shards.size()));
+  TraceNum(ctx.trace, plan_span, "shards", static_cast<double>(shards.size()));
   if (prep.mydb) TraceNote(ctx.trace, plan_span, "store", "mydb");
   TraceEnd(ctx.trace, plan_span);
   return prep;
 }
 
-Result<ExecStats> FederatedQueryEngine::Run(
-    const std::string& sql, const ExecContext& ctx,
-    const std::function<void(const Prepared&)>& on_plan, const Sink& sink) {
-  auto prep = Prepare(sql, ctx);
-  if (!prep.ok()) return prep.status();
-  if (!prep->parsed.first.into_mydb.empty() && !ctx.into_sink) {
-    return Status::InvalidArgument(
-        "INTO mydb." + prep->parsed.first.into_mydb +
-        " must run through the batch workbench; the engine alone would "
-        "discard the materialization");
+Result<ExecStats> FederatedQueryEngine::Run(const PreparedQuery& prep,
+                                            const ExecContext& ctx,
+                                            const Sink& sink) {
+  return RunOn(prep, SnapshotShards(), ctx, sink);
+}
+
+Result<ExecStats> FederatedQueryEngine::RunOn(
+    const PreparedQuery& prep, const std::vector<Shard>& shards,
+    const ExecContext& ctx, const Sink& sink) {
+  SDSS_RETURN_IF_ERROR(RefuseUnsinkedInto(prep, ctx));
+  if (shards.empty()) {
+    return Status::FailedPrecondition("federation has no live shards");
   }
-  on_plan(*prep);
 
   // Every stage clock is set here, once, whatever answers the query:
   // seconds_total spans probe + harvest + fan-out, and every row that
   // leaves the engine passes `out`, which times the caller's sink.
   const auto t0 = std::chrono::steady_clock::now();
   ExecStats stats;
-  stats.seconds_plan = prep->seconds_plan;
+  stats.seconds_plan = prep.seconds_plan;
   bool first = true;
   const Sink out = [&](RowBatch&& batch) {
     if (batch.empty()) return true;
@@ -335,18 +367,15 @@ Result<ExecStats> FederatedQueryEngine::Run(
     return more;
   };
 
-  const bool cacheable = cache_ != nullptr && !ctx.no_result_cache &&
-                         !ctx.into_sink && !prep->mydb &&
-                         ResultCache::Cacheable(prep->parsed, prep->plan);
-  std::string fingerprint;
+  const bool cacheable =
+      prep.cacheable && !ctx.no_result_cache && !ctx.into_sink;
   uint64_t epoch = 0;
   ResultCache::Answer answer;
   bool answered = false;
   if (cacheable) {
     const int probe_span = TraceBegin(ctx.trace, "cache_probe");
-    fingerprint = ResultCache::Fingerprint(prep->plan);
-    epoch = CacheEpoch(prep->shards);
-    answered = cache_->TryAnswer(fingerprint, prep->plan, epoch, &answer);
+    epoch = CacheEpoch(shards);
+    answered = cache_->TryAnswer(prep.fingerprint, prep.plan, epoch, &answer);
     stats.seconds_cache_probe = SecondsSince(t0);
     const bool contained = answered && answer.containment;
     TraceNote(ctx.trace, probe_span, "verdict",
@@ -384,15 +413,15 @@ Result<ExecStats> FederatedQueryEngine::Run(
     };
     const Sink& run_sink = cacheable ? tee : out;
     const auto f0 = std::chrono::steady_clock::now();
-    Status run = RunPlan(*prep, ctx, run_sink, &stats);
+    Status run = RunPlan(prep, shards, ctx, run_sink, &stats);
     if (!run.ok()) return run;
     stats.seconds_fan_out = SecondsSince(f0) - stats.seconds_ghost_harvest;
     // Install only a clean, complete answer observed under an unchanged
     // epoch: a cancelled sink saw a prefix, and a mid-run write may have
     // leaked into the row set (the re-read guards that race).
     if (cacheable && !overflow && !stats.cancelled_early &&
-        CacheEpoch(prep->shards) == epoch) {
-      cache_->Install(fingerprint, prep->plan, epoch, std::move(buffer));
+        CacheEpoch(shards) == epoch) {
+      cache_->Install(prep.fingerprint, prep.plan, epoch, std::move(buffer));
     }
   }
   stats.seconds_total = SecondsSince(t0);
@@ -426,25 +455,27 @@ Result<ExecStats> FederatedQueryEngine::RunShard(
   return st;
 }
 
-Status FederatedQueryEngine::RunPlan(const Prepared& prep,
+Status FederatedQueryEngine::RunPlan(const PreparedQuery& prep,
+                                     const std::vector<Shard>& shards,
                                      const ExecContext& ctx,
                                      const Sink& sink, ExecStats* stats) {
-  if (prep.plan.distributed == nullptr) {
+  if (!SplitsAtGathers(prep, shards)) {
     // The logical tree runs whole on one store: a fan-out to that one
     // shard, with nothing to merge.
-    return FanOut({prep.shards[0]}, *prep.plan.root, nullptr, ctx, sink,
-                  stats);
+    return FanOut({shards[0]}, *prep.plan.root, nullptr, ctx, sink, stats);
   }
   // The coordinator's tree runs here; its gathers fan out to the fleet.
+  // The split is taken now, on this run's shard count.
+  const std::shared_ptr<const PlanNode> coordinator_tree =
+      DistributePlan(prep.plan.root);
   const GatherSource source = [&](const PlanNode& gather,
                                   const BatchSink& emit) {
-    return FanOut(prep.shards, *gather.children[0], &gather, ctx, emit,
-                  stats);
+    return FanOut(shards, *gather.children[0], &gather, ctx, emit, stats);
   };
-  Executor coordinator(prep.shards[0].store, options_.executor, &pool_);
+  Executor coordinator(shards[0].store, options_.executor, &pool_);
   return coordinator
-      .RunTree(prep.plan.distributed.get(), sink, nullptr, nullptr,
-               ctx.cancel, nullptr, &source)
+      .RunTree(coordinator_tree.get(), sink, nullptr, nullptr, ctx.cancel,
+               nullptr, &source)
       .status();
 }
 
@@ -569,30 +600,21 @@ Status FederatedQueryEngine::FanOut(const std::vector<Shard>& shards,
 
 Result<QueryResult> FederatedQueryEngine::Execute(const std::string& sql,
                                                   const ExecContext& ctx) {
+  auto prep = Prepare(sql, ctx);
+  if (!prep.ok()) return prep.status();
+  const std::vector<Shard> shards = SnapshotShards();
   QueryResult result;
-  auto stats = Run(
-      sql, ctx,
-      [&result](const Prepared& prep) {
-        result.columns = prep.plan.columns;
-        result.is_aggregate = prep.plan.is_aggregate;
-        result.used_tag_store = prep.plan.used_tag_store;
-        result.used_spatial_index = prep.plan.used_spatial_index;
-        if (prep.mydb) {
-          // Personal store: the plan-level density-map estimate IS the
-          // total.
-          result.prediction = prep.plan.prediction;
-          return;
-        }
-        // Fleet-wide prediction: the per-shard density-map slices summed.
-        for (const ShardPrediction& p :
-             PredictShards(prep.shards, prep.plan)) {
-          result.prediction.expected_objects += p.expected_objects;
-          result.prediction.min_objects += p.min_objects;
-          result.prediction.max_objects += p.max_objects;
-          result.prediction.bytes_to_scan += p.bytes_to_scan;
-        }
-      },
-      AppendTo(&result.rows));
+  result.columns = prep->plan.columns;
+  result.is_aggregate = prep->plan.is_aggregate;
+  result.used_tag_store = prep->plan.used_tag_store;
+  result.used_spatial_index = prep->plan.used_spatial_index;
+  // Personal store: the plan-level density-map estimate IS the total.
+  uint64_t shipped = 0;
+  result.prediction = prep->mydb
+                          ? prep->plan.prediction
+                          : SumShards(PredictShards(shards, prep->plan),
+                                      &shipped);
+  auto stats = RunOn(*prep, shards, ctx, AppendTo(&result.rows));
   if (!stats.ok()) return stats.status();
   result.exec = *stats;
   if (result.is_aggregate && !result.rows.empty() &&
@@ -614,43 +636,42 @@ Result<ExecStats> FederatedQueryEngine::ExecuteStreaming(
     const std::function<void(const ResultHeader&)>& on_header,
     const std::function<bool(const RowBatch&)>& on_batch,
     const ExecContext& ctx) {
-  return Run(
-      sql, ctx,
-      [&on_header](const Prepared& prep) {
-        if (on_header) {
-          on_header(ResultHeader{prep.plan.columns, prep.plan.is_aggregate});
-        }
-      },
-      [&on_batch](RowBatch&& batch) { return on_batch(batch); });
+  auto prep = Prepare(sql, ctx);
+  if (!prep.ok()) return prep.status();
+  // A refused INTO announces no header.
+  SDSS_RETURN_IF_ERROR(RefuseUnsinkedInto(*prep, ctx));
+  if (on_header) on_header(prep->header());
+  return Run(*prep, ctx,
+             [&on_batch](RowBatch&& batch) { return on_batch(batch); });
 }
 
 Result<CostEstimate> FederatedQueryEngine::EstimateCost(
     const std::string& sql, const ExecContext& ctx) {
   auto prep = Prepare(sql, ctx);
   if (!prep.ok()) return prep.status();
+  return EstimateCost(*prep, ctx);
+}
+
+Result<CostEstimate> FederatedQueryEngine::EstimateCost(
+    const PreparedQuery& prep, const ExecContext& ctx) {
   CostEstimate est;
-  est.into_mydb = prep->parsed.first.into_mydb;
-  if (prep->mydb) {
+  if (prep.mydb) {
     est.personal_store = true;
-    est.bytes_to_scan = prep->plan.prediction.bytes_to_scan;
-    est.expected_objects = prep->plan.prediction.expected_objects;
+    est.bytes_to_scan = prep.plan.prediction.bytes_to_scan;
+    est.expected_objects = prep.plan.prediction.expected_objects;
     return est;
   }
-  for (const ShardPrediction& p : PredictShards(prep->shards, prep->plan)) {
-    est.bytes_to_scan += p.bytes_to_scan;
-    est.bytes_shipped += p.bytes_shipped;
-    est.expected_objects += p.expected_objects;
-  }
+  const std::vector<Shard> shards = SnapshotShards();
+  const catalog::ObjectStore::Prediction total =
+      SumShards(PredictShards(shards, prep.plan), &est.bytes_shipped);
+  est.bytes_to_scan = total.bytes_to_scan;
+  est.expected_objects = total.expected_objects;
   // Admission prices a predicted cache hit at zero scan bytes (QUICK
   // lane): the probe is non-mutating, so estimating never perturbs
   // LRU/heat state.
-  if (cache_ != nullptr && !ctx.no_result_cache && !ctx.into_sink &&
-      est.into_mydb.empty() &&
-      ResultCache::Cacheable(prep->parsed, prep->plan) &&
-      cache_->WouldAnswer(ResultCache::Fingerprint(prep->plan), prep->plan,
-                          CacheEpoch(prep->shards))) {
-    est.predicted_cache_hit = true;
-  }
+  est.predicted_cache_hit =
+      prep.cacheable && !ctx.no_result_cache && !ctx.into_sink &&
+      cache_->WouldAnswer(prep.fingerprint, prep.plan, CacheEpoch(shards));
   return est;
 }
 
@@ -659,7 +680,8 @@ Result<std::string> FederatedQueryEngine::Explain(const std::string& sql,
   auto prep = Prepare(sql, ctx);
   if (!prep.ok()) return prep.status();
 
-  std::string out = prep->plan.Explain();
+  const std::vector<Shard> shards = SnapshotShards();
+  std::string out = ExplainRunTree(*prep, shards);
   char buf[192];
   if (prep->mydb) {
     std::snprintf(buf, sizeof(buf),
@@ -671,12 +693,10 @@ Result<std::string> FederatedQueryEngine::Explain(const std::string& sql,
     out += buf;
     return out;
   }
-  auto preds = PredictShards(prep->shards, prep->plan);
+  const std::vector<ShardPrediction> preds = PredictShards(shards, prep->plan);
   std::snprintf(buf, sizeof(buf), "federation: %zu live shards\n",
-                prep->shards.size());
+                shards.size());
   out += buf;
-  catalog::ObjectStore::Prediction total;
-  uint64_t total_shipped = 0;
   for (const ShardPrediction& p : preds) {
     std::snprintf(buf, sizeof(buf),
                   "  shard %zu: %llu containers, %llu bytes, %.0f objects "
@@ -693,12 +713,9 @@ Result<std::string> FederatedQueryEngine::Explain(const std::string& sql,
                     static_cast<unsigned long long>(p.bytes_shipped));
       out += buf;
     }
-    total.expected_objects += p.expected_objects;
-    total.min_objects += p.min_objects;
-    total.max_objects += p.max_objects;
-    total.bytes_to_scan += p.bytes_to_scan;
-    total_shipped += p.bytes_shipped;
   }
+  uint64_t shipped = 0;
+  const catalog::ObjectStore::Prediction total = SumShards(preds, &shipped);
   std::snprintf(buf, sizeof(buf),
                 "prediction: %.0f objects expected [%llu, %llu], %llu bytes "
                 "to scan\n",
@@ -707,10 +724,10 @@ Result<std::string> FederatedQueryEngine::Explain(const std::string& sql,
                 static_cast<unsigned long long>(total.max_objects),
                 static_cast<unsigned long long>(total.bytes_to_scan));
   out += buf;
-  if (total_shipped > 0) {
+  if (shipped > 0) {
     std::snprintf(buf, sizeof(buf),
                   "network: %llu bytes shipped between shards (est)\n",
-                  static_cast<unsigned long long>(total_shipped));
+                  static_cast<unsigned long long>(shipped));
     out += buf;
   }
   return out;
@@ -733,26 +750,24 @@ FederatedQueryEngine::ExplainAnalyze(const std::string& sql,
   // the run refuses INTO like any engine call without a sink for it.
   run_ctx.into_sink = false;
 
+  auto prep = Prepare(StripExplainAnalyze(sql), run_ctx);
+  if (!prep.ok()) return prep.status();
+  const std::vector<Shard> shards = SnapshotShards();
   ExplainAnalysis out;
   std::vector<ShardPrediction> preds;
-  std::string report;
+  std::string report = ExplainRunTree(*prep, shards);
   char buf[224];
-  auto stats = Run(
-      StripExplainAnalyze(sql), run_ctx,
-      [&](const Prepared& prep) {
-        report = prep.plan.Explain();
-        if (prep.mydb) {
-          report += "personal store: mydb (no fleet fan-out)\n";
-          return;
-        }
-        preds = PredictShards(prep.shards, prep.plan);
-        std::snprintf(buf, sizeof(buf),
-                      "federation: %zu live shards (analyzed run, result "
-                      "cache bypassed)\n",
-                      prep.shards.size());
-        report += buf;
-      },
-      [](RowBatch&&) { return true; });
+  if (prep->mydb) {
+    report += "personal store: mydb (no fleet fan-out)\n";
+  } else {
+    preds = PredictShards(shards, prep->plan);
+    std::snprintf(buf, sizeof(buf),
+                  "federation: %zu live shards (analyzed run, result "
+                  "cache bypassed)\n",
+                  shards.size());
+    report += buf;
+  }
+  auto stats = RunOn(*prep, shards, run_ctx, [](RowBatch&&) { return true; });
   if (!stats.ok()) return stats.status();
   out.exec = *stats;
 
@@ -838,6 +853,9 @@ std::vector<ShardPrediction> PredictShards(const std::vector<Shard>& shards,
   std::vector<ShardPrediction> out;
   // A mydb plan reads a personal store, not the fleet: no shard slices.
   if (personal) return out;
+  // Each leaf's cover per cluster level, computed once for every shard
+  // at that level.
+  std::vector<std::map<int, htm::CoverResult>> covers(leaves.size());
   out.reserve(shards.size());
   for (const Shard& shard : shards) {
     ShardPrediction p;
@@ -854,11 +872,17 @@ std::vector<ShardPrediction> PredictShards(const std::vector<Shard>& shards,
       if (full) p.min_objects += objs;
       p.expected_objects += (full ? 1.0 : 0.5) * static_cast<double>(objs);
     };
-    for (const PlanNode* leaf : leaves) {
+    for (size_t li = 0; li < leaves.size(); ++li) {
+      const PlanNode* leaf = leaves[li];
       const uint64_t bytes_before = p.bytes_to_scan;
       if (leaf->has_region) {
-        int level = shard.store->cluster_level();
-        htm::CoverResult cover = htm::Cover(leaf->region, level);
+        const int level = shard.store->cluster_level();
+        auto cached = covers[li].find(level);
+        if (cached == covers[li].end()) {
+          cached =
+              covers[li].emplace(level, htm::Cover(leaf->region, level)).first;
+        }
+        const htm::CoverResult& cover = cached->second;
         auto add_range = [&](htm::HtmId id, bool full) {
           uint64_t first, last;
           id.RangeAtLevel(level, &first, &last);

@@ -4,7 +4,8 @@
 // The paper's archive is explicitly distributed: "the base-data objects
 // will be spatially partitioned among the servers ... some of the
 // high-traffic data will be replicated among servers." This engine
-// parses and plans a query ONCE and runs it as one executor tree:
+// parses and plans a query ONCE (Prepare) and runs it as one executor
+// tree:
 //
 //  - a personal (mydb) plan or a one-shard fleet runs its logical tree
 //    whole on one Executor. This is also the oracle the federation
@@ -24,7 +25,10 @@
 //    answering when a server is marked down and its containers are
 //    re-routed to surviving replicas.
 //
-// One run entry owns the result cache (keyed by the logical tree), the
+// A prepared statement holds no fleet state: the shard snapshot, the
+// GATHER split and the cache epoch are taken when it runs, so a statement
+// priced before a failover runs on the routing that exists after it. One
+// run entry owns the result cache (keyed by the logical tree), the
 // engine metrics and every per-stage clock. No thread is started: the
 // caller's sink runs only on the thread that called the engine.
 
@@ -120,20 +124,21 @@ struct ExecContext {
   /// the replica-promotion loop. Personal (mydb) scans never report.
   AccessRecorder access_recorder;
   /// Set only by a caller that will materialize the INTO target itself
-  /// (the workbench, whose job sink stores the rows). Left false,
-  /// Execute / ExecuteStreaming refuse `SELECT ... INTO mydb.<name>`
-  /// queries -- the engine alone would run the bare select and silently
-  /// store nothing. Explain and EstimateCost always accept INTO (they
-  /// only describe / price the select).
+  /// (the workbench, whose job sink stores the rows of the statement it
+  /// prepared at admission). Left false, every run entry refuses
+  /// `SELECT ... INTO mydb.<name>` queries -- the engine alone would run
+  /// the bare select and silently store nothing. Prepare, Explain and
+  /// EstimateCost always accept INTO (they only plan, describe or price
+  /// the select).
   bool into_sink = false;
   /// Opt out of the semantic result cache for this run: neither consult
   /// it nor install into it (e.g. a caller that must observe real scan
   /// counters, or wants to force a fresh fleet pass).
   bool no_result_cache = false;
   /// Per-query span tree, null (tracing off) by default. When set, the
-  /// engine opens one span per pipeline stage -- plan, cache_probe, then
-  /// per gather ghost_harvest and fan_out with a child per shard and a
-  /// merge -- and annotates them with stage-local detail (containers,
+  /// engine opens one span per pipeline stage -- plan (in Prepare),
+  /// cache_probe, then per gather ghost_harvest and fan_out with a child
+  /// per shard and a merge -- and annotates them with stage-local detail (containers,
   /// columnar split, bytes scanned/shipped). Must outlive the run. The disabled
   /// path allocates nothing.
   QueryTrace* trace = nullptr;
@@ -148,9 +153,6 @@ struct CostEstimate {
   double expected_objects = 0.0;
   /// FROM mydb: the plan reads a personal store, not the fleet.
   bool personal_store = false;
-  /// INTO mydb.<name> target parsed from the query ("" = plain select),
-  /// surfaced so admission needs no second parse.
-  std::string into_mydb;
   /// The engine's result cache would answer this query right now (at
   /// the epoch observed while estimating) without any fleet scan.
   bool predicted_cache_hit = false;
@@ -162,14 +164,37 @@ struct CostEstimate {
   }
 };
 
+/// One statement parsed and planned once (FederatedQueryEngine::Prepare)
+/// and then priced, explained or run any number of times. It carries no
+/// fleet state, and a mydb leaf owns its personal store, so a statement
+/// held in a queue stays valid across failover and MyDb::Drop.
+struct PreparedQuery {
+  ParsedQuery parsed;
+  Plan plan;  ///< The logical tree; a run splits it for its fleet.
+  /// The plan reads a personal mydb store, which is never sharded.
+  bool mydb = false;
+  /// The engine's result cache may answer and keep this statement.
+  bool cacheable = false;
+  std::string fingerprint;  ///< The cache key; set when cacheable.
+  double seconds_plan = 0.0;  ///< Parse + plan wall time (Prepare).
+
+  /// The INTO mydb.<name> target ("" = plain select).
+  const std::string& into() const { return parsed.first.into_mydb; }
+  /// The result shape a run streams.
+  ResultHeader header() const { return {plan.columns, plan.is_aggregate}; }
+};
+
 /// Parses, plans, and executes queries against a fleet of shards. A
 /// single store is the one-shard fleet `{Shard{0, &store, nullptr}}`.
 ///
-/// Thread-safety: Execute / ExecuteStreaming / Explain may be called
-/// concurrently from any number of threads; SetShards may interleave
-/// (in-flight queries keep their snapshot of the previous routing).
+/// Thread-safety: every entry may be called concurrently from any number
+/// of threads; SetShards may interleave (in-flight queries keep their
+/// snapshot of the previous routing).
 class FederatedQueryEngine {
  public:
+  /// A run's row sink; returning false cancels the run.
+  using Sink = std::function<bool(RowBatch&&)>;
+
   struct Options {
     PlannerOptions planner;
     /// `executor.scan_threads` sizes the ONE pool every shard
@@ -197,6 +222,30 @@ class FederatedQueryEngine {
       : FederatedQueryEngine(std::move(shards), Options()) {}
   FederatedQueryEngine(std::vector<Shard> shards, Options options);
 
+  /// Parses and plans `sql` against the current fleet, and fingerprints
+  /// it when the result cache may serve it. Refuses a FROM tag no live
+  /// shard can serve. `ctx.mydb` resolves personal tables; `ctx.trace`
+  /// gets the plan span.
+  Result<PreparedQuery> Prepare(const std::string& sql,
+                                const ExecContext& ctx = {}) const;
+
+  /// The one run entry: refuses an unsinked INTO, snapshots the fleet,
+  /// then answers from the result cache or runs the plan's executor
+  /// tree, split at gathers when more than one shard is live. It alone
+  /// installs into the cache, records the engine metrics and sets every
+  /// ExecStats stage clock (seconds_plan is the statement's).
+  Result<ExecStats> Run(const PreparedQuery& prep, const ExecContext& ctx,
+                        const Sink& sink);
+
+  /// Prepare plus the fleet-wide cost prediction, without executing.
+  Result<CostEstimate> EstimateCost(const std::string& sql,
+                                    const ExecContext& ctx = {});
+
+  /// The workbench's admission estimate of a prepared statement, priced
+  /// on the fleet as it stands now.
+  Result<CostEstimate> EstimateCost(const PreparedQuery& prep,
+                                    const ExecContext& ctx = {});
+
   /// Runs `sql` and materializes the result: a collecting sink over the
   /// same run as ExecuteStreaming. FROM mydb.<name> plans run whole on
   /// one executor (a personal store is never sharded) but still share
@@ -213,8 +262,8 @@ class FederatedQueryEngine {
       const ExecContext& ctx = {});
 
   /// Streaming execution that first announces the result shape:
-  /// `on_header`, when set, is invoked exactly once -- after parsing and
-  /// planning succeed, before the first batch -- with the projected
+  /// `on_header`, when set, is invoked exactly once -- after Prepare
+  /// succeeds, before the first batch -- with the projected
   /// column names and the aggregate flag. This is what lets a remote
   /// consumer (the query server) frame a result stream without
   /// materializing it first.
@@ -256,11 +305,6 @@ class FederatedQueryEngine {
   Result<ExplainAnalysis> ExplainAnalyze(const std::string& sql,
                                          const ExecContext& ctx = {});
 
-  /// Plans `sql` and returns the fleet-wide cost prediction without
-  /// executing -- the workbench's admission estimate.
-  Result<CostEstimate> EstimateCost(const std::string& sql,
-                                    const ExecContext& ctx = {});
-
   /// Failover hook: replaces the routed shard set (e.g. after
   /// archive::ShardedStore::MarkServerDown + LiveShards()).
   void SetShards(std::vector<Shard> shards);
@@ -273,28 +317,19 @@ class FederatedQueryEngine {
   ResultCache* result_cache() { return cache_.get(); }
 
  private:
-  struct Prepared;
-  using Sink = std::function<bool(RowBatch&&)>;
-
   std::vector<Shard> SnapshotShards() const;
   /// The cache-keying epoch for a run's shard snapshot.
   uint64_t CacheEpoch(const std::vector<Shard>& shards) const;
-  Result<Prepared> Prepare(const std::string& sql,
-                           const ExecContext& ctx = {}) const;
-  /// The one run entry behind Execute, ExecuteStreaming and
-  /// ExplainAnalyze: prepares `sql`, refuses an unsinked INTO, hands the
-  /// plan to `on_plan`, then answers from the result cache or runs the
-  /// plan. It alone installs into the cache, records the engine metrics
-  /// and sets every ExecStats stage clock.
-  Result<ExecStats> Run(const std::string& sql, const ExecContext& ctx,
-                        const std::function<void(const Prepared&)>& on_plan,
-                        const Sink& sink);
+  /// Run on a shard snapshot the caller already took (and predicted on).
+  Result<ExecStats> RunOn(const PreparedQuery& prep,
+                          const std::vector<Shard>& shards,
+                          const ExecContext& ctx, const Sink& sink);
   /// Runs the plan's one executor tree: the logical tree on the first
-  /// shard when the plan was not distributed, the coordinator's tree
-  /// with FanOut as its gather source otherwise. Adds every shard's scan
-  /// counters into `stats`.
-  Status RunPlan(const Prepared& prep, const ExecContext& ctx,
-                 const Sink& sink, ExecStats* stats);
+  /// shard for a mydb plan or a one-shard fleet, otherwise the
+  /// DistributePlan split, with FanOut as its gather source. Adds every
+  /// shard's scan counters into `stats`.
+  Status RunPlan(const PreparedQuery& prep, const std::vector<Shard>& shards,
+                 const ExecContext& ctx, const Sink& sink, ExecStats* stats);
   /// Runs `part` on every shard and merges the shard streams into `emit`
   /// as `gather` directs: after the ghost exchange for a pair join, k-way
   /// on the sort key when ordered, in arrival order otherwise, dropping

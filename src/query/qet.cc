@@ -197,8 +197,8 @@ std::string PlanNode::Explain(int indent) const {
   return out;
 }
 
-std::string Plan::Explain() const {
-  const PlanNode* tree = distributed ? distributed.get() : root.get();
+std::string Plan::Explain(const PlanNode* tree) const {
+  if (tree == nullptr) tree = root.get();
   std::string out = tree ? tree->Explain() : "<empty>\n";
   out += used_tag_store ? "store: tag partition\n" : "store: full photo\n";
   out += used_spatial_index ? "index: HTM cover\n" : "index: none\n";
@@ -463,18 +463,19 @@ Result<std::unique_ptr<PlanNode>> PlanSelect(const SelectQuery& s,
   scan->type = PlanNodeType::kScan;
   scan->table = table;
   if (s.table == TableRef::kMyDb) {
-    // Resolve the personal store now: the plan embeds the pointer, so
+    // Resolve the personal store now: the plan holds the store, so
     // execution needs no name lookup (and a bad name fails at plan time).
     if (!options.mydb) {
       return Status::InvalidArgument(
           "no mydb catalog configured; cannot resolve mydb." + s.mydb_name);
     }
-    const catalog::ObjectStore* personal = options.mydb(s.mydb_name);
+    std::shared_ptr<const catalog::ObjectStore> personal =
+        options.mydb(s.mydb_name);
     if (personal == nullptr) {
       return Status::NotFound("mydb." + s.mydb_name + " does not exist");
     }
     scan->type = PlanNodeType::kMyDbScan;
-    scan->mydb_store = personal;
+    scan->mydb_store = std::move(personal);
     scan->mydb_name = s.mydb_name;
   }
   scan->predicate = s.where;
@@ -601,8 +602,9 @@ void ForEachLeaf(const PlanNode& node,
   for (const auto& c : node.children) ForEachLeaf(*c, fn);
 }
 
-void DistributePlan(Plan* plan) {
-  plan->distributed = Distribute(plan->root);
+std::shared_ptr<const PlanNode> DistributePlan(
+    const std::shared_ptr<const PlanNode>& root) {
+  return Distribute(root);
 }
 
 Result<Plan> BuildPlan(const ParsedQuery& query,

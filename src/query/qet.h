@@ -120,12 +120,13 @@ struct PlanNode {
   uint64_t sample_seed = 7777;
 
   // -- kMyDbScan -----------------------------------------------------
-  // Like kScan, but over a personal result store resolved at plan time
-  // (the store must outlive execution; MyDb keeps pointers stable until
-  // Drop). Personal stores are never sharded, so the federated engine
-  // runs these plans on one local executor and shard container filters
-  // do not apply.
-  const catalog::ObjectStore* mydb_store = nullptr;
+  // Like kScan, but over a personal result store resolved at plan time.
+  // The node shares ownership of the store, so a plan reads the table
+  // as it stood when it was planned, even if the table is dropped
+  // before or while the plan runs. Personal stores are never sharded,
+  // so the federated engine runs these plans on one local executor and
+  // shard container filters do not apply.
+  std::shared_ptr<const catalog::ObjectStore> mydb_store;
   std::string mydb_name;
 
   // -- kPairJoin -----------------------------------------------------
@@ -186,9 +187,6 @@ struct Plan {
   /// The logical tree: what the query means, and what the result cache
   /// fingerprints and answers.
   std::shared_ptr<const PlanNode> root;
-  /// The coordinator's tree when the plan runs over a fleet of several
-  /// shards (DistributePlan), null when it runs whole on one store.
-  std::shared_ptr<const PlanNode> distributed;
   std::vector<std::string> columns;  ///< Output column names.
   bool is_aggregate = false;
 
@@ -198,16 +196,16 @@ struct Plan {
   /// Density-map estimate, summed over every scan and join leaf.
   catalog::ObjectStore::Prediction prediction;
 
-  /// The tree that runs -- the distributed one when set -- plus the
-  /// planner decisions.
-  std::string Explain() const;
+  /// The tree that runs -- `tree` (a DistributePlan split) when set,
+  /// the logical tree otherwise -- plus the planner decisions.
+  std::string Explain(const PlanNode* tree = nullptr) const;
 };
 
 /// Resolves a mydb table name to the personal store backing it, or null
 /// when the name is unknown. Bound per user (archive::MyDb::ResolverFor);
-/// the returned store pointer must stay valid for the plan's lifetime.
-using MyDbResolver =
-    std::function<const catalog::ObjectStore*(const std::string&)>;
+/// the plan keeps the returned owner for its lifetime.
+using MyDbResolver = std::function<std::shared_ptr<const catalog::ObjectStore>(
+    const std::string&)>;
 
 /// Planner options.
 struct PlannerOptions {
@@ -237,15 +235,16 @@ Result<Plan> BuildPlan(const ParsedQuery& query,
 void ForEachLeaf(const PlanNode& node,
                  const std::function<void(const PlanNode&)>& fn);
 
-/// Splits a fleet plan for a fleet of several shards: sets
-/// `plan->distributed` to the logical tree cut at kGather nodes, leaving
-/// `plan->root` as it is. A select chain, or a set tree whose branches
+/// Splits a fleet plan for a fleet of several shards: returns the
+/// coordinator's tree, the logical tree `root` cut at kGather nodes
+/// (`root` itself is shared, not changed). A select chain, or a set tree whose branches
 /// carry no LIMIT, runs whole on every shard under one gather (shards
 /// hold disjoint objects); a LIMIT is re-applied above its gather; an
 /// aggregate over a whole-gathered body runs in partial mode on the
 /// shards; a branch-limited set tree keeps its set nodes above one
 /// gather per branch. Never called for personal (mydb) plans.
-void DistributePlan(Plan* plan);
+std::shared_ptr<const PlanNode> DistributePlan(
+    const std::shared_ptr<const PlanNode>& root);
 
 }  // namespace sdss::query
 

@@ -29,8 +29,8 @@ bool IsTerminal(JobState state) {
 bool IsDurable(const JobSnapshot& snap) { return !snap.into.empty(); }
 
 /// Journal record types: one per job transition. SUBMIT carries the
-/// whole admission decision (the job re-plans from SQL when it runs, so
-/// nothing else needs to survive); START and TERMINAL are keyed by id.
+/// whole admission decision (recovery prepares the SQL again, so nothing
+/// else needs to survive); START and TERMINAL are keyed by id.
 enum class JobRecord : uint8_t { kSubmit = 1, kStart = 2, kTerminal = 3 };
 
 std::string EncodeSubmit(const JobSnapshot& snap) {
@@ -221,6 +221,8 @@ void JobScheduler::NotifyComplete(Job* job, JobSnapshot snap) {
 
 void JobScheduler::NotifyAndPrune(Job* job, JobSnapshot snap) {
   NotifyComplete(job, std::move(snap));
+  // Released outside mu_: the last owner of a dropped table frees it.
+  std::unique_ptr<query::PreparedQuery> released = std::move(job->prepared);
   std::lock_guard<std::mutex> lock(mu_);
   // Only now -- with the hook returned -- is the job reapable; pruning
   // an un-notified job would free it out from under its own callback.
@@ -272,28 +274,28 @@ Result<uint64_t> JobScheduler::Submit(const std::string& user,
   if (shutting_down_.load()) {
     return Status::FailedPrecondition("scheduler is shutting down");
   }
-  // Price the query before admitting it; a parse/plan error (unknown
-  // attribute, missing mydb table, tag on a tagless fleet) is rejected
-  // here, costing the submitter no queue slot. The job is re-planned
-  // from SQL when it runs -- deliberately, not cached: by then the
-  // shard routing may have failed over and the user's mydb namespace
-  // changed, and both must be resolved against the world the job
-  // actually executes in.
+  // Prepare and price the query before admitting it; a parse/plan error
+  // (unknown attribute, missing mydb table, tag on a tagless fleet) is
+  // rejected here, costing the submitter no queue slot. The job runs
+  // this same statement: its mydb leaves already hold the user's tables,
+  // and the run takes the shard routing that exists when it starts.
   query::ExecContext ctx;
   ctx.mydb = mydb_->ResolverFor(user);
-  auto estimate = engine_->EstimateCost(sql, ctx);
+  auto prepared = engine_->Prepare(sql, ctx);
+  if (!prepared.ok()) return prepared.status();
+  auto estimate = engine_->EstimateCost(*prepared, ctx);
   if (!estimate.ok()) return estimate.status();
-  if (!estimate->into_mydb.empty()) {
+  const std::string& into = prepared->into();
+  if (!into.empty()) {
     // Taken-name INTO jobs would only discover the collision at the
     // final Put; refuse them before they cost lane time -- whether the
     // name is already materialized or claimed by a queued/running job.
     // (Put keeps its own check as the last-line race guard.)
-    bool taken = mydb_->Find(user, estimate->into_mydb).ok();
+    bool taken = mydb_->Find(user, into).ok();
     if (!taken) {
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& [id, other] : jobs_) {
-        if (other->snap.user == user &&
-            other->snap.into == estimate->into_mydb &&
+        if (other->snap.user == user && other->snap.into == into &&
             !IsTerminal(other->snap.state)) {
           taken = true;
           break;
@@ -301,7 +303,7 @@ Result<uint64_t> JobScheduler::Submit(const std::string& user,
       }
     }
     if (taken) {
-      return Status::AlreadyExists("mydb." + estimate->into_mydb +
+      return Status::AlreadyExists("mydb." + into +
                                    " already exists or is being "
                                    "materialized; DROP or wait first");
     }
@@ -310,11 +312,13 @@ Result<uint64_t> JobScheduler::Submit(const std::string& user,
   auto job = std::make_unique<Job>();
   job->snap.user = user;
   job->snap.sql = sql;
-  job->snap.into = estimate->into_mydb;
+  job->snap.into = into;
   job->snap.predicted_bytes = estimate->TotalBytes();
   job->snap.lane = estimate->TotalBytes() > options_.quick_lane_max_bytes
                        ? Lane::kLong
                        : Lane::kQuick;
+  job->prepared =
+      std::make_unique<query::PreparedQuery>(std::move(prepared).value());
   job->submitted = std::chrono::steady_clock::now();
   job->hooks = std::move(hooks);
 
@@ -415,10 +419,24 @@ Result<SchedulerRecoveryReport> JobScheduler::RecoverFrom(
         // it.
         (void)journal_->Append(EncodeTerminal(job->snap));
       } else {
-        // QUEUED at the crash: the SUBMIT record is the whole job (it
-        // re-plans from SQL), so it simply queues again.
-        report.requeued_ids.push_back(id);
-        requeue.emplace_back(job->snap.lane, id, job->snap.user);
+        // QUEUED at the crash: the SUBMIT record is the whole job, so it
+        // is prepared again and queues. A statement that no longer
+        // prepares (its mydb source is gone) fails here with the error
+        // its run would have met.
+        query::ExecContext ctx;
+        ctx.mydb = mydb_->ResolverFor(job->snap.user);
+        auto prepared = engine_->Prepare(job->snap.sql, ctx);
+        if (prepared.ok()) {
+          job->prepared = std::make_unique<query::PreparedQuery>(
+              std::move(prepared).value());
+          report.requeued_ids.push_back(id);
+          requeue.emplace_back(job->snap.lane, id, job->snap.user);
+        } else {
+          job->snap.state = JobState::kFailed;
+          job->snap.error = prepared.status();
+          job->notified = true;
+          JournalTerminal(job->snap);
+        }
       }
       jobs_.emplace(id, std::move(job));
     }
@@ -566,14 +584,14 @@ void JobScheduler::RunJob(Job* job) {
     m_queue_wait_us_->Record(
         static_cast<uint64_t>(job->snap.seconds_queued * 1e6));
   }
+  const query::PreparedQuery& prepared = *job->prepared;
   query::ExecContext ctx;
   ctx.cancel = &job->cancel;
-  ctx.mydb = mydb_->ResolverFor(job->snap.user);
   // Tracing rides the /tracez ring: when it is configured every job
   // runs traced (the spans are a handful of mutex-guarded appends, not
   // per-row work) and the capture is kept only if the job turns out
-  // slow or is sampled. The admission wait predates the trace, so it is
-  // recorded as an annotated zero-length span.
+  // slow or is sampled. Planning and the admission wait predate the
+  // trace, so each is recorded as an annotated zero-length span.
   std::unique_ptr<query::QueryTrace> trace;
   if (options_.trace_ring != nullptr) {
     trace = std::make_unique<query::QueryTrace>();
@@ -583,6 +601,9 @@ void JobScheduler::RunJob(Job* job) {
     trace->SetMeta("job", idbuf);
     trace->SetMeta("user", job->snap.user);
     trace->SetMeta("sql", job->snap.sql);
+    const int plan_span = trace->Begin("plan");
+    trace->Num(plan_span, "seconds_plan", prepared.seconds_plan);
+    trace->End(plan_span);
     const int wait_span = trace->Begin("admission_wait");
     trace->Num(wait_span, "seconds_queued", job->snap.seconds_queued);
     trace->End(wait_span);
@@ -610,14 +631,11 @@ void JobScheduler::RunJob(Job* job) {
   std::vector<catalog::PhotoObj> objects;
   Status sink_error;
   uint64_t rows = 0;
-  auto stats = engine_->ExecuteStreaming(
-      job->snap.sql,
-      [job](const query::ResultHeader& header) {
-        if (job->hooks.on_header) {
-          job->hooks.on_header(job->snap.id, job->snap.lane, header);
-        }
-      },
-      [&](const query::RowBatch& batch) {
+  if (job->hooks.on_header) {
+    job->hooks.on_header(job->snap.id, job->snap.lane, prepared.header());
+  }
+  auto stats = engine_->Run(
+      prepared, ctx, [&](query::RowBatch&& batch) {
         rows += batch.size();
         if (!into) {
           if (job->hooks.on_batch && !job->hooks.on_batch(batch)) {
@@ -644,8 +662,7 @@ void JobScheduler::RunJob(Job* job) {
           return false;
         }
         return true;
-      },
-      ctx);
+      });
   Status status;
   query::ExecStats exec;
   if (!stats.ok()) {

@@ -5,10 +5,13 @@
 // the SDSS SkyServer Database" (Gray, Szalay et al.) shows mining
 // queries that run for hours next to cone searches that must answer in
 // milliseconds. The JobScheduler puts an admission layer in front of the
-// FederatedQueryEngine: every submission is priced with the engine's
-// density-map cost estimate (Explain/PredictShards), admitted to the
-// QUICK or LONG lane, and run on that lane's bounded worker pool under a
-// per-user concurrency quota. "SELECT ... INTO mydb.<name>" jobs
+// FederatedQueryEngine: every submission is prepared once -- parsed,
+// planned and fingerprinted by FederatedQueryEngine::Prepare -- priced
+// with the engine's density-map cost estimate (PredictShards), admitted
+// to the QUICK or LONG lane, and run on that lane's bounded worker pool
+// under a per-user concurrency quota. The job runs the statement its
+// admission priced; only the fleet-dependent steps (shard snapshot,
+// GATHER split, cache epoch) wait until it starts. "SELECT ... INTO mydb.<name>" jobs
 // materialize their result into the submitting user's archive::MyDb
 // store -- quota-checked, all-or-nothing -- so the next step of a mining
 // workflow reads derived data instead of re-scanning the fleet.
@@ -23,18 +26,17 @@
 // an INTO job's MyDB commit. Every INTO job transition (submit, start,
 // terminal) is appended to a persist::Journal in `dir`, and recovery
 // replays a prior incarnation's journal: INTO jobs that were QUEUED at
-// the crash are re-enqueued in their original lane order (the engine
-// re-plans from SQL, so they simply run), ones that were RUNNING are
-// marked FAILED with an Aborted error and `retryable` set (the MyDB
-// commit protocol is all-or-nothing, so a resubmit is safe), and
-// already-terminal ones come back as bookkeeping so Snapshot/Jobs keep
-// answering. Read-only jobs are never journaled: their rows went to a
-// consumer a restart has lost, so recovery neither re-runs nor fails
-// them, and their terminal bookkeeping does not survive a restart. Job
-// ids still never repeat across incarnations. Shutdown deliberately
-// journals nothing for in-flight jobs -- a clean exit and a SIGKILL
-// look identical to recovery, which is what makes the crash path
-// testable.
+// the crash are prepared again from their SQL and re-enqueued in their
+// original lane order, ones that were RUNNING are marked FAILED with an
+// Aborted error and `retryable` set (the MyDB commit protocol is
+// all-or-nothing, so a resubmit is safe), and already-terminal ones
+// come back as bookkeeping so Snapshot/Jobs keep answering. Read-only
+// jobs are never journaled: their rows went to a consumer a restart has
+// lost, so recovery neither re-runs nor fails them, and their terminal
+// bookkeeping does not survive a restart. Job ids still never repeat
+// across incarnations. Shutdown deliberately journals nothing for
+// in-flight jobs -- a clean exit and a SIGKILL look identical to
+// recovery, which is what makes the crash path testable.
 
 #ifndef SDSS_WORKBENCH_SCHEDULER_H_
 #define SDSS_WORKBENCH_SCHEDULER_H_
@@ -119,8 +121,8 @@ struct QueueDepths {
 /// Wait() on their own job; Snapshot/Cancel are safe.
 struct StreamHooks {
   /// The job's id and admission lane, then the result shape: once,
-  /// before the first batch. Not invoked for jobs that fail before
-  /// planning or are cancelled while queued.
+  /// before the first batch. Not invoked for jobs cancelled while
+  /// queued, or failed by recovery because their SQL no longer prepares.
   std::function<void(uint64_t job_id, Lane lane,
                      const query::ResultHeader& header)>
       on_header;
@@ -215,15 +217,19 @@ class JobScheduler {
   /// Recovers a prior incarnation's INTO jobs from the journal in `dir`
   /// and starts journaling this incarnation's INTO transitions there.
   /// Must be called before the first Submit (FailedPrecondition
-  /// otherwise). QUEUED INTO jobs are re-enqueued under their original
-  /// ids in original lane order; RUNNING ones become FAILED/Aborted with
-  /// `retryable` set; terminal ones are restored as bookkeeping.
+  /// otherwise). QUEUED INTO jobs are prepared again and re-enqueued
+  /// under their original ids in original lane order (one whose prepare
+  /// fails becomes FAILED with that error); RUNNING ones become
+  /// FAILED/Aborted with `retryable` set; terminal ones are restored as
+  /// bookkeeping. Attach the MyDb's storage first: the prepare resolves
+  /// the jobs' mydb tables.
   /// Read-only jobs left no record, so nothing of them comes back. Each
   /// incarnation issues ids from its own 2^32 block, so no id repeats.
   Result<SchedulerRecoveryReport> RecoverFrom(const std::string& dir);
 
-  /// Parses, prices, and enqueues `sql` for `user`; the job streams its
-  /// result through `hooks`. INTO jobs materialize into MyDB instead, so
+  /// Prepares (parses and plans) `sql` once for `user`, prices that
+  /// statement and enqueues it; the job runs it and streams its result
+  /// through `hooks`. INTO jobs materialize into MyDB instead, so
   /// their hooks see on_header and on_complete only. Returns the job
   /// id, or the parse/plan error (nothing is queued on failure), or
   /// kUnavailable when the target lane is at its configured bound, or,
@@ -259,6 +265,10 @@ class JobScheduler {
  private:
   struct Job {
     JobSnapshot snap;
+    /// The statement admission prepared and priced, and the job runs.
+    /// Released once the job is terminal, so retained bookkeeping holds
+    /// neither the plan nor the personal stores it read.
+    std::unique_ptr<query::PreparedQuery> prepared;
     std::atomic<bool> cancel{false};
     std::chrono::steady_clock::time_point submitted;
     std::chrono::steady_clock::time_point started;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "catalog/sky_generator.h"
 #include "query/qet.h"
 
@@ -193,7 +195,8 @@ class MyDbPlanTest : public PlanTest {
  protected:
   static PlannerOptions WithResolver() {
     PlannerOptions opt;
-    opt.mydb = [](const std::string& name) -> const ObjectStore* {
+    opt.mydb = [](const std::string& name)
+        -> std::shared_ptr<const ObjectStore> {
       return name == "bright" ? personal_ : nullptr;
     };
     return opt;
@@ -203,7 +206,7 @@ class MyDbPlanTest : public PlanTest {
     PlanTest::SetUpTestSuite();
     catalog::StoreOptions so;
     so.build_tags = false;
-    personal_ = new ObjectStore(so);
+    personal_ = std::make_shared<ObjectStore>(so);
     ASSERT_TRUE(personal_->BulkLoad(store_->Sample(0.2, 9)
                                         .containers()
                                         .begin()
@@ -211,15 +214,14 @@ class MyDbPlanTest : public PlanTest {
                     .ok());
   }
   static void TearDownTestSuite() {
-    delete personal_;
-    personal_ = nullptr;
+    personal_.reset();
     PlanTest::TearDownTestSuite();
   }
 
-  static ObjectStore* personal_;
+  static std::shared_ptr<ObjectStore> personal_;
 };
 
-ObjectStore* MyDbPlanTest::personal_ = nullptr;
+std::shared_ptr<ObjectStore> MyDbPlanTest::personal_;
 
 TEST_F(MyDbPlanTest, MyDbSelectLowersToMyDbScanLeaf) {
   auto plan = PlanFor("SELECT obj_id, r FROM mydb.bright WHERE r < 20",

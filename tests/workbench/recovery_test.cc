@@ -9,8 +9,9 @@
 // materialize, RUNNING ones come back failed-retryable (Aborted),
 // committed MyDB tables are restored bit-exact (byte-compared
 // snapshots), a crash mid-INTO leaves zero partially materialized
-// tables, user cancellations survive, and read-only jobs leave nothing
-// in the journal.
+// tables, user cancellations survive, a QUEUED job whose SQL no longer
+// prepares fails at recovery with that error, and read-only jobs leave
+// nothing in the journal.
 
 #include <gtest/gtest.h>
 
@@ -474,6 +475,60 @@ TEST_F(WorkbenchRecoveryTest, IdsContinuePastTheCrash) {
   auto fresh = revived.Submit("alice", kQuickConeSql);
   ASSERT_TRUE(fresh.ok());
   EXPECT_GT(*fresh, last_id) << "recovered ids must not be reissued";
+}
+
+TEST_F(WorkbenchRecoveryTest, QueuedJobThatNoLongerPreparesFailsAtRecovery) {
+  uint64_t derived_id = 0;
+  std::string image;
+  {
+    MyDb mydb;
+    JobScheduler crashed(engine_, &mydb, SerialOptions());
+    Gate gate;
+    ASSERT_TRUE(crashed.RecoverFrom(jobs_dir_.string()).ok());
+    auto src = crashed.Submit("alice", IntoConeSql("src"));
+    ASSERT_TRUE(src.ok());
+    ASSERT_EQ(crashed.Wait(*src)->state, JobState::kSucceeded);
+    // A gated INTO holds alice's running slot; the INTO reading mydb.src
+    // stays QUEUED until the crash.
+    auto held = crashed.Submit("alice", IntoConeSql("held"), gate.Hooks());
+    ASSERT_TRUE(held.ok());
+    ASSERT_EQ(AwaitStarted(crashed, *held), JobState::kRunning);
+    auto derived = crashed.Submit(
+        "alice", "SELECT * INTO mydb.derived FROM mydb.src WHERE r < 21");
+    ASSERT_TRUE(derived.ok());
+    derived_id = *derived;
+    image = CrashImage();
+  }
+
+  // The revived MyDb holds no mydb.src (its tables were in memory), so
+  // the queued statement no longer prepares: recovery fails it with the
+  // planner's verdict instead of queueing it.
+  {
+    MyDb mydb;
+    JobScheduler revived(engine_, &mydb, SerialOptions());
+    auto report = revived.RecoverFrom(image);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->jobs_seen, 3u);
+    EXPECT_TRUE(report->requeued_ids.empty());
+    EXPECT_EQ(report->failed_running, 1u);
+    auto snap = revived.Wait(derived_id);
+    ASSERT_TRUE(snap.ok());
+    EXPECT_EQ(snap->state, JobState::kFailed);
+    EXPECT_EQ(snap->error.code(), StatusCode::kNotFound);
+    EXPECT_FALSE(snap->retryable);
+  }
+
+  // The verdict was journaled: the next recovery restores it as
+  // terminal bookkeeping.
+  MyDb mydb;
+  JobScheduler again(engine_, &mydb, SerialOptions());
+  auto report = again.RecoverFrom(image);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->terminal_restored, 3u);
+  auto snap = again.Snapshot(derived_id);
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(snap->state, JobState::kFailed);
+  EXPECT_EQ(snap->error.code(), StatusCode::kNotFound);
 }
 
 }  // namespace

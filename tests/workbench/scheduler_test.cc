@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <string>
@@ -37,6 +38,29 @@ constexpr char kHeavyJoinSql[] =
 
 constexpr char kIntoBrightSql[] =
     "SELECT * INTO mydb.bright FROM photo WHERE r < 20.5";
+
+/// Hooks that append every streamed row to `rows`. The caller reads
+/// `rows` only after Wait() returned: the batches arrive on a lane
+/// worker before the job turns terminal.
+StreamHooks CollectRows(query::RowBatch* rows) {
+  StreamHooks hooks;
+  hooks.on_batch = [rows](const query::RowBatch& batch) {
+    rows->insert(rows->end(), batch.begin(), batch.end());
+    return true;
+  };
+  return hooks;
+}
+
+/// Polls until the job leaves kQueued. Returns its state.
+JobState AwaitStarted(JobScheduler& sched, uint64_t id) {
+  for (;;) {
+    auto snap = sched.Snapshot(id);
+    EXPECT_TRUE(snap.ok());
+    if (!snap.ok()) return JobState::kFailed;
+    if (snap->state != JobState::kQueued) return snap->state;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 /// One 4-shard fleet per test process (SetUpTestSuite), fresh MyDb and
 /// JobScheduler per test.
@@ -79,29 +103,6 @@ class WorkbenchSchedulerTest : public ::testing::Test {
     // pruned cones and mydb reads stay QUICK.
     opt.quick_lane_max_bytes = 4ull << 20;
     return opt;
-  }
-
-  /// Hooks that append every streamed row to `rows`. The caller reads
-  /// `rows` only after Wait() returned: the batches arrive on a lane
-  /// worker before the job turns terminal.
-  static StreamHooks CollectRows(query::RowBatch* rows) {
-    StreamHooks hooks;
-    hooks.on_batch = [rows](const query::RowBatch& batch) {
-      rows->insert(rows->end(), batch.begin(), batch.end());
-      return true;
-    };
-    return hooks;
-  }
-
-  /// Polls until the job leaves kQueued. Returns its state.
-  static JobState AwaitStarted(JobScheduler& sched, uint64_t id) {
-    for (;;) {
-      auto snap = sched.Snapshot(id);
-      EXPECT_TRUE(snap.ok());
-      if (!snap.ok()) return JobState::kFailed;
-      if (snap->state != JobState::kQueued) return snap->state;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
   }
 
   static catalog::ObjectStore* source_;
@@ -733,6 +734,181 @@ TEST_F(WorkbenchSchedulerTest, TerminalRetentionCapPrunesOldestJobs) {
     ASSERT_EQ(unbounded.Wait(*id)->state, JobState::kSucceeded);
   }
   EXPECT_EQ(unbounded.Jobs().size(), 3u);
+}
+
+TEST_F(WorkbenchSchedulerTest, PersonalStoreOutlivesADropWhileItsReadsWait) {
+  auto opt = TwoLaneOptions();
+  opt.quick_workers = 1;
+  JobScheduler sched(engine_, mydb_.get(), opt);
+  auto into = sched.Submit(
+      "alice",
+      "SELECT * INTO mydb.t FROM photo WHERE CIRCLE('GAL', 30, 70, 4)");
+  ASSERT_TRUE(into.ok());
+  ASSERT_EQ(sched.Wait(*into)->state, JobState::kSucceeded);
+  uint64_t objects = 0;
+  {
+    auto table = mydb_->Find("alice", "t");
+    ASSERT_TRUE(table.ok());
+    objects = (*table)->object_count();
+  }
+  ASSERT_GT(objects, 0u);
+
+  // Two reads of mydb.t, both planned at admission: the first holds the
+  // only quick worker at its header, the second queues behind it.
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  query::RowBatch held_rows, queued_rows;
+  StreamHooks held = CollectRows(&held_rows);
+  held.on_header = [gate](uint64_t, Lane, const query::ResultHeader&) {
+    gate.wait();
+  };
+  auto running = sched.Submit("alice", "SELECT obj_id FROM mydb.t",
+                              std::move(held));
+  ASSERT_TRUE(running.ok());
+  ASSERT_EQ(AwaitStarted(sched, *running), JobState::kRunning);
+  auto queued = sched.Submit("alice", "SELECT obj_id FROM mydb.t",
+                             CollectRows(&queued_rows));
+  ASSERT_TRUE(queued.ok());
+  ASSERT_EQ(sched.Snapshot(*queued)->state, JobState::kQueued);
+
+  // The drop frees the name and the quota at once; the statements keep
+  // reading the table as it stood at their admission.
+  ASSERT_TRUE(mydb_->Drop("alice", "t").ok());
+  EXPECT_FALSE(mydb_->Find("alice", "t").ok());
+  EXPECT_EQ(mydb_->UsedBytes("alice"), 0u);
+  release.set_value();
+
+  auto held_done = sched.Wait(*running);
+  ASSERT_TRUE(held_done.ok());
+  EXPECT_EQ(held_done->state, JobState::kSucceeded)
+      << held_done->error.ToString();
+  EXPECT_EQ(held_rows.size(), objects);
+  auto queued_done = sched.Wait(*queued);
+  ASSERT_TRUE(queued_done.ok());
+  EXPECT_EQ(queued_done->state, JobState::kSucceeded)
+      << queued_done->error.ToString();
+  EXPECT_EQ(queued_rows.size(), objects);
+
+  // A statement submitted after the drop is refused at admission.
+  EXPECT_EQ(sched.Submit("alice", "SELECT obj_id FROM mydb.t")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+}
+
+/// Failover while a job is queued: the job is prepared and priced on one
+/// routing and runs on the routing that exists when it starts. Each test
+/// builds its own 2-server fleet, every container on both servers (the
+/// fixture's engine is shared across the suite).
+class WorkbenchFailoverTest : public ::testing::Test {
+ protected:
+  static constexpr char kCountSql[] = "SELECT COUNT(*) FROM photo";
+  static constexpr char kTopSql[] =
+      "SELECT obj_id, r FROM photo ORDER BY r LIMIT 25";
+
+  void SetUp() override {
+    catalog::SkyModel m;
+    m.seed = 1300;
+    m.num_galaxies = 5000;
+    m.num_stars = 4000;
+    m.num_quasars = 100;
+    ASSERT_TRUE(source_.BulkLoad(catalog::SkyGenerator(m).Generate()).ok());
+    ReplicationOptions repl;
+    repl.num_servers = 2;
+    repl.base_replicas = 2;
+    sharded_ = std::make_unique<ShardedStore>(source_, repl);
+  }
+
+  std::vector<query::Shard> Live() const {
+    auto shards = sharded_->LiveShards();
+    EXPECT_TRUE(shards.ok());
+    return shards.ok() ? *shards : std::vector<query::Shard>{};
+  }
+
+  /// Queues kCountSql and kTopSql behind a gated blocker on the one
+  /// worker of a scheduler over `engine`, calls `reroute`, then releases
+  /// the blocker and checks both answers against a one-shard engine
+  /// over the source.
+  void RunQueuedAcross(FederatedQueryEngine* engine,
+                       const std::function<void()>& reroute) {
+    JobScheduler::Options opt;
+    opt.quick_workers = 1;
+    opt.long_workers = 1;
+    opt.quick_lane_max_bytes = ~0ull;  // Every job shares the one worker.
+    MyDb mydb;
+    JobScheduler sched(engine, &mydb, opt);
+
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    StreamHooks hooks;
+    hooks.on_header = [gate](uint64_t, Lane, const query::ResultHeader&) {
+      gate.wait();
+    };
+    auto blocker = sched.Submit(
+        "blocker",
+        "SELECT COUNT(*) FROM photo WHERE CIRCLE('GAL', 30, 70, 3)",
+        std::move(hooks));
+    ASSERT_TRUE(blocker.ok());
+    ASSERT_EQ(AwaitStarted(sched, *blocker),
+              JobState::kRunning);
+
+    query::RowBatch count_rows, top_rows;
+    auto count = sched.Submit("u1", kCountSql, CollectRows(&count_rows));
+    auto top = sched.Submit("u2", kTopSql, CollectRows(&top_rows));
+    ASSERT_TRUE(count.ok());
+    ASSERT_TRUE(top.ok());
+    ASSERT_EQ(sched.Snapshot(*count)->state, JobState::kQueued);
+    ASSERT_EQ(sched.Snapshot(*top)->state, JobState::kQueued);
+
+    reroute();
+    release.set_value();
+    ASSERT_EQ(sched.Wait(*blocker)->state, JobState::kSucceeded);
+    auto count_done = sched.Wait(*count);
+    auto top_done = sched.Wait(*top);
+    ASSERT_EQ(count_done->state, JobState::kSucceeded)
+        << count_done->error.ToString();
+    ASSERT_EQ(top_done->state, JobState::kSucceeded)
+        << top_done->error.ToString();
+
+    FederatedQueryEngine oracle({query::Shard{0, &source_, nullptr}});
+    auto want_count = oracle.Execute(kCountSql);
+    auto want_top = oracle.Execute(kTopSql);
+    ASSERT_TRUE(want_count.ok());
+    ASSERT_TRUE(want_top.ok());
+    ASSERT_EQ(count_rows.size(), 1u);
+    ASSERT_FALSE(count_rows[0].values.empty());
+    EXPECT_EQ(count_rows[0].values[0], want_count->aggregate_value);
+    ASSERT_EQ(top_rows.size(), want_top->rows.size());
+    for (size_t i = 0; i < top_rows.size(); ++i) {
+      EXPECT_EQ(top_rows[i].obj_id, want_top->rows[i].obj_id) << "row " << i;
+    }
+  }
+
+  catalog::ObjectStore source_;
+  std::unique_ptr<ShardedStore> sharded_;
+};
+
+TEST_F(WorkbenchFailoverTest, QueuedAcrossMarkDownRunsOnTheSurvivor) {
+  FederatedQueryEngine engine(Live());
+  ASSERT_EQ(engine.num_shards(), 2u);
+  RunQueuedAcross(&engine, [&] {
+    ASSERT_TRUE(sharded_->MarkServerDown(1).ok());
+    engine.SetShards(Live());
+    ASSERT_EQ(engine.num_shards(), 1u);
+  });
+}
+
+TEST_F(WorkbenchFailoverTest, QueuedAcrossMarkUpRunsSplitAtGathers) {
+  // Admitted on one live shard (no gather); it runs on two, so the split
+  // must be taken at run time or it would read one server's half.
+  ASSERT_TRUE(sharded_->MarkServerDown(1).ok());
+  FederatedQueryEngine engine(Live());
+  ASSERT_EQ(engine.num_shards(), 1u);
+  RunQueuedAcross(&engine, [&] {
+    ASSERT_TRUE(sharded_->MarkServerUp(1).ok());
+    engine.SetShards(Live());
+    ASSERT_EQ(engine.num_shards(), 2u);
+  });
 }
 
 }  // namespace

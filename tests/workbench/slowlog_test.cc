@@ -197,6 +197,38 @@ TEST_F(SlowLogTest, TraceRingSamplingWithoutSlowlogDir) {
   }
 }
 
+TEST_F(SlowLogTest, TracedJobRecordsItsAdmissionPlanOnce) {
+  // Planning happens at admission, before the job's trace exists; the
+  // run does not plan again, so the capture holds exactly one plan span,
+  // carrying the admission's plan time.
+  query::TraceRing ring(4);
+  JobScheduler::Options opt;
+  opt.quick_workers = 1;
+  opt.long_workers = 1;
+  opt.slow_query_seconds = 3600.0;
+  opt.trace_ring = &ring;
+  opt.trace_sample_every = 1;
+  MyDb mydb;
+  JobScheduler scheduler(engine_, &mydb, opt);
+  auto job = scheduler.Submit(
+      "ana", "SELECT COUNT(*) FROM photo WHERE CIRCLE('GAL', 30, 70, 5)");
+  ASSERT_TRUE(job.ok());
+  ASSERT_EQ(scheduler.Wait(*job)->state, JobState::kSucceeded);
+
+  auto captures = ring.List();
+  ASSERT_EQ(captures.size(), 1u);
+  const std::string& json = captures[0].chrome_json;
+  size_t plan_spans = 0;
+  for (size_t at = json.find("\"name\":\"plan\"");
+       at != std::string::npos;
+       at = json.find("\"name\":\"plan\"", at + 1)) {
+    ++plan_spans;
+  }
+  EXPECT_EQ(plan_spans, 1u) << json;
+  EXPECT_NE(json.find("\"seconds_plan\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"fan_out\""), std::string::npos) << json;
+}
+
 TEST_F(SlowLogTest, NoSlowlogDirMeansNoTracingNoFiles) {
   // No ring and no event log: a slow job has nowhere to report, runs
   // untraced, and still succeeds.
