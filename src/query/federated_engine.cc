@@ -280,8 +280,20 @@ Result<PreparedQuery> FederatedQueryEngine::Prepare(
     return parsed.status();
   }
   prep.parsed = std::move(parsed).value();
-  const std::vector<Shard> shards = SnapshotShards();
-  if (shards.empty()) {
+  // Planning reads the fleet for three facts only, taken under mu_
+  // instead of from a copy of it; the run takes its own snapshot.
+  const catalog::ObjectStore* plan_store = nullptr;
+  size_t num_shards = 0;
+  bool tag_on_some_shard = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    num_shards = shards_.size();
+    if (num_shards > 0) plan_store = shards_[0].store;
+    for (const Shard& shard : shards_) {
+      tag_on_some_shard |= shard.store->options().build_tags;
+    }
+  }
+  if (plan_store == nullptr) {
     TraceEnd(ctx.trace, plan_span);
     return Status::FailedPrecondition("federation has no live shards");
   }
@@ -291,7 +303,7 @@ Result<PreparedQuery> FederatedQueryEngine::Prepare(
   // a per-user mydb namespace on top of the engine's planner options.
   PlannerOptions planner = options_.planner;
   if (ctx.mydb) planner.mydb = ctx.mydb;
-  auto plan = BuildPlan(prep.parsed, *shards[0].store, planner);
+  auto plan = BuildPlan(prep.parsed, *plan_store, planner);
   if (!plan.ok()) {
     TraceEnd(ctx.trace, plan_span);
     return plan.status();
@@ -307,26 +319,18 @@ Result<PreparedQuery> FederatedQueryEngine::Prepare(
   // A table no live shard can serve must be a clean refusal, not a
   // silently empty result: an explicit FROM tag against a fleet whose
   // stores were built without the tag partition scans nothing.
-  if (!prep.mydb && tag_scan) {
-    bool tag_on_some_shard = false;
-    for (const Shard& shard : shards) {
-      if (shard.store->options().build_tags) {
-        tag_on_some_shard = true;
-        break;
-      }
-    }
-    if (!tag_on_some_shard) {
-      TraceEnd(ctx.trace, plan_span);
-      return Status::NotFound(
-          "table 'tag' exists on no live shard (fleet stores hold no tag "
-          "partition)");
-    }
+  if (!prep.mydb && tag_scan && !tag_on_some_shard) {
+    TraceEnd(ctx.trace, plan_span);
+    return Status::NotFound(
+        "table 'tag' exists on no live shard (fleet stores hold no tag "
+        "partition)");
   }
-  prep.cacheable = cache_ != nullptr && !prep.mydb &&
+  // A context that bypasses the cache never uses the fingerprint.
+  prep.cacheable = cache_ != nullptr && !ctx.no_result_cache && !prep.mydb &&
                    ResultCache::Cacheable(prep.parsed, prep.plan);
   if (prep.cacheable) prep.fingerprint = ResultCache::Fingerprint(prep.plan);
   prep.seconds_plan = SecondsSince(t0);
-  TraceNum(ctx.trace, plan_span, "shards", static_cast<double>(shards.size()));
+  TraceNum(ctx.trace, plan_span, "shards", static_cast<double>(num_shards));
   if (prep.mydb) TraceNote(ctx.trace, plan_span, "store", "mydb");
   TraceEnd(ctx.trace, plan_span);
   return prep;

@@ -223,9 +223,10 @@ class FederatedQueryEngine {
   FederatedQueryEngine(std::vector<Shard> shards, Options options);
 
   /// Parses and plans `sql` against the current fleet, and fingerprints
-  /// it when the result cache may serve it. Refuses a FROM tag no live
-  /// shard can serve. `ctx.mydb` resolves personal tables; `ctx.trace`
-  /// gets the plan span.
+  /// it when the result cache may serve it: the engine has a cache and
+  /// `ctx.no_result_cache` is unset (a statement prepared without the
+  /// cache never uses it). Refuses a FROM tag no live shard can serve.
+  /// `ctx.mydb` resolves personal tables; `ctx.trace` gets the plan span.
   Result<PreparedQuery> Prepare(const std::string& sql,
                                 const ExecContext& ctx = {}) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <map>
 #include <utility>
 
@@ -160,12 +161,19 @@ const char* JobStateName(JobState state) {
   return "?";
 }
 
+const char* LaneName(Lane lane) {
+  switch (lane) {
+    case Lane::kQuick:
+      return "QUICK";
+    case Lane::kLong:
+      return "LONG";
+  }
+  return "?";
+}
+
 JobScheduler::JobScheduler(query::FederatedQueryEngine* engine,
                            archive::MyDb* mydb, Options options)
-    : engine_(engine),
-      mydb_(mydb),
-      options_(options),
-      queue_(JobQueue::Options{options.per_user_running}) {
+    : engine_(engine), mydb_(mydb), options_(options) {
   if (options_.metrics != nullptr) {
     g_quick_queued_ =
         options_.metrics->GetGauge("workbench_quick_queued");
@@ -189,27 +197,30 @@ JobScheduler::JobScheduler(query::FederatedQueryEngine* engine,
 }
 
 JobScheduler::~JobScheduler() {
-  shutting_down_.store(true);
   {
-    // Queued jobs will never run; running jobs get their flag raised so
-    // the executors unwind at the next cancellation point.
+    // Idle workers stop; running jobs get their flag raised so the
+    // executors unwind at the next cancellation point.
     std::lock_guard<std::mutex> lock(mu_);
+    shutting_down_.store(true);
     for (auto& [id, job] : jobs_) {
-      if (!IsTerminal(job->snap.state)) job->cancel.store(true);
+      if (job->snap.state == JobState::kRunning) job->cancel.store(true);
     }
   }
-  queue_.Shutdown();
+  for (LaneState& lane : lanes_) lane.work_cv.notify_all();
   workers_.JoinAll();
+  // Queued jobs will never run.
   std::vector<std::pair<Job*, JobSnapshot>> completed;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, job] : jobs_) {
-      if (job->snap.state == JobState::kQueued) {
+    for (LaneState& lane : lanes_) {
+      for (Job* job : lane.queued) {
         job->snap.state = JobState::kCancelled;
         job->snap.error = Status::Cancelled("scheduler shut down");
-        completed.emplace_back(job.get(), job->snap);
+        completed.emplace_back(job, job->snap);
       }
+      lane.queued.clear();
     }
+    SetLaneGaugesLocked();
   }
   for (auto& [job, snap] : completed) NotifyComplete(job, std::move(snap));
   done_cv_.notify_all();
@@ -235,9 +246,11 @@ void JobScheduler::NotifyAndPrune(Job* job, JobSnapshot snap) {
 void JobScheduler::AutoPruneLocked() {
   const size_t cap = options_.max_retained_terminal_jobs;
   if (cap == 0) return;
-  size_t terminal = 0;
-  for (const auto& [id, job] : jobs_) {
-    if (IsTerminal(job->snap.state)) ++terminal;
+  // Every queued or running job is in a lane (and never pruned), so the
+  // rest of jobs_ is terminal.
+  size_t terminal = jobs_.size();
+  for (const LaneState& lane : lanes_) {
+    terminal -= lane.queued.size() + lane.running;
   }
   // Oldest first (jobs_ is ascending by id). A terminal job still
   // awaiting its hook or holding parked Wait() calls is skipped -- it
@@ -254,18 +267,21 @@ void JobScheduler::AutoPruneLocked() {
 }
 
 QueueDepths JobScheduler::LaneDepths() const {
-  QueueDepths depths;
   std::lock_guard<std::mutex> lock(mu_);
-  queue_.Depths(&depths.quick_queued, &depths.long_queued);
-  for (const auto& [id, job] : jobs_) {
-    if (job->snap.state != JobState::kRunning) continue;
-    if (job->snap.lane == Lane::kQuick) {
-      ++depths.quick_running;
-    } else {
-      ++depths.long_running;
-    }
-  }
-  return depths;
+  const LaneState& quick = LaneOf(Lane::kQuick);
+  const LaneState& mining = LaneOf(Lane::kLong);
+  return QueueDepths{quick.queued.size(), quick.running,
+                     mining.queued.size(), mining.running};
+}
+
+void JobScheduler::SetLaneGaugesLocked() {
+  if (g_quick_queued_ == nullptr) return;
+  const LaneState& quick = LaneOf(Lane::kQuick);
+  const LaneState& mining = LaneOf(Lane::kLong);
+  g_quick_queued_->Set(static_cast<int64_t>(quick.queued.size()));
+  g_quick_running_->Set(static_cast<int64_t>(quick.running));
+  g_long_queued_->Set(static_cast<int64_t>(mining.queued.size()));
+  g_long_running_->Set(static_cast<int64_t>(mining.running));
 }
 
 Result<uint64_t> JobScheduler::Submit(const std::string& user,
@@ -323,16 +339,16 @@ Result<uint64_t> JobScheduler::Submit(const std::string& user,
   job->hooks = std::move(hooks);
 
   uint64_t id;
-  Lane lane = job->snap.lane;
+  const Lane lane = job->snap.lane;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Bounded admission: refuse (no id, no journal record, no queue
     // slot) instead of queueing past the configured depth. Checked
-    // under mu_, the same lock every Push serializes on, so the bound
-    // is exact.
+    // under mu_, the lock every enqueue holds, so the bound is exact.
     const size_t bound = lane == Lane::kQuick ? options_.max_queued_quick
                                               : options_.max_queued_long;
-    if (bound > 0 && queue_.Depth(lane) >= bound) {
+    std::deque<Job*>& queued = LaneOf(lane).queued;
+    if (bound > 0 && queued.size() >= bound) {
       return Status::Unavailable(
           std::string(LaneName(lane)) + " lane is at its admission bound (" +
           std::to_string(bound) + " jobs queued); retry after a backoff");
@@ -346,22 +362,20 @@ Result<uint64_t> JobScheduler::Submit(const std::string& user,
       // poisoned journal refuses INTO jobs and keeps serving reads.
       SDSS_RETURN_IF_ERROR(journal_->Append(EncodeSubmit(job->snap)));
     }
+    // Enqueued with the id under mu_, so queue order always equals id
+    // order -- the invariant RecoverFrom's in-original-lane-order
+    // re-enqueue rests on.
+    queued.push_back(job.get());
     jobs_.emplace(id, std::move(job));
-    // Push under mu_ so queue order always equals id order -- the
-    // invariant RecoverFrom's in-original-lane-order re-enqueue rests
-    // on. (mu_ -> queue lock is the established nesting; Cancel does
-    // the same.)
-    queue_.Push(lane, id, user);
+    SetLaneGaugesLocked();
   }
-  UpdateLaneGauges();
+  LaneOf(lane).work_cv.notify_one();
   return id;
 }
 
 Result<SchedulerRecoveryReport> JobScheduler::RecoverFrom(
     const std::string& dir) {
   SchedulerRecoveryReport report;
-  /// (lane, id, user) of the jobs to re-enqueue, in original order.
-  std::vector<std::tuple<Lane, uint64_t, std::string>> requeue;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (journal_ != nullptr) {
@@ -430,7 +444,9 @@ Result<SchedulerRecoveryReport> JobScheduler::RecoverFrom(
           job->prepared = std::make_unique<query::PreparedQuery>(
               std::move(prepared).value());
           report.requeued_ids.push_back(id);
-          requeue.emplace_back(job->snap.lane, id, job->snap.user);
+          // Ascending id = original submission order = original lane
+          // order (Submit enqueues under mu_ in id order).
+          LaneOf(job->snap.lane).queued.push_back(job.get());
         } else {
           job->snap.state = JobState::kFailed;
           job->snap.error = prepared.status();
@@ -445,13 +461,9 @@ Result<SchedulerRecoveryReport> JobScheduler::RecoverFrom(
     // jobs leave no record: each incarnation issues ids from its own
     // 2^32 block, picked by the fresh segment Open just allocated.
     next_id_ = std::max(max_id, (journal_->current_segment() - 1) << 32) + 1;
-    // Ascending id = original submission order = original per-lane
-    // order (Submit pushes under this same lock, so queue order and id
-    // order cannot diverge).
-    for (const auto& [lane, id, user] : requeue) {
-      queue_.Push(lane, id, user);
-    }
+    SetLaneGaugesLocked();
   }
+  for (LaneState& lane : lanes_) lane.work_cv.notify_all();
   done_cv_.notify_all();  // Waiters on crash-failed jobs wake now.
   return report;
 }
@@ -473,22 +485,22 @@ Status JobScheduler::Cancel(uint64_t job_id) {
     }
     Job* job = it->second.get();
     switch (job->snap.state) {
-      case JobState::kQueued:
-        job->cancel.store(true);
-        if (queue_.Remove(job_id)) {
-          // Still in the queue: terminal right here. (If a worker popped
-          // it concurrently, the raised flag makes the worker finish it
-          // as cancelled instead.)
-          job->snap.state = JobState::kCancelled;
-          job->snap.error = Status::Cancelled("cancelled while queued");
-          job->snap.seconds_queued = SecondsBetween(
-              job->submitted, std::chrono::steady_clock::now());
-          JournalTerminal(job->snap);  // A user decision: it survives.
-          completed = job;
-          completed_snap = job->snap;
-          done_cv_.notify_all();
-        }
+      case JobState::kQueued: {
+        // A queued job is in its lane (a worker takes it out only by
+        // making it RUNNING under this lock): terminal right here.
+        std::deque<Job*>& queued = LaneOf(job->snap.lane).queued;
+        queued.erase(std::find(queued.begin(), queued.end(), job));
+        SetLaneGaugesLocked();
+        job->snap.state = JobState::kCancelled;
+        job->snap.error = Status::Cancelled("cancelled while queued");
+        job->snap.seconds_queued = SecondsBetween(
+            job->submitted, std::chrono::steady_clock::now());
+        JournalTerminal(job->snap);  // A user decision: it survives.
+        completed = job;
+        completed_snap = job->snap;
+        done_cv_.notify_all();
         break;
+      }
       case JobState::kRunning:
         job->cancel.store(true);
         break;
@@ -542,41 +554,43 @@ std::vector<JobSnapshot> JobScheduler::Jobs() const {
 }
 
 void JobScheduler::WorkerLoop(Lane lane) {
-  uint64_t id = 0;
-  std::string user;
-  while (queue_.PopEligible(lane, &id, &user)) {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
     Job* job = nullptr;
-    bool run = false;
-    bool cancelled_here = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      job = jobs_.at(id).get();
-      if (job->cancel.load() || shutting_down_.load()) {
-        job->snap.state = JobState::kCancelled;
-        job->snap.error = Status::Cancelled("cancelled while queued");
-        job->snap.seconds_queued = SecondsBetween(
-            job->submitted, std::chrono::steady_clock::now());
-        // Journal a user cancellation; a shutdown one stays out of the
-        // journal so recovery re-enqueues the job instead.
-        if (!shutting_down_.load()) JournalTerminal(job->snap);
-        cancelled_here = true;
-      } else {
-        job->snap.state = JobState::kRunning;
-        job->started = std::chrono::steady_clock::now();
-        job->snap.seconds_queued =
-            SecondsBetween(job->submitted, job->started);
-        if (journal_ != nullptr && IsDurable(job->snap)) {
-          (void)journal_->Append(EncodeStart(id));
-        }
-        run = true;
-      }
-    }
-    UpdateLaneGauges();
-    if (cancelled_here) NotifyAndPrune(job, job->snap);
-    if (run) RunJob(job);
-    queue_.OnJobFinished(user);
+    LaneOf(lane).work_cv.wait(lock, [&] {
+      return shutting_down_.load() || (job = StartNextLocked(lane)) != nullptr;
+    });
+    if (job == nullptr) return;  // Shutdown: queued jobs stay queued.
+    lock.unlock();
+    RunJob(job);
     done_cv_.notify_all();
+    lock.lock();
   }
+}
+
+JobScheduler::Job* JobScheduler::StartNextLocked(Lane lane) {
+  LaneState& state = LaneOf(lane);
+  // First job whose user is under quota; later jobs of saturated users
+  // wait behind it without blocking other users.
+  auto it = std::find_if(
+      state.queued.begin(), state.queued.end(), [this](const Job* j) {
+        auto slots = running_by_user_.find(j->snap.user);
+        return slots == running_by_user_.end() ||
+               slots->second < options_.per_user_running;
+      });
+  if (it == state.queued.end()) return nullptr;
+  Job* job = *it;
+  state.queued.erase(it);
+  ++state.running;
+  ++running_by_user_[job->snap.user];
+  SetLaneGaugesLocked();
+  job->snap.state = JobState::kRunning;
+  job->started = std::chrono::steady_clock::now();
+  job->snap.seconds_queued = SecondsBetween(job->submitted, job->started);
+  if (journal_ != nullptr && IsDurable(job->snap)) {
+    (void)journal_->Append(EncodeStart(job->snap.id));
+  }
+  return job;
 }
 
 void JobScheduler::RunJob(Job* job) {
@@ -691,6 +705,18 @@ void JobScheduler::RunJob(Job* job) {
                             : JobState::kFailed;
       job->snap.error = status;
     }
+    // The lane count and the user's quota slot are released with the
+    // terminal transition.
+    --LaneOf(job->snap.lane).running;
+    auto slots = running_by_user_.find(job->snap.user);
+    if (--slots->second == 0) running_by_user_.erase(slots);
+    SetLaneGaugesLocked();
+    // The freed slot may make a held job eligible. A lane with nothing
+    // queued wakes no worker: a woken worker takes mu_, which this job's
+    // Wait() callers need next.
+    for (LaneState& lane : lanes_) {
+      if (!lane.queued.empty()) lane.work_cv.notify_one();
+    }
     // Crash-equivalence at shutdown: a job torn down by the destructor is
     // left un-journaled, so recovery treats it exactly like a job the
     // power cord interrupted (re-enqueued or failed-retryable).
@@ -742,17 +768,7 @@ void JobScheduler::RunJob(Job* job) {
     }
     options_.events->Emit(event);
   }
-  UpdateLaneGauges();
   NotifyAndPrune(job, std::move(final_snap));
-}
-
-void JobScheduler::UpdateLaneGauges() {
-  if (g_quick_queued_ == nullptr) return;
-  const QueueDepths d = LaneDepths();
-  g_quick_queued_->Set(static_cast<int64_t>(d.quick_queued));
-  g_quick_running_->Set(static_cast<int64_t>(d.quick_running));
-  g_long_queued_->Set(static_cast<int64_t>(d.long_queued));
-  g_long_running_->Set(static_cast<int64_t>(d.long_running));
 }
 
 }  // namespace sdss::workbench

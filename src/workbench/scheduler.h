@@ -9,7 +9,9 @@
 // planned and fingerprinted by FederatedQueryEngine::Prepare -- priced
 // with the engine's density-map cost estimate (PredictShards), admitted
 // to the QUICK or LONG lane, and run on that lane's bounded worker pool
-// under a per-user concurrency quota. The job runs the statement its
+// under a per-user concurrency quota. Lane order, running counts, quota
+// slots and job states all live under one lock, so a job's lane, slot
+// and state change together. The job runs the statement its
 // admission priced; only the fleet-dependent steps (shard snapshot,
 // GATHER split, cache epoch) wait until it starts. "SELECT ... INTO mydb.<name>" jobs
 // materialize their result into the submitting user's archive::MyDb
@@ -45,6 +47,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -58,9 +61,14 @@
 #include "core/thread_pool.h"
 #include "persist/journal.h"
 #include "query/federated_engine.h"
-#include "workbench/job_queue.h"
 
 namespace sdss::workbench {
+
+/// Admission lanes: the cost-based split that keeps a full-archive scan
+/// off the workers a cone search waits for.
+enum class Lane { kQuick, kLong };
+
+const char* LaneName(Lane lane);
 
 /// Lifecycle of a job. Queued and running are transient; the other
 /// three are terminal.
@@ -253,8 +261,6 @@ class JobScheduler {
   /// All jobs, ascending id.
   std::vector<JobSnapshot> Jobs() const;
 
-  size_t QueueDepth(Lane lane) const { return queue_.Depth(lane); }
-
   /// Queued + running job counts of both lanes, as one consistent
   /// snapshot -- the introspection bounded admission and the server's
   /// BUSY threshold decide on.
@@ -281,7 +287,24 @@ class JobScheduler {
     int waiters = 0;
   };
 
+  /// One admission lane: its queued jobs in FIFO order and how many of
+  /// its jobs run, guarded by mu_, and where its idle workers wait.
+  struct LaneState {
+    std::deque<Job*> queued;
+    size_t running = 0;
+    std::condition_variable work_cv;
+  };
+
+  LaneState& LaneOf(Lane lane) { return lanes_[static_cast<size_t>(lane)]; }
+  const LaneState& LaneOf(Lane lane) const {
+    return lanes_[static_cast<size_t>(lane)];
+  }
   void WorkerLoop(Lane lane);
+  /// Takes the first job of `lane` whose user is under quota out of the
+  /// queue and makes it RUNNING: its slot, the lane's running count and
+  /// the START record change together. Null when no job is eligible.
+  /// Requires mu_.
+  Job* StartNextLocked(Lane lane);
   void RunJob(Job* job);
   /// Fires a terminal job's on_complete hook. Must be called without
   /// mu_ held (hooks may write to sockets or call Snapshot/Cancel).
@@ -298,17 +321,19 @@ class JobScheduler {
   /// Callers skip this for shutdown-driven terminals (see the file
   /// comment: shutdown must look like a crash to recovery).
   void JournalTerminal(const JobSnapshot& snap);
-  /// Refreshes the per-lane queued/running gauges from LaneDepths().
-  /// Takes mu_ (via LaneDepths) -- call without the lock held.
-  void UpdateLaneGauges();
+  /// Publishes the lane counts to the per-lane gauges; called wherever
+  /// they change. Requires mu_.
+  void SetLaneGaugesLocked();
 
   query::FederatedQueryEngine* engine_;
   archive::MyDb* mydb_;
   const Options options_;
-  JobQueue queue_;
   mutable std::mutex mu_;
   std::condition_variable done_cv_;
   std::map<uint64_t, std::unique_ptr<Job>> jobs_;
+  LaneState lanes_[2];  ///< Indexed by Lane.
+  /// Running jobs per user, across both lanes (absent = none).
+  std::map<std::string, size_t> running_by_user_;
   uint64_t next_id_ = 1;
   std::atomic<bool> shutting_down_{false};
   /// Traced jobs finished, the modulus trace sampling counts on.

@@ -98,6 +98,17 @@ TEST(FederationCacheTest, SecondRunIsServedVerbatimFromTheCache) {
   ASSERT_TRUE(opted_out.ok());
   EXPECT_FALSE(opted_out->exec.cache_hit);
   EXPECT_GT(opted_out->exec.containers_scanned, 0u);
+
+  // Prepared under the opt-out, the statement is not fingerprinted: no
+  // run of it could use the key.
+  auto uncached = fed.Prepare(sql, ctx);
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_FALSE(uncached->cacheable);
+  EXPECT_TRUE(uncached->fingerprint.empty());
+  auto cacheable = fed.Prepare(sql);
+  ASSERT_TRUE(cacheable.ok());
+  EXPECT_TRUE(cacheable->cacheable);
+  EXPECT_FALSE(cacheable->fingerprint.empty());
 }
 
 TEST(FederationCacheTest, ContainmentAnswersMatchRealFanOut) {

@@ -15,7 +15,7 @@
 #include "persist/journal.h"
 #include "query/parser.h"
 #include "server/protocol.h"
-#include "workbench/job_queue.h"
+#include "workbench/scheduler.h"
 
 namespace {
 

@@ -10,8 +10,9 @@
 // committed MyDB tables are restored bit-exact (byte-compared
 // snapshots), a crash mid-INTO leaves zero partially materialized
 // tables, user cancellations survive, a QUEUED job whose SQL no longer
-// prepares fails at recovery with that error, and read-only jobs leave
-// nothing in the journal.
+// prepares fails at recovery with that error, re-enqueued jobs count in
+// the lane depths and gauges, and read-only jobs leave nothing in the
+// journal.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,7 @@
 #include "core/metrics.h"
 #include "persist/snapshot.h"
 #include "query/federated_engine.h"
+#include "workbench/lane_counts.h"
 #include "workbench/scheduler.h"
 
 namespace sdss::workbench {
@@ -215,7 +217,7 @@ TEST_F(WorkbenchRecoveryTest, QueuedJobsReenqueueInOrderRunningFails) {
       ASSERT_TRUE(id.ok());
       queued_ids.push_back(*id);
     }
-    EXPECT_EQ(crashed.QueueDepth(Lane::kQuick), 3u);
+    EXPECT_EQ(crashed.LaneDepths().quick_queued, 3u);
     image = CrashImage();
   }
 
@@ -255,6 +257,47 @@ TEST_F(WorkbenchRecoveryTest, QueuedJobsReenqueueInOrderRunningFails) {
   }
 }
 
+TEST_F(WorkbenchRecoveryTest, RequeuedJobsCountInLaneDepthsAndGauges) {
+  std::string image;
+  {
+    MyDb mydb;
+    JobScheduler crashed(engine_, &mydb, SerialOptions());
+    Gate gate;
+    ASSERT_TRUE(crashed.RecoverFrom(jobs_dir_.string()).ok());
+    auto everything = crashed.Submit("alice", kIntoEverythingSql,
+                                     gate.Hooks());
+    ASSERT_TRUE(everything.ok());
+    ASSERT_EQ(AwaitStarted(crashed, *everything), JobState::kRunning);
+    for (size_t i = 0; i < 2; ++i) {
+      ASSERT_TRUE(crashed.Submit("alice", IntoConeSql(ConeName(i))).ok());
+    }
+    image = CrashImage();
+  }
+
+  // No quick worker: the re-enqueued cone INTOs stay where recovery put
+  // them.
+  metrics::Registry registry;
+  JobScheduler::Options opt = SerialOptions();
+  opt.quick_workers = 0;
+  opt.metrics = &registry;
+  MyDb mydb;
+  JobScheduler revived(engine_, &mydb, opt);
+  auto report = revived.RecoverFrom(image);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->requeued_ids.size(), 2u);
+  EXPECT_EQ(revived.LaneDepths().quick_queued, 2u);
+  {
+    SCOPED_TRACE("recovery requeue");
+    ExpectLaneCountsMatchJobs(revived, &registry);
+  }
+  ASSERT_TRUE(revived.Cancel(report->requeued_ids[0]).ok());
+  EXPECT_EQ(revived.LaneDepths().quick_queued, 1u);
+  {
+    SCOPED_TRACE("cancel a requeued job");
+    ExpectLaneCountsMatchJobs(revived, &registry);
+  }
+}
+
 TEST_F(WorkbenchRecoveryTest, ReadOnlyJobsLeaveNothingToRecover) {
   MyDb mydb;
   {
@@ -266,7 +309,7 @@ TEST_F(WorkbenchRecoveryTest, ReadOnlyJobsLeaveNothingToRecover) {
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(crashed.Submit("alice", kQuickConeSql).ok());
     }
-    EXPECT_EQ(crashed.QueueDepth(Lane::kQuick), 3u);
+    EXPECT_EQ(crashed.LaneDepths().quick_queued, 3u);
   }
   JobScheduler revived(engine_, &mydb, SerialOptions());
   auto report = revived.RecoverFrom(jobs_dir_.string());
@@ -277,7 +320,7 @@ TEST_F(WorkbenchRecoveryTest, ReadOnlyJobsLeaveNothingToRecover) {
   EXPECT_EQ(report->failed_running, 0u);
   EXPECT_EQ(report->terminal_restored, 0u);
   EXPECT_TRUE(revived.Jobs().empty());
-  EXPECT_EQ(revived.QueueDepth(Lane::kQuick), 0u);
+  EXPECT_EQ(revived.LaneDepths().quick_queued, 0u);
 }
 
 TEST_F(WorkbenchRecoveryTest, OnlyIntoJobsAppendToTheJournal) {

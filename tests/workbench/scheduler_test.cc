@@ -1,4 +1,5 @@
-// JobScheduler: cost-based lane admission, per-user concurrency quotas,
+// JobScheduler: cost-based lane admission, FIFO lanes with per-user
+// concurrency quotas, lane counts that match the jobs' states,
 // cooperative cancellation (mid-scan, releasing the worker, leaving no
 // partial mydb container), and the 3-step CasJobs-style mining workflow
 // on a 4-shard fleet.
@@ -20,7 +21,9 @@
 #include "archive/mydb.h"
 #include "archive/sharded_store.h"
 #include "catalog/sky_generator.h"
+#include "core/metrics.h"
 #include "query/federated_engine.h"
+#include "workbench/lane_counts.h"
 
 namespace sdss::workbench {
 namespace {
@@ -513,6 +516,158 @@ TEST_F(WorkbenchSchedulerTest, LaneDepthsReportQueuedAndRunningPerLane) {
 
   release.set_value();
   EXPECT_EQ(sched.Wait(*blocked)->state, JobState::kSucceeded);
+}
+
+TEST_F(WorkbenchSchedulerTest, LaneStartsEligibleJobsInSubmissionOrder) {
+  auto opt = TwoLaneOptions();
+  opt.quick_workers = 1;
+  JobScheduler sched(engine_, mydb_.get(), opt);
+
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  StreamHooks blocker_hooks;
+  blocker_hooks.on_header = [gate](uint64_t, Lane,
+                                   const query::ResultHeader&) {
+    gate.wait();
+  };
+  auto blocked = sched.Submit(
+      "blocker", "SELECT COUNT(*) FROM photo WHERE CIRCLE('GAL', 30, 70, 3)",
+      std::move(blocker_hooks));
+  ASSERT_TRUE(blocked.ok());
+  ASSERT_EQ(AwaitStarted(sched, *blocked), JobState::kRunning);
+
+  // Three users, none at quota: the one worker starts them in the order
+  // they were queued.
+  std::mutex mu;
+  std::vector<uint64_t> started;
+  std::vector<uint64_t> ids;
+  for (const char* user : {"u1", "u2", "u3"}) {
+    StreamHooks hooks;
+    hooks.on_header = [&mu, &started](uint64_t id, Lane,
+                                      const query::ResultHeader&) {
+      std::lock_guard<std::mutex> lock(mu);
+      started.push_back(id);
+    };
+    auto id = sched.Submit(
+        user, "SELECT COUNT(*) FROM photo WHERE CIRCLE('GAL', 120, 55, 3)",
+        std::move(hooks));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  EXPECT_EQ(sched.LaneDepths().quick_queued, 3u);
+
+  release.set_value();
+  EXPECT_EQ(sched.Wait(*blocked)->state, JobState::kSucceeded);
+  for (uint64_t id : ids) {
+    EXPECT_EQ(sched.Wait(id)->state, JobState::kSucceeded);
+  }
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(started, ids);
+}
+
+TEST_F(WorkbenchSchedulerTest, LaneCountsAndGaugesMatchTheJobsStates) {
+  metrics::Registry registry;
+  auto opt = TwoLaneOptions();
+  opt.quick_workers = 1;
+  opt.long_workers = 1;
+  opt.max_queued_quick = 2;
+  opt.max_retained_terminal_jobs = 1;
+  opt.metrics = &registry;
+  JobScheduler sched(engine_, mydb_.get(), opt);
+  const char* cone =
+      "SELECT COUNT(*) FROM photo WHERE CIRCLE('GAL', 120, 55, 3)";
+  {
+    SCOPED_TRACE("idle");
+    ExpectLaneCountsMatchJobs(sched, &registry);
+  }
+
+  // The only quick worker is held at its header, so nothing below moves
+  // unless the test moves it.
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  StreamHooks hooks;
+  hooks.on_header = [gate](uint64_t, Lane, const query::ResultHeader&) {
+    gate.wait();
+  };
+  auto blocked = sched.Submit(
+      "blocker", "SELECT COUNT(*) FROM photo WHERE CIRCLE('GAL', 30, 70, 3)",
+      std::move(hooks));
+  ASSERT_TRUE(blocked.ok());
+  ASSERT_EQ(AwaitStarted(sched, *blocked), JobState::kRunning);
+  auto q1 = sched.Submit("u1", cone);
+  auto q2 = sched.Submit("u2", cone);
+  ASSERT_TRUE(q1.ok() && q2.ok());
+  {
+    SCOPED_TRACE("submit and run");
+    ExpectLaneCountsMatchJobs(sched, &registry);
+    EXPECT_EQ(sched.LaneDepths().quick_running, 1u);
+    EXPECT_EQ(sched.LaneDepths().quick_queued, 2u);
+  }
+
+  ASSERT_EQ(sched.Submit("u3", cone).status().code(),
+            StatusCode::kUnavailable);
+  {
+    SCOPED_TRACE("bounded refusal");
+    ExpectLaneCountsMatchJobs(sched, &registry);
+  }
+
+  ASSERT_TRUE(sched.Cancel(*q1).ok());
+  {
+    SCOPED_TRACE("cancel while queued");
+    ExpectLaneCountsMatchJobs(sched, &registry);
+    EXPECT_EQ(sched.LaneDepths().quick_queued, 1u);
+  }
+
+  auto heavy = sched.Submit("load", kHeavyJoinSql);
+  ASSERT_TRUE(heavy.ok());
+  ASSERT_EQ(AwaitStarted(sched, *heavy), JobState::kRunning);
+  {
+    SCOPED_TRACE("long lane running");
+    ExpectLaneCountsMatchJobs(sched, &registry);
+    EXPECT_EQ(sched.LaneDepths().long_running, 1u);
+  }
+  // Polled, not waited for: a parked Wait() would pin the job against
+  // the prune checked below.
+  ASSERT_TRUE(sched.Cancel(*heavy).ok());
+  for (;;) {
+    auto snap = sched.Snapshot(*heavy);
+    if (!snap.ok() || snap->state != JobState::kRunning) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  {
+    SCOPED_TRACE("cancel while running");
+    ExpectLaneCountsMatchJobs(sched, &registry);
+    EXPECT_EQ(sched.LaneDepths().long_running, 0u);
+  }
+
+  // The one long worker starts the next job only after the heavy job's
+  // hook and prune are done. Two terminal jobs met a cap of 1 there: the
+  // older was reaped, and the heavy job was kept because the running
+  // blocker and queued q2 are not terminal.
+  auto next = sched.Submit("load2", kHeavyJoinSql);
+  ASSERT_TRUE(next.ok());
+  ASSERT_EQ(AwaitStarted(sched, *next), JobState::kRunning);
+  EXPECT_FALSE(sched.Snapshot(*q1).ok());
+  EXPECT_TRUE(sched.Snapshot(*heavy).ok());
+  EXPECT_EQ(sched.Jobs().size(), 4u);
+  {
+    SCOPED_TRACE("prune");
+    ExpectLaneCountsMatchJobs(sched, &registry);
+  }
+  ASSERT_TRUE(sched.Cancel(*next).ok());
+  ASSERT_EQ(sched.Wait(*next)->state, JobState::kCancelled);
+
+  // Drained: q2, the newest job, is never the one the cap reaps.
+  release.set_value();
+  EXPECT_EQ(sched.Wait(*q2)->state, JobState::kSucceeded);
+  {
+    SCOPED_TRACE("drained");
+    ExpectLaneCountsMatchJobs(sched, &registry);
+    const QueueDepths idle = sched.LaneDepths();
+    EXPECT_EQ(idle.quick_queued + idle.quick_running + idle.long_queued +
+                  idle.long_running,
+              0u);
+  }
 }
 
 TEST_F(WorkbenchSchedulerTest, BoundedAdmissionRefusesWithUnavailable) {
