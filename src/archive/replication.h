@@ -78,6 +78,11 @@ class ReplicationManager {
   Status MarkServerDown(size_t server);
   Status MarkServerUp(size_t server);
 
+  /// Whether `server` is up; false for unknown servers.
+  bool server_up(size_t server) const {
+    return server < servers_up_.size() && servers_up_[server];
+  }
+
   /// Fraction of containers still readable (>= 1 live replica).
   double AvailableFraction() const;
 

@@ -1,12 +1,10 @@
 #include "archive/sharded_store.h"
 
-#include <algorithm>
 #include <memory>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "core/angle.h"
 #include "htm/trixel.h"
 
 namespace sdss::archive {
@@ -18,7 +16,6 @@ ShardedStore::ShardedStore(const catalog::ObjectStore& source,
   // every container it holds a replica of.
   (void)manager_.AssignFrom(source);  // Only fails on empty inputs.
   size_t servers = manager_.num_servers();
-  up_.assign(servers, true);
 
   // Primaries first, backup replicas after: ExtractContainers copies in
   // list order, so the object vectors of the containers a server
@@ -46,21 +43,17 @@ ShardedStore::ShardedStore(const catalog::ObjectStore& source,
 
 bool ShardedStore::server_up(size_t server) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return server < up_.size() && up_[server];
+  return manager_.server_up(server);
 }
 
 Status ShardedStore::MarkServerDown(size_t server) {
   std::lock_guard<std::mutex> lock(mu_);
-  SDSS_RETURN_IF_ERROR(manager_.MarkServerDown(server));
-  up_[server] = false;
-  return Status::OK();
+  return manager_.MarkServerDown(server);
 }
 
 Status ShardedStore::MarkServerUp(size_t server) {
   std::lock_guard<std::mutex> lock(mu_);
-  SDSS_RETURN_IF_ERROR(manager_.MarkServerUp(server));
-  up_[server] = true;
-  return Status::OK();
+  return manager_.MarkServerUp(server);
 }
 
 uint64_t ShardedStore::Epoch() const {
@@ -139,12 +132,10 @@ Result<std::vector<size_t>> ShardedStore::ReplicasFor(
   const uint64_t scan_bytes = bytes_of(container);
 
   // Boundary-band fraction: the share of a neighbor's objects within the
-  // join radius of the shared edge (same model as ShardPrediction's
+  // join radius of the shared edge (the model of ShardPrediction's
   // bytes_shipped estimate).
-  int level = id->level();
-  double side_deg = 90.0 / static_cast<double>(1u << level);
-  double band_frac = std::min(
-      1.0, 3.0 * ArcsecToDeg(join_sep_arcsec) / side_deg);
+  const double band_frac =
+      query::JoinBandFraction(join_sep_arcsec, id->level());
 
   // Predicted receive-side ghost traffic per candidate server: every
   // adjacent container served by a DIFFERENT server ships its band here.

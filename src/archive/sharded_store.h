@@ -44,6 +44,8 @@ class ShardedStore {
     return stores_[server];
   }
 
+  /// Whether the routing currently counts `server` as up (false for
+  /// unknown servers); the ReplicationManager is the one record.
   bool server_up(size_t server) const;
 
   /// Failure injection / recovery. Routing changes take effect on the
@@ -100,7 +102,6 @@ class ShardedStore {
   mutable std::mutex mu_;
   ReplicationManager manager_;
   std::vector<catalog::ObjectStore> stores_;
-  std::vector<bool> up_;
 };
 
 }  // namespace sdss::archive

@@ -47,17 +47,10 @@ std::vector<MatchPair> CrossMatch(const ObjectStore& a, const ObjectStore& b,
         }
       }
     };
-    auto visit_range = [&](htm::HtmId id) {
-      uint64_t first, last;
-      id.RangeAtLevel(level, &first, &last);
-      const auto& containers = b.containers();
-      for (auto it = containers.lower_bound(first);
-           it != containers.end() && it->first < last; ++it) {
-        consider(&it->second);
-      }
-    };
-    for (htm::HtmId id : cover.full) visit_range(id);
-    for (htm::HtmId id : cover.partial) visit_range(id);
+    htm::ForEachInCover(cover, level, b.containers(),
+                        [&](const auto& entry, bool) {
+                          consider(&entry.second);
+                        });
 
     if (options.best_match_only && have_best) {
       out.push_back(best);

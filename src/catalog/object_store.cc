@@ -6,11 +6,8 @@
 
 namespace sdss::catalog {
 
-using htm::Coverage;
-using htm::CoverResult;
 using htm::HtmId;
 using htm::Region;
-using htm::Trixel;
 
 template <typename At>
 Status Container::Append(size_t m, const At& at) {
@@ -131,71 +128,30 @@ ObjectStore::SpatialScanStats ObjectStore::QueryRegion(
     const Region& region,
     const std::function<void(const PhotoObj&)>& fn) const {
   SpatialScanStats stats;
-  CoverResult cover = index_.CoverRegion(region);
-
-  // FULL trixels may be coarser than the cluster level: walk the id range.
-  for (HtmId id : cover.full) {
-    uint64_t first, last;
-    id.RangeAtLevel(options_.cluster_level, &first, &last);
-    for (auto it = containers_.lower_bound(first);
-         it != containers_.end() && it->first < last; ++it) {
-      const ColumnarBlock& b = it->second.columnar;
-      ++stats.full_containers;
-      stats.bytes_touched += it->second.FullBytes();
-      for (size_t i = 0; i < b.n; ++i) {
-        ++stats.accepted;
-        fn(b.MaterializeObject(i));
-      }
-    }
-  }
-  for (HtmId id : cover.partial) {
-    uint64_t first, last;
-    id.RangeAtLevel(options_.cluster_level, &first, &last);
-    for (auto it = containers_.lower_bound(first);
-         it != containers_.end() && it->first < last; ++it) {
-      const ColumnarBlock& b = it->second.columnar;
-      ++stats.partial_containers;
-      stats.bytes_touched += it->second.FullBytes();
-      for (size_t i = 0; i < b.n; ++i) {
-        ++stats.objects_tested;
-        if (region.Contains(b.Position(i))) {
+  htm::ForEachInCover(
+      index_.CoverRegion(region), options_.cluster_level, containers_,
+      [&](const auto& entry, bool full) {
+        const ColumnarBlock& b = entry.second.columnar;
+        ++(full ? stats.full_containers : stats.partial_containers);
+        stats.bytes_touched += entry.second.FullBytes();
+        for (size_t i = 0; i < b.n; ++i) {
+          if (!full) {
+            ++stats.objects_tested;
+            if (!region.Contains(b.Position(i))) continue;
+          }
           ++stats.accepted;
           fn(b.MaterializeObject(i));
         }
-      }
-    }
-  }
+      });
   return stats;
 }
 
 ObjectStore::Prediction ObjectStore::PredictRegion(
     const Region& region) const {
   Prediction p;
-  CoverResult cover = index_.CoverRegion(region);
-  for (HtmId id : cover.full) {
-    uint64_t first, last;
-    id.RangeAtLevel(options_.cluster_level, &first, &last);
-    for (auto it = containers_.lower_bound(first);
-         it != containers_.end() && it->first < last; ++it) {
-      p.min_objects += it->second.size();
-      p.bytes_to_scan += it->second.FullBytes();
-    }
-  }
-  uint64_t partial_objects = 0;
-  for (HtmId id : cover.partial) {
-    uint64_t first, last;
-    id.RangeAtLevel(options_.cluster_level, &first, &last);
-    for (auto it = containers_.lower_bound(first);
-         it != containers_.end() && it->first < last; ++it) {
-      partial_objects += it->second.size();
-      p.bytes_to_scan += it->second.FullBytes();
-    }
-  }
-  p.max_objects = p.min_objects + partial_objects;
-  // Expectation: a bisected container contributes roughly half its
-  // objects (boundary trixels are about half inside on average).
-  p.expected_objects = static_cast<double>(p.min_objects) +
-                       0.5 * static_cast<double>(partial_objects);
+  htm::ForEachInCover(
+      index_.CoverRegion(region), options_.cluster_level, containers_,
+      [&p](const auto& entry, bool full) { p.Add(entry.second, full); });
   return p;
 }
 

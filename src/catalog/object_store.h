@@ -147,11 +147,12 @@ class ObjectStore {
   void ForEachTag(const std::function<void(const TagObj&)>& fn) const;
 
   /// Spatial query: calls `fn` exactly once for every object inside
-  /// `region`. Containers FULLy inside are accepted without per-object
-  /// tests; PARTIAL containers are filtered with the exact Region test
-  /// on the position columns, and only accepted objects are decoded (as
-  /// in ForEachObject, for the call only). Returns the number of
-  /// objects visited (accepted).
+  /// `region`. The containers come from the same cover walk
+  /// (htm::ForEachInCover) PredictRegion counts: FULLy inside ones are
+  /// accepted without per-object tests; PARTIAL ones are filtered with
+  /// the exact Region test on the position columns, and only accepted
+  /// objects are decoded (as in ForEachObject, for the call only).
+  /// Returns the number of objects visited (accepted).
   struct SpatialScanStats {
     uint64_t accepted = 0;
     uint64_t full_containers = 0;
@@ -163,16 +164,34 @@ class ObjectStore {
       const htm::Region& region,
       const std::function<void(const PhotoObj&)>& fn) const;
 
-  /// Predicts result count and bytes touched for `region` from the
-  /// density map alone (the paper: "a prediction of the output data
-  /// volume and search time can be computed from the intersection
-  /// volume"). No object data is read.
+  /// A density-map prediction (the paper: "a prediction of the output
+  /// data volume and search time can be computed from the intersection
+  /// volume"): what a scan of some containers yields and reads, from
+  /// their object counts alone.
   struct Prediction {
     double expected_objects = 0.0;  ///< FULL count + half of PARTIAL.
     uint64_t max_objects = 0;       ///< FULL + all PARTIAL.
     uint64_t min_objects = 0;       ///< FULL only.
     uint64_t bytes_to_scan = 0;     ///< Data that must be read.
+
+    /// Counts one container the scan reads: all of its objects when it
+    /// lies FULLy inside the query, about half (a boundary trixel's
+    /// average) when the query bisects it, its full bytes either way.
+    /// A region-less scan reads every container FULL. This is the one
+    /// place the FULL/PARTIAL arithmetic lives: PredictRegion and the
+    /// federated engine's per-shard slices both count through it.
+    void Add(const Container& c, bool full) {
+      const uint64_t n = c.size();
+      if (full) min_objects += n;
+      max_objects += n;
+      expected_objects += (full ? 1.0 : 0.5) * static_cast<double>(n);
+      bytes_to_scan += c.FullBytes();
+    }
   };
+
+  /// Predicts `region` over this whole store from the density map
+  /// alone: the containers under its cover, counted with
+  /// Prediction::Add. No object data is read.
   Prediction PredictRegion(const htm::Region& region) const;
 
   /// All objects of one container id range (used by the partitioner).

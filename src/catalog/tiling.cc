@@ -70,18 +70,11 @@ std::vector<uint32_t> TargetsNear(
   double cos_r = std::cos(DegToRad(radius_deg));
   htm::CoverResult cover =
       htm::Cover(htm::Region::CircleAround(center, radius_deg), level);
-  auto visit = [&](htm::HtmId id) {
-    uint64_t first, last;
-    id.RangeAtLevel(level, &first, &last);
-    for (auto it = buckets.lower_bound(first);
-         it != buckets.end() && it->first < last; ++it) {
-      for (uint32_t idx : it->second) {
-        if (targets[idx].pos.Dot(center) >= cos_r) out.push_back(idx);
-      }
+  htm::ForEachInCover(cover, level, buckets, [&](const auto& bucket, bool) {
+    for (uint32_t idx : bucket.second) {
+      if (targets[idx].pos.Dot(center) >= cos_r) out.push_back(idx);
     }
-  };
-  for (htm::HtmId id : cover.full) visit(id);
-  for (htm::HtmId id : cover.partial) visit(id);
+  });
   return out;
 }
 

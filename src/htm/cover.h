@@ -82,7 +82,8 @@ CoverResult Cover(const Region& region, int level);
 /// FULL and PARTIAL trixels (RangeAtLevel expansion). The one
 /// cover-to-ids loop shared by the pair hasher's ghost buckets and the
 /// federated join's ghost harvest -- keep expansions in agreement by
-/// adding callers here, not by re-rolling the loop.
+/// adding callers here, not by re-rolling the loop. (ForEachInCover
+/// below is the same walk over a sparse sorted map.)
 template <typename Fn>
 void ForEachRawInCover(const CoverResult& cover, int level, Fn&& fn) {
   auto expand = [&](HtmId id) {
@@ -92,6 +93,28 @@ void ForEachRawInCover(const CoverResult& cover, int level, Fn&& fn) {
   };
   for (HtmId id : cover.full) expand(id);
   for (HtmId id : cover.partial) expand(id);
+}
+
+/// Invokes `fn(entry, full)` for every entry of `map` -- a sorted map
+/// keyed by `level`-deep raw id, such as the container directory --
+/// under the cover's FULL trixels (`full` true) and then its PARTIAL
+/// ones (`full` false), each entry once per covering trixel. The one
+/// cover-to-map walk shared by region scans, the density-map
+/// predictors, container collection, cross-match and tiling: add
+/// callers here rather than re-rolling the range loop.
+template <typename Map, typename Fn>
+void ForEachInCover(const CoverResult& cover, int level, const Map& map,
+                    Fn&& fn) {
+  auto walk = [&](HtmId id, bool full) {
+    uint64_t first, last;
+    id.RangeAtLevel(level, &first, &last);
+    for (auto it = map.lower_bound(first); it != map.end() && it->first < last;
+         ++it) {
+      fn(*it, full);
+    }
+  };
+  for (HtmId id : cover.full) walk(id, true);
+  for (HtmId id : cover.partial) walk(id, false);
 }
 
 }  // namespace sdss::htm

@@ -551,19 +551,13 @@ std::vector<const catalog::Container*> CollectScanContainers(
     return container_filter == nullptr || container_filter->count(raw) > 0;
   };
   if (node->has_region) {
-    htm::CoverResult cover = htm::Cover(node->region,
-                                        store->cluster_level());
-    auto add_range = [&](htm::HtmId id) {
-      uint64_t first, last;
-      id.RangeAtLevel(store->cluster_level(), &first, &last);
-      const auto& all = store->containers();
-      for (auto it = all.lower_bound(first);
-           it != all.end() && it->first < last; ++it) {
-        if (assigned(it->first)) containers.push_back(&it->second);
-      }
-    };
-    for (htm::HtmId id : cover.full) add_range(id);
-    for (htm::HtmId id : cover.partial) add_range(id);
+    const int level = store->cluster_level();
+    htm::ForEachInCover(htm::Cover(node->region, level), level,
+                        store->containers(), [&](const auto& entry, bool) {
+                          if (assigned(entry.first)) {
+                            containers.push_back(&entry.second);
+                          }
+                        });
   } else {
     for (const auto& [raw, c] : store->containers()) {
       if (assigned(raw)) containers.push_back(&c);

@@ -167,22 +167,6 @@ void AddScanCounters(const ExecStats& from, ExecStats* into) {
   into->bytes_shipped += from.bytes_shipped;
 }
 
-/// The fleet-wide prediction: the per-shard slices summed. `shipped`
-/// receives the summed ghost traffic.
-catalog::ObjectStore::Prediction SumShards(
-    const std::vector<ShardPrediction>& slices, uint64_t* shipped) {
-  catalog::ObjectStore::Prediction total;
-  *shipped = 0;
-  for (const ShardPrediction& p : slices) {
-    total.expected_objects += p.expected_objects;
-    total.min_objects += p.min_objects;
-    total.max_objects += p.max_objects;
-    total.bytes_to_scan += p.bytes_to_scan;
-    *shipped += p.bytes_shipped;
-  }
-  return total;
-}
-
 /// The engine alone would run an INTO's bare select and store nothing,
 /// so a run refuses INTO unless its caller materializes the rows.
 Status RefuseUnsinkedInto(const PreparedQuery& prep, const ExecContext& ctx) {
@@ -612,12 +596,8 @@ Result<QueryResult> FederatedQueryEngine::Execute(const std::string& sql,
   result.is_aggregate = prep->plan.is_aggregate;
   result.used_tag_store = prep->plan.used_tag_store;
   result.used_spatial_index = prep->plan.used_spatial_index;
-  // Personal store: the plan-level density-map estimate IS the total.
   uint64_t shipped = 0;
-  result.prediction = prep->mydb
-                          ? prep->plan.prediction
-                          : SumShards(PredictShards(shards, prep->plan),
-                                      &shipped);
+  result.prediction = SumShards(PredictShards(shards, prep->plan), &shipped);
   auto stats = RunOn(*prep, shards, ctx, AppendTo(&result.rows));
   if (!stats.ok()) return stats.status();
   result.exec = *stats;
@@ -659,12 +639,6 @@ Result<CostEstimate> FederatedQueryEngine::EstimateCost(
 Result<CostEstimate> FederatedQueryEngine::EstimateCost(
     const PreparedQuery& prep, const ExecContext& ctx) {
   CostEstimate est;
-  if (prep.mydb) {
-    est.personal_store = true;
-    est.bytes_to_scan = prep.plan.prediction.bytes_to_scan;
-    est.expected_objects = prep.plan.prediction.expected_objects;
-    return est;
-  }
   const std::vector<Shard> shards = SnapshotShards();
   const catalog::ObjectStore::Prediction total =
       SumShards(PredictShards(shards, prep.plan), &est.bytes_shipped);
@@ -687,17 +661,18 @@ Result<std::string> FederatedQueryEngine::Explain(const std::string& sql,
   const std::vector<Shard> shards = SnapshotShards();
   std::string out = ExplainRunTree(*prep, shards);
   char buf[192];
+  const std::vector<ShardPrediction> preds = PredictShards(shards, prep->plan);
+  uint64_t shipped = 0;
+  const catalog::ObjectStore::Prediction total = SumShards(preds, &shipped);
   if (prep->mydb) {
     std::snprintf(buf, sizeof(buf),
                   "personal store: mydb (no fleet fan-out)\n"
                   "prediction: %.0f objects expected, %llu bytes to scan\n",
-                  prep->plan.prediction.expected_objects,
-                  static_cast<unsigned long long>(
-                      prep->plan.prediction.bytes_to_scan));
+                  total.expected_objects,
+                  static_cast<unsigned long long>(total.bytes_to_scan));
     out += buf;
     return out;
   }
-  const std::vector<ShardPrediction> preds = PredictShards(shards, prep->plan);
   std::snprintf(buf, sizeof(buf), "federation: %zu live shards\n",
                 shards.size());
   out += buf;
@@ -718,8 +693,6 @@ Result<std::string> FederatedQueryEngine::Explain(const std::string& sql,
       out += buf;
     }
   }
-  uint64_t shipped = 0;
-  const catalog::ObjectStore::Prediction total = SumShards(preds, &shipped);
   std::snprintf(buf, sizeof(buf),
                 "prediction: %.0f objects expected [%llu, %llu], %llu bytes "
                 "to scan\n",
@@ -844,78 +817,88 @@ FederatedQueryEngine::ExplainAnalyze(const std::string& sql,
   return out;
 }
 
+double JoinBandFraction(double sep_arcsec, int level) {
+  const double side_deg = 90.0 / static_cast<double>(1u << level);
+  return std::min(1.0, 3.0 * ArcsecToDeg(sep_arcsec) / side_deg);
+}
+
 std::vector<ShardPrediction> PredictShards(const std::vector<Shard>& shards,
                                            const Plan& plan) {
-  // Every leaf is a scan: a (possibly region-pruned) kScan, or a
-  // kPairJoin -- a pass over its containers plus boundary ghost traffic.
+  // Every leaf is a scan: a (possibly region-pruned) kScan or kMyDbScan,
+  // or a kPairJoin -- a pass over its containers plus boundary ghost
+  // traffic.
   std::vector<const PlanNode*> leaves;
   bool personal = false;
   ForEachLeaf(*plan.root, [&](const PlanNode& leaf) {
     leaves.push_back(&leaf);
     personal = personal || leaf.type == PlanNodeType::kMyDbScan;
   });
-  std::vector<ShardPrediction> out;
-  // A mydb plan reads a personal store, not the fleet: no shard slices.
-  if (personal) return out;
-  // Each leaf's cover per cluster level, computed once for every shard
+  const bool ghosts = !personal && shards.size() > 1;
+  // Each leaf's cover per cluster level, computed once for every store
   // at that level.
   std::vector<std::map<int, htm::CoverResult>> covers(leaves.size());
+  // Adds leaf `li` read over `store` (the containers of it in
+  // `assigned`; null = all of them) into `p`.
+  auto predict = [&](size_t li, const catalog::ObjectStore& store,
+                     const std::unordered_set<uint64_t>* assigned,
+                     ShardPrediction* p) {
+    const PlanNode& leaf = *leaves[li];
+    const uint64_t bytes_before = p->bytes_to_scan;
+    auto add = [&](const auto& entry, bool full) {
+      if (assigned != nullptr && assigned->count(entry.first) == 0) return;
+      ++p->containers;
+      p->Add(entry.second, full);
+    };
+    const int level = store.cluster_level();
+    if (leaf.has_region) {
+      auto cached = covers[li].find(level);
+      if (cached == covers[li].end()) {
+        cached =
+            covers[li].emplace(level, htm::Cover(leaf.region, level)).first;
+      }
+      htm::ForEachInCover(cached->second, level, store.containers(), add);
+    } else {
+      for (const auto& entry : store.containers()) add(entry, true);
+    }
+    if (ghosts && leaf.type == PlanNodeType::kPairJoin) {
+      p->bytes_shipped += static_cast<uint64_t>(
+          JoinBandFraction(leaf.pair_max_sep_arcsec, level) *
+          static_cast<double>(p->bytes_to_scan - bytes_before));
+    }
+  };
+  std::vector<ShardPrediction> out;
+  if (personal) {
+    // BuildPlan never mixes mydb and fleet leaves.
+    out.emplace_back();
+    for (size_t li = 0; li < leaves.size(); ++li) {
+      predict(li, *leaves[li]->mydb_store, nullptr, &out.back());
+    }
+    return out;
+  }
   out.reserve(shards.size());
   for (const Shard& shard : shards) {
     ShardPrediction p;
     p.server = shard.server;
-    const auto& containers = shard.store->containers();
-    auto add = [&](uint64_t raw, const catalog::Container& c, bool full) {
-      if (shard.assigned != nullptr && shard.assigned->count(raw) == 0) {
-        return;
-      }
-      ++p.containers;
-      p.bytes_to_scan += c.FullBytes();
-      const uint64_t objs = c.size();
-      p.max_objects += objs;
-      if (full) p.min_objects += objs;
-      p.expected_objects += (full ? 1.0 : 0.5) * static_cast<double>(objs);
-    };
     for (size_t li = 0; li < leaves.size(); ++li) {
-      const PlanNode* leaf = leaves[li];
-      const uint64_t bytes_before = p.bytes_to_scan;
-      if (leaf->has_region) {
-        const int level = shard.store->cluster_level();
-        auto cached = covers[li].find(level);
-        if (cached == covers[li].end()) {
-          cached =
-              covers[li].emplace(level, htm::Cover(leaf->region, level)).first;
-        }
-        const htm::CoverResult& cover = cached->second;
-        auto add_range = [&](htm::HtmId id, bool full) {
-          uint64_t first, last;
-          id.RangeAtLevel(level, &first, &last);
-          for (auto it = containers.lower_bound(first);
-               it != containers.end() && it->first < last; ++it) {
-            add(it->first, it->second, full);
-          }
-        };
-        for (htm::HtmId id : cover.full) add_range(id, true);
-        for (htm::HtmId id : cover.partial) add_range(id, false);
-      } else {
-        for (const auto& [raw, c] : containers) add(raw, c, true);
-      }
-      if (leaf->type == PlanNodeType::kPairJoin && shards.size() > 1) {
-        // Boundary-band estimate from the density map alone: the share
-        // of a container's objects within the join radius of its edge
-        // scales like 3 * sep / side for a trixel ~90/2^level degrees
-        // across.
-        double side_deg =
-            90.0 / static_cast<double>(1u << shard.store->cluster_level());
-        double frac = std::min(
-            1.0, 3.0 * ArcsecToDeg(leaf->pair_max_sep_arcsec) / side_deg);
-        p.bytes_shipped += static_cast<uint64_t>(
-            frac * static_cast<double>(p.bytes_to_scan - bytes_before));
-      }
+      predict(li, *shard.store, shard.assigned.get(), &p);
     }
     out.push_back(p);
   }
   return out;
+}
+
+catalog::ObjectStore::Prediction SumShards(
+    const std::vector<ShardPrediction>& slices, uint64_t* shipped) {
+  catalog::ObjectStore::Prediction total;
+  *shipped = 0;
+  for (const ShardPrediction& p : slices) {
+    total.expected_objects += p.expected_objects;
+    total.min_objects += p.min_objects;
+    total.max_objects += p.max_objects;
+    total.bytes_to_scan += p.bytes_to_scan;
+    *shipped += p.bytes_shipped;
+  }
+  return total;
 }
 
 }  // namespace sdss::query

@@ -72,7 +72,7 @@ struct QueryResult {
   double aggregate_value = 0.0;
 
   ExecStats exec;
-  catalog::ObjectStore::Prediction prediction;
+  catalog::ObjectStore::Prediction prediction;  ///< SumShards of the run.
   bool used_tag_store = false;
   bool used_spatial_index = false;
 };
@@ -89,23 +89,28 @@ struct Shard {
   std::shared_ptr<const std::unordered_set<uint64_t>> assigned;
 };
 
-/// Per-shard slice of the density-map prediction (Explain output).
-struct ShardPrediction {
+/// Per-shard slice of the density-map prediction (Explain output): the
+/// containers the shard serves that its plan leaves read, counted with
+/// ObjectStore::Prediction::Add.
+struct ShardPrediction : catalog::ObjectStore::Prediction {
   size_t server = 0;
   uint64_t containers = 0;
-  uint64_t bytes_to_scan = 0;
-  uint64_t min_objects = 0;
-  uint64_t max_objects = 0;
-  double expected_objects = 0.0;
   /// Predicted ghost-exchange traffic for neighbor joins: bytes of edge
-  /// objects crossing this shard's container boundary (boundary-band
-  /// estimate from the density map; the first piece of the network cost
+  /// objects crossing this shard's container boundary (JoinBandFraction
+  /// of the join's scan bytes; the first piece of the network cost
   /// model). The band is symmetric, so this estimates both what the
   /// shard ships and what it receives -- the measured counterpart,
   /// ExecStats.bytes_shipped, counts the receive side. Zero for
-  /// non-join plans and single-shard fleets.
+  /// non-join plans, single-shard fleets and personal stores.
   uint64_t bytes_shipped = 0;
 };
+
+/// The boundary-band model of neighbor-join ghost traffic: the share of
+/// a container's objects within `sep_arcsec` of its edge, which scales
+/// like 3 * sep / side for a `level` trixel about 90 / 2^level degrees
+/// across, capped at 1. PredictShards' bytes_shipped and
+/// archive::ShardedStore::ReplicasFor both price ghost traffic with it.
+double JoinBandFraction(double sep_arcsec, int level);
 
 /// Job-scoped execution context: what a single query run carries beyond
 /// its SQL. The batch workbench passes one per job -- the job's
@@ -144,15 +149,13 @@ struct ExecContext {
   QueryTrace* trace = nullptr;
 };
 
-/// The admission-relevant slice of the fleet-wide Explain prediction:
-/// what a query would cost before running it. The workbench's
-/// cost-based lane choice keys off `TotalBytes()`.
+/// The admission-relevant slice of the Explain prediction (the summed
+/// PredictShards slices): what a query would cost before running it.
+/// The workbench's cost-based lane choice keys off `TotalBytes()`.
 struct CostEstimate {
   uint64_t bytes_to_scan = 0;   ///< Summed over all live shards.
   uint64_t bytes_shipped = 0;   ///< Predicted join ghost traffic.
   double expected_objects = 0.0;
-  /// FROM mydb: the plan reads a personal store, not the fleet.
-  bool personal_store = false;
   /// The engine's result cache would answer this query right now (at
   /// the epoch observed while estimating) without any fleet scan.
   bool predicted_cache_hit = false;
@@ -238,7 +241,7 @@ class FederatedQueryEngine {
   Result<ExecStats> Run(const PreparedQuery& prep, const ExecContext& ctx,
                         const Sink& sink);
 
-  /// Prepare plus the fleet-wide cost prediction, without executing.
+  /// Prepare plus the statement's cost prediction, without executing.
   Result<CostEstimate> EstimateCost(const std::string& sql,
                                     const ExecContext& ctx = {});
 
@@ -357,12 +360,22 @@ class FederatedQueryEngine {
   std::vector<Shard> shards_;
 };
 
-/// Per-shard density-map predictions for `plan`, summed over its scan
-/// and join leaves: the containers each shard would touch, the bytes it
-/// would read, the expected object yield and, for a pair join, the
-/// ghost traffic. Summing the slices gives the fleet-wide prediction.
+/// The one density-map predictor of a plan, summed over its scan and
+/// join leaves: per shard, the containers it serves that the leaves
+/// read (one htm::ForEachInCover walk per region leaf, every container
+/// FULL for a region-less one), the bytes it would read, the object
+/// yield and, for a pair join over several shards, the ghost traffic.
+/// A mydb plan reads personal stores, never the fleet: it gets one
+/// slice (server 0), each leaf predicted over its own whole store.
+/// SumShards of the result is the statement's prediction everywhere --
+/// Explain, EstimateCost and QueryResult::prediction.
 std::vector<ShardPrediction> PredictShards(const std::vector<Shard>& shards,
                                            const Plan& plan);
+
+/// The statement-wide prediction: the PredictShards slices summed.
+/// `shipped` receives the summed ghost traffic.
+catalog::ObjectStore::Prediction SumShards(
+    const std::vector<ShardPrediction>& slices, uint64_t* shipped);
 
 }  // namespace sdss::query
 

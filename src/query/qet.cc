@@ -685,27 +685,6 @@ Result<Plan> BuildPlan(const ParsedQuery& query,
 
   plan.used_spatial_index = used_index;
 
-  // Density-map prediction (the paper's output-volume estimate), summed
-  // over every leaf: a set query reads each of its branches. A mydb leaf
-  // predicts against its own (personal) store, not the fleet.
-  ForEachLeaf(*root, [&](const PlanNode& leaf) {
-    const catalog::ObjectStore& pred_store =
-        leaf.type == PlanNodeType::kMyDbScan ? *leaf.mydb_store : store;
-    catalog::ObjectStore::Prediction p;
-    if (leaf.has_region) {
-      p = pred_store.PredictRegion(leaf.region);
-    } else {
-      catalog::StoreStats stats = pred_store.Stats();
-      p.max_objects = stats.object_count;
-      p.expected_objects = static_cast<double>(stats.object_count);
-      p.bytes_to_scan = stats.full_bytes;
-    }
-    plan.prediction.expected_objects += p.expected_objects;
-    plan.prediction.min_objects += p.min_objects;
-    plan.prediction.max_objects += p.max_objects;
-    plan.prediction.bytes_to_scan += p.bytes_to_scan;
-  });
-
   plan.root = std::move(root);
   return plan;
 }

@@ -11,9 +11,11 @@
 //
 // This header defines the plan-node tree, the batch exchange the
 // executor streams scan output through, the planner that lowers a
-// parsed query onto a specific ObjectStore (spatial cover extraction,
-// tag-store selection, and the density-map cost prediction), and the
-// planner step that splits a fleet plan at GATHER nodes.
+// parsed query (spatial region extraction, tag-store selection, mydb
+// resolution), and the planner step that splits a fleet plan at GATHER
+// nodes. The planner prices nothing: a plan is predicted only where it
+// is about to be priced or run, by query::PredictShards over the stores
+// it will read (federated_engine.h).
 
 #ifndef SDSS_QUERY_QET_H_
 #define SDSS_QUERY_QET_H_
@@ -193,8 +195,6 @@ struct Plan {
   /// Planner decisions, for instrumentation.
   bool used_tag_store = false;
   bool used_spatial_index = false;
-  /// Density-map estimate, summed over every scan and join leaf.
-  catalog::ObjectStore::Prediction prediction;
 
   /// The tree that runs -- `tree` (a DistributePlan split) when set,
   /// the logical tree otherwise -- plus the planner decisions.
@@ -225,7 +225,9 @@ struct PlannerOptions {
   MyDbResolver mydb;
 };
 
-/// Lowers a parsed query against a store. Fails on unknown attributes.
+/// Lowers a parsed query. `store` is read for one fact only: whether it
+/// keeps the tag partition a photo select may be moved onto. Fails on
+/// unknown attributes.
 Result<Plan> BuildPlan(const ParsedQuery& query,
                        const catalog::ObjectStore& store,
                        const PlannerOptions& options = {});

@@ -29,6 +29,12 @@ bool IsTerminal(JobState state) {
 /// restart has lost, so re-running it would send them nowhere.
 bool IsDurable(const JobSnapshot& snap) { return !snap.into.empty(); }
 
+Status NameTaken(const std::string& into) {
+  return Status::AlreadyExists("mydb." + into +
+                               " already exists or is being materialized; "
+                               "DROP or wait first");
+}
+
 /// Journal record types: one per job transition. SUBMIT carries the
 /// whole admission decision (recovery prepares the SQL again, so nothing
 /// else needs to survive); START and TERMINAL are keyed by id.
@@ -216,6 +222,7 @@ JobScheduler::~JobScheduler() {
       for (Job* job : lane.queued) {
         job->snap.state = JobState::kCancelled;
         job->snap.error = Status::Cancelled("scheduler shut down");
+        ReleaseIntoLocked(job->snap);
         completed.emplace_back(job, job->snap);
       }
       lane.queued.clear();
@@ -284,6 +291,23 @@ void JobScheduler::SetLaneGaugesLocked() {
   g_long_running_->Set(static_cast<int64_t>(mining.running));
 }
 
+void JobScheduler::ReleaseIntoLocked(const JobSnapshot& snap) {
+  if (snap.into.empty()) return;
+  auto claims = into_claims_.find(snap.user);
+  claims->second.erase(snap.into);
+  if (claims->second.empty()) into_claims_.erase(claims);
+}
+
+std::vector<std::pair<std::string, std::string>> JobScheduler::IntoClaims()
+    const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& [user, names] : into_claims_) {
+    for (const std::string& name : names) out.emplace_back(user, name);
+  }
+  return out;
+}
+
 Result<uint64_t> JobScheduler::Submit(const std::string& user,
                                       const std::string& sql,
                                       StreamHooks hooks) {
@@ -301,29 +325,14 @@ Result<uint64_t> JobScheduler::Submit(const std::string& user,
   if (!prepared.ok()) return prepared.status();
   auto estimate = engine_->EstimateCost(*prepared, ctx);
   if (!estimate.ok()) return estimate.status();
-  const std::string& into = prepared->into();
-  if (!into.empty()) {
-    // Taken-name INTO jobs would only discover the collision at the
-    // final Put; refuse them before they cost lane time -- whether the
-    // name is already materialized or claimed by a queued/running job.
-    // (Put keeps its own check as the last-line race guard.)
-    bool taken = mydb_->Find(user, into).ok();
-    if (!taken) {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& [id, other] : jobs_) {
-        if (other->snap.user == user && other->snap.into == into &&
-            !IsTerminal(other->snap.state)) {
-          taken = true;
-          break;
-        }
-      }
-    }
-    if (taken) {
-      return Status::AlreadyExists("mydb." + into +
-                                   " already exists or is being "
-                                   "materialized; DROP or wait first");
-    }
-  }
+  // A copy: `prepared` moves into the job below.
+  const std::string into = prepared->into();
+  // Taken-name INTO jobs would only discover the collision at the final
+  // Put; refuse them before they cost lane time -- whether the name is
+  // already materialized (here) or claimed by a queued or running job
+  // (below, atomically with the enqueue). Put keeps its own check as
+  // the last-line guard.
+  if (!into.empty() && mydb_->Find(user, into).ok()) return NameTaken(into);
 
   auto job = std::make_unique<Job>();
   job->snap.user = user;
@@ -353,6 +362,14 @@ Result<uint64_t> JobScheduler::Submit(const std::string& user,
           std::string(LaneName(lane)) + " lane is at its admission bound (" +
           std::to_string(bound) + " jobs queued); retry after a backoff");
     }
+    // Checked and claimed under the lock that enqueues: of two
+    // same-name submissions, exactly one queues.
+    if (!into.empty()) {
+      auto claims = into_claims_.find(user);
+      if (claims != into_claims_.end() && claims->second.count(into) > 0) {
+        return NameTaken(into);
+      }
+    }
     id = next_id_++;
     job->snap.id = id;
     if (journal_ != nullptr && IsDurable(job->snap)) {
@@ -362,6 +379,7 @@ Result<uint64_t> JobScheduler::Submit(const std::string& user,
       // poisoned journal refuses INTO jobs and keeps serving reads.
       SDSS_RETURN_IF_ERROR(journal_->Append(EncodeSubmit(job->snap)));
     }
+    if (!into.empty()) into_claims_[user].insert(into);
     // Enqueued with the id under mu_, so queue order always equals id
     // order -- the invariant RecoverFrom's in-original-lane-order
     // re-enqueue rests on.
@@ -447,6 +465,7 @@ Result<SchedulerRecoveryReport> JobScheduler::RecoverFrom(
           // Ascending id = original submission order = original lane
           // order (Submit enqueues under mu_ in id order).
           LaneOf(job->snap.lane).queued.push_back(job.get());
+          into_claims_[job->snap.user].insert(job->snap.into);
         } else {
           job->snap.state = JobState::kFailed;
           job->snap.error = prepared.status();
@@ -491,6 +510,7 @@ Status JobScheduler::Cancel(uint64_t job_id) {
         std::deque<Job*>& queued = LaneOf(job->snap.lane).queued;
         queued.erase(std::find(queued.begin(), queued.end(), job));
         SetLaneGaugesLocked();
+        ReleaseIntoLocked(job->snap);
         job->snap.state = JobState::kCancelled;
         job->snap.error = Status::Cancelled("cancelled while queued");
         job->snap.seconds_queued = SecondsBetween(
@@ -711,6 +731,7 @@ void JobScheduler::RunJob(Job* job) {
     auto slots = running_by_user_.find(job->snap.user);
     if (--slots->second == 0) running_by_user_.erase(slots);
     SetLaneGaugesLocked();
+    ReleaseIntoLocked(job->snap);
     // The freed slot may make a held job eligible. A lane with nothing
     // queued wakes no worker: a woken worker takes mu_, which this job's
     // Wait() callers need next.

@@ -51,7 +51,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "archive/mydb.h"
@@ -266,6 +268,12 @@ class JobScheduler {
   /// BUSY threshold decide on.
   QueueDepths LaneDepths() const;
 
+  /// (user, table) of every INTO name a queued or running job holds,
+  /// ascending. A job claims its name in the critical section that
+  /// enqueues it and releases it in the one that makes it terminal, so
+  /// of two same-name submissions exactly one is admitted.
+  std::vector<std::pair<std::string, std::string>> IntoClaims() const;
+
   const Options& options() const { return options_; }
 
  private:
@@ -324,6 +332,8 @@ class JobScheduler {
   /// Publishes the lane counts to the per-lane gauges; called wherever
   /// they change. Requires mu_.
   void SetLaneGaugesLocked();
+  /// Drops an INTO job's name claim as it turns terminal. Requires mu_.
+  void ReleaseIntoLocked(const JobSnapshot& snap);
 
   query::FederatedQueryEngine* engine_;
   archive::MyDb* mydb_;
@@ -334,6 +344,9 @@ class JobScheduler {
   LaneState lanes_[2];  ///< Indexed by Lane.
   /// Running jobs per user, across both lanes (absent = none).
   std::map<std::string, size_t> running_by_user_;
+  /// INTO names claimed by queued and running jobs, per user (absent =
+  /// none).
+  std::map<std::string, std::set<std::string>> into_claims_;
   uint64_t next_id_ = 1;
   std::atomic<bool> shutting_down_{false};
   /// Traced jobs finished, the modulus trace sampling counts on.

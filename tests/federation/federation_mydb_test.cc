@@ -200,7 +200,6 @@ TEST_F(FederationMyDbFixture, CancelFlagAbortsFanOutDeterministically) {
 TEST_F(FederationMyDbFixture, EstimateCostPricesLanes) {
   auto full = fed_->EstimateCost("SELECT COUNT(*) FROM photo");
   ASSERT_TRUE(full.ok());
-  EXPECT_FALSE(full->personal_store);
   EXPECT_EQ(full->bytes_to_scan,
             store_->object_count() * sizeof(catalog::PhotoObj));
 
@@ -215,12 +214,43 @@ TEST_F(FederationMyDbFixture, EstimateCostPricesLanes) {
   ASSERT_TRUE(join.ok());
   EXPECT_GT(join->bytes_shipped, 0u);
 
-  auto personal =
-      fed_->EstimateCost("SELECT COUNT(*) FROM mydb.bright", Miner());
+  // A personal store is priced over itself: the prepared statement
+  // says it reads mydb, and the price is the table's bytes.
+  auto personal_prep =
+      fed_->Prepare("SELECT COUNT(*) FROM mydb.bright", Miner());
+  ASSERT_TRUE(personal_prep.ok());
+  EXPECT_TRUE(personal_prep->mydb);
+  auto personal = fed_->EstimateCost(*personal_prep, Miner());
   ASSERT_TRUE(personal.ok());
-  EXPECT_TRUE(personal->personal_store);
   EXPECT_EQ(personal->bytes_shipped, 0u);
+  EXPECT_EQ(personal->bytes_to_scan,
+            bright_count_ * sizeof(catalog::PhotoObj));
   EXPECT_LT(personal->bytes_to_scan, full->bytes_to_scan);
+}
+
+TEST_F(FederationMyDbFixture, RegionLessMyDbPredictsEveryObjectAsMinimum) {
+  // A region-less scan reads every container FULL, so every object of
+  // the table is in the predicted minimum -- for a personal store just
+  // as for the fleet.
+  auto res = fed_->Execute("SELECT obj_id FROM mydb.bright", Miner());
+  ASSERT_TRUE(res.ok());
+  ASSERT_EQ(res->rows.size(), bright_count_);
+  EXPECT_EQ(res->prediction.min_objects, bright_count_);
+  EXPECT_EQ(res->prediction.max_objects, bright_count_);
+  EXPECT_DOUBLE_EQ(res->prediction.expected_objects,
+                   static_cast<double>(bright_count_));
+
+  auto explain = fed_->Explain("SELECT obj_id FROM mydb.bright", Miner());
+  ASSERT_TRUE(explain.ok());
+  EXPECT_NE(explain->find("personal store: mydb (no fleet fan-out)\n"
+                          "prediction: " +
+                          std::to_string(bright_count_) +
+                          " objects expected, " +
+                          std::to_string(bright_count_ *
+                                         sizeof(catalog::PhotoObj)) +
+                          " bytes to scan\n"),
+            std::string::npos)
+      << *explain;
 }
 
 }  // namespace

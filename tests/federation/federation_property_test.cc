@@ -5,12 +5,14 @@
 // server marked down when every container has a surviving replica.
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "archive/sharded_store.h"
+#include "core/random.h"
 #include "federation/federation_test_util.h"
 #include "query/federated_engine.h"
 
@@ -97,6 +99,84 @@ TEST(FederationPropertyTest, ExplainReportsPerShardPredictions) {
   EXPECT_NE(explain->find("shard 0:"), std::string::npos) << *explain;
   EXPECT_NE(explain->find("shard 3:"), std::string::npos) << *explain;
   EXPECT_NE(explain->find("prediction:"), std::string::npos) << *explain;
+}
+
+/// Checks that the fleet's summed PredictShards slices of `sql` equal
+/// the one-store prediction, with every container counted once
+/// fleet-wide. Returns the fleet's summed ghost traffic.
+uint64_t ExpectFleetPredictsLikeOneStore(
+    const std::vector<query::Shard>& fleet,
+    const catalog::ObjectStore& store, const std::string& sql) {
+  SCOPED_TRACE(sql);
+  auto parsed = query::Parse(sql);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) return 0;
+  auto plan = query::BuildPlan(*parsed, store);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (!plan.ok()) return 0;
+
+  const std::vector<query::ShardPrediction> slices =
+      query::PredictShards(fleet, *plan);
+  const std::vector<query::ShardPrediction> one =
+      query::PredictShards({query::Shard{0, &store, nullptr}}, *plan);
+  EXPECT_EQ(slices.size(), fleet.size());
+  EXPECT_EQ(one.size(), 1u);
+  if (one.size() != 1) return 0;
+  uint64_t shipped = 0, one_shipped = 0;
+  const catalog::ObjectStore::Prediction total =
+      query::SumShards(slices, &shipped);
+  const catalog::ObjectStore::Prediction single =
+      query::SumShards(one, &one_shipped);
+  EXPECT_EQ(total.bytes_to_scan, single.bytes_to_scan);
+  EXPECT_EQ(total.min_objects, single.min_objects);
+  EXPECT_EQ(total.max_objects, single.max_objects);
+  EXPECT_DOUBLE_EQ(total.expected_objects, single.expected_objects);
+  EXPECT_EQ(one_shipped, 0u);  // One store ships nothing.
+  uint64_t containers = 0;
+  for (const query::ShardPrediction& p : slices) containers += p.containers;
+  EXPECT_EQ(containers, one[0].containers);
+
+  const query::PlanNode* leaf = plan->root.get();
+  while (!leaf->children.empty()) leaf = leaf->children[0].get();
+  if (leaf->has_region) {
+    // The one-store prediction is ObjectStore::PredictRegion's.
+    const catalog::ObjectStore::Prediction region =
+        store.PredictRegion(leaf->region);
+    EXPECT_EQ(single.bytes_to_scan, region.bytes_to_scan);
+    EXPECT_EQ(single.min_objects, region.min_objects);
+    EXPECT_EQ(single.max_objects, region.max_objects);
+    EXPECT_DOUBLE_EQ(single.expected_objects, region.expected_objects);
+  } else {
+    EXPECT_EQ(one[0].containers, store.container_count());
+    EXPECT_EQ(single.min_objects, store.object_count());
+  }
+  return shipped;
+}
+
+TEST(FederationPropertyTest, FleetPredictionEqualsOneStorePrediction) {
+  auto store = MakeSky(707, 3000, 2500, 60);
+  ShardedStore sharded(store, {4, 2});
+  auto shards = sharded.LiveShards();
+  ASSERT_TRUE(shards.ok());
+  ASSERT_EQ(shards->size(), 4u);
+
+  Rng rng(707);
+  for (int i = 0; i < 24; ++i) {
+    char sql[160];
+    std::snprintf(sql, sizeof(sql),
+                  "SELECT obj_id, r FROM photo WHERE CIRCLE('GAL', %.4f, "
+                  "%.4f, %.3f) AND r < 21",
+                  rng.Uniform(0.0, 360.0), rng.Uniform(25.0, 88.0),
+                  rng.Uniform(0.2, 9.0));
+    ExpectFleetPredictsLikeOneStore(*shards, store, sql);
+  }
+  ExpectFleetPredictsLikeOneStore(*shards, store,
+                                  "SELECT COUNT(*) FROM photo WHERE r < 21");
+  EXPECT_GT(ExpectFleetPredictsLikeOneStore(
+                *shards, store,
+                "SELECT COUNT(*) FROM photo AS a JOIN photoobj AS b "
+                "WITHIN 30 ARCSEC"),
+            0u);
 }
 
 TEST(FederationPropertyTest, NoLiveShardsIsCleanError) {

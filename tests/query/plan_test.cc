@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "catalog/sky_generator.h"
+#include "query/federated_engine.h"
 #include "query/qet.h"
 
 namespace sdss::query {
@@ -36,6 +37,13 @@ class PlanTest : public ::testing::Test {
     auto parsed = Parse(sql);
     if (!parsed.ok()) return parsed.status();
     return BuildPlan(*parsed, *store_, opt);
+  }
+
+  /// The statement's density-map prediction on the one-store fleet.
+  static ObjectStore::Prediction Predict(const Plan& plan) {
+    uint64_t shipped = 0;
+    return SumShards(PredictShards({Shard{0, store_, nullptr}}, plan),
+                     &shipped);
   }
 
   static ObjectStore* store_;
@@ -99,10 +107,10 @@ TEST_F(PlanTest, SetQueryPredictionSumsEveryBranch) {
       "SELECT obj_id, r FROM photo WHERE CIRCLE('GAL', 30, 70, 2) UNION "
       "SELECT obj_id, r FROM photo WHERE class = 'QSO'");
   ASSERT_TRUE(cone.ok() && sweep.ok() && both.ok());
-  EXPECT_EQ(both->prediction.bytes_to_scan,
-            cone->prediction.bytes_to_scan + sweep->prediction.bytes_to_scan);
-  EXPECT_EQ(both->prediction.max_objects,
-            cone->prediction.max_objects + sweep->prediction.max_objects);
+  EXPECT_EQ(Predict(*both).bytes_to_scan,
+            Predict(*cone).bytes_to_scan + Predict(*sweep).bytes_to_scan);
+  EXPECT_EQ(Predict(*both).max_objects,
+            Predict(*cone).max_objects + Predict(*sweep).max_objects);
 }
 
 TEST_F(PlanTest, SetQueryColumnCountMismatchRejected) {
@@ -151,13 +159,22 @@ TEST_F(PlanTest, PredictionFilledForSpatialAndFullScans) {
   auto spatial =
       PlanFor("SELECT obj_id FROM photo WHERE CIRCLE(180, 40, 5)");
   ASSERT_TRUE(spatial.ok());
-  EXPECT_LE(spatial->prediction.min_objects,
-            spatial->prediction.max_objects);
+  const ObjectStore::Prediction cone = Predict(*spatial);
+  EXPECT_LE(cone.min_objects, cone.max_objects);
+  const ObjectStore::Prediction region =
+      store_->PredictRegion(spatial->root->region);
+  EXPECT_EQ(cone.min_objects, region.min_objects);
+  EXPECT_EQ(cone.max_objects, region.max_objects);
+  EXPECT_EQ(cone.bytes_to_scan, region.bytes_to_scan);
+  EXPECT_DOUBLE_EQ(cone.expected_objects, region.expected_objects);
 
+  // A region-less scan reads every container FULL.
   auto full = PlanFor("SELECT obj_id FROM photo");
   ASSERT_TRUE(full.ok());
-  EXPECT_EQ(full->prediction.max_objects, store_->object_count());
-  EXPECT_EQ(full->prediction.bytes_to_scan, store_->Stats().full_bytes);
+  const ObjectStore::Prediction sweep = Predict(*full);
+  EXPECT_EQ(sweep.min_objects, store_->object_count());
+  EXPECT_EQ(sweep.max_objects, store_->object_count());
+  EXPECT_EQ(sweep.bytes_to_scan, store_->Stats().full_bytes);
 }
 
 TEST_F(PlanTest, SelectStarProjectsEverything) {
@@ -230,9 +247,14 @@ TEST_F(MyDbPlanTest, MyDbSelectLowersToMyDbScanLeaf) {
   EXPECT_EQ(plan->root->type, PlanNodeType::kMyDbScan);
   EXPECT_EQ(plan->root->mydb_store, personal_);
   EXPECT_EQ(plan->root->mydb_name, "bright");
-  // The density-map prediction prices the personal store, not the fleet.
-  EXPECT_EQ(plan->prediction.bytes_to_scan,
-            personal_->Stats().full_bytes);
+  // The density-map prediction prices the personal store, not the
+  // fleet it was planned beside.
+  const std::vector<ShardPrediction> slices =
+      PredictShards({Shard{0, store_, nullptr}}, *plan);
+  ASSERT_EQ(slices.size(), 1u);
+  EXPECT_EQ(slices[0].bytes_to_scan, personal_->Stats().full_bytes);
+  EXPECT_EQ(slices[0].min_objects, personal_->object_count());
+  EXPECT_EQ(slices[0].bytes_shipped, 0u);
   EXPECT_NE(plan->Explain().find("MYDB_SCAN mydb.bright"),
             std::string::npos);
 }

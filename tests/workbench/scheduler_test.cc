@@ -594,7 +594,11 @@ TEST_F(WorkbenchSchedulerTest, LaneCountsAndGaugesMatchTheJobsStates) {
       std::move(hooks));
   ASSERT_TRUE(blocked.ok());
   ASSERT_EQ(AwaitStarted(sched, *blocked), JobState::kRunning);
-  auto q1 = sched.Submit("u1", cone);
+  // q1 is an INTO: it claims its name while queued, and the cancel
+  // below releases the claim.
+  auto q1 = sched.Submit(
+      "u1",
+      "SELECT * INTO mydb.near FROM photo WHERE CIRCLE('GAL', 120, 55, 3)");
   auto q2 = sched.Submit("u2", cone);
   ASSERT_TRUE(q1.ok() && q2.ok());
   {
@@ -602,6 +606,7 @@ TEST_F(WorkbenchSchedulerTest, LaneCountsAndGaugesMatchTheJobsStates) {
     ExpectLaneCountsMatchJobs(sched, &registry);
     EXPECT_EQ(sched.LaneDepths().quick_running, 1u);
     EXPECT_EQ(sched.LaneDepths().quick_queued, 2u);
+    EXPECT_EQ(sched.IntoClaims().size(), 1u);
   }
 
   ASSERT_EQ(sched.Submit("u3", cone).status().code(),
@@ -616,6 +621,7 @@ TEST_F(WorkbenchSchedulerTest, LaneCountsAndGaugesMatchTheJobsStates) {
     SCOPED_TRACE("cancel while queued");
     ExpectLaneCountsMatchJobs(sched, &registry);
     EXPECT_EQ(sched.LaneDepths().quick_queued, 1u);
+    EXPECT_TRUE(sched.IntoClaims().empty());
   }
 
   auto heavy = sched.Submit("load", kHeavyJoinSql);
@@ -668,6 +674,69 @@ TEST_F(WorkbenchSchedulerTest, LaneCountsAndGaugesMatchTheJobsStates) {
                   idle.long_running,
               0u);
   }
+}
+
+TEST_F(WorkbenchSchedulerTest, ConcurrentSameNameIntoAdmitsExactlyOne) {
+  auto opt = TwoLaneOptions();
+  opt.long_workers = 1;
+  JobScheduler sched(engine_, mydb_.get(), opt);
+
+  // The only long worker is held at its header, so every INTO below
+  // (a full scan: LONG) stays queued while the others race it.
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  StreamHooks hooks;
+  hooks.on_header = [gate](uint64_t, Lane, const query::ResultHeader&) {
+    gate.wait();
+  };
+  auto blocked =
+      sched.Submit("blocker", "SELECT COUNT(*) FROM photo", std::move(hooks));
+  ASSERT_TRUE(blocked.ok());
+  ASSERT_EQ(AwaitStarted(sched, *blocked), JobState::kRunning);
+
+  constexpr int kThreads = 8;
+  std::vector<Result<uint64_t>> results(kThreads, Status::Internal("unset"));
+  std::promise<void> go;
+  std::shared_future<void> start = go.get_future().share();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.wait();
+      results[t] = sched.Submit("miner", kIntoBrightSql);
+    });
+  }
+  go.set_value();
+  for (std::thread& t : threads) t.join();
+
+  uint64_t accepted = 0;
+  int accepted_count = 0;
+  for (const auto& r : results) {
+    if (r.ok()) {
+      accepted = *r;
+      ++accepted_count;
+    } else {
+      EXPECT_EQ(r.status().code(), StatusCode::kAlreadyExists)
+          << r.status().ToString();
+    }
+  }
+  ASSERT_EQ(accepted_count, 1);
+  EXPECT_EQ(sched.Snapshot(accepted)->lane, Lane::kLong);
+  {
+    SCOPED_TRACE("one claim queued");
+    ExpectLaneCountsMatchJobs(sched, nullptr);
+    EXPECT_EQ(sched.IntoClaims(),
+              (std::vector<std::pair<std::string, std::string>>{
+                  {"miner", "bright"}}));
+  }
+
+  release.set_value();
+  EXPECT_EQ(sched.Wait(*blocked)->state, JobState::kSucceeded);
+  EXPECT_EQ(sched.Wait(accepted)->state, JobState::kSucceeded);
+  EXPECT_TRUE(sched.IntoClaims().empty());
+  EXPECT_TRUE(mydb_->Find("miner", "bright").ok());
+  // Materialized now: the name stays taken through MyDb itself.
+  EXPECT_EQ(sched.Submit("miner", kIntoBrightSql).status().code(),
+            StatusCode::kAlreadyExists);
 }
 
 TEST_F(WorkbenchSchedulerTest, BoundedAdmissionRefusesWithUnavailable) {
