@@ -1,14 +1,14 @@
 // C11 -- the distributed spatial neighbor join.
 //
 // The C9 lens-candidate pair query executed two ways over the SAME sky:
-// (A) the ClusterSim hash machine (the paper's standalone two-phase
-// bucket demo) and (B) the federated fleet path -- ShardedStore +
+// (A) the one-store engine, the executor's kPairJoin operator over the
+// whole catalog, and (B) the federated fleet path -- ShardedStore +
 // FederatedQueryEngine running the kPairJoin operator per shard with the
-// boundary ghost exchange. Both drive the one dataflow::PairHasher core,
-// so the delta is pure orchestration: scan plumbing, ghost shipping,
-// merge + dedupe. The deterministic section also reports the exchange
-// volume (bytes shipped vs scanned), the first observable of the
-// network cost model.
+// boundary ghost exchange. Both drive the one dataflow::PairHasher core
+// and must return the same pair set, so the delta is pure
+// orchestration: ghost shipping, merge + dedupe. The deterministic
+// section also reports the exchange volume (bytes shipped vs scanned),
+// the first observable of the network cost model.
 //
 // Baseline recording (the 1-core methodology: interleaved A/B with
 // medians, never back-to-back one-sided runs):
@@ -23,29 +23,17 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <memory>
-#include <string>
 
 #include "archive/sharded_store.h"
 #include "bench_util.h"
-#include "catalog/photo_obj.h"
-#include "dataflow/hash_machine.h"
 #include "query/federated_engine.h"
 
 namespace sdss::bench {
 namespace {
 
 using archive::ShardedStore;
-using catalog::kNumBands;
 using catalog::ObjectStore;
-using catalog::PhotoObj;
-using dataflow::ClusterConfig;
-using dataflow::ClusterSim;
-using dataflow::HashMachine;
-using dataflow::HashReport;
-using dataflow::PairSearchOptions;
 using query::FederatedQueryEngine;
 using query::Shard;
 
@@ -60,43 +48,29 @@ const char kLensSql[] =
     "WHERE a.g - a.r - b.g + b.r < 0.05 AND b.g - b.r - a.g + a.r < 0.05 "
     "AND a.r - a.i - b.r + b.i < 0.05 AND b.r - b.i - a.r + a.i < 0.05";
 
-/// The same predicate, hash-machine form.
-bool LensPair(const PhotoObj& a, const PhotoObj& b) {
-  for (int i = 1; i < 3; ++i) {
-    if (std::fabs((a.mag[i] - a.mag[i + 1]) - (b.mag[i] - b.mag[i + 1])) >=
-        0.05) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void PrintC11() {
   ObjectStore store = MakeBenchStore(0.5);
-  PrintHeader("C11  Distributed neighbor join: hash machine vs the fleet");
+  PrintHeader("C11  Distributed neighbor join: one store vs the fleet");
   std::printf("catalog: %llu objects, lens pairs within %.0f arcsec\n\n",
               static_cast<unsigned long long>(store.object_count()),
               kSepArcsec);
 
-  // (A) The standalone hash machine on a 20-node ClusterSim.
-  ClusterConfig cfg;
-  cfg.num_nodes = 20;
-  ClusterSim cluster(cfg);
-  (void)cluster.LoadPartitioned(store);
-  HashMachine machine(&cluster);
-  HashReport rep;
+  // (A) The one-store engine over the whole catalog.
+  FederatedQueryEngine engine({Shard{0, &store, nullptr}});
   auto t0 = std::chrono::steady_clock::now();
-  auto pairs = machine.FindPairs([](const PhotoObj&) { return true; },
-                                 kSepArcsec, LensPair, PairSearchOptions{},
-                                 &rep);
-  double machine_s =
+  auto single = engine.Execute(kLensSql);
+  double single_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  std::printf(
-      "(A) ClusterSim hash machine: %zu pairs, %llu pair tests, "
-      "%llu buckets, %.1f ms\n",
-      pairs.size(), static_cast<unsigned long long>(rep.pair_tests),
-      static_cast<unsigned long long>(rep.buckets), machine_s * 1e3);
+  if (!single.ok()) {
+    std::printf("one-store join failed: %s\n",
+                single.status().ToString().c_str());
+    return;
+  }
+  std::printf("(A) one-store engine: %zu pairs, %llu pair tests, %.1f ms\n",
+              single->rows.size(),
+              static_cast<unsigned long long>(single->exec.pair_tests),
+              single_s * 1e3);
 
   // (B) The same query through the federated fleet, 4 shards.
   ShardedStore sharded(store, {4, 2});
@@ -115,37 +89,21 @@ void PrintC11() {
   }
   std::printf(
       "(B) federated fleet (4 shards): %zu pairs, %.1f ms; "
-      "%llu bytes scanned, %llu bytes shipped (%.2f%% ghost traffic)\n",
+      "%llu bytes scanned, %llu bytes shipped (%.2f%% ghost traffic)  %s\n",
       result->rows.size(), fed_s * 1e3,
       static_cast<unsigned long long>(result->exec.bytes_touched),
       static_cast<unsigned long long>(result->exec.bytes_shipped),
       result->exec.bytes_touched > 0
           ? 100.0 * static_cast<double>(result->exec.bytes_shipped) /
                 static_cast<double>(result->exec.bytes_touched)
-          : 0.0);
+          : 0.0,
+      ResultPairs(*result) == ResultPairs(*single) ? "[= one store]"
+                                                   : "[MISMATCH]");
   std::printf(
       "\nShape check: identical pair sets from one PairHasher core; the "
       "fleet pays\nonly the boundary ghost band for distribution, a few "
       "percent of scanned bytes.\n");
 }
-
-void BM_ClusterHashMachine(benchmark::State& state) {
-  ObjectStore store = MakeBenchStore(0.3);
-  ClusterConfig cfg;
-  cfg.num_nodes = 8;
-  ClusterSim cluster(cfg);
-  (void)cluster.LoadPartitioned(store);
-  HashMachine machine(&cluster);
-  for (auto _ : state) {
-    auto pairs = machine.FindPairs([](const PhotoObj&) { return true; },
-                                   kSepArcsec, LensPair,
-                                   PairSearchOptions{});
-    benchmark::DoNotOptimize(pairs.size());
-  }
-}
-BENCHMARK(BM_ClusterHashMachine)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 /// Reports how many containers the last join read and how many of
 /// those ran the columnar scan kernel (every one, since phase 1 filters

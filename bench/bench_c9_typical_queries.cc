@@ -7,37 +7,33 @@
 //       colors, but may have a different brightness" (gravitational
 //       lens, high-dimensional pair query).
 //
-// (a) runs on the query engine with HTM pruning; (b) and (c) run on the
-// hash machine. We report end-to-end latency and objects touched, with
-// survey-scale extrapolation of the I/O-bound parts.
+// (a) runs on the query engine with HTM pruning; (b) and (c) run as
+// JOIN ... WITHIN SQL -- the paper's hash machine -- on a 20-server
+// archive::ShardedStore fleet. We report end-to-end latency and objects
+// touched, with the paper-hardware model's survey-scale extrapolation.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cmath>
 #include <filesystem>
 #include <string>
 
+#include "archive/sharded_store.h"
 #include "bench_util.h"
 #include "core/angle.h"
 #include "core/coords.h"
 #include "core/random.h"
-#include "dataflow/hash_machine.h"
 #include "persist/snapshot.h"
 #include "query/federated_engine.h"
 
 namespace sdss::bench {
 namespace {
 
+using archive::ShardedStore;
 using catalog::kNumBands;
 using catalog::ObjClass;
 using catalog::ObjectStore;
 using catalog::PhotoObj;
-using dataflow::ClusterConfig;
-using dataflow::ClusterSim;
-using dataflow::HashMachine;
-using dataflow::HashReport;
-using dataflow::PairSearchOptions;
 using query::FederatedQueryEngine;
 using query::Shard;
 
@@ -112,69 +108,57 @@ void PrintC9() {
             static_cast<double>(store.object_count()));
   }
 
-  // (b) Quasars with a faint blue galaxy within 5 arcsec: pair query
-  // with asymmetric roles via the hash machine.
-  ClusterConfig cfg;
-  cfg.num_nodes = 20;
-  ClusterSim cluster(cfg);
-  (void)cluster.LoadPartitioned(store);
-  HashMachine machine(&cluster);
-  HashReport rep_b;
-  auto pairs_b = machine.FindPairs(
-      [](const PhotoObj& o) {
-        bool qso = o.obj_class == ObjClass::kQuasar && o.mag[2] < 22.0f;
-        bool faint_blue_gal = o.obj_class == ObjClass::kGalaxy &&
-                              o.mag[2] > 20.5f &&
-                              (o.mag[1] - o.mag[2]) < 0.5f;
-        return qso || faint_blue_gal;
-      },
-      5.0,
-      [](const PhotoObj& a, const PhotoObj& b) {
-        // One side QSO (r<22), the other a faint blue galaxy.
-        auto is_qso = [](const PhotoObj& o) {
-          return o.obj_class == ObjClass::kQuasar && o.mag[2] < 22.0f;
-        };
-        auto is_fbg = [](const PhotoObj& o) {
-          return o.obj_class == ObjClass::kGalaxy && o.mag[2] > 20.5f &&
-                 (o.mag[1] - o.mag[2]) < 0.5f;
-        };
-        return (is_qso(a) && is_fbg(b)) || (is_qso(b) && is_fbg(a));
-      },
-      PairSearchOptions{}, &rep_b);
+  // (b) Quasars with a faint blue galaxy within 5 arcsec: a pair query
+  // with asymmetric roles, on the fleet.
+  ShardedStore sharded(store, {20, 2});
+  auto shards = sharded.LiveShards();
+  if (!shards.ok()) return;
+  FederatedQueryEngine fleet(*shards);
+  auto pairs_b = fleet.Execute(
+      "SELECT a.obj_id, b.obj_id, sep FROM photo AS a "
+      "JOIN photo AS b WITHIN 5 ARCSEC "
+      "WHERE a.class = 'QSO' AND a.r < 22 AND "
+      "b.class = 'GALAXY' AND b.r > 20.5 AND b.g - b.r < 0.5");
+  if (!pairs_b.ok()) {
+    std::printf("(b) failed: %s\n", pairs_b.status().ToString().c_str());
+    return;
+  }
+  const PaperFleetTime time_b =
+      PaperFleetSeconds(*shards, pairs_b->exec.pair_tests);
   std::printf(
       "(b) quasars (r<22) with a faint blue galaxy within 5 arcsec:\n"
-      "    %zu pairs found (>= %llu planted); %llu candidates hashed, "
+      "    %zu pairs found (>= %llu planted); %llu objects scanned, "
       "%llu pair tests;\n    modeled %s demo / %s at survey scale\n\n",
-      pairs_b.size(), static_cast<unsigned long long>(planted_neighbors),
-      static_cast<unsigned long long>(rep_b.selected),
-      static_cast<unsigned long long>(rep_b.pair_tests),
-      FormatSimDuration(rep_b.total_sim_seconds).c_str(),
-      FormatSimDuration(rep_b.total_sim_seconds * survey_factor).c_str());
+      pairs_b->rows.size(),
+      static_cast<unsigned long long>(planted_neighbors),
+      static_cast<unsigned long long>(pairs_b->exec.objects_examined),
+      static_cast<unsigned long long>(pairs_b->exec.pair_tests),
+      FormatSimDuration(time_b.total()).c_str(),
+      FormatSimDuration(time_b.total() * survey_factor).c_str());
 
   // (c) Gravitational lenses: within 10 arcsec, identical colors.
-  HashReport rep_c;
-  auto pairs_c = machine.FindPairs(
-      [](const PhotoObj&) { return true; }, 10.0,
-      [](const PhotoObj& a, const PhotoObj& b) {
-        for (int i = 0; i < kNumBands - 1; ++i) {
-          if (std::fabs((a.mag[i] - a.mag[i + 1]) -
-                        (b.mag[i] - b.mag[i + 1])) > 0.05f) {
-            return false;
-          }
-        }
-        return true;
-      },
-      PairSearchOptions{}, &rep_c);
+  std::string lens_sql =
+      "SELECT a.obj_id, b.obj_id, sep FROM photo AS a "
+      "JOIN photo AS b WITHIN 10 ARCSEC WHERE ";
+  lens_sql += kIdenticalColorsSql;
+  auto pairs_c = fleet.Execute(lens_sql);
+  if (!pairs_c.ok()) {
+    std::printf("(c) failed: %s\n", pairs_c.status().ToString().c_str());
+    return;
+  }
+  const PaperFleetTime time_c =
+      PaperFleetSeconds(*shards, pairs_c->exec.pair_tests);
   std::printf(
       "(c) lens candidates (10 arcsec, identical colors, any "
       "brightness):\n"
-      "    %zu pairs (>= %llu planted); %llu pair tests over %llu "
-      "buckets;\n    modeled %s demo / %s at survey scale\n",
-      pairs_c.size(), static_cast<unsigned long long>(planted_lenses),
-      static_cast<unsigned long long>(rep_c.pair_tests),
-      static_cast<unsigned long long>(rep_c.buckets),
-      FormatSimDuration(rep_c.total_sim_seconds).c_str(),
-      FormatSimDuration(rep_c.total_sim_seconds * survey_factor).c_str());
+      "    %zu pairs (>= %llu planted); %llu pair tests, %s of boundary "
+      "ghosts shipped;\n    modeled %s demo / %s at survey scale\n",
+      pairs_c->rows.size(),
+      static_cast<unsigned long long>(planted_lenses),
+      static_cast<unsigned long long>(pairs_c->exec.pair_tests),
+      FormatBytes(pairs_c->exec.bytes_shipped).c_str(),
+      FormatSimDuration(time_c.total()).c_str(),
+      FormatSimDuration(time_c.total() * survey_factor).c_str());
   std::printf(
       "\nShape check: (a) answers in interactive time touching <1%% of "
       "the catalog;\n(b) and (c) run as bucketed pair searches in minutes "
@@ -300,20 +284,20 @@ BENCHMARK(BM_ColdStartMmap)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_LensSearch(benchmark::State& state) {
   ObjectStore store = MakeBenchStore(0.3);
-  ClusterConfig cfg;
-  cfg.num_nodes = 8;
-  ClusterSim cluster(cfg);
-  (void)cluster.LoadPartitioned(store);
-  HashMachine machine(&cluster);
+  ShardedStore sharded(store, {8, 2});
+  auto shards = sharded.LiveShards();
+  if (!shards.ok()) {
+    state.SkipWithError("no live shards");
+    return;
+  }
+  FederatedQueryEngine fleet(*shards);
   for (auto _ : state) {
-    auto pairs = machine.FindPairs(
-        [](const PhotoObj&) { return true; }, 10.0,
-        [](const PhotoObj& a, const PhotoObj& b) {
-          return std::fabs((a.mag[1] - a.mag[2]) -
-                           (b.mag[1] - b.mag[2])) < 0.05f;
-        },
-        PairSearchOptions{});
-    benchmark::DoNotOptimize(pairs.size());
+    auto r = fleet.Execute(
+        "SELECT a.obj_id, b.obj_id, sep FROM photo AS a "
+        "JOIN photo AS b WITHIN 10 ARCSEC "
+        "WHERE a.g - a.r - b.g + b.r < 0.05 AND "
+        "b.g - b.r - a.g + a.r < 0.05");
+    benchmark::DoNotOptimize(r->rows.size());
   }
 }
 BENCHMARK(BM_LensSearch)->Unit(benchmark::kMillisecond)->UseRealTime();

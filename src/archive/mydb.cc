@@ -276,6 +276,35 @@ Status MyDb::Drop(const std::string& user, const std::string& name) {
   return Status::OK();
 }
 
+Status MyDb::Reserve(const std::string& user, const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  UserSpace& space = users_[user];
+  if (space.tables.count(name) > 0 || !space.reserved.insert(name).second) {
+    return Status::AlreadyExists("mydb." + name +
+                                 " already exists or is being "
+                                 "materialized; DROP or wait first");
+  }
+  return Status::OK();
+}
+
+void MyDb::Release(const std::string& user, const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto uit = users_.find(user);
+  if (uit != users_.end()) uit->second.reserved.erase(name);
+}
+
+std::vector<std::pair<std::string, std::string>> MyDb::Reservations()
+    const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& [user, space] : users_) {
+    for (const std::string& name : space.reserved) {
+      out.emplace_back(user, name);
+    }
+  }
+  return out;
+}
+
 std::vector<std::string> MyDb::List(const std::string& user) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;

@@ -38,7 +38,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/object_store.h"
@@ -105,6 +107,23 @@ class MyDb {
   /// journaled before the table disappears from memory.
   Status Drop(const std::string& user, const std::string& name);
 
+  /// Claims mydb.<name> for a materialization that has not run yet (a
+  /// queued or running INTO job). Refused with AlreadyExists when the
+  /// name is a table or already reserved, decided under this store's
+  /// one lock, so of two same-name claims exactly one wins. A
+  /// reservation blocks other Reserve calls only: Put checks tables, so
+  /// the holder's own Put commits under it. In memory only; never
+  /// journaled.
+  Status Reserve(const std::string& user, const std::string& name);
+
+  /// Drops a reservation (no-op when `name` is not reserved). The holder
+  /// releases after its Put commits or fails, so a competing Reserve
+  /// sees either the reservation or the table.
+  void Release(const std::string& user, const std::string& name);
+
+  /// (user, name) of every reservation, ascending.
+  std::vector<std::pair<std::string, std::string>> Reservations() const;
+
   /// Table names owned by `user`, sorted.
   std::vector<std::string> List(const std::string& user) const;
 
@@ -126,6 +145,7 @@ class MyDb {
   struct UserSpace {
     std::map<std::string, std::shared_ptr<const catalog::ObjectStore>>
         tables;
+    std::set<std::string> reserved;  ///< Names claimed by Reserve.
     uint64_t used_bytes = 0;
     std::optional<uint64_t> quota_override;
   };

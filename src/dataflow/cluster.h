@@ -1,4 +1,4 @@
-// The commodity-cluster substrate of the paper's scan/hash/river machines.
+// The commodity-cluster substrate of the paper's scan machine.
 //
 // "Acceptable I/O performance can be achieved ... with many commodity
 // servers operating in parallel. ... Each node has 4 Intel Xeon 450 Mhz
@@ -11,6 +11,12 @@
 // accounting elapsed time on the simulated clock from the configured disk
 // bandwidth -- so benchmark output reproduces the paper's arithmetic (2
 // minute full scans) deterministically on any host.
+//
+// Only the shared-scan ScanMachine runs here. The paper's hash machine
+// and river sorting network run as SQL on the served archive instead:
+// a JOIN ... WITHIN is the executor's distributed kPairJoin over
+// PairHasher, and an ORDER BY over an archive::ShardedStore fleet is
+// per-shard sorts merged by the ordered GATHER.
 
 #ifndef SDSS_DATAFLOW_CLUSTER_H_
 #define SDSS_DATAFLOW_CLUSTER_H_
@@ -85,20 +91,9 @@ class ClusterSim {
   ScanReport ParallelScan(
       const std::function<void(size_t, const catalog::PhotoObj&)>& fn) const;
 
-  /// Grows the cluster and rebalances containers round-robin over the new
-  /// width ("As new servers are added, the data will repartition").
-  /// Returns the fraction of objects that moved between nodes.
-  double AddNodes(size_t additional);
-
  private:
-  void Redistribute(size_t new_width,
-                    std::vector<std::vector<catalog::PhotoObj>>* out) const;
-
   ClusterConfig config_;
-  /// Container ids (trixel raw) in order; parallel to container->node map.
-  std::vector<uint64_t> container_order_;
   std::vector<std::vector<catalog::PhotoObj>> nodes_;
-  std::vector<std::vector<std::pair<uint64_t, size_t>>> node_containers_;
   mutable ThreadPool pool_;
 };
 

@@ -83,18 +83,6 @@ uint64_t PairHasher::ForEachCandidatePair(
   return tests;
 }
 
-void PairHasher::SortPairs(std::vector<ObjectPair>* pairs) {
-  std::sort(pairs->begin(), pairs->end(),
-            [](const ObjectPair& a, const ObjectPair& b) {
-              if (a.obj_id_a != b.obj_id_a) return a.obj_id_a < b.obj_id_a;
-              return a.obj_id_b < b.obj_id_b;
-            });
-}
-
-uint64_t PairHasher::HomeBucket(const Vec3& pos_eq, int level) {
-  return htm::LookupId(pos_eq, level).raw();
-}
-
 int PairHasher::ChooseBucketLevel(double max_sep_arcsec) {
   // A level-L trixel is ~90/2^L degrees across. Pick the deepest level
   // keeping the trixel at least ~4x the separation, so most caps stay

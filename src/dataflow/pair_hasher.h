@@ -4,10 +4,11 @@
 // buckets -- a single object may go to several buckets (to allow objects
 // near the edges of a region to go to all the neighboring regions as
 // well). In a second phase all the objects in a bucket are compared to
-// one another." PairHasher is that bucket/ghost core detached from any
-// particular substrate: ClusterSim's HashMachine, the River shuffle, and
-// the query executor's distributed kPairJoin operator all feed it object
-// streams and share one emission discipline.
+// one another." PairHasher is that bucket/ghost core. Its one
+// production user is the query executor's kPairJoin operator, so every
+// neighbor join -- on one store or across an archive::ShardedStore
+// fleet, where each shard runs its own hasher -- is this one emission
+// discipline.
 //
 // Buckets are HTM trixels at a configurable level. Every added object
 // lands in its home trixel and, as a ghost, in every other trixel
@@ -29,24 +30,15 @@
 #include <vector>
 
 #include "catalog/photo_obj.h"
-#include "core/vec3.h"
 
 namespace sdss::dataflow {
-
-/// One matched pair from a spatial pair search.
-struct ObjectPair {
-  uint64_t obj_id_a = 0;
-  uint64_t obj_id_b = 0;
-  double separation_arcsec = 0.0;
-};
 
 /// Accumulates objects into spatial buckets (phase 1) and enumerates
 /// candidate pairs per bucket (phase 2).
 ///
 /// Thread-compatibility: Add is not thread-safe (callers serialize, as
-/// the parallel scans in HashMachine and the executor do); once adding
-/// is done, ForEachCandidatePair may run concurrently over distinct
-/// buckets.
+/// the executor's parallel phase 1 does); once adding is done,
+/// ForEachCandidatePair may run concurrently over distinct buckets.
 class PairHasher {
  public:
   /// One bucket membership: the object plus how it got here.
@@ -106,14 +98,6 @@ class PairHasher {
       const std::function<bool(const catalog::PhotoObj&,
                                const catalog::PhotoObj&, double)>& on_pair)
       const;
-
-  /// The canonical pair order every layer sorts into: (obj_id_a,
-  /// obj_id_b) ascending.
-  static void SortPairs(std::vector<ObjectPair>* pairs);
-
-  /// Home bucket (trixel raw id) of an Equatorial position at `level` --
-  /// the shuffle key the River spatial exchange shares with phase 1.
-  static uint64_t HomeBucket(const Vec3& pos_eq, int level);
 
   /// Planner heuristic: the deepest bucket level whose trixels stay
   /// comfortably wider than the separation, clamped to [4, 12]. Purely a

@@ -26,6 +26,7 @@ struct ScanTally {
   uint64_t objects_examined = 0;
   uint64_t objects_matched = 0;
   uint64_t bytes_touched = 0;
+  uint64_t pair_tests = 0;
 
   void Add(const ScanTally& t) {
     containers_scanned += t.containers_scanned;
@@ -33,6 +34,7 @@ struct ScanTally {
     objects_examined += t.objects_examined;
     objects_matched += t.objects_matched;
     bytes_touched += t.bytes_touched;
+    pair_tests += t.pair_tests;
   }
 };
 
@@ -461,7 +463,7 @@ class TreeRunner {
       RowBatch batch;
       batch.reserve(batch_size);
       ResultRow row;
-      hasher.ForEachCandidatePair(
+      tally.pair_tests = hasher.ForEachCandidatePair(
           *buckets[bi],
           [&](const PhotoObj& lo, const PhotoObj& hi, double sep_arcsec) {
             if (ctx_->Cancelled()) return false;
@@ -650,6 +652,7 @@ Result<ExecStats> Executor::RunTree(
   stats.objects_examined = ctx.totals.objects_examined;
   stats.objects_matched = ctx.totals.objects_matched;
   stats.bytes_touched = ctx.totals.bytes_touched;
+  stats.pair_tests = ctx.totals.pair_tests;
   return stats;
 }
 

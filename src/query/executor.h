@@ -50,6 +50,10 @@ struct ExecStats {
   /// executor's pair join from other shards (0 off the federated path).
   /// The network-cost side of the ledger, vs bytes_touched's scan side.
   uint64_t bytes_shipped = 0;
+  /// Pair-join phase 2: pairwise distance tests the bucket comparisons
+  /// ran (PairHasher::ForEachCandidatePair), summed over every bucket
+  /// and, on a fleet, every shard.
+  uint64_t pair_tests = 0;
   bool cancelled_early = false;  ///< Sink stopped consumption (LIMIT etc).
 
   // Result-cache verdict for the query these stats describe (set by the

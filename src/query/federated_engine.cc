@@ -165,6 +165,7 @@ void AddScanCounters(const ExecStats& from, ExecStats* into) {
   into->objects_matched += from.objects_matched;
   into->bytes_touched += from.bytes_touched;
   into->bytes_shipped += from.bytes_shipped;
+  into->pair_tests += from.pair_tests;
 }
 
 /// The engine alone would run an INTO's bare select and store nothing,

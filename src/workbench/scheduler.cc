@@ -29,12 +29,6 @@ bool IsTerminal(JobState state) {
 /// restart has lost, so re-running it would send them nowhere.
 bool IsDurable(const JobSnapshot& snap) { return !snap.into.empty(); }
 
-Status NameTaken(const std::string& into) {
-  return Status::AlreadyExists("mydb." + into +
-                               " already exists or is being materialized; "
-                               "DROP or wait first");
-}
-
 /// Journal record types: one per job transition. SUBMIT carries the
 /// whole admission decision (recovery prepares the SQL again, so nothing
 /// else needs to survive); START and TERMINAL are keyed by id.
@@ -222,13 +216,13 @@ JobScheduler::~JobScheduler() {
       for (Job* job : lane.queued) {
         job->snap.state = JobState::kCancelled;
         job->snap.error = Status::Cancelled("scheduler shut down");
-        ReleaseIntoLocked(job->snap);
         completed.emplace_back(job, job->snap);
       }
       lane.queued.clear();
     }
     SetLaneGaugesLocked();
   }
+  for (const auto& [job, snap] : completed) ReleaseInto(snap);
   for (auto& [job, snap] : completed) NotifyComplete(job, std::move(snap));
   done_cv_.notify_all();
 }
@@ -291,21 +285,13 @@ void JobScheduler::SetLaneGaugesLocked() {
   g_long_running_->Set(static_cast<int64_t>(mining.running));
 }
 
-void JobScheduler::ReleaseIntoLocked(const JobSnapshot& snap) {
-  if (snap.into.empty()) return;
-  auto claims = into_claims_.find(snap.user);
-  claims->second.erase(snap.into);
-  if (claims->second.empty()) into_claims_.erase(claims);
+void JobScheduler::ReleaseInto(const JobSnapshot& snap) {
+  if (!snap.into.empty()) mydb_->Release(snap.user, snap.into);
 }
 
 std::vector<std::pair<std::string, std::string>> JobScheduler::IntoClaims()
     const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, std::string>> out;
-  for (const auto& [user, names] : into_claims_) {
-    for (const std::string& name : names) out.emplace_back(user, name);
-  }
-  return out;
+  return mydb_->Reservations();
 }
 
 Result<uint64_t> JobScheduler::Submit(const std::string& user,
@@ -328,11 +314,12 @@ Result<uint64_t> JobScheduler::Submit(const std::string& user,
   // A copy: `prepared` moves into the job below.
   const std::string into = prepared->into();
   // Taken-name INTO jobs would only discover the collision at the final
-  // Put; refuse them before they cost lane time -- whether the name is
-  // already materialized (here) or claimed by a queued or running job
-  // (below, atomically with the enqueue). Put keeps its own check as
-  // the last-line guard.
-  if (!into.empty() && mydb_->Find(user, into).ok()) return NameTaken(into);
+  // Put; refuse them before they cost lane time. MyDb decides under its
+  // own lock whether the name is a table or reserved by a queued or
+  // running job, so of two same-name submissions exactly one gets here.
+  // The reservation is taken before mu_ (never under it) and is given
+  // back below if the job is not admitted.
+  if (!into.empty()) SDSS_RETURN_IF_ERROR(mydb_->Reserve(user, into));
 
   auto job = std::make_unique<Job>();
   job->snap.user = user;
@@ -347,7 +334,8 @@ Result<uint64_t> JobScheduler::Submit(const std::string& user,
   job->submitted = std::chrono::steady_clock::now();
   job->hooks = std::move(hooks);
 
-  uint64_t id;
+  uint64_t id = 0;
+  Status refused;
   const Lane lane = job->snap.lane;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -358,34 +346,32 @@ Result<uint64_t> JobScheduler::Submit(const std::string& user,
                                               : options_.max_queued_long;
     std::deque<Job*>& queued = LaneOf(lane).queued;
     if (bound > 0 && queued.size() >= bound) {
-      return Status::Unavailable(
+      refused = Status::Unavailable(
           std::string(LaneName(lane)) + " lane is at its admission bound (" +
           std::to_string(bound) + " jobs queued); retry after a backoff");
-    }
-    // Checked and claimed under the lock that enqueues: of two
-    // same-name submissions, exactly one queues.
-    if (!into.empty()) {
-      auto claims = into_claims_.find(user);
-      if (claims != into_claims_.end() && claims->second.count(into) > 0) {
-        return NameTaken(into);
+    } else {
+      id = next_id_++;
+      job->snap.id = id;
+      if (journal_ != nullptr && IsDurable(job->snap)) {
+        // The SUBMIT record is durable before the job is visible
+        // anywhere: an INTO job that exists can always be recovered. On
+        // append failure nothing is queued (the id gap is harmless), so
+        // a poisoned journal refuses INTO jobs and keeps serving reads.
+        refused = journal_->Append(EncodeSubmit(job->snap));
       }
     }
-    id = next_id_++;
-    job->snap.id = id;
-    if (journal_ != nullptr && IsDurable(job->snap)) {
-      // The SUBMIT record is durable before the job is visible anywhere:
-      // an INTO job that exists can always be recovered. On append
-      // failure nothing is queued (the id gap is harmless), so a
-      // poisoned journal refuses INTO jobs and keeps serving reads.
-      SDSS_RETURN_IF_ERROR(journal_->Append(EncodeSubmit(job->snap)));
+    if (refused.ok()) {
+      // Enqueued with the id under mu_, so queue order always equals id
+      // order -- the invariant RecoverFrom's in-original-lane-order
+      // re-enqueue rests on.
+      queued.push_back(job.get());
+      jobs_.emplace(id, std::move(job));
+      SetLaneGaugesLocked();
     }
-    if (!into.empty()) into_claims_[user].insert(into);
-    // Enqueued with the id under mu_, so queue order always equals id
-    // order -- the invariant RecoverFrom's in-original-lane-order
-    // re-enqueue rests on.
-    queued.push_back(job.get());
-    jobs_.emplace(id, std::move(job));
-    SetLaneGaugesLocked();
+  }
+  if (!refused.ok()) {
+    if (!into.empty()) mydb_->Release(user, into);
+    return refused;
   }
   LaneOf(lane).work_cv.notify_one();
   return id;
@@ -455,20 +441,25 @@ Result<SchedulerRecoveryReport> JobScheduler::RecoverFrom(
         // is prepared again and queues. A statement that no longer
         // prepares (its mydb source is gone) fails here with the error
         // its run would have met.
+        // Its name is reserved again as it requeues (RecoverFrom runs
+        // before the first Submit, so nothing competes for it).
         query::ExecContext ctx;
         ctx.mydb = mydb_->ResolverFor(job->snap.user);
         auto prepared = engine_->Prepare(job->snap.sql, ctx);
-        if (prepared.ok()) {
+        Status admitted = prepared.status();
+        if (admitted.ok()) {
+          admitted = mydb_->Reserve(job->snap.user, job->snap.into);
+        }
+        if (admitted.ok()) {
           job->prepared = std::make_unique<query::PreparedQuery>(
               std::move(prepared).value());
           report.requeued_ids.push_back(id);
           // Ascending id = original submission order = original lane
           // order (Submit enqueues under mu_ in id order).
           LaneOf(job->snap.lane).queued.push_back(job.get());
-          into_claims_[job->snap.user].insert(job->snap.into);
         } else {
           job->snap.state = JobState::kFailed;
-          job->snap.error = prepared.status();
+          job->snap.error = admitted;
           job->notified = true;
           JournalTerminal(job->snap);
         }
@@ -510,7 +501,6 @@ Status JobScheduler::Cancel(uint64_t job_id) {
         std::deque<Job*>& queued = LaneOf(job->snap.lane).queued;
         queued.erase(std::find(queued.begin(), queued.end(), job));
         SetLaneGaugesLocked();
-        ReleaseIntoLocked(job->snap);
         job->snap.state = JobState::kCancelled;
         job->snap.error = Status::Cancelled("cancelled while queued");
         job->snap.seconds_queued = SecondsBetween(
@@ -518,7 +508,6 @@ Status JobScheduler::Cancel(uint64_t job_id) {
         JournalTerminal(job->snap);  // A user decision: it survives.
         completed = job;
         completed_snap = job->snap;
-        done_cv_.notify_all();
         break;
       }
       case JobState::kRunning:
@@ -533,9 +522,12 @@ Status JobScheduler::Cancel(uint64_t job_id) {
         break;
     }
   }
-  // The terminal hook fires outside mu_ (it may write to a socket or
-  // call back into Snapshot).
+  // The name is released and the terminal hook fires outside mu_ (it
+  // may write to a socket or call back into Snapshot); waiters wake once
+  // the name is free.
   if (completed != nullptr) {
+    ReleaseInto(completed_snap);
+    done_cv_.notify_all();
     NotifyAndPrune(completed, std::move(completed_snap));
   }
   return result;
@@ -709,6 +701,10 @@ void JobScheduler::RunJob(Job* job) {
       status = mydb_->Put(job->snap.user, job->snap.into, std::move(objects));
     }
   }
+  // Released once the Put has committed or failed and before the job is
+  // visibly terminal: a same-name Submit sees the reservation or the
+  // table, and a Wait() that returns can resubmit a failed name at once.
+  ReleaseInto(job->snap);
 
   JobSnapshot final_snap;
   {
@@ -731,7 +727,6 @@ void JobScheduler::RunJob(Job* job) {
     auto slots = running_by_user_.find(job->snap.user);
     if (--slots->second == 0) running_by_user_.erase(slots);
     SetLaneGaugesLocked();
-    ReleaseIntoLocked(job->snap);
     // The freed slot may make a held job eligible. A lane with nothing
     // queued wakes no worker: a woken worker takes mu_, which this job's
     // Wait() callers need next.

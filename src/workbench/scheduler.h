@@ -51,7 +51,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -269,9 +268,9 @@ class JobScheduler {
   QueueDepths LaneDepths() const;
 
   /// (user, table) of every INTO name a queued or running job holds,
-  /// ascending. A job claims its name in the critical section that
-  /// enqueues it and releases it in the one that makes it terminal, so
-  /// of two same-name submissions exactly one is admitted.
+  /// ascending: MyDb's reservations. Submit reserves the name before it
+  /// enqueues, and the job releases it once its Put has committed or
+  /// failed, so of two same-name submissions exactly one is admitted.
   std::vector<std::pair<std::string, std::string>> IntoClaims() const;
 
   const Options& options() const { return options_; }
@@ -332,8 +331,9 @@ class JobScheduler {
   /// Publishes the lane counts to the per-lane gauges; called wherever
   /// they change. Requires mu_.
   void SetLaneGaugesLocked();
-  /// Drops an INTO job's name claim as it turns terminal. Requires mu_.
-  void ReleaseIntoLocked(const JobSnapshot& snap);
+  /// Releases an INTO job's MyDb name reservation (no-op for other
+  /// jobs). Must be called without mu_ held.
+  void ReleaseInto(const JobSnapshot& snap);
 
   query::FederatedQueryEngine* engine_;
   archive::MyDb* mydb_;
@@ -344,9 +344,6 @@ class JobScheduler {
   LaneState lanes_[2];  ///< Indexed by Lane.
   /// Running jobs per user, across both lanes (absent = none).
   std::map<std::string, size_t> running_by_user_;
-  /// INTO names claimed by queued and running jobs, per user (absent =
-  /// none).
-  std::map<std::string, std::set<std::string>> into_claims_;
   uint64_t next_id_ = 1;
   std::atomic<bool> shutting_down_{false};
   /// Traced jobs finished, the modulus trace sampling counts on.

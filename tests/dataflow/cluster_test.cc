@@ -120,35 +120,6 @@ TEST(ClusterSimTest, AggregateBandwidthScalesWithNodes) {
   EXPECT_LE(report.aggregate_mbps, 20 * 150.0 + 1.0);
 }
 
-TEST(ClusterSimTest, AddNodesMovesBoundedFraction) {
-  ObjectStore store = MakeStore();
-  ClusterConfig cfg;
-  cfg.num_nodes = 4;
-  ClusterSim cluster(cfg);
-  ASSERT_TRUE(cluster.LoadPartitioned(store).ok());
-  uint64_t before = cluster.TotalObjects();
-  double moved = cluster.AddNodes(4);
-  EXPECT_EQ(cluster.num_nodes(), 8u);
-  EXPECT_EQ(cluster.TotalObjects(), before);  // Nothing lost.
-  EXPECT_GT(moved, 0.0);
-  EXPECT_LE(moved, 1.0);
-
-  // Still balanced and scan still works.
-  std::atomic<uint64_t> count{0};
-  cluster.ParallelScan([&](size_t, const PhotoObj&) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), before);
-}
-
-TEST(ClusterSimTest, AddZeroNodesIsNoop) {
-  ObjectStore store = MakeStore(500);
-  ClusterConfig cfg;
-  cfg.num_nodes = 3;
-  ClusterSim cluster(cfg);
-  ASSERT_TRUE(cluster.LoadPartitioned(store).ok());
-  EXPECT_DOUBLE_EQ(cluster.AddNodes(0), 0.0);
-  EXPECT_EQ(cluster.num_nodes(), 3u);
-}
-
 TEST(ClusterSimTest, ZeroNodeConfigClampsToOne) {
   ClusterConfig cfg;
   cfg.num_nodes = 0;

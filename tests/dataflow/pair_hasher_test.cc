@@ -1,7 +1,7 @@
 // PairHasher: the cluster-agnostic bucket/ghost core. Exactness against
-// brute force, the local/foreign emission discipline that makes the
-// distributed join exactly-once, and the planner's bucket-level
-// heuristic.
+// brute force over a grid of bucket depths and radii, the local/foreign
+// emission discipline that makes the distributed join exactly-once, and
+// the planner's bucket-level heuristic.
 
 #include "dataflow/pair_hasher.h"
 
@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -67,6 +69,39 @@ PairSet HashedPairs(const PairHasher& hasher) {
   return pairs;
 }
 
+// All-local hashing equals brute force at every bucket depth and radius,
+// including radii comparable to the bucket size, where edge-ghost
+// replication does all the work.
+class HashPropertyTest
+    : public ::testing::TestWithParam<std::tuple<int, double>> {};
+
+TEST_P(HashPropertyTest, MatchesBruteForceExactly) {
+  const auto [bucket_level, sep_arcsec] = GetParam();
+  std::vector<PhotoObj> objs = DensePatch(11);
+  PairHasher hasher(sep_arcsec, bucket_level);
+  for (const PhotoObj& o : objs) hasher.Add(&o);
+  EXPECT_EQ(hasher.local_objects(), objs.size());
+  const PairSet expect = BruteForce(objs, sep_arcsec);
+  EXPECT_GT(expect.size(), 0u);
+  EXPECT_EQ(HashedPairs(hasher), expect);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LevelsAndRadii, HashPropertyTest,
+    ::testing::Combine(
+        // Bucket depths from coarse (level 7 ~0.5 deg) to fine (level 12
+        // ~16 arcsec, comparable to the largest radius below).
+        ::testing::Values(7, 9, 11, 12),
+        // Radii from 2 arcsec to 2 arcmin.
+        ::testing::Values(2.0, 15.0, 60.0, 120.0)),
+    [](const ::testing::TestParamInfo<std::tuple<int, double>>& info) {
+      std::string name = "L";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_Sep";
+      name += std::to_string(static_cast<int>(std::get<1>(info.param)));
+      return name;
+    });
+
 TEST(PairHasherTest, AllLocalMatchesBruteForce) {
   std::vector<PhotoObj> objs = DensePatch(11);
   for (double sep_arcsec : {5.0, 30.0, 120.0}) {
@@ -88,7 +123,7 @@ TEST(PairHasherTest, ShardedWithGhostExchangeIsExactlyOnce) {
   const double sep_arcsec = 90.0;
   const int container_level = 6;
   auto owner = [&](const Vec3& pos) {
-    return PairHasher::HomeBucket(pos, container_level) % 2;
+    return htm::LookupId(pos, container_level).raw() % 2;
   };
 
   PairHasher shard0(sep_arcsec, 9), shard1(sep_arcsec, 9);
@@ -123,14 +158,6 @@ TEST(PairHasherTest, ForeignObjectsNeverInitiateEmission) {
   for (const PhotoObj& o : objs) hasher.Add(&o, /*local=*/false);
   EXPECT_EQ(hasher.foreign_objects(), objs.size());
   EXPECT_TRUE(HashedPairs(hasher).empty());
-}
-
-TEST(PairHasherTest, HomeBucketMatchesTrixelLookup) {
-  std::vector<PhotoObj> objs = DensePatch(44);
-  for (size_t i = 0; i < std::min<size_t>(objs.size(), 64); ++i) {
-    EXPECT_EQ(PairHasher::HomeBucket(objs[i].pos, 8),
-              htm::LookupId(objs[i].pos, 8).raw());
-  }
 }
 
 TEST(PairHasherTest, ChooseBucketLevelTracksSeparation) {

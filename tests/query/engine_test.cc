@@ -363,7 +363,7 @@ TEST_F(EngineTest, TwoCircleUnionUsesIndex) {
 
 TEST_F(EngineTest, PaperQuasarQuery) {
   // The paper's example: "find all the quasars brighter than r=22" (the
-  // faint-blue-neighbor join half runs on the hash machine).
+  // faint-blue-neighbor half is the JOIN ... WITHIN of pair_join_test).
   auto r = Engine().Execute(
       "SELECT obj_id, ra, dec, r FROM photo WHERE class = 'QSO' AND r < "
       "22");

@@ -221,6 +221,11 @@ TEST_F(PairJoinTest, LensQueryMatchesBruteForce) {
       });
   EXPECT_GT(expect.size(), 0u) << "sky produced no lens pairs";
   EXPECT_EQ(ResultPairs(*result), expect);
+  // Every object is a candidate; the buckets compare far fewer of them
+  // than the k(k-1)/2 a brute-force search would.
+  const uint64_t k = objs_->size();
+  EXPECT_GT(result->exec.pair_tests, 0u);
+  EXPECT_LT(result->exec.pair_tests, k * (k - 1) / 2);
 }
 
 TEST_F(PairJoinTest, AsymmetricRolesBindTheSatisfyingAssignment) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/sky_generator.h"
@@ -45,6 +46,26 @@ TEST(MyDbTest, PutFindListDropWithByteAccounting) {
   EXPECT_FALSE(mydb.Find("alice", "t1").ok());
   EXPECT_EQ(mydb.Drop("alice", "t1").code(), StatusCode::kNotFound);
   EXPECT_TRUE(mydb.Find("bob", "t1").ok());
+}
+
+TEST(MyDbTest, ReserveRefusesReservedNamesAndTables) {
+  MyDb mydb;
+  ASSERT_TRUE(mydb.Reserve("alice", "t").ok());
+  EXPECT_EQ(mydb.Reserve("alice", "t").code(), StatusCode::kAlreadyExists);
+  // Reservations are per user, like tables.
+  ASSERT_TRUE(mydb.Reserve("bob", "t").ok());
+  using Names = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(mydb.Reservations(), (Names{{"alice", "t"}, {"bob", "t"}}));
+
+  // Put checks tables only, so the holder commits under its own
+  // reservation; after the release the table keeps the name taken.
+  ASSERT_TRUE(mydb.Put("alice", "t", MakeObjects(9, 20)).ok());
+  mydb.Release("alice", "t");
+  EXPECT_EQ(mydb.Reservations(), (Names{{"bob", "t"}}));
+  EXPECT_EQ(mydb.Reserve("alice", "t").code(), StatusCode::kAlreadyExists);
+
+  ASSERT_TRUE(mydb.Drop("alice", "t").ok());
+  EXPECT_TRUE(mydb.Reserve("alice", "t").ok());
 }
 
 TEST(MyDbTest, RejectsNamesThatAreUnsafeOnDisk) {

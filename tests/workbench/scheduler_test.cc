@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <future>
 #include <mutex>
 #include <string>
@@ -599,7 +600,15 @@ TEST_F(WorkbenchSchedulerTest, LaneCountsAndGaugesMatchTheJobsStates) {
   auto q1 = sched.Submit(
       "u1",
       "SELECT * INTO mydb.near FROM photo WHERE CIRCLE('GAL', 120, 55, 3)");
-  auto q2 = sched.Submit("u2", cone);
+  // q2's terminal snapshot is taken by its hook: the cap reaps terminal
+  // jobs oldest first, and q2 is older than the long jobs below, so it
+  // may be gone before a Wait() on it could park.
+  auto q2_done = std::make_shared<std::promise<JobSnapshot>>();
+  StreamHooks q2_hooks;
+  q2_hooks.on_complete = [q2_done](const JobSnapshot& snap) {
+    q2_done->set_value(snap);
+  };
+  auto q2 = sched.Submit("u2", cone, std::move(q2_hooks));
   ASSERT_TRUE(q1.ok() && q2.ok());
   {
     SCOPED_TRACE("submit and run");
@@ -663,9 +672,9 @@ TEST_F(WorkbenchSchedulerTest, LaneCountsAndGaugesMatchTheJobsStates) {
   ASSERT_TRUE(sched.Cancel(*next).ok());
   ASSERT_EQ(sched.Wait(*next)->state, JobState::kCancelled);
 
-  // Drained: q2, the newest job, is never the one the cap reaps.
+  // Drained: q2 runs once the blocker is released.
   release.set_value();
-  EXPECT_EQ(sched.Wait(*q2)->state, JobState::kSucceeded);
+  EXPECT_EQ(q2_done->get_future().get().state, JobState::kSucceeded);
   {
     SCOPED_TRACE("drained");
     ExpectLaneCountsMatchJobs(sched, &registry);
