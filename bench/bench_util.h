@@ -91,15 +91,9 @@ inline PaperFleetTime PaperFleetSeconds(
   constexpr double kSecondsPerPairTest = 10e-9;
   PaperFleetTime t;
   for (const query::Shard& shard : shards) {
-    uint64_t objects = 0;
-    for (const auto& [raw, container] : shard.store->containers()) {
-      if (shard.assigned == nullptr || shard.assigned->count(raw) > 0) {
-        objects += container.size();
-      }
-    }
-    t.scan = std::max(t.scan, static_cast<double>(objects) *
-                                  catalog::kPaperBytesPerPhotoObj /
-                                  (node.disk_mbps * 1e6));
+    const double bytes = static_cast<double>(shard.store->object_count()) *
+                         catalog::kPaperBytesPerPhotoObj;
+    t.scan = std::max(t.scan, bytes / (node.disk_mbps * 1e6));
   }
   if (!shards.empty()) {
     t.pairs = static_cast<double>(pair_tests) * kSecondsPerPairTest /

@@ -6,13 +6,15 @@
 //
 // Walks through the distributed story of the paper: (1) the replication
 // manager places every container on a primary plus replicas, (2)
-// ShardedStore materializes one store per server, (3) the federated
+// ShardedStore routes each container to one live replica and cuts a
+// store per live server holding what it serves, (3) the federated
 // engine plans once, splits the plan at GATHER nodes and fans out to
 // every live shard, merging streams and partial aggregates, (4)
 // failover keeps answers identical as long as one replica of
 // everything survives. Exits 1 when any step fails.
 
 #include <cstdio>
+#include <vector>
 
 #include "archive/sharded_store.h"
 #include "catalog/sky_generator.h"
@@ -45,6 +47,15 @@ bool RunAndReport(query::FederatedQueryEngine* fed, const char* label,
   return true;
 }
 
+/// What each live shard serves under the current routing.
+void PrintShards(const std::vector<query::Shard>& shards) {
+  for (const query::Shard& shard : shards) {
+    std::printf("  server %zu serves %zu containers, %llu objects\n",
+                shard.server, shard.store->container_count(),
+                (unsigned long long)shard.store->object_count());
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -73,11 +84,6 @@ int main() {
               repl.base_replicas,
               (unsigned long long)placement.total_bytes,
               placement.imbalance);
-  for (size_t s = 0; s < fleet.num_servers(); ++s) {
-    std::printf("  server %zu: %zu containers, %llu objects\n", s,
-                fleet.server_store(s).container_count(),
-                (unsigned long long)fleet.server_store(s).object_count());
-  }
 
   // --- 2. One engine over the whole federation. -----------------------
   auto shards = fleet.LiveShards();
@@ -86,6 +92,7 @@ int main() {
                  shards.status().ToString().c_str());
     return 1;
   }
+  PrintShards(*shards);
   query::FederatedQueryEngine fed(*shards);
 
   const char* kChart =
@@ -126,6 +133,7 @@ int main() {
   fed.SetShards(*rerouted);
   std::printf("%zu live shards now serve the same %llu containers:\n",
               rerouted->size(), (unsigned long long)placement.containers);
+  PrintShards(*rerouted);
   ok &= RunAndReport(&fed, "finding chart (cone)", kChart);
   ok &= RunAndReport(&fed, "COUNT(*) galaxies",
                      "SELECT COUNT(*) FROM photo WHERE class = 'GALAXY'");

@@ -81,9 +81,8 @@ size_t ReplicationManager::LeastLoadedLiveServer(
   return best;
 }
 
-Status ReplicationManager::PromoteHotContainers(
-    double top_fraction, size_t extra, std::vector<uint64_t>* promoted) {
-  if (promoted != nullptr) promoted->clear();
+Status ReplicationManager::PromoteHotContainers(double top_fraction,
+                                                size_t extra) {
   if (top_fraction <= 0.0 || top_fraction > 1.0) {
     return Status::InvalidArgument("top_fraction must be in (0, 1]");
   }
@@ -103,7 +102,6 @@ Status ReplicationManager::PromoteHotContainers(
 
   for (size_t i = 0; i < hot_count; ++i) {
     ContainerInfo& info = placement_[heat[i].second];
-    bool grew = false;
     for (size_t e = 0; e < extra; ++e) {
       std::set<size_t> exclude(info.replicas.begin(), info.replicas.end());
       if (exclude.size() >= servers_up_.size()) break;  // Fully spread.
@@ -114,10 +112,6 @@ Status ReplicationManager::PromoteHotContainers(
       // instead of piling onto the already-loaded primary.
       info.replicas.insert(info.replicas.begin(), target);
       server_bytes_[target] += info.bytes;
-      grew = true;
-    }
-    if (grew && promoted != nullptr) {
-      promoted->push_back(heat[i].second);
     }
   }
   return Status::OK();

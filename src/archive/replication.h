@@ -67,12 +67,8 @@ class ReplicationManager {
   /// Gives the hottest `top_fraction` of containers `extra` additional
   /// replicas on the least-loaded live servers. Each new replica becomes
   /// the preferred read target of its container (load-aware routing, not
-  /// just primacy), so promotion actually shifts traffic. When
-  /// `promoted` is non-null it receives the ids of containers that
-  /// gained at least one replica, so callers can materialize exactly
-  /// the new placements.
-  Status PromoteHotContainers(double top_fraction, size_t extra,
-                              std::vector<uint64_t>* promoted = nullptr);
+  /// just primacy), so promotion actually shifts traffic.
+  Status PromoteHotContainers(double top_fraction, size_t extra);
 
   /// Failure injection.
   Status MarkServerDown(size_t server);

@@ -1,7 +1,6 @@
 #include "archive/sharded_store.h"
 
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -11,34 +10,8 @@ namespace sdss::archive {
 
 ShardedStore::ShardedStore(const catalog::ObjectStore& source,
                            ReplicationOptions options)
-    : manager_(options) {
-  // Placement first, then one materialization pass: each server extracts
-  // every container it holds a replica of.
-  (void)manager_.AssignFrom(source);  // Only fails on empty inputs.
-  size_t servers = manager_.num_servers();
-
-  // Primaries first, backup replicas after: ExtractContainers copies in
-  // list order, so the object vectors of the containers a server
-  // actually serves (routing prefers primaries) are heap-allocated as
-  // one contiguous arena and scans stream through memory without
-  // hopping over dormant replica copies. Measured ~20% off a federated
-  // full-scan aggregate's wall time on a bandwidth-bound 1-core box.
-  std::vector<std::vector<uint64_t>> primary(servers);
-  std::vector<std::vector<uint64_t>> backup(servers);
-  for (const auto& [raw, container] : source.containers()) {
-    auto replicas = manager_.ServersFor(raw);
-    if (!replicas.ok()) continue;  // Unplaced: empty source container.
-    for (size_t i = 0; i < replicas->size(); ++i) {
-      size_t server = (*replicas)[i];
-      (i == 0 ? primary : backup)[server].push_back(raw);
-    }
-  }
-  stores_.reserve(servers);
-  for (size_t s = 0; s < servers; ++s) {
-    std::vector<uint64_t> holdings = std::move(primary[s]);
-    holdings.insert(holdings.end(), backup[s].begin(), backup[s].end());
-    stores_.push_back(source.ExtractContainers(holdings));
-  }
+    : directory_(source), manager_(options) {
+  (void)manager_.AssignFrom(directory_);  // Only fails on empty inputs.
 }
 
 bool ShardedStore::server_up(size_t server) const {
@@ -56,13 +29,6 @@ Status ShardedStore::MarkServerUp(size_t server) {
   return manager_.MarkServerUp(server);
 }
 
-uint64_t ShardedStore::Epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t epoch = 0;
-  for (const auto& store : stores_) epoch += store.epoch();
-  return epoch;
-}
-
 void ShardedStore::RecordAccess(uint64_t container, uint64_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   manager_.RecordAccess(container, count);
@@ -76,38 +42,7 @@ uint64_t ShardedStore::HeatOf(uint64_t container) const {
 Status ShardedStore::PromoteHotContainers(double top_fraction,
                                           size_t extra) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<uint64_t> promoted;
-  SDSS_RETURN_IF_ERROR(
-      manager_.PromoteHotContainers(top_fraction, extra, &promoted));
-  // Materialize exactly the new placements: every server now listed for
-  // a promoted container it does not hold gets a copy from an existing
-  // replica (data ships between servers, none is recreated from the
-  // source catalog).
-  for (uint64_t raw : promoted) {
-    auto replicas = manager_.ServersFor(raw);
-    if (!replicas.ok()) continue;
-    const catalog::Container* src = nullptr;
-    for (const auto& store : stores_) {
-      auto it = store.containers().find(raw);
-      if (it != store.containers().end()) {
-        src = &it->second;
-        break;
-      }
-    }
-    if (src == nullptr) continue;
-    for (size_t server : *replicas) {
-      if (server >= stores_.size() ||
-          stores_[server].containers().count(raw) > 0) {
-        continue;
-      }
-      // Promotion copies data the fleet already serves: no result any
-      // reader could have cached changes, so the copy must not look
-      // like a mutation -- and adoption is epoch-neutral.
-      SDSS_RETURN_IF_ERROR(
-          stores_[server].AdoptContainer(src->trixel, src->columnar));
-    }
-  }
-  return Status::OK();
+  return manager_.PromoteHotContainers(top_fraction, extra);
 }
 
 Result<std::vector<size_t>> ShardedStore::ReplicasFor(
@@ -118,13 +53,9 @@ Result<std::vector<size_t>> ShardedStore::ReplicasFor(
     return replicas;
   }
 
-  // Bytes of one container, read from any server that materialized it.
   auto bytes_of = [this](uint64_t raw) -> uint64_t {
-    for (const auto& store : stores_) {
-      auto it = store.containers().find(raw);
-      if (it != store.containers().end()) return it->second.FullBytes();
-    }
-    return 0;
+    auto it = directory_.containers().find(raw);
+    return it == directory_.containers().end() ? 0 : it->second.FullBytes();
   };
 
   auto id = htm::HtmId::FromRaw(container);
@@ -175,28 +106,21 @@ Result<std::vector<size_t>> ShardedStore::ReplicasFor(
 }
 
 Result<std::vector<query::Shard>> ShardedStore::LiveShards() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::shared_ptr<std::unordered_set<uint64_t>>> assigned(
-      stores_.size());
-  for (size_t s = 0; s < stores_.size(); ++s) {
-    for (const auto& [raw, container] : stores_[s].containers()) {
+  std::vector<std::vector<uint64_t>> served(num_servers());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [raw, container] : directory_.containers()) {
       auto route = manager_.RouteRead(raw);
       if (!route.ok()) return route.status();  // All replicas down.
-      if (*route != s) continue;  // Another replica serves it.
-      if (assigned[s] == nullptr) {
-        assigned[s] = std::make_shared<std::unordered_set<uint64_t>>();
-      }
-      assigned[s]->insert(raw);
+      served[*route].push_back(raw);
     }
   }
   std::vector<query::Shard> shards;
-  for (size_t s = 0; s < stores_.size(); ++s) {
-    if (assigned[s] == nullptr) continue;
-    query::Shard shard;
-    shard.server = s;
-    shard.store = &stores_[s];
-    shard.assigned = std::move(assigned[s]);
-    shards.push_back(std::move(shard));
+  for (size_t s = 0; s < served.size(); ++s) {
+    if (served[s].empty()) continue;
+    auto store = std::make_shared<const catalog::ObjectStore>(
+        directory_.ExtractContainers(served[s]));
+    shards.push_back(query::Shard{s, store.get(), store});
   }
   return shards;
 }

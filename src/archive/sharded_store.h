@@ -1,11 +1,15 @@
-// Materialized shard stores for the replicated server fleet.
+// The replicated server fleet: one container directory plus the
+// placement over it.
 //
-// ReplicationManager decides WHERE containers live; ShardedStore makes
-// that placement physical: every server gets an ObjectStore holding all
-// the containers it replicates (primary or not), so when a server is
-// marked down its containers can be re-routed to a surviving replica
-// without moving any data. LiveShards() exposes the current routing as
-// the query::Shard set the FederatedQueryEngine fans out over.
+// ReplicationManager decides WHERE containers live; ShardedStore keeps
+// the archive's containers once, in one directory that shares the
+// source's column buffers. In this process a replica is a routing fact,
+// not a second copy of the data: a server "holds" a container when the
+// placement lists it, so a downed server's containers are re-routed to a
+// surviving replica without moving anything, and promotion only changes
+// whom a container is routed to. LiveShards() cuts the current routing
+// into the query::Shard set the FederatedQueryEngine fans out over, one
+// store per live server holding exactly the containers it serves.
 
 #ifndef SDSS_ARCHIVE_SHARDED_STORE_H_
 #define SDSS_ARCHIVE_SHARDED_STORE_H_
@@ -20,29 +24,24 @@
 
 namespace sdss::archive {
 
-/// Owns one materialized ObjectStore per server plus the replication
-/// routing over them.
+/// Owns the fleet's container directory and the replication routing
+/// over it.
 ///
-/// Thread-safety: MarkServerDown/Up and LiveShards may interleave from
-/// any threads; the shard stores themselves are immutable after
-/// construction, so queries running against a previously obtained
-/// LiveShards() snapshot are never invalidated (a downed server's store
-/// stays readable -- it is the routing that stops pointing at it).
+/// Thread-safety: every method may interleave from any threads. The
+/// directory is immutable after construction and each LiveShards()
+/// snapshot owns its stores, so routing changes -- MarkServerDown/Up and
+/// PromoteHotContainers -- are safe while queries run against an earlier
+/// snapshot: they change only what the next LiveShards() cuts.
 class ShardedStore {
  public:
-  /// Materializes the fleet from `source` under `options` (placement via
+  /// Builds the fleet over `source` under `options` (placement via
   /// ReplicationManager::AssignFrom: primaries round-robin, base_replicas
-  /// copies of every container).
+  /// replicas of every container). The directory shares `source`'s
+  /// column buffers and keeps its epoch.
   ShardedStore(const catalog::ObjectStore& source,
                ReplicationOptions options);
 
-  size_t num_servers() const { return stores_.size(); }
-
-  /// The materialized store of one server: every container it holds a
-  /// replica of (not just the ones it currently serves).
-  const catalog::ObjectStore& server_store(size_t server) const {
-    return stores_[server];
-  }
+  size_t num_servers() const { return manager_.num_servers(); }
 
   /// Whether the routing currently counts `server` as up (false for
   /// unknown servers); the ReplicationManager is the one record.
@@ -53,12 +52,11 @@ class ShardedStore {
   Status MarkServerDown(size_t server);
   Status MarkServerUp(size_t server);
 
-  /// Fleet-wide store epoch: the sum of every shard store's mutation
-  /// generation (catalog::ObjectStore::epoch). Any data mutation on any
-  /// server moves it; routing-only events (MarkServerDown/Up) and
-  /// replica promotion (which copies data it already serves) do not, so
-  /// cached query results survive failover but never survive a write.
-  uint64_t Epoch() const;
+  /// Fleet-wide store epoch: the directory's mutation generation
+  /// (catalog::ObjectStore::epoch), which continues the source's.
+  /// Routing events -- MarkServerDown/Up and replica promotion -- do not
+  /// move it, so cached query results survive failover.
+  uint64_t Epoch() const { return directory_.epoch(); }
 
   /// Access-heat tracking, forwarded to the ReplicationManager.
   void RecordAccess(uint64_t container, uint64_t count = 1);
@@ -66,12 +64,9 @@ class ShardedStore {
   /// Recorded accesses of one container (0 for unknown containers).
   uint64_t HeatOf(uint64_t container) const;
 
-  /// Promotes the hottest containers AND makes the promotion physical:
-  /// the heat-chosen servers receive a copy of each promoted container
-  /// (copied from an existing replica), and the next LiveShards() routes
-  /// the container to its new preferred server. This is a provisioning
-  /// operation that grows shard stores in place: do not run it while
-  /// queries execute against a previously obtained LiveShards snapshot.
+  /// Promotes the hottest containers: the heat-chosen servers become
+  /// their preferred replicas, and the next LiveShards() routes each to
+  /// its new server. A routing change only; safe while queries run.
   Status PromoteHotContainers(double top_fraction, size_t extra);
 
   /// Replica servers of one container, preferred first.
@@ -89,19 +84,20 @@ class ShardedStore {
       uint64_t container, double join_sep_arcsec = 0.0) const;
 
   /// Current routing: every container assigned to its first live replica
-  /// (primary preferred), grouped per server. Servers with nothing to
-  /// serve are omitted. Fails with the router's Unavailable-flavored
-  /// error when any container has lost every replica -- a clean refusal
-  /// instead of a silent partial result.
+  /// (primary preferred), grouped per server into a store the shard owns
+  /// (ObjectStore::ExtractContainers of the directory). Servers with
+  /// nothing to serve are omitted. Fails with the router's
+  /// ResourceExhausted error when any container has lost every replica
+  /// -- a clean refusal instead of a silent partial result.
   Result<std::vector<query::Shard>> LiveShards() const;
 
   /// Placement statistics (all replicas, up or down).
   PlacementStats Stats() const;
 
  private:
-  mutable std::mutex mu_;
+  const catalog::ObjectStore directory_;
+  mutable std::mutex mu_;  ///< Guards manager_.
   ReplicationManager manager_;
-  std::vector<catalog::ObjectStore> stores_;
 };
 
 }  // namespace sdss::archive

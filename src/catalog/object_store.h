@@ -204,10 +204,12 @@ class ObjectStore {
   /// options.
   ObjectStore Sample(double fraction, uint64_t seed) const;
 
-  /// Builds a sub-store holding exactly the listed containers, copied
-  /// wholesale (no re-clustering; options carry over). Ids absent from
-  /// this store are ignored. This is how the archive layer materializes
-  /// per-server shard stores from a replication placement.
+  /// Builds a sub-store holding exactly the listed containers (no
+  /// re-clustering; options carry over, the epoch starts at 0). The
+  /// copies share this store's column buffers, so the sub-store costs
+  /// one directory entry per container. Ids absent from this store are
+  /// ignored. This is how archive::ShardedStore cuts each live server's
+  /// store from its container directory.
   ObjectStore ExtractContainers(const std::vector<uint64_t>& ids) const;
 
   /// Deserialization hook: installs `block` as the container of

@@ -136,15 +136,12 @@ class TreeRunner {
  public:
   TreeRunner(const catalog::ObjectStore* store,
              const Executor::Options& options, ThreadPool* pool,
-             RunContext* ctx,
-             const std::unordered_set<uint64_t>* container_filter,
-             const PairJoinGhosts* join_ghosts,
+             RunContext* ctx, const PairJoinGhosts* join_ghosts,
              const GatherSource* gather_source)
       : store_(store),
         options_(options),
         pool_(pool),
         ctx_(ctx),
-        filter_(container_filter),
         ghosts_(join_ghosts),
         gather_(gather_source) {}
 
@@ -298,16 +295,14 @@ class TreeRunner {
   };
 
   /// Collects `scan`'s containers -- a mydb leaf reads its own
-  /// (personal, unsharded) store, to which the shard assignment never
-  /// applies -- and compiles its kernel. Returns false (error reported)
-  /// when compilation fails.
+  /// (personal, unsharded) store -- and compiles its kernel. Returns
+  /// false (error reported) when compilation fails.
   bool Prepare(const PlanNode* scan, Leaf* leaf) {
     leaf->node = scan;
     leaf->personal = scan->type == PlanNodeType::kMyDbScan;
     const catalog::ObjectStore* store =
         leaf->personal ? scan->mydb_store.get() : store_;
-    leaf->containers = CollectScanContainers(
-        scan, store, leaf->personal ? nullptr : filter_);
+    leaf->containers = CollectScanContainers(scan, store);
     leaf->tag = scan->table == TableRef::kTag;
     leaf->empty = leaf->tag && !store->options().build_tags;
     // A pair join's projection names pair columns; its kernel only
@@ -412,7 +407,7 @@ class TreeRunner {
   }
 
   /// The shard-local spatial hash join: phase 1 runs the join's filter
-  /// over the (assigned) containers with the scan kernel and hashes the
+  /// over the store's containers with the scan kernel and hashes the
   /// survivors into a PairHasher -- plus any boundary ghosts the
   /// federated engine shipped here -- and phase 2 compares buckets as
   /// morsels, binding each qualifying pair to its satisfying (a, b)
@@ -538,7 +533,6 @@ class TreeRunner {
   const Executor::Options& options_;
   ThreadPool* pool_;
   RunContext* ctx_;
-  const std::unordered_set<uint64_t>* filter_;
   const PairJoinGhosts* ghosts_;
   const GatherSource* gather_;
 };
@@ -546,24 +540,16 @@ class TreeRunner {
 }  // namespace
 
 std::vector<const catalog::Container*> CollectScanContainers(
-    const PlanNode* node, const catalog::ObjectStore* store,
-    const std::unordered_set<uint64_t>* container_filter) {
+    const PlanNode* node, const catalog::ObjectStore* store) {
   std::vector<const catalog::Container*> containers;
-  auto assigned = [container_filter](uint64_t raw) {
-    return container_filter == nullptr || container_filter->count(raw) > 0;
-  };
   if (node->has_region) {
     const int level = store->cluster_level();
     htm::ForEachInCover(htm::Cover(node->region, level), level,
                         store->containers(), [&](const auto& entry, bool) {
-                          if (assigned(entry.first)) {
-                            containers.push_back(&entry.second);
-                          }
+                          containers.push_back(&entry.second);
                         });
   } else {
-    for (const auto& [raw, c] : store->containers()) {
-      if (assigned(raw)) containers.push_back(&c);
-    }
+    for (const auto& [raw, c] : store->containers()) containers.push_back(&c);
   }
   return containers;
 }
@@ -611,7 +597,6 @@ bool EmitRows(RowBatch&& rows, size_t batch_size, const BatchSink& sink) {
 
 Result<ExecStats> Executor::RunTree(
     const PlanNode* root, const std::function<bool(RowBatch&&)>& on_batch,
-    const std::unordered_set<uint64_t>* container_filter,
     const PairJoinGhosts* join_ghosts, const std::atomic<bool>* cancel,
     const AccessRecorder* access_recorder,
     const GatherSource* gather_source) {
@@ -620,8 +605,8 @@ Result<ExecStats> Executor::RunTree(
   RunContext ctx;
   ctx.cancel = cancel;
   ctx.access = access_recorder;
-  TreeRunner runner(store_, options_, pool_, &ctx, container_filter,
-                    join_ghosts, gather_source);
+  TreeRunner runner(store_, options_, pool_, &ctx, join_ghosts,
+                    gather_source);
 
   const auto t0 = std::chrono::steady_clock::now();
   ExecStats stats;

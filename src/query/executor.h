@@ -22,7 +22,6 @@
 #include <atomic>
 #include <functional>
 #include <limits>
-#include <unordered_set>
 
 #include "catalog/object_store.h"
 #include "core/thread_pool.h"
@@ -112,12 +111,10 @@ bool EmitRows(RowBatch&& rows, size_t batch_size, const BatchSink& sink);
 
 /// The containers a scan or pair-join leaf reads from `store`, in the
 /// order it reads them: pruned by the node's HTM cover when it carries
-/// a region, and restricted to `container_filter` (a shard assignment)
-/// when non-null. The executor's leaves and the federated join's ghost
+/// a region. The executor's leaves and the federated join's ghost
 /// harvest both read exactly this list.
 std::vector<const catalog::Container*> CollectScanContainers(
-    const PlanNode* node, const catalog::ObjectStore* store,
-    const std::unordered_set<uint64_t>* container_filter);
+    const PlanNode* node, const catalog::ObjectStore* store);
 
 /// Observes every archive container a scan actually reads (called once
 /// per container per scan, from whichever thread runs the container's
@@ -166,22 +163,20 @@ class Executor {
   /// is abandoned). Returns execution stats, or the first error raised
   /// by any node.
   ///
-  /// `container_filter`, when non-null, restricts every scan leaf to
-  /// containers whose id is in the set -- the federated engine's shard
-  /// assignment (a shard holds replica containers it is not currently
-  /// serving). `join_ghosts`, when non-null, feeds the tree's
-  /// pair-join leaf the boundary objects neighboring shards shipped
-  /// here. `cancel`, when non-null, is a cooperative cancel flag: the
-  /// scan and join loops poll it per chunk/pair, and a raised flag
-  /// aborts the tree with a Cancelled status (the batch-workbench job
-  /// cancellation path). `access_recorder`, when non-null, sees the id
-  /// of every non-personal container the tree scans. `gather_source`
-  /// feeds the tree's kGather nodes (a distributed plan's coordinator
-  /// tree); a gather without one fails the run. The scan counters of
-  /// what a gather runs are the source's to keep.
+  /// Archive scan leaves read the executor's store (a shard's store
+  /// holds exactly what the shard serves). `join_ghosts`, when non-null,
+  /// feeds the tree's pair-join leaf the boundary objects neighboring
+  /// shards shipped here. `cancel`, when non-null, is a cooperative
+  /// cancel flag: the scan and join loops poll it per chunk/pair, and a
+  /// raised flag aborts the tree with a Cancelled status (the
+  /// batch-workbench job cancellation path). `access_recorder`, when
+  /// non-null, sees the id of every non-personal container the tree
+  /// scans. `gather_source` feeds the tree's kGather nodes (a
+  /// distributed plan's coordinator tree); a gather without one fails
+  /// the run. The scan counters of what a gather runs are the source's
+  /// to keep.
   Result<ExecStats> RunTree(
       const PlanNode* root, const std::function<bool(RowBatch&&)>& on_batch,
-      const std::unordered_set<uint64_t>* container_filter = nullptr,
       const PairJoinGhosts* join_ghosts = nullptr,
       const std::atomic<bool>* cancel = nullptr,
       const AccessRecorder* access_recorder = nullptr,

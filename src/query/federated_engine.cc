@@ -63,16 +63,11 @@ Result<std::vector<PairJoinGhosts>> HarvestJoinGhosts(
   std::vector<PairJoinGhosts> ghosts(n);
   if (n <= 1) return ghosts;
 
-  // Container -> serving shard. A null assigned set means the shard
-  // serves its whole store.
+  // Container -> serving shard.
   std::unordered_map<uint64_t, size_t> owner;
   for (size_t i = 0; i < n; ++i) {
-    if (shards[i].assigned == nullptr) {
-      for (const auto& [raw, c] : shards[i].store->containers()) {
-        owner.emplace(raw, i);
-      }
-    } else {
-      for (uint64_t raw : *shards[i].assigned) owner.emplace(raw, i);
+    for (const auto& [raw, c] : shards[i].store->containers()) {
+      owner.emplace(raw, i);
     }
   }
 
@@ -87,7 +82,7 @@ Result<std::vector<PairJoinGhosts>> HarvestJoinGhosts(
     const Shard& shard = shards[i];
     int level = shard.store->cluster_level();
     const std::vector<const catalog::Container*> containers =
-        CollectScanContainers(join, shard.store, shard.assigned.get());
+        CollectScanContainers(join, shard.store);
     std::vector<size_t> dests;
     for (size_t ci = 0; ci < containers.size(); ++ci) {
       const catalog::ColumnarBlock& block = containers[ci]->columnar;
@@ -227,10 +222,11 @@ FederatedQueryEngine::FederatedQueryEngine(std::vector<Shard> shards,
 uint64_t FederatedQueryEngine::CacheEpoch(
     const std::vector<Shard>& shards) const {
   if (options_.cache_epoch_source) return options_.cache_epoch_source();
-  // Fallback: sum the distinct live stores' epochs. (The fleet owner
-  // should inject ShardedStore::Epoch instead -- this sum changes when
-  // routing drops a downed store from the live list, needlessly
-  // invalidating the cache across failover.)
+  // Fallback: sum the distinct live stores' epochs -- the store's own
+  // generation for a one-store engine. (A fleet owner injects
+  // ShardedStore::Epoch instead: the stores LiveShards cuts per routing
+  // start a generation of their own, so this sum would not follow the
+  // archive's.)
   uint64_t sum = 0;
   std::unordered_set<const catalog::ObjectStore*> seen;
   for (const Shard& s : shards) {
@@ -266,19 +262,21 @@ Result<PreparedQuery> FederatedQueryEngine::Prepare(
   }
   prep.parsed = std::move(parsed).value();
   // Planning reads the fleet for three facts only, taken under mu_
-  // instead of from a copy of it; the run takes its own snapshot.
-  const catalog::ObjectStore* plan_store = nullptr;
+  // instead of from a copy of it; the run takes its own snapshot. The
+  // planning shard is copied so its owner keeps the store alive past a
+  // concurrent SetShards.
+  Shard plan_shard;
   size_t num_shards = 0;
   bool tag_on_some_shard = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     num_shards = shards_.size();
-    if (num_shards > 0) plan_store = shards_[0].store;
+    if (num_shards > 0) plan_shard = shards_[0];
     for (const Shard& shard : shards_) {
       tag_on_some_shard |= shard.store->options().build_tags;
     }
   }
-  if (plan_store == nullptr) {
+  if (plan_shard.store == nullptr) {
     TraceEnd(ctx.trace, plan_span);
     return Status::FailedPrecondition("federation has no live shards");
   }
@@ -288,7 +286,7 @@ Result<PreparedQuery> FederatedQueryEngine::Prepare(
   // a per-user mydb namespace on top of the engine's planner options.
   PlannerOptions planner = options_.planner;
   if (ctx.mydb) planner.mydb = ctx.mydb;
-  auto plan = BuildPlan(prep.parsed, *plan_store, planner);
+  auto plan = BuildPlan(prep.parsed, *plan_shard.store, planner);
   if (!plan.ok()) {
     TraceEnd(ctx.trace, plan_span);
     return plan.status();
@@ -427,7 +425,7 @@ Result<ExecStats> FederatedQueryEngine::RunShard(
     const PairJoinGhosts* ghosts, const ExecContext& ctx, int span) {
   Executor executor(shard.store, options_.executor, &pool_);
   auto st = executor.RunTree(
-      root, sink, shard.assigned.get(), ghosts, ctx.cancel,
+      root, sink, ghosts, ctx.cancel,
       ctx.access_recorder ? &ctx.access_recorder : nullptr);
   QueryTrace* trace = ctx.trace;
   if (trace != nullptr && st.ok()) {
@@ -463,8 +461,8 @@ Status FederatedQueryEngine::RunPlan(const PreparedQuery& prep,
   };
   Executor coordinator(shards[0].store, options_.executor, &pool_);
   return coordinator
-      .RunTree(coordinator_tree.get(), sink, nullptr, nullptr, ctx.cancel,
-               nullptr, &source)
+      .RunTree(coordinator_tree.get(), sink, nullptr, ctx.cancel, nullptr,
+               &source)
       .status();
 }
 
@@ -838,15 +836,12 @@ std::vector<ShardPrediction> PredictShards(const std::vector<Shard>& shards,
   // Each leaf's cover per cluster level, computed once for every store
   // at that level.
   std::vector<std::map<int, htm::CoverResult>> covers(leaves.size());
-  // Adds leaf `li` read over `store` (the containers of it in
-  // `assigned`; null = all of them) into `p`.
+  // Adds leaf `li` read over `store` into `p`.
   auto predict = [&](size_t li, const catalog::ObjectStore& store,
-                     const std::unordered_set<uint64_t>* assigned,
                      ShardPrediction* p) {
     const PlanNode& leaf = *leaves[li];
     const uint64_t bytes_before = p->bytes_to_scan;
     auto add = [&](const auto& entry, bool full) {
-      if (assigned != nullptr && assigned->count(entry.first) == 0) return;
       ++p->containers;
       p->Add(entry.second, full);
     };
@@ -872,7 +867,7 @@ std::vector<ShardPrediction> PredictShards(const std::vector<Shard>& shards,
     // BuildPlan never mixes mydb and fleet leaves.
     out.emplace_back();
     for (size_t li = 0; li < leaves.size(); ++li) {
-      predict(li, *leaves[li]->mydb_store, nullptr, &out.back());
+      predict(li, *leaves[li]->mydb_store, &out.back());
     }
     return out;
   }
@@ -881,7 +876,7 @@ std::vector<ShardPrediction> PredictShards(const std::vector<Shard>& shards,
     ShardPrediction p;
     p.server = shard.server;
     for (size_t li = 0; li < leaves.size(); ++li) {
-      predict(li, *shard.store, shard.assigned.get(), &p);
+      predict(li, *shard.store, &p);
     }
     out.push_back(p);
   }

@@ -41,7 +41,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "catalog/object_store.h"
@@ -77,16 +76,16 @@ struct QueryResult {
   bool used_spatial_index = false;
 };
 
-/// One member of the fleet as the federated engine sees it: the server's
-/// materialized store plus the container ids the router currently assigns
-/// to it. A shard store also holds replica containers it is NOT serving
-/// right now (that is what makes failover possible); `assigned` is what
-/// keeps every container scanned exactly once across the fleet. A null
-/// `assigned` means the shard serves its whole store.
+/// One member of the fleet as the federated engine sees it: the server
+/// and the store of exactly the containers it serves. Across a fleet the
+/// stores partition the archive, so every container is scanned once.
+/// `owner`, when set, keeps `store` alive for as long as any copy of the
+/// shard exists (archive::ShardedStore::LiveShards cuts one store per
+/// routing); null means the caller owns the store.
 struct Shard {
   size_t server = 0;
   const catalog::ObjectStore* store = nullptr;
-  std::shared_ptr<const std::unordered_set<uint64_t>> assigned;
+  std::shared_ptr<const catalog::ObjectStore> owner;
 };
 
 /// Per-shard slice of the density-map prediction (Explain output): the
@@ -210,9 +209,10 @@ class FederatedQueryEngine {
     size_t result_cache_bytes = 0;
     /// Mutation-generation source the cache keys entries by. The fleet
     /// owner wires this to archive::ShardedStore::Epoch so cached
-    /// answers survive failover (routing changes which stores are
-    /// listed live; the full fleet's epoch sum does not move). Unset,
-    /// the engine sums the distinct live shard stores' epochs.
+    /// answers survive failover (a routing change cuts new shard
+    /// stores; the fleet's container directory, whose generation this
+    /// is, does not move). Unset, the engine sums the distinct live
+    /// shard stores' epochs.
     std::function<uint64_t()> cache_epoch_source;
     /// Metrics registry the engine publishes into (query_cache_hits /
     /// query_cache_containment / query_cache_misses counters and the

@@ -11,10 +11,11 @@
 //    "g > 19 AND r < 22"), operand order of symmetric comparisons, or
 //    comparison direction ("r < 22" vs "22 > r") hash identically.
 //  - The epoch is the fleet-wide mutation generation
-//    (catalog::ObjectStore::epoch, summed by archive::ShardedStore::Epoch).
-//    Any write anywhere bumps it, so a cached answer can never survive a
-//    mutation; routing-only events (failover, replica promotion) leave it
-//    unchanged, so cached answers survive them.
+//    (catalog::ObjectStore::epoch of the fleet's container directory,
+//    archive::ShardedStore::Epoch). Any write anywhere bumps it, so a
+//    cached answer can never survive a mutation; routing-only events
+//    (failover, replica promotion) leave it unchanged, so cached answers
+//    survive them.
 //
 // Beyond exact replay, the cache answers by COVER CONTAINMENT: a query Q
 // whose predicate implies a cached entry E's predicate is answered by

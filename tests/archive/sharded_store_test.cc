@@ -1,11 +1,14 @@
-// ShardedStore: placement materialization, routing, and failover hooks.
+// ShardedStore: placement, routing, failover and promotion.
 
 #include "archive/sharded_store.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
@@ -49,18 +52,22 @@ ReplicationOptions Opts(size_t servers, size_t replicas) {
   return o;
 }
 
-TEST(ShardedStoreTest, MaterializesEveryReplica) {
+TEST(ShardedStoreTest, PlacesEveryReplica) {
   ObjectStore store = MakeStore();
   ShardedStore sharded(store, Opts(4, 2));
   ASSERT_EQ(sharded.num_servers(), 4u);
 
-  // Each container must appear in exactly base_replicas server stores,
-  // so the fleet holds 2x the source data.
-  uint64_t replicated_objects = 0;
-  for (size_t s = 0; s < sharded.num_servers(); ++s) {
-    replicated_objects += sharded.server_store(s).object_count();
+  // Every container is placed on base_replicas distinct servers, so
+  // the placement accounts for 2x the source data.
+  uint64_t source_bytes = 0;
+  for (const auto& [raw, container] : store.containers()) {
+    auto replicas = sharded.ReplicasFor(raw);
+    ASSERT_TRUE(replicas.ok()) << "container " << raw;
+    EXPECT_EQ(replicas->size(), 2u) << "container " << raw;
+    EXPECT_NE((*replicas)[0], (*replicas)[1]) << "container " << raw;
+    source_bytes += container.FullBytes();
   }
-  EXPECT_EQ(replicated_objects, 2 * store.object_count());
+  EXPECT_EQ(sharded.Stats().total_bytes, 2 * source_bytes);
 }
 
 TEST(ShardedStoreTest, LiveShardsPartitionTheSourceExactly) {
@@ -69,19 +76,17 @@ TEST(ShardedStoreTest, LiveShardsPartitionTheSourceExactly) {
   auto shards = sharded.LiveShards();
   ASSERT_TRUE(shards.ok());
 
-  std::unordered_set<uint64_t> assigned_ids;
-  uint64_t assigned_objects = 0;
+  std::unordered_set<uint64_t> served_ids;
+  uint64_t served_objects = 0;
   for (const auto& shard : *shards) {
-    ASSERT_NE(shard.assigned, nullptr);
-    for (uint64_t raw : *shard.assigned) {
-      EXPECT_TRUE(assigned_ids.insert(raw).second)
+    for (const auto& [raw, container] : shard.store->containers()) {
+      EXPECT_TRUE(served_ids.insert(raw).second)
           << "container " << raw << " routed to two shards";
-      assigned_objects +=
-          shard.store->containers().at(raw).size();
+      served_objects += container.size();
     }
   }
-  EXPECT_EQ(assigned_ids.size(), store.container_count());
-  EXPECT_EQ(assigned_objects, store.object_count());
+  EXPECT_EQ(served_ids.size(), store.container_count());
+  EXPECT_EQ(served_objects, store.object_count());
 }
 
 TEST(ShardedStoreTest, RoutingPrefersPrimaries) {
@@ -96,7 +101,7 @@ TEST(ShardedStoreTest, RoutingPrefersPrimaries) {
   auto shards = sharded.LiveShards();
   ASSERT_TRUE(shards.ok());
   for (const auto& shard : *shards) {
-    for (uint64_t raw : *shard.assigned) {
+    for (const auto& [raw, container] : shard.store->containers()) {
       auto replicas = manager.ServersFor(raw);
       ASSERT_TRUE(replicas.ok());
       EXPECT_EQ(shard.server, (*replicas)[0]) << "container " << raw;
@@ -118,9 +123,7 @@ TEST(ShardedStoreTest, FailoverReroutesToSurvivingReplica) {
   uint64_t objects = 0;
   for (const auto& shard : *after) {
     EXPECT_NE(shard.server, 2u) << "downed server still routed";
-    for (uint64_t raw : *shard.assigned) {
-      objects += shard.store->containers().at(raw).size();
-    }
+    objects += shard.store->object_count();
   }
   EXPECT_EQ(objects, store.object_count());
 
@@ -134,14 +137,15 @@ TEST(ShardedStoreTest, FailoverReroutesToSurvivingReplica) {
 TEST(ShardedStoreTest, AllReplicasDownIsUnavailable) {
   ObjectStore store = MakeStore();
   ShardedStore sharded(store, Opts(3, 1));
-  for (size_t s = 0; s < sharded.num_servers(); ++s) {
-    if (sharded.server_store(s).container_count() == 0) continue;
-    ASSERT_TRUE(sharded.MarkServerDown(s).ok());
-    auto shards = sharded.LiveShards();
-    EXPECT_FALSE(shards.ok());
-    ASSERT_TRUE(sharded.MarkServerUp(s).ok());
-    break;
-  }
+  auto shards = sharded.LiveShards();
+  ASSERT_TRUE(shards.ok());
+  ASSERT_FALSE(shards->empty());
+  // The lone replica of everything the first shard serves goes down.
+  const size_t victim = shards->front().server;
+  ASSERT_TRUE(sharded.MarkServerDown(victim).ok());
+  EXPECT_FALSE(sharded.LiveShards().ok());
+  ASSERT_TRUE(sharded.MarkServerUp(victim).ok());
+  EXPECT_TRUE(sharded.LiveShards().ok());
 }
 
 TEST(ShardedStoreTest, MarkServerOutOfRangeFails) {
@@ -172,39 +176,36 @@ TEST(ShardedStoreTest, PromotedHotContainerServedByHeatChosenServer) {
   size_t old_primary = (*before)[0];
   sharded.RecordAccess(hot, 100000);
 
-  // Promotion copies data the fleet already serves: the fleet's epoch
-  // (every cached answer's stamp) must not move.
+  // Promotion is a routing change: the fleet's epoch (every cached
+  // answer's stamp) must not move.
   const uint64_t epoch = sharded.Epoch();
   ASSERT_TRUE(sharded.PromoteHotContainers(/*top_fraction=*/0.0005, 1).ok());
   EXPECT_EQ(sharded.Epoch(), epoch);
 
-  // The heat-chosen server now holds a materialized copy and is the
-  // preferred read target.
+  // The heat-chosen server is now the preferred read target.
   auto after = sharded.ReplicasFor(hot);
   ASSERT_TRUE(after.ok());
   ASSERT_EQ(after->size(), 2u);
   size_t promoted = (*after)[0];
   EXPECT_NE(promoted, old_primary);
-  ASSERT_GT(sharded.server_store(promoted).containers().count(hot), 0u);
-  // The copy holds the source's columns bit for bit, in row order.
-  const catalog::Container& copy =
-      sharded.server_store(promoted).containers().at(hot);
-  const catalog::Container& source = store.containers().at(hot);
-  EXPECT_EQ(copy.trixel.raw(), source.trixel.raw());
-  ASSERT_EQ(copy.size(), source.size());
-  EXPECT_EQ(ColumnBytes(copy.columnar), ColumnBytes(source.columnar));
 
+  // The shard of the heat-chosen server serves the container, holding
+  // the source's columns bit for bit, in row order.
   auto shards = sharded.LiveShards();
   ASSERT_TRUE(shards.ok());
-  bool routed = false;
+  size_t routed = 0;
   for (const auto& shard : *shards) {
-    if (shard.assigned->count(hot) > 0) {
-      EXPECT_EQ(shard.server, promoted)
-          << "hot container not served by its heat-chosen server";
-      routed = true;
-    }
+    auto it = shard.store->containers().find(hot);
+    if (it == shard.store->containers().end()) continue;
+    ++routed;
+    EXPECT_EQ(shard.server, promoted)
+        << "hot container not served by its heat-chosen server";
+    const catalog::Container& source = store.containers().at(hot);
+    EXPECT_EQ(it->second.trixel.raw(), source.trixel.raw());
+    ASSERT_EQ(it->second.size(), source.size());
+    EXPECT_EQ(ColumnBytes(it->second.columnar), ColumnBytes(source.columnar));
   }
-  EXPECT_TRUE(routed);
+  EXPECT_EQ(routed, 1u);
 
   // The promotion is invisible to query answers: the fleet still
   // matches the source store.
@@ -216,6 +217,96 @@ TEST(ShardedStoreTest, PromotedHotContainerServedByHeatChosenServer) {
   ASSERT_TRUE(expect.ok());
   ASSERT_TRUE(got.ok());
   EXPECT_DOUBLE_EQ(expect->aggregate_value, got->aggregate_value);
+}
+
+TEST(ShardedStoreTest, EpochContinuesTheSourceGeneration) {
+  // A fleet over a recovered archive (a store restored to generation E)
+  // stamps cached answers with E, and routing events leave it there.
+  ObjectStore store = MakeStore();
+  constexpr uint64_t kRestored = 41;
+  store.RestoreEpoch(kRestored);
+  ShardedStore sharded(store, Opts(4, 2));
+  EXPECT_EQ(sharded.Epoch(), kRestored);
+
+  ASSERT_TRUE(sharded.MarkServerDown(1).ok());
+  EXPECT_EQ(sharded.Epoch(), kRestored);
+  sharded.RecordAccess(store.containers().begin()->first, 1000);
+  ASSERT_TRUE(sharded.PromoteHotContainers(/*top_fraction=*/0.01, 1).ok());
+  EXPECT_EQ(sharded.Epoch(), kRestored);
+}
+
+TEST(ShardedStoreTest, PromotionWhileQueriesRunMatchesTheOracle) {
+  // One thread queries the fleet while another heats containers,
+  // promotes them and swaps the engine onto the new routing: every
+  // answer equals the one-store oracle's.
+  ObjectStore store = MakeStore();
+  ShardedStore sharded(store, Opts(4, 1));
+  auto shards = sharded.LiveShards();
+  ASSERT_TRUE(shards.ok());
+  query::FederatedQueryEngine fed(*shards);
+  query::FederatedQueryEngine single({query::Shard{0, &store, nullptr}});
+
+  const std::vector<std::string> queries = {
+      "SELECT obj_id FROM photo WHERE CIRCLE('J2000', 180, 30, 8)",
+      "SELECT obj_id FROM photo WHERE CIRCLE('J2000', 200, 45, 12) "
+      "AND r < 21",
+      "SELECT COUNT(*) FROM photo WHERE r < 21.5",
+      "SELECT COUNT(*) FROM photo WHERE CIRCLE('J2000', 190, 40, 10)",
+  };
+  // A COUNT's value, or the sorted ids of a row query.
+  auto answer = [](const query::QueryResult& r) {
+    std::vector<uint64_t> out;
+    if (r.is_aggregate) {
+      out.push_back(static_cast<uint64_t>(r.aggregate_value));
+      return out;
+    }
+    for (const query::ResultRow& row : r.rows) out.push_back(row.obj_id);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::vector<std::vector<uint64_t>> oracle;
+  for (const std::string& sql : queries) {
+    auto r = single.Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    oracle.push_back(answer(*r));
+  }
+
+  std::vector<uint64_t> ids;
+  for (const auto& [raw, container] : store.containers()) ids.push_back(raw);
+  constexpr size_t kMinPromotions = 8;
+  std::atomic<size_t> promotions{0};
+  std::atomic<bool> queries_done{false};
+  std::atomic<bool> promoter_done{false};
+  std::thread promoter([&] {
+    for (size_t i = 0; !queries_done.load() || i < kMinPromotions; ++i) {
+      sharded.RecordAccess(ids[(i * 37) % ids.size()], 1000 + i);
+      if (!sharded.PromoteHotContainers(/*top_fraction=*/0.01, 1).ok()) {
+        break;
+      }
+      auto live = sharded.LiveShards();
+      if (!live.ok()) break;
+      fed.SetShards(std::move(*live));
+      promotions.fetch_add(1);
+    }
+    promoter_done.store(true);
+  });
+  // Query until the promoter has swapped the routing several times (or
+  // stopped early, which the final check reports).
+  for (size_t round = 0;
+       round < 6 ||
+       (promotions.load() < kMinPromotions && !promoter_done.load());
+       ++round) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto r = fed.Execute(queries[q]);
+      // No ASSERT here: returning early would leave the promoter joinable.
+      EXPECT_TRUE(r.ok()) << queries[q] << ": " << r.status().ToString();
+      if (!r.ok()) continue;
+      EXPECT_EQ(answer(*r), oracle[q]) << queries[q] << " in round " << round;
+    }
+  }
+  queries_done.store(true);
+  promoter.join();
+  EXPECT_GE(promotions.load(), kMinPromotions);
 }
 
 TEST(ShardedStoreTest, ReplicasForFeedsShippingIntoRouting) {

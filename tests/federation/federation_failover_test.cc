@@ -81,10 +81,13 @@ TEST(FederationFailoverTest, UnreplicatedServerLossIsCleanError) {
   repl.num_servers = kServers;
   repl.base_replicas = 1;
   ShardedStore sharded(store, repl);
+  auto live = sharded.LiveShards();
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ASSERT_EQ(live->size(), kServers);
 
-  for (size_t victim = 0; victim < kServers; ++victim) {
-    // Only servers that actually hold containers lose data.
-    if (sharded.server_store(victim).container_count() == 0) continue;
+  // Every server serves the only replica of its containers.
+  for (const query::Shard& shard : *live) {
+    const size_t victim = shard.server;
     ASSERT_TRUE(sharded.MarkServerDown(victim).ok());
     auto shards = sharded.LiveShards();
     EXPECT_FALSE(shards.ok())
@@ -96,8 +99,8 @@ TEST(FederationFailoverTest, UnreplicatedServerLossIsCleanError) {
 
 TEST(FederationFailoverTest, DownedServerStoreStaysReadableForSnapshots) {
   // Queries running against a previously obtained LiveShards snapshot
-  // keep working while the router is updated: shard stores are immutable
-  // and owned by the ShardedStore.
+  // keep working while the router is updated: the snapshot's stores are
+  // immutable and owned by its shards.
   auto store = MakeSky(712, 1500, 1200, 40);
   ReplicationOptions repl;
   repl.num_servers = 3;

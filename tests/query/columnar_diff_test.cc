@@ -603,8 +603,8 @@ TEST(ColumnarFederationTest, MappedShardFleetsMatchRowFleets) {
     auto row_shards = sharded.LiveShards();
     ASSERT_TRUE(row_shards.ok()) << row_shards.status().ToString();
 
-    // The mapped fleet: each server's store snapshotted and mmap'd,
-    // serving the same assigned container set.
+    // The mapped fleet: each shard's store snapshotted and mmap'd,
+    // serving the same container set.
     std::vector<catalog::ObjectStore> mapped_stores;
     mapped_stores.reserve(row_shards->size());
     std::vector<Shard> mapped_shards;
@@ -614,9 +614,7 @@ TEST(ColumnarFederationTest, MappedShardFleetsMatchRowFleets) {
                         std::to_string(s.server));
       ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
       mapped_stores.push_back(std::move(*mapped));
-      Shard shard = s;
-      shard.store = &mapped_stores.back();
-      mapped_shards.push_back(std::move(shard));
+      mapped_shards.push_back(Shard{s.server, &mapped_stores.back(), nullptr});
     }
 
     for (bool auto_tag : {false, true}) {
@@ -667,9 +665,8 @@ TEST(ColumnarFederationTest, MixedFleetTagScansReadOnlyTaggedShards) {
 
   std::vector<uint64_t> expected;
   for (size_t i = 1; i < mixed.size(); ++i) {
-    for (uint64_t raw : *mixed[i].assigned) {
-      for (const catalog::PhotoObj& o :
-           mixed[i].store->containers().at(raw).columnar.Materialize()) {
+    for (const auto& [raw, container] : mixed[i].store->containers()) {
+      for (const catalog::PhotoObj& o : container.columnar.Materialize()) {
         if (o.mag[catalog::kR] < 21.0f) expected.push_back(o.obj_id);
       }
     }
