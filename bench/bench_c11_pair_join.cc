@@ -8,7 +8,11 @@
 // and must return the same pair set, so the delta is pure
 // orchestration: ghost shipping, merge + dedupe. The deterministic
 // section also reports the exchange volume (bytes shipped vs scanned),
-// the first observable of the network cost model.
+// the first observable of the network cost model. BM_CapTrixels/L and
+// BM_CapCover/L time the per-object step both paths share: the trixels
+// a 10 arcsec cap touches at the container level (6, the ghost harvest)
+// and the bucket level (12, the hasher), by htm::ForEachTrixelNearPoint
+// and by the full htm::Cover it falls back to.
 //
 // Baseline recording (the 1-core methodology: interleaved A/B with
 // medians, never back-to-back one-sided runs):
@@ -24,9 +28,11 @@
 
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "archive/sharded_store.h"
 #include "bench_util.h"
+#include "htm/cover.h"
 #include "query/federated_engine.h"
 
 namespace sdss::bench {
@@ -155,6 +161,61 @@ BENCHMARK(BM_FleetPairJoin)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/// The first 4096 object positions of the 0.3-scale bench sky: the cap
+/// centres the join's phase 1 hands to the hasher and the harvest.
+const std::vector<Vec3>& CapCentres() {
+  static const std::vector<Vec3> centres = [] {
+    std::vector<Vec3> out;
+    MakeBenchStore(0.3).ForEachObject([&out](const catalog::PhotoObj& o) {
+      if (out.size() < 4096) out.push_back(o.pos);
+    });
+    return out;
+  }();
+  return centres;
+}
+
+/// Times one per-object trixel rule over CapCentres(); `emit(p, level,
+/// fn)` calls fn(raw) per id. Reports ids per cap and the share of caps
+/// that touch only one trixel.
+template <typename Emit>
+void RunCapBench(benchmark::State& state, Emit emit) {
+  const int level = static_cast<int>(state.range(0));
+  const std::vector<Vec3>& centres = CapCentres();
+  uint64_t ids = 0, single = 0;
+  for (auto _ : state) {
+    ids = single = 0;
+    for (const Vec3& p : centres) {
+      uint64_t n = 0;
+      emit(p, level, [&n](uint64_t) { ++n; });
+      ids += n;
+      single += n == 1 ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(ids);
+  }
+  const double caps = static_cast<double>(centres.size());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(centres.size()));
+  state.counters["ids_per_cap"] = static_cast<double>(ids) / caps;
+  state.counters["single_trixel_share"] = static_cast<double>(single) / caps;
+}
+
+void BM_CapTrixels(benchmark::State& state) {
+  const double sep_deg = ArcsecToDeg(kSepArcsec);
+  RunCapBench(state, [sep_deg](const Vec3& p, int level, auto&& fn) {
+    htm::ForEachTrixelNearPoint(p, sep_deg, level, fn);
+  });
+}
+BENCHMARK(BM_CapTrixels)->Arg(6)->Arg(12)->Unit(benchmark::kMicrosecond);
+
+void BM_CapCover(benchmark::State& state) {
+  const double sep_deg = ArcsecToDeg(kSepArcsec);
+  RunCapBench(state, [sep_deg](const Vec3& p, int level, auto&& fn) {
+    htm::ForEachRawInCover(
+        htm::Cover(htm::Region::CircleAround(p, sep_deg), level), level, fn);
+  });
+}
+BENCHMARK(BM_CapCover)->Arg(6)->Arg(12)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace sdss::bench

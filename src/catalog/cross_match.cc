@@ -4,7 +4,6 @@
 
 #include "core/angle.h"
 #include "htm/cover.h"
-#include "htm/region.h"
 
 namespace sdss::catalog {
 
@@ -13,21 +12,18 @@ std::vector<MatchPair> CrossMatch(const ObjectStore& a, const ObjectStore& b,
                                   CrossMatchStats* stats) {
   std::vector<MatchPair> out;
   CrossMatchStats local;
-  double radius_rad = ArcsecToRad(options.radius_arcsec);
-  double cos_radius = std::cos(radius_rad);
+  double radius_deg = ArcsecToDeg(options.radius_arcsec);
+  double cos_radius = std::cos(ArcsecToRad(options.radius_arcsec));
   int level = b.cluster_level();
 
   a.ForEachObject([&](const PhotoObj& oa) {
-    // Containers of B whose trixels can hold a neighbor within radius.
-    htm::Region cap = htm::Region::CircleAround(
-        oa.pos, ArcsecToDeg(options.radius_arcsec));
-    htm::CoverResult cover = htm::Cover(cap, level);
-
     MatchPair best;
     bool have_best = false;
-    auto consider = [&](const Container* c) {
-      if (c == nullptr) return;
-      const ColumnarBlock& cb = c->columnar;
+    // Containers of B whose trixels can hold a neighbor within radius.
+    htm::ForEachTrixelNearPoint(oa.pos, radius_deg, level, [&](uint64_t raw) {
+      auto it = b.containers().find(raw);
+      if (it == b.containers().end()) return;
+      const ColumnarBlock& cb = it->second.columnar;
       for (size_t k = 0; k < cb.n; ++k) {
         ++local.candidates_tested;
         const Vec3 pos_b = cb.Position(k);
@@ -46,11 +42,7 @@ std::vector<MatchPair> CrossMatch(const ObjectStore& a, const ObjectStore& b,
           ++local.matches;
         }
       }
-    };
-    htm::ForEachInCover(cover, level, b.containers(),
-                        [&](const auto& entry, bool) {
-                          consider(&entry.second);
-                        });
+    });
 
     if (options.best_match_only && have_best) {
       out.push_back(best);

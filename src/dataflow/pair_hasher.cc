@@ -5,8 +5,6 @@
 
 #include "core/angle.h"
 #include "htm/cover.h"
-#include "htm/region.h"
-#include "htm/trixel.h"
 
 namespace sdss::dataflow {
 
@@ -24,12 +22,16 @@ void PairHasher::Add(const PhotoObj* obj, bool local) {
 
 PairHasher::BucketSet PairHasher::ComputeBuckets(const PhotoObj& obj) const {
   BucketSet out;
-  out.home = htm::LookupId(obj.pos, bucket_level_).raw();
-  htm::CoverResult cover = htm::Cover(
-      htm::Region::CircleAround(obj.pos, max_sep_deg_), bucket_level_);
-  htm::ForEachRawInCover(cover, bucket_level_, [&out](uint64_t raw) {
-    if (raw != out.home) out.ghosts.push_back(raw);
-  });
+  bool first = true;  // The home trixel comes first; the rest are ghosts.
+  htm::ForEachTrixelNearPoint(obj.pos, max_sep_deg_, bucket_level_,
+                              [&](uint64_t raw) {
+                                if (first) {
+                                  out.home = raw;
+                                  first = false;
+                                } else {
+                                  out.ghosts.push_back(raw);
+                                }
+                              });
   return out;
 }
 

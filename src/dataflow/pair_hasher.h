@@ -13,13 +13,15 @@
 // Buckets are HTM trixels at a configurable level. Every added object
 // lands in its home trixel and, as a ghost, in every other trixel
 // intersecting the separation cap around it, so cross-boundary pairs are
-// never missed. Objects are flagged local or foreign: a pair is emitted
-// only in the home bucket of its lower-id member and only when that
-// member is LOCAL. On one machine (everything local) this is the classic
-// exactly-once rule; across a fleet where each shard adds its own
-// objects as local and received boundary ghosts as foreign, the rule
-// still emits each pair exactly once fleet-wide -- by the shard that
-// owns the lower-id member.
+// never missed. Only objects near an edge need more than the home
+// bucket, so only their caps are covered (htm::ForEachTrixelNearPoint);
+// the rest are settled by three dot products. Objects are flagged
+// local or foreign: a pair is emitted only in the home bucket of its
+// lower-id member and only when that member is LOCAL. On one machine
+// (everything local) this is the classic exactly-once rule; across a
+// fleet where each shard adds its own objects as local and received
+// boundary ghosts as foreign, the rule still emits each pair exactly
+// once fleet-wide -- by the shard that owns the lower-id member.
 
 #ifndef SDSS_DATAFLOW_PAIR_HASHER_H_
 #define SDSS_DATAFLOW_PAIR_HASHER_H_
@@ -69,12 +71,13 @@ class PairHasher {
     std::vector<uint64_t> ghosts;
   };
 
-  /// The expensive half of Add (point location + cover), safe to run
-  /// concurrently with no synchronization -- parallel scans compute
-  /// this outside their insert lock.
+  /// The geometric half of Add (htm::ForEachTrixelNearPoint: one point
+  /// location, plus a cover only when the cap reaches past the home
+  /// trixel's edges), safe to run concurrently with no synchronization
+  /// -- parallel scans compute this outside their insert lock.
   BucketSet ComputeBuckets(const catalog::PhotoObj& obj) const;
 
-  /// The cheap half of Add: files `obj` under a precomputed bucket set
+  /// The filing half of Add: files `obj` under a precomputed bucket set
   /// (callers serialize, as with Add).
   void AddComputed(const catalog::PhotoObj* obj, const BucketSet& buckets,
                    bool local = true);

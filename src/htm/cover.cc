@@ -64,12 +64,18 @@ CoverResult Cover(const Region& region, const CoverOptions& options) {
     }
   };
 
-  for (int i = 0; i < 8; ++i) {
-    Trixel t = Trixel::FromId(HtmId::Base(i));
-    classify_into(t, 0, &frontier);
+  int top = 0;
+  if (options.root.valid()) {
+    top = options.root.level();
+    classify_into(Trixel::FromId(options.root), top, &frontier);
+  } else {
+    for (int i = 0; i < 8; ++i) {
+      Trixel t = Trixel::FromId(HtmId::Base(i));
+      classify_into(t, 0, &frontier);
+    }
   }
 
-  for (int lv = 1; lv <= options.level && !frontier.empty(); ++lv) {
+  for (int lv = top + 1; lv <= options.level && !frontier.empty(); ++lv) {
     if (options.max_trixels > 0 &&
         out.full.size() + out.partial.size() + frontier.size() * 4 >
             options.max_trixels) {

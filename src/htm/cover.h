@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/angle.h"
+#include "core/vec3.h"
 #include "htm/range_set.h"
 #include "htm/region.h"
 #include "htm/trixel.h"
@@ -70,6 +72,12 @@ struct CoverOptions {
   /// trixels exist; remaining partials are emitted at their current level
   /// expanded to leaves. 0 = unlimited (exact cover to `level`).
   size_t max_trixels = 0;
+
+  /// Walk only this trixel's subtree instead of the 8 octahedron roots.
+  /// For a region known to lie inside it (a small cap inside an
+  /// ancestor of its home trixel); parts outside are not covered.
+  /// Invalid (the default) = the whole sphere.
+  HtmId root;
 };
 
 /// Computes the trixel cover of `region`.
@@ -80,10 +88,10 @@ CoverResult Cover(const Region& region, int level);
 
 /// Invokes `fn(raw)` for every `level`-deep raw id under the cover's
 /// FULL and PARTIAL trixels (RangeAtLevel expansion). The one
-/// cover-to-ids loop shared by the pair hasher's ghost buckets and the
-/// federated join's ghost harvest -- keep expansions in agreement by
-/// adding callers here, not by re-rolling the loop. (ForEachInCover
-/// below is the same walk over a sparse sorted map.)
+/// cover-to-ids loop: ForEachTrixelNearPoint below falls back to it, so
+/// keep expansions in agreement by adding callers there or here, not by
+/// re-rolling the loop. (ForEachInCover below is the same walk over a
+/// sparse sorted map.)
 template <typename Fn>
 void ForEachRawInCover(const CoverResult& cover, int level, Fn&& fn) {
   auto expand = [&](HtmId id) {
@@ -95,13 +103,48 @@ void ForEachRawInCover(const CoverResult& cover, int level, Fn&& fn) {
   for (HtmId id : cover.partial) expand(id);
 }
 
+/// Invokes `fn(raw)` for every `level`-deep raw id whose trixel the cap
+/// of `radius_deg` around the unit vector `p` may touch: p's home
+/// trixel (LookupId(p, level)) first, then the others. One descent
+/// locates the home with its corners; a cap inside it
+/// (Trixel::ContainsCap, the common case for caps well inside their
+/// trixel) emits the home alone. Any other cap falls back to Cover +
+/// ForEachRawInCover, rooted at the deepest ancestor holding the cap, so
+/// the ids are always a subset of the whole-sphere expansion, and
+/// always hold the trixel every point of the cap locates to. The one
+/// point-to-neighbour-trixels rule of the pair hasher's ghost buckets,
+/// the federated join's ghost harvest and cross-match.
+template <typename Fn>
+void ForEachTrixelNearPoint(const Vec3& p, double radius_deg, int level,
+                            Fn&& fn) {
+  const Trixel home = Trixel::Locate(p, level);
+  const uint64_t home_raw = home.id().raw();
+  fn(home_raw);
+  const double radius_rad = DegToRad(radius_deg);
+  if (home.ContainsCap(p, radius_rad)) return;
+  // The cover walks down from the deepest ancestor holding the whole
+  // cap, not from the 8 roots: trixels outside it are disjoint anyway.
+  CoverOptions options;
+  options.level = level;
+  for (int up = level - 1; up >= 0 && !options.root.valid(); --up) {
+    const HtmId ancestor = home.id().AncestorAt(up);
+    if (Trixel::FromId(ancestor).ContainsCap(p, radius_rad)) {
+      options.root = ancestor;
+    }
+  }
+  ForEachRawInCover(Cover(Region::CircleAround(p, radius_deg), options),
+                    level, [&](uint64_t raw) {
+                      if (raw != home_raw) fn(raw);
+                    });
+}
+
 /// Invokes `fn(entry, full)` for every entry of `map` -- a sorted map
 /// keyed by `level`-deep raw id, such as the container directory --
 /// under the cover's FULL trixels (`full` true) and then its PARTIAL
 /// ones (`full` false), each entry once per covering trixel. The one
 /// cover-to-map walk shared by region scans, the density-map
-/// predictors, container collection, cross-match and tiling: add
-/// callers here rather than re-rolling the range loop.
+/// predictors, container collection and tiling: add callers here
+/// rather than re-rolling the range loop.
 template <typename Map, typename Fn>
 void ForEachInCover(const CoverResult& cover, int level, const Map& map,
                     Fn&& fn) {

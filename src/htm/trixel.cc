@@ -37,6 +37,14 @@ constexpr BaseTriple kBase[8] = {
 // are treated as inside so that lookup never loses a point to roundoff.
 constexpr double kEdgeEps = 1e-13;
 
+// ContainsCap's slack, in the same unnormalized units as kEdgeEps (a
+// dot product with an edge's unnormalized cross product). A cap it
+// accepts keeps every point at least this far inside each edge, 100x
+// the slack point location grants, so no point of the cap can locate
+// into a neighbour. In angle that is ~1e-11 rad at level 0 and ~4e-8
+// rad (8 mas) at level 12.
+constexpr double kCapSlack = 100 * kEdgeEps;
+
 bool InsideEps(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& p,
                double eps) {
   return a.Cross(b).Dot(p) >= -eps && b.Cross(c).Dot(p) >= -eps &&
@@ -89,6 +97,18 @@ std::array<Trixel, 4> Trixel::Children() const {
 
 bool Trixel::Contains(const Vec3& p) const {
   return InsideEps(v_[0], v_[1], v_[2], p, kEdgeEps);
+}
+
+bool Trixel::ContainsCap(const Vec3& p, double radius_rad) const {
+  // A trixel lies within a hemisphere; a cap of a quarter turn or more
+  // never fits (and sin stops growing there).
+  if (radius_rad >= kPi / 2) return false;
+  const double sin_r = std::sin(radius_rad);
+  for (int i = 0; i < 3; ++i) {
+    const Vec3 n = v_[i].Cross(v_[(i + 1) % 3]);
+    if (p.Dot(n) < sin_r * n.Norm() + kCapSlack) return false;
+  }
+  return true;
 }
 
 Cap Trixel::BoundingCap() const {
@@ -151,7 +171,7 @@ std::vector<HtmId> Trixel::Neighbors() const {
   return out;
 }
 
-HtmId LookupId(const Vec3& p, int level) {
+Trixel Trixel::Locate(const Vec3& p, int level) {
   Vec3 q = p.Normalized();
   // Find the base trixel. The epsilon test guarantees boundary points match
   // at least one face; take the first.
@@ -164,9 +184,9 @@ HtmId LookupId(const Vec3& p, int level) {
   }
   if (base < 0) base = q.z >= 0 ? 4 : 0;  // Unreachable fallback.
 
-  HtmId id = HtmId::Base(base >= 4 ? base : base);  // raw 8+base order.
   // HtmId::Base maps 0..3->S0..S3 (raw 8..11), 4..7->N0..N3 (raw 12..15),
   // matching kBase's ordering.
+  HtmId id = HtmId::Base(base);
   Vec3 a = kBase[base].a, b = kBase[base].b, c = kBase[base].c;
   for (int l = 0; l < level; ++l) {
     Vec3 w0 = Mid(b, c), w1 = Mid(a, c), w2 = Mid(a, b);
@@ -191,7 +211,11 @@ HtmId LookupId(const Vec3& p, int level) {
       c = w2;
     }
   }
-  return id;
+  return Trixel(id, a, b, c);
+}
+
+HtmId LookupId(const Vec3& p, int level) {
+  return Trixel::Locate(p, level).id();
 }
 
 HtmId LookupId(double ra_deg, double dec_deg, int level) {

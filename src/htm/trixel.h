@@ -31,6 +31,12 @@ class Trixel {
   /// octahedron face, so cost is O(level).
   static Trixel FromId(HtmId id);
 
+  /// The level-`level` trixel containing unit vector `p`, with its
+  /// corners: the one point-location descent (LookupId is its id).
+  /// Points exactly on shared boundaries resolve deterministically to
+  /// one of the adjacent trixels. `level` must be in [0, kMaxLevel].
+  static Trixel Locate(const Vec3& p, int level);
+
   HtmId id() const { return id_; }
   const Vec3& v0() const { return v_[0]; }
   const Vec3& v1() const { return v_[1]; }
@@ -45,6 +51,14 @@ class Trixel {
   /// True if the unit vector `p` lies inside (or on the boundary of) this
   /// spherical triangle.
   bool Contains(const Vec3& p) const;
+
+  /// True if the whole cap of angular radius `radius_rad` around the unit
+  /// vector `p` lies inside this trixel: p is at least that far from each
+  /// edge's great circle, p . n >= sin(radius) for every unit inward edge
+  /// normal n. Conservative -- caps within a small slack of an edge
+  /// answer false -- so every point of a cap it accepts locates
+  /// (LookupId) to this trixel. Costs three dot products, no descent.
+  bool ContainsCap(const Vec3& p, double radius_rad) const;
 
   /// Normalized centroid of the three corners.
   Vec3 Center() const { return (v_[0] + v_[1] + v_[2]).Normalized(); }
@@ -70,9 +84,8 @@ class Trixel {
   std::array<Vec3, 3> v_;
 };
 
-/// Locates the level-`level` trixel containing unit vector `p`.
-/// Points exactly on shared boundaries resolve deterministically to one of
-/// the adjacent trixels. `level` must be in [0, kMaxLevel].
+/// Id of the level-`level` trixel containing unit vector `p`:
+/// Trixel::Locate(p, level).id().
 HtmId LookupId(const Vec3& p, int level);
 
 /// Convenience overload taking (ra, dec) degrees in the Equatorial frame.

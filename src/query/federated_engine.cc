@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <iterator>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -50,26 +49,18 @@ std::string StripExplainAnalyze(const std::string& sql) {
 
 /// Phase A of the federated neighbor join: each shard runs the join's
 /// phase-1 kernel over the containers its join leaf reads and, for
-/// every survivor whose separation cap (htm::Cover at the container
-/// level) reaches a container another shard serves, ships a copy of
-/// the object to that shard. Symmetric shipping is what lets every
-/// shard emit exactly the pairs whose lower-id member it owns: the
-/// partner of any in-radius pair is guaranteed present, locally or as a
-/// ghost.
+/// every survivor whose separation cap (htm::ForEachTrixelNearPoint at
+/// the container level) reaches a container another shard serves,
+/// ships a copy of the object to that shard. Symmetric shipping is
+/// what lets every shard emit exactly the pairs whose lower-id member
+/// it owns: the partner of any in-radius pair is guaranteed present,
+/// locally or as a ghost.
 Result<std::vector<PairJoinGhosts>> HarvestJoinGhosts(
     ThreadPool* pool, const std::vector<Shard>& shards, const PlanNode* join,
     const std::atomic<bool>* cancel) {
   const size_t n = shards.size();
   std::vector<PairJoinGhosts> ghosts(n);
   if (n <= 1) return ghosts;
-
-  // Container -> serving shard.
-  std::unordered_map<uint64_t, size_t> owner;
-  for (size_t i = 0; i < n; ++i) {
-    for (const auto& [raw, c] : shards[i].store->containers()) {
-      owner.emplace(raw, i);
-    }
-  }
 
   ColumnarScan kernel;
   SDSS_RETURN_IF_ERROR(ColumnarScan::Compile(*join, {}, &kernel));
@@ -85,24 +76,28 @@ Result<std::vector<PairJoinGhosts>> HarvestJoinGhosts(
         CollectScanContainers(join, shard.store);
     std::vector<size_t> dests;
     for (size_t ci = 0; ci < containers.size(); ++ci) {
+      const uint64_t home = containers[ci]->trixel.raw();
       const catalog::ColumnarBlock& block = containers[ci]->columnar;
       // Seeded as the shard's executor seeds the same container.
       Rng rng(join->sample_seed + ci * 7919);
       const bool completed = kernel.Scan(
           block, &rng,
           [&](size_t k) {
-            // Which foreign shards serve a container within the cap?
+            // Which foreign shards serve a container within the cap? A
+            // cap inside its home container names only that one, which
+            // this shard serves; the few that leave it look their
+            // trixels up in the other shards' directories.
             dests.clear();
-            htm::ForEachRawInCover(
-                htm::Cover(
-                    htm::Region::CircleAround(block.Position(k), sep_deg),
-                    level),
-                level, [&](uint64_t raw2) {
-                  auto it = owner.find(raw2);
-                  if (it == owner.end() || it->second == i) return;
-                  if (std::find(dests.begin(), dests.end(), it->second) ==
-                      dests.end()) {
-                    dests.push_back(it->second);
+            htm::ForEachTrixelNearPoint(
+                block.Position(k), sep_deg, level, [&](uint64_t raw2) {
+                  if (raw2 == home) return;
+                  for (size_t j = 0; j < n; ++j) {
+                    if (j != i &&
+                        shards[j].store->containers().contains(raw2) &&
+                        std::find(dests.begin(), dests.end(), j) ==
+                            dests.end()) {
+                      dests.push_back(j);
+                    }
                   }
                 });
             if (dests.empty()) return true;

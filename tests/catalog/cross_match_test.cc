@@ -4,10 +4,14 @@
 
 #include <cmath>
 #include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "catalog/sky_generator.h"
 #include "core/angle.h"
 #include "core/random.h"
+#include "htm/trixel.h"
 
 namespace sdss::catalog {
 namespace {
@@ -140,6 +144,59 @@ TEST(CrossMatchTest, MatchesBruteForceOnSmallCatalog) {
   std::sort(brute.begin(), brute.end());
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, brute);
+}
+
+TEST(CrossMatchTest, MatchesStraddlingContainerEdges) {
+  // Each pair sits 0.5 arcsec either side of a container edge (or on a
+  // corner's far side), so its two members live in different containers
+  // of the same cluster level: a 2 arcsec match must still find every
+  // one, through the neighbour containers the cap reaches.
+  SkyModel m;
+  m.seed = 9;
+  m.num_galaxies = 1;
+  m.num_stars = 0;
+  m.num_quasars = 0;
+  const PhotoObj proto = SkyGenerator(m).Generate().front();
+  ObjectStore a, b;
+  const int level = b.cluster_level();
+  Rng rng(31);
+  std::vector<PhotoObj> in_a, in_b;
+  auto place = [](PhotoObj o, uint64_t id, const Vec3& pos) {
+    o.obj_id = id;
+    o.pos = pos.Normalized();
+    SphericalFromUnitVector(o.pos, &o.ra_deg, &o.dec_deg);
+    return o;
+  };
+  const double step = ArcsecToRad(0.5);
+  for (uint64_t k = 0; k < 200; ++k) {
+    const htm::Trixel t =
+        htm::Trixel::FromId(htm::LookupId(rng.UnitSphere(), level));
+    const int e = static_cast<int>(k % 3);
+    const Vec3& v = t.vertices()[e];
+    const Vec3& w = t.vertices()[(e + 1) % 3];
+    // Even k: a point on edge e; odd k: corner e.
+    const Vec3 on = k % 2 == 0 ? (v + w * rng.Uniform(0.2, 1.0)).Normalized()
+                               : v;
+    const Vec3 inward = k % 2 == 0 ? v.Cross(w).Normalized()
+                                   : (t.Center() - v).Normalized();
+    const PhotoObj oa = place(proto, k + 1, on + inward * step);
+    const PhotoObj ob = place(proto, 1'000'000 + k, on - inward * step);
+    ASSERT_NE(htm::LookupId(oa.pos, level), htm::LookupId(ob.pos, level));
+    in_a.push_back(oa);
+    in_b.push_back(ob);
+  }
+  ASSERT_TRUE(a.BulkLoad(in_a).ok());
+  ASSERT_TRUE(b.BulkLoad(in_b).ok());
+  CrossMatchOptions opt;
+  opt.radius_arcsec = 2.0;
+  opt.best_match_only = false;
+  std::set<std::pair<uint64_t, uint64_t>> got;
+  for (const MatchPair& p : CrossMatch(a, b, opt)) {
+    got.emplace(p.obj_id_a, p.obj_id_b);
+  }
+  for (uint64_t k = 0; k < 200; ++k) {
+    EXPECT_TRUE(got.count({k + 1, 1'000'000 + k})) << "pair " << k;
+  }
 }
 
 }  // namespace

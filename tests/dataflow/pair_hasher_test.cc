@@ -18,7 +18,6 @@
 #include "catalog/sky_generator.h"
 #include "core/angle.h"
 #include "htm/cover.h"
-#include "htm/region.h"
 #include "htm/trixel.h"
 
 namespace sdss::dataflow {
@@ -129,19 +128,25 @@ TEST(PairHasherTest, ShardedWithGhostExchangeIsExactlyOnce) {
   PairHasher shard0(sep_arcsec, 9), shard1(sep_arcsec, 9);
   PairHasher* shards[2] = {&shard0, &shard1};
   double sep_deg = ArcsecToDeg(sep_arcsec);
+  size_t shipped_objects = 0;
   for (const PhotoObj& o : objs) {
     uint64_t own = owner(o.pos);
     shards[own]->Add(&o, /*local=*/true);
-    // Ghost exchange at the container level.
+    // Ghost exchange at the container level, by the rule the federated
+    // engine's harvest applies.
     bool shipped = false;
-    htm::ForEachRawInCover(
-        htm::Cover(htm::Region::CircleAround(o.pos, sep_deg),
-                   container_level),
-        container_level, [&shipped, own](uint64_t raw) {
-          if (raw % 2 != own) shipped = true;
-        });
-    if (shipped) shards[1 - own]->Add(&o, /*local=*/false);
+    htm::ForEachTrixelNearPoint(o.pos, sep_deg, container_level,
+                                [&shipped, own](uint64_t raw) {
+                                  if (raw % 2 != own) shipped = true;
+                                });
+    if (shipped) {
+      shards[1 - own]->Add(&o, /*local=*/false);
+      ++shipped_objects;
+    }
   }
+  // The exchange did cross shard boundaries (else the test proves
+  // nothing about ghosts).
+  EXPECT_GT(shipped_objects, 0u);
 
   PairSet merged = HashedPairs(shard0);
   for (const auto& p : HashedPairs(shard1)) {

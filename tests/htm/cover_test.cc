@@ -164,6 +164,27 @@ TEST(CoverTest, CoarseFullTrixelsAreNotSplit) {
   EXPECT_TRUE(has_coarse_full);
 }
 
+TEST(CoverTest, RootedCoverEqualsTheWholeSphereCoverInsideTheRoot) {
+  // A 0.2-deg circle well inside one level-3 trixel: walking only that
+  // trixel's subtree yields the same FULL and PARTIAL trixels as walking
+  // from the 8 roots, and nothing is tested above the root's level.
+  const Vec3 center = UnitVectorFromSpherical(45.0, 30.0);
+  const Trixel root = Trixel::Locate(center, 3);
+  ASSERT_TRUE(root.ContainsCap(center, DegToRad(0.2)));
+  const Region region = Region::CircleAround(center, 0.2);
+  CoverOptions rooted;
+  rooted.level = 9;
+  rooted.root = root.id();
+  const CoverResult from_root = Cover(region, rooted);
+  const CoverResult whole = Cover(region, 9);
+  EXPECT_EQ(from_root.full, whole.full);
+  EXPECT_EQ(from_root.partial, whole.partial);
+  EXPECT_FALSE(from_root.partial.empty());
+  EXPECT_EQ(from_root.level_stats[0].tested, 0u);
+  EXPECT_EQ(from_root.level_stats[3].tested, 1u);
+  EXPECT_EQ(whole.level_stats[0].tested, 8u);
+}
+
 TEST(HtmIndexTest, FacadeRoundTrip) {
   HtmIndex index(6);
   EXPECT_EQ(index.level(), 6);
