@@ -260,6 +260,36 @@ void BM_ScanAvgColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanAvgColumnar)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
+// The served mining workload's two full-catalog sweep shapes on a
+// 4-server, 2-replica fleet over the same sky, with the served
+// engine's default options (scan thread count, tag selection): the data
+// pump's parallel aggregate pushdown, where a sweep should pay for the
+// rows it scans rather than for per-container bookkeeping.
+void BM_ScanFleetSweep(benchmark::State& state, const char* sql) {
+  static ShardedStore* sharded = new ShardedStore(MappedBenchStore(), {4, 2});
+  auto shards = sharded->LiveShards();
+  if (!shards.ok()) {
+    state.SkipWithError("no live shards");
+    return;
+  }
+  FederatedQueryEngine fleet(*shards);
+  for (auto _ : state) {
+    auto r = fleet.Execute(sql);
+    benchmark::DoNotOptimize(r->aggregate_value);
+  }
+  state.counters["columnar_containers"] =
+      static_cast<double>(fleet.Execute(sql)->exec.containers_columnar);
+}
+BENCHMARK_CAPTURE(BM_ScanFleetSweep, count,
+                  "SELECT COUNT(*) FROM photo WHERE g - r > 0.6 AND r < 21.5")
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_ScanFleetSweep, avg,
+                  "SELECT AVG(r) FROM photo WHERE u - g < 1.8 AND "
+                  "class = 'GALAXY'")
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
 // --- Cold start: read + verify + copy columns vs mmap-and-adopt ------
 
 void BM_ColdStartReadVerifyCopy(benchmark::State& state) {

@@ -38,8 +38,9 @@ namespace sdss::dataflow {
 /// Accumulates objects into spatial buckets (phase 1) and enumerates
 /// candidate pairs per bucket (phase 2).
 ///
-/// Thread-compatibility: Add is not thread-safe (callers serialize, as
-/// the executor's parallel phase 1 does); once adding is done,
+/// Thread-compatibility: Add is not thread-safe (callers serialize; the
+/// executor's phase 1 computes bucket sets in parallel and files them
+/// from one thread); once adding is done,
 /// ForEachCandidatePair may run concurrently over distinct buckets.
 class PairHasher {
  public:
@@ -74,7 +75,7 @@ class PairHasher {
   /// The geometric half of Add (htm::ForEachTrixelNearPoint: one point
   /// location, plus a cover only when the cap reaches past the home
   /// trixel's edges), safe to run concurrently with no synchronization
-  /// -- parallel scans compute this outside their insert lock.
+  /// -- the executor's phase 1 computes these in parallel.
   BucketSet ComputeBuckets(const catalog::PhotoObj& obj) const;
 
   /// The filing half of Add: files `obj` under a precomputed bucket set

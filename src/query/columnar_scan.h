@@ -7,16 +7,22 @@
 // tag leaf reads the same columns at the tag partition's precision
 // (catalog::ResolveTagColumn, ColumnarBlock::TagPosition).
 //
+// The predicate runs a chunk at a time: every node of the compiled tree
+// fills one array of kChunk values (attributes through
+// ColumnGetter::Gather, operators as flat loops the compiler
+// vectorizes), so one evaluator serves every predicate shape.
+//
 // Bit-exactness contract: answers are identical to the row oracle's
 // (Expr::EvalBool + GetAttribute over ColumnarBlock::Materialize() rows,
 // or GetTagAttribute over TagObj::FromPhoto rows for tag leaves) --
 // attribute conversions go through the resolvers, which mirror those
-// accessors, expression evaluation mirrors Expr::Eval recursion
-// exactly, and sampling draws one Bernoulli variate per row in row
-// order. Division mirrors Expr::Eval's divide-by-zero error: evaluation
-// order (including AND/OR short-circuiting) is identical, so the kernel
-// errors on exactly the row the oracle errors on, with the same status,
-// and the rows before it are still emitted first.
+// accessors, each row's value is computed by the same operations as
+// Expr::Eval's recursion, and sampling draws one Bernoulli variate per
+// row in row order. Division mirrors Expr::Eval's divide-by-zero error:
+// per-row error flags are masked by the same AND/OR short-circuit and by
+// the sample, so the kernel errors on exactly the row the oracle errors
+// on, with the same status, and the rows before it are still emitted
+// first.
 
 #ifndef SDSS_QUERY_COLUMNAR_SCAN_H_
 #define SDSS_QUERY_COLUMNAR_SCAN_H_
@@ -25,6 +31,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "catalog/columnar.h"
@@ -37,8 +44,9 @@ namespace sdss::query {
 
 class ColumnarScan {
  public:
-  /// Rows per filter chunk: the selection bitmap lives in a stack
-  /// array, and sampling / predicate / visit phases each run as a tight
+  /// Rows per evaluation chunk: the selection bitmap and every
+  /// predicate node's values live in stack arrays of this many rows,
+  /// and the sampling, predicate and visit phases each run as a tight
   /// loop over one chunk.
   static constexpr size_t kChunk = 256;
 
@@ -51,16 +59,28 @@ class ColumnarScan {
                         const std::vector<std::string>& attrs,
                         ColumnarScan* out);
 
+  /// The SAMPLE stream for container `ci` of the leaf's container list,
+  /// seeded by container INDEX, not claim order, so the same query
+  /// samples the same objects on every run whichever thread scans the
+  /// container. Empty when the leaf does not sample: seeding a
+  /// generator costs more than scanning a typical container.
+  std::optional<Rng> SampleStream(size_t ci) const {
+    if (sample_ >= 1.0) return std::nullopt;
+    return Rng(sample_seed_ + ci * 7919);
+  }
+
   /// Runs sampling + predicate over rows [0, block.n) in row order,
   /// calling `visit(i)` for every surviving row; `visit` returning
-  /// false aborts. `tick(m)` is called once per chunk with the number
-  /// of rows about to be examined (the caller's objects_examined
-  /// accounting and cancellation poll); returning false aborts.
-  /// Returns true iff the whole block completed. A predicate evaluation
-  /// error (divide by zero) aborts the block after visiting the chunk's
-  /// earlier survivors -- exactly the rows Expr::Eval emits before its
-  /// erroring row -- and reports Expr::Eval's status through `error`
-  /// when non-null.
+  /// false aborts. `rng` is the container's sample stream (see
+  /// SampleStream) and may be null when the leaf does not sample.
+  /// `tick(m)` is called once per chunk with the number of rows about
+  /// to be examined (the caller's objects_examined accounting and
+  /// cancellation poll); returning false aborts. Returns true iff the
+  /// whole block completed. A predicate evaluation error (divide by
+  /// zero) aborts the block after visiting the chunk's earlier
+  /// survivors -- exactly the rows Expr::Eval emits before its erroring
+  /// row -- and reports Expr::Eval's status through `error` when
+  /// non-null.
   template <typename Visit, typename Tick>
   bool Scan(const catalog::ColumnarBlock& block, Rng* rng,
             const Visit& visit, const Tick& tick,
@@ -76,39 +96,20 @@ class ColumnarScan {
       } else {
         std::fill_n(keep.begin(), m, uint8_t{1});
       }
-      if (pred_ != nullptr && simple_cmp_) {
-        // The dominant leaf shape -- one `attr op literal` comparison --
-        // runs as two flat chunk loops (column gather, then compare)
-        // that the compiler auto-vectorizes. A bare comparison cannot
-        // error, and evaluating it for sampled-out rows is unobservable,
-        // so masking with `keep` afterwards is exact.
-        std::array<double, kChunk> vals;
-        cmp_getter_.Gather(block, base, m, vals.data());
-        ApplyCompare(cmp_op_, vals.data(), m, cmp_literal_, keep.data());
-      } else if (pred_ != nullptr) {
-        for (size_t k = 0; k < m; ++k) {
-          if (keep[k] != 0) {
-            bool err = false;
-            const double v = EvalNode(*pred_, block, base + k, &err);
-            if (err) {
-              // Row-at-a-time evaluation emits every earlier match
-              // before the erroring row stops the container; mirror it,
-              // then fail with the identical status (expr.cc's kDiv
-              // error).
-              for (size_t j = 0; j < k; ++j) {
-                if (keep[j] != 0 && !visit(base + j)) return false;
-              }
-              if (error != nullptr) {
-                *error = Status::InvalidArgument("division by zero");
-              }
-              return false;
-            }
-            keep[k] = v != 0.0 ? 1 : 0;
-          }
-        }
-      }
-      for (size_t k = 0; k < m; ++k) {
+      const size_t stop =
+          pred_ != nullptr ? Filter(block, base, m, keep.data()) : m;
+      for (size_t k = 0; k < stop; ++k) {
         if (keep[k] != 0 && !visit(base + k)) return false;
+      }
+      if (stop < m) {
+        // Row-at-a-time evaluation emits every earlier match before
+        // the erroring row stops the container; the loop above did
+        // that, so fail with the identical status (expr.cc's kDiv
+        // error).
+        if (error != nullptr) {
+          *error = Status::InvalidArgument("division by zero");
+        }
+        return false;
       }
     }
     return true;
@@ -127,7 +128,7 @@ class ColumnarScan {
 
  private:
   /// A compiled expression node: Expr with every attribute resolved to
-  /// its ColumnGetter, so per-row evaluation never touches a string.
+  /// its ColumnGetter, so evaluation never touches a string.
   struct Node {
     Expr::Kind kind = Expr::Kind::kLiteral;
     BinOp op = BinOp::kAdd;
@@ -135,78 +136,44 @@ class ColumnarScan {
     catalog::ColumnGetter getter;
     htm::Region region;
     bool tag_position = false;  ///< kSpatial over a tag leaf.
+    bool may_error = false;     ///< The subtree divides.
     std::unique_ptr<Node> lhs, rhs;
   };
 
-  /// Evaluates a compiled tree at row `i`, mirroring Expr::Eval
-  /// (including AND/OR short-circuit structure and the left-to-right
-  /// error propagation a zero divisor triggers). `*err` is set -- and
-  /// the return value meaningless -- on the first divide-by-zero, in
-  /// exactly the evaluation-order position Expr::Eval errors at.
-  static double EvalNode(const Node& n, const catalog::ColumnarBlock& b,
-                         size_t i, bool* err);
+  /// Chunk buffers EvalChunk's right operands need, held on the stack
+  /// up to this many; deeper right nesting spills to the heap.
+  static constexpr size_t kInlineSlots = 4;
+
+  /// Masks `keep[k]` (k < m) with the predicate at row base + k.
+  /// Returns m, or -- when a row `keep` selects errors -- the first such
+  /// k, with keep[0, k) masked and the rest meaningless.
+  size_t Filter(const catalog::ColumnarBlock& block, size_t base, size_t m,
+                uint8_t* keep) const;
+
+  /// Evaluates `n` over rows [base, base + m): out[k] is the value at
+  /// row base + k exactly as Expr::Eval computes it. When n.may_error,
+  /// err[k] is set iff Expr::Eval errors at that row: an AND/OR masks
+  /// its right operand's flags with the rows whose left value does not
+  /// decide the result, so a divisor behind an untaken arm never
+  /// errors. Otherwise `err` is untouched. Right operands land in
+  /// `slot_vals`/`slot_errs`, chunk-sized buffers, one per level of
+  /// right nesting.
+  static void EvalChunk(const Node& n, const catalog::ColumnarBlock& b,
+                        size_t base, size_t m, double* out, uint8_t* err,
+                        double* slot_vals, uint8_t* slot_errs);
 
   /// Compiles `e`, resolving attributes on the tag partition when `tag`.
   static Status CompileExpr(const Expr& e, bool tag,
                             std::unique_ptr<Node>* out);
 
-  /// Recognizes a predicate that is exactly one `attr op literal`
-  /// comparison (either operand order) and fills the simple-compare
-  /// members, enabling the vectorized chunk path in Scan.
-  static void CompileSimpleCompare(ColumnarScan* out);
-
-  /// Masks `keep[k]` with (vals[k] op literal) for k in [0, m). The
-  /// select form (`cond ? keep[k] : 0`) is deliberate: GCC lowers it to
-  /// a packed compare + AND on baseline x86-64, while the equivalent
-  /// `keep[k] &= cond` read-modify-write narrows the compare through a
-  /// bool whose double-to-byte mask conversion has no SSE2 pattern and
-  /// stays scalar.
-  static void ApplyCompare(BinOp op, const double* vals, size_t m,
-                           double literal, uint8_t* keep) {
-    constexpr uint8_t kZero = 0;
-    switch (op) {
-      case BinOp::kLt:
-        for (size_t k = 0; k < m; ++k) {
-          keep[k] = vals[k] < literal ? keep[k] : kZero;
-        }
-        return;
-      case BinOp::kLe:
-        for (size_t k = 0; k < m; ++k) {
-          keep[k] = vals[k] <= literal ? keep[k] : kZero;
-        }
-        return;
-      case BinOp::kGt:
-        for (size_t k = 0; k < m; ++k) {
-          keep[k] = vals[k] > literal ? keep[k] : kZero;
-        }
-        return;
-      case BinOp::kGe:
-        for (size_t k = 0; k < m; ++k) {
-          keep[k] = vals[k] >= literal ? keep[k] : kZero;
-        }
-        return;
-      case BinOp::kEq:
-        for (size_t k = 0; k < m; ++k) {
-          keep[k] = vals[k] == literal ? keep[k] : kZero;
-        }
-        return;
-      case BinOp::kNe:
-        for (size_t k = 0; k < m; ++k) {
-          keep[k] = vals[k] != literal ? keep[k] : kZero;
-        }
-        return;
-      default:
-        return;  // Unreachable: CompileSimpleCompare filters operators.
-    }
-  }
+  /// How many right-operand buffers EvalChunk needs for `n`.
+  static size_t Slots(const Node& n);
 
   double sample_ = 1.0;
+  uint64_t sample_seed_ = 0;
   bool tag_ = false;            ///< A tag leaf: tag positions.
   std::unique_ptr<Node> pred_;  ///< Null = accept all.
-  bool simple_cmp_ = false;     ///< Scan may take the vectorized path.
-  BinOp cmp_op_ = BinOp::kLt;
-  double cmp_literal_ = 0.0;
-  catalog::ColumnGetter cmp_getter_;
+  size_t slots_ = 0;            ///< Slots(*pred_).
   std::vector<catalog::ColumnGetter> values_;
 };
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <iterator>
 #include <mutex>
+#include <optional>
 #include <unordered_set>
 
 #include "catalog/photo_obj.h"
@@ -17,6 +18,36 @@ namespace {
 using catalog::Container;
 using catalog::GetAttribute;
 using catalog::PhotoObj;
+
+/// Rows per scan morsel. A scan-shaped fan-out claims contiguous runs
+/// of a leaf's containers holding about this many rows, not single
+/// containers: a container averages about a dozen objects, so per-claim
+/// bookkeeping (the claim itself, the tally and fold merges) would
+/// otherwise cost more than the scan.
+constexpr size_t kMorselRows = 8192;
+
+/// Cuts `containers` into contiguous runs of about kMorselRows rows: run
+/// r covers containers [bounds[r], bounds[r + 1]). A run closes at the
+/// first container that brings it to kMorselRows, so it depends only on
+/// the container list -- never on the thread count.
+std::vector<size_t> MorselRuns(
+    const std::vector<const Container*>& containers) {
+  std::vector<size_t> bounds{0};
+  size_t rows = 0;
+  for (size_t ci = 0; ci < containers.size(); ++ci) {
+    rows += containers[ci]->size();
+    if (rows >= kMorselRows) {
+      bounds.push_back(ci + 1);
+      rows = 0;
+    }
+  }
+  if (bounds.back() != containers.size()) bounds.push_back(containers.size());
+  return bounds;
+}
+
+/// Objects per pair-join hashing morsel: their neighbour buckets cost a
+/// microsecond or more each, so a block is worth a claim.
+constexpr size_t kHashBlock = 64;
 
 /// One morsel's scan counters: kept locally while the morsel runs and
 /// added to the query's totals once when it ends, never per object.
@@ -288,10 +319,13 @@ class TreeRunner {
   struct Leaf {
     const PlanNode* node = nullptr;
     std::vector<const Container*> containers;
+    std::vector<size_t> runs;  ///< MorselRuns(containers).
     ColumnarScan kernel;
     bool personal = false;  ///< A mydb leaf: no access recording.
     bool tag = false;       ///< Reads the tag partition.
     bool empty = false;     ///< A tag leaf over a store keeping none.
+
+    size_t num_runs() const { return runs.size() - 1; }
   };
 
   /// Collects `scan`'s containers -- a mydb leaf reads its own
@@ -303,6 +337,7 @@ class TreeRunner {
     const catalog::ObjectStore* store =
         leaf->personal ? scan->mydb_store.get() : store_;
     leaf->containers = CollectScanContainers(scan, store);
+    leaf->runs = MorselRuns(leaf->containers);
     leaf->tag = scan->table == TableRef::kTag;
     leaf->empty = leaf->tag && !store->options().build_tags;
     // A pair join's projection names pair columns; its kernel only
@@ -319,25 +354,24 @@ class TreeRunner {
   /// Scans container `ci` of `leaf` with its compiled kernel -- THE
   /// definition of which objects the leaf yields, shared by the
   /// row-emitting scan, the aggregate pushdown and the pair join's
-  /// phase 1 so they can never diverge. Calls `on_match(i)` for every
-  /// surviving row of the container's column block; returns false when
-  /// the morsel must abort.
+  /// phase 1 so they can never diverge. Calls `on_match(block, i)` for
+  /// every surviving row of the container's column block; returns false
+  /// when the morsel must abort.
   template <typename OnMatch>
   bool ScanContainer(const Leaf& leaf, size_t ci, ScanTally* tally,
                      const OnMatch& on_match) {
     const Container* c = leaf.containers[ci];
     if (!leaf.personal) ctx_->RecordContainerAccess(c);
-    // Seeded by container INDEX, not claim order: the same query
-    // samples the same objects on every run, whichever thread runs the
-    // morsel.
-    Rng rng(leaf.node->sample_seed + ci * 7919);
     ++tally->containers_scanned;
     ++tally->containers_columnar;
     if (leaf.empty) return true;
     tally->bytes_touched += leaf.tag ? c->TagBytes() : c->FullBytes();
+    const catalog::ColumnarBlock& block = c->columnar;
+    std::optional<Rng> rng = leaf.kernel.SampleStream(ci);
     Status error;
     const bool completed = leaf.kernel.Scan(
-        c->columnar, &rng, on_match,
+        block, rng ? &*rng : nullptr,
+        [&](size_t i) { return on_match(block, i); },
         [&](size_t examined) {
           if (ctx_->Halted()) return false;
           tally->objects_examined += examined;
@@ -348,61 +382,84 @@ class TreeRunner {
     return completed;
   }
 
-  /// Scan leaf: one morsel per container, streamed through the exchange.
+  /// Scans every container of run `r` of `leaf` in order; false when
+  /// the morsel must abort.
+  template <typename OnMatch>
+  bool ScanRun(const Leaf& leaf, size_t r, ScanTally* tally,
+               const OnMatch& on_match) {
+    for (size_t ci = leaf.runs[r]; ci < leaf.runs[r + 1]; ++ci) {
+      if (!ScanContainer(leaf, ci, tally, on_match)) return false;
+    }
+    return true;
+  }
+
+  /// Scan leaf: one morsel per run of containers, streamed through the
+  /// exchange. A container's survivors are handed on when it ends (or a
+  /// batch fills), so the consumer sees rows as soon as they exist, and
+  /// the exchange's bounded queue -- not the run length -- limits how
+  /// far a scan runs ahead of a consumer that has stopped.
   bool Scan(const PlanNode* node, const BatchSink& emit) {
     Leaf leaf;
     if (!Prepare(node, &leaf)) return false;
     const size_t batch_size = options_.batch_size;
-    const Morsel morsel = [&](size_t ci, const BatchSink& out) {
+    const Morsel morsel = [&](size_t r, const BatchSink& out) {
       if (ctx_->Halted()) return;
-      const Container* c = leaf.containers[ci];
       ScanTally tally;
       RowBatch batch;
-      batch.reserve(batch_size);
       ResultRow row;
-      const bool completed = ScanContainer(leaf, ci, &tally, [&](size_t i) {
-        leaf.kernel.ProjectRow(c->columnar, i, &row);
+      const auto project = [&](const catalog::ColumnarBlock& block,
+                               size_t i) {
+        // A batch never spans containers, so the container's remaining
+        // rows bound it.
+        if (batch.empty()) batch.reserve(std::min(batch_size, block.n - i));
+        leaf.kernel.ProjectRow(block, i, &row);
         ++tally.objects_matched;
         batch.push_back(row);
         if (batch.size() < batch_size) return true;
         const bool more = out(std::move(batch));
         batch.clear();
-        batch.reserve(batch_size);
         return more;
-      });
+      };
+      for (size_t ci = leaf.runs[r]; ci < leaf.runs[r + 1]; ++ci) {
+        if (!ScanContainer(leaf, ci, &tally, project)) break;
+        if (batch.empty()) continue;
+        const bool more = out(std::move(batch));
+        batch.clear();
+        if (!more) break;
+      }
       ctx_->Add(tally);
-      if (completed && !batch.empty()) out(std::move(batch));
     };
-    return StreamMorsels(pool_, leaf.containers.size(), morsel, emit);
+    return StreamMorsels(pool_, leaf.num_runs(), morsel, emit);
   }
 
-  /// Aggregate pushdown: the fold runs inside the container morsels, so
-  /// no rows are materialized and an aggregate costs exactly one pass
-  /// over the (pruned) containers.
+  /// Aggregate pushdown: the fold runs inside the morsels, so no rows
+  /// are materialized and an aggregate costs exactly one pass over the
+  /// (pruned) containers. Each run folds into its own slot and the
+  /// slots merge in run order, so the answer's bits do not depend on
+  /// the thread schedule.
   bool AggregatePushdown(const PlanNode* node, const PlanNode* scan,
                          const BatchSink& emit) {
     Leaf leaf;
     if (!Prepare(scan, &leaf)) return false;
     const bool has_input = !scan->projection.empty();
-    std::mutex fold_mu;
-    AggFold total;
-    pool_->ParallelFor(leaf.containers.size(), [&](size_t ci) {
+    std::vector<AggFold> folds(leaf.num_runs());
+    pool_->ParallelFor(leaf.num_runs(), [&](size_t r) {
       if (ctx_->Halted()) return;
-      const Container* c = leaf.containers[ci];
       ScanTally tally;
       AggFold local;
-      const bool completed = ScanContainer(leaf, ci, &tally, [&](size_t i) {
-        if (has_input) local.Add(leaf.kernel.Value(c->columnar, i));
-        ++local.count;
-        return true;
-      });
+      const bool completed = ScanRun(
+          leaf, r, &tally, [&](const catalog::ColumnarBlock& block, size_t i) {
+            if (has_input) local.Add(leaf.kernel.Value(block, i));
+            ++local.count;
+            return true;
+          });
       if (completed) tally.objects_matched = local.count;
       ctx_->Add(tally);
-      if (!completed) return;
-      std::lock_guard<std::mutex> lock(fold_mu);
-      total.Merge(local);
+      folds[r] = local;
     });
     if (ctx_->has_error()) return false;
+    AggFold total;
+    for (const AggFold& f : folds) total.Merge(f);
     return emit({FinishAggregate(node->agg, node->agg_partial, total)});
   }
 
@@ -417,37 +474,45 @@ class TreeRunner {
     if (!Prepare(node, &leaf)) return false;
     dataflow::PairHasher hasher(node->pair_max_sep_arcsec,
                                 node->pair_bucket_level);
-    // Phase-1 survivors decoded once, one slot per container: the join
-    // owns them for the query and the hasher points into them.
-    std::vector<std::vector<PhotoObj>> survivors(leaf.containers.size());
-    std::mutex hash_mu;
-    pool_->ParallelFor(leaf.containers.size(), [&](size_t ci) {
+    // Phase-1 survivors decoded once, one slot per run: the join owns
+    // them for the query and the hasher points into them.
+    std::vector<std::vector<PhotoObj>> survivors(leaf.num_runs());
+    pool_->ParallelFor(leaf.num_runs(), [&](size_t r) {
       if (ctx_->Halted()) return;
-      const catalog::ColumnarBlock& block = leaf.containers[ci]->columnar;
-      std::vector<PhotoObj>& objs = survivors[ci];
       ScanTally tally;
-      const bool completed = ScanContainer(leaf, ci, &tally, [&](size_t i) {
-        objs.push_back(block.MaterializeObject(i));
-        return true;
-      });
+      ScanRun(leaf, r, &tally,
+              [&](const catalog::ColumnarBlock& block, size_t i) {
+                survivors[r].push_back(block.MaterializeObject(i));
+                return true;
+              });
       ctx_->Add(tally);
-      if (!completed) return;
-      // Covers outside the lock; insert under it.
-      std::vector<dataflow::PairHasher::BucketSet> buckets;
-      buckets.reserve(objs.size());
-      for (const PhotoObj& o : objs) {
-        buckets.push_back(hasher.ComputeBuckets(o));
-      }
-      std::lock_guard<std::mutex> lock(hash_mu);
-      for (size_t k = 0; k < objs.size(); ++k) {
-        hasher.AddComputed(&objs[k], buckets[k]);
+    });
+    if (ctx_->has_error()) return false;
+    // Hashing costs a microsecond or more per object, far more than its
+    // scan, so it fans out on its own over blocks of objects -- the
+    // shipped ghosts included -- and files them in order afterwards.
+    std::vector<const PhotoObj*> objs;
+    for (const std::vector<PhotoObj>& run : survivors) {
+      for (const PhotoObj& o : run) objs.push_back(&o);
+    }
+    const size_t local = objs.size();
+    if (ghosts_ != nullptr) {
+      ctx_->bytes_shipped += ghosts_->objects.size() * sizeof(PhotoObj);
+      for (const PhotoObj& g : ghosts_->objects) objs.push_back(&g);
+    }
+    std::vector<dataflow::PairHasher::BucketSet> sets(objs.size());
+    const size_t blocks = (objs.size() + kHashBlock - 1) / kHashBlock;
+    pool_->ParallelFor(blocks, [&](size_t b) {
+      if (ctx_->Halted()) return;
+      const size_t end = std::min(objs.size(), (b + 1) * kHashBlock);
+      for (size_t k = b * kHashBlock; k < end; ++k) {
+        sets[k] = hasher.ComputeBuckets(*objs[k]);
       }
     });
-    if (ghosts_ != nullptr && !ctx_->has_error()) {
-      ctx_->bytes_shipped += ghosts_->objects.size() * sizeof(PhotoObj);
-      for (const PhotoObj& g : ghosts_->objects) hasher.Add(&g, false);
-    }
     if (ctx_->has_error()) return false;
+    for (size_t k = 0; k < objs.size(); ++k) {
+      hasher.AddComputed(objs[k], sets[k], k < local);
+    }
 
     const std::vector<const dataflow::PairHasher::Bucket*> buckets =
         hasher.BucketList();

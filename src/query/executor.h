@@ -8,12 +8,19 @@
 // emitting, exactly as the paper specifies. Only scan-shaped work fans
 // out: scan and mydb-scan leaves, aggregate pushdown and both pair-join
 // phases run as morsels on the shared ThreadPool, the calling thread
-// among them. Scan morsels hand their batches to the calling thread
-// through StreamMorsels' bounded queue as soon as they are produced, so
-// the consumer "starts seeing results almost immediately", and the
-// caller's sink only ever runs on the calling thread. A GATHER node is a
-// leaf whose rows the caller's gather source supplies: that is how the
-// coordinator of a distributed plan (DistributePlan) reads the fleet.
+// among them. A morsel that scans (a scan leaf, aggregate pushdown, the
+// pair join's phase-1 filter) is a contiguous run of the leaf's
+// containers holding about 8192 rows, so a sweep pays per-morsel
+// bookkeeping (claim, tally, fold merge) per run, not per container;
+// the runs depend only on the container list, and an aggregate merges
+// its per-run folds in run order, so its answer does not depend on the
+// thread schedule. Scan morsels hand each container's rows to the
+// calling thread through StreamMorsels' bounded queue as soon as they
+// are produced, so the consumer "starts seeing results almost
+// immediately", and the caller's sink only ever runs on the calling
+// thread. A GATHER node is a leaf whose rows the caller's gather source
+// supplies: that is how the coordinator of a distributed plan
+// (DistributePlan) reads the fleet.
 
 #ifndef SDSS_QUERY_EXECUTOR_H_
 #define SDSS_QUERY_EXECUTOR_H_

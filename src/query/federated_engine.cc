@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -79,9 +80,9 @@ Result<std::vector<PairJoinGhosts>> HarvestJoinGhosts(
       const uint64_t home = containers[ci]->trixel.raw();
       const catalog::ColumnarBlock& block = containers[ci]->columnar;
       // Seeded as the shard's executor seeds the same container.
-      Rng rng(join->sample_seed + ci * 7919);
+      std::optional<Rng> rng = kernel.SampleStream(ci);
       const bool completed = kernel.Scan(
-          block, &rng,
+          block, rng ? &*rng : nullptr,
           [&](size_t k) {
             // Which foreign shards serve a container within the cap? A
             // cap inside its home container names only that one, which

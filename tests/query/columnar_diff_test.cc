@@ -40,12 +40,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
-catalog::ObjectStore MakeSky(uint64_t seed) {
+catalog::ObjectStore MakeSky(uint64_t seed, size_t scale = 1) {
   catalog::SkyModel m;
   m.seed = seed;
-  m.num_galaxies = 3000;
-  m.num_stars = 2200;
-  m.num_quasars = 80;
+  m.num_galaxies = 3000 * scale;
+  m.num_stars = 2200 * scale;
+  m.num_quasars = 80 * scale;
   catalog::StoreOptions opts;
   opts.build_tags = true;
   catalog::ObjectStore store(opts);
@@ -173,6 +173,17 @@ std::vector<DiffQuery> DiffQueries() {
        "u / (g + 1) < 1.2",
        M::kRows},
       {"SELECT AVG(r) FROM photo WHERE u / (g + 1) < 1.2", M::kAggregate},
+      // Right operands nested deeper than the evaluator's on-stack
+      // chunk buffers.
+      {"SELECT obj_id, r FROM photo WHERE r - (g - (u - (i - (z - r)))) "
+       "< 1.5",
+       M::kRows},
+      // A zero divisor behind an untaken AND/OR arm: no row evaluates
+      // it, so neither errors.
+      {"SELECT obj_id FROM photo WHERE r > 99 AND 1 / (r - r) > 0",
+       M::kRows},
+      {"SELECT obj_id FROM photo WHERE r < 99 OR 1 / (r - r) > 0",
+       M::kRows},
       // Joins: phase 1 filters on the kernel.
       {kQsoGalaxyJoin, M::kRows},
       {kGalaxyPairsJoin, M::kRows},
@@ -486,6 +497,8 @@ TEST_F(ColumnarDiffTest, RuntimeErrorsSurfaceIdentically) {
            // AND short-circuiting decides which rows divide at all.
            "SELECT obj_id FROM photo WHERE CIRCLE('GAL', 30, 70, 20) "
            "AND 1 / (class - 1) > 0",
+           // NOT passes its operand's error through.
+           "SELECT obj_id FROM photo WHERE NOT (1 / (class - 1) > 0)",
            // The same divisor in a join's phase-1 filter.
            "SELECT a.obj_id, b.obj_id FROM photo AS a JOIN photo AS b "
            "WITHIN 5 ARCSEC WHERE 1 / (class - 1) > 0",
@@ -590,6 +603,81 @@ TEST_F(ColumnarDiffTest, MappedStoreReencodesBitExact) {
   // was mapped from, so snapshot-of-mapped-store is a faithful copy.
   EXPECT_EQ(persist::EncodeSnapshot(*mapped_store_),
             persist::EncodeSnapshot(*row_store_));
+}
+
+/// A one-store sky several scan morsels wide: the executor claims runs
+/// of about 8192 rows, so its scans cross run boundaries here.
+class ColumnarMorselTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    sky_ = new catalog::ObjectStore(MakeSky(8404, /*scale=*/8));
+  }
+  static void TearDownTestSuite() {
+    delete sky_;
+    sky_ = nullptr;
+  }
+  void SetUp() override { ASSERT_GT(sky_->object_count(), 4u * 8192u); }
+  inline static catalog::ObjectStore* sky_ = nullptr;
+};
+
+TEST_F(ColumnarMorselTest, OneStoreSumIsScheduleIndependent) {
+  // Each morsel folds its own run and the folds merge in run order, so
+  // a double sum has the same bits on every run, at any thread count.
+  // A sum of r (float magnitudes) is exact in a double whatever the
+  // order; a sum of ra is not, so it is the one that shows the order.
+  for (const char* sql : {"SELECT SUM(r) FROM photo WHERE r < 22",
+                          "SELECT SUM(ra) FROM photo WHERE r < 22"}) {
+    SCOPED_TRACE(sql);
+    auto want = OneShard(sky_, SingleThreaded()).Execute(sql);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    FederatedQueryEngine::Options options = SingleThreaded();
+    options.executor.scan_threads = 4;
+    FederatedQueryEngine engine = OneShard(sky_, options);
+    for (int run = 0; run < 50; ++run) {
+      auto got = engine.Execute(sql);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->aggregate_value, want->aggregate_value)
+          << "run " << run;
+    }
+  }
+}
+
+TEST_F(ColumnarMorselTest, SampleSeedsFollowContainerIndex) {
+  // SAMPLE draws are seeded per container index, whichever run and
+  // thread scan the container: the engine's sample is the union of the
+  // per-container oracle samples over CollectScanContainers' list.
+  // (Delivery order across morsels is not part of the contract, so the
+  // ids compare sorted.)
+  const char sql[] = "SELECT obj_id FROM photo WHERE r < 22 SAMPLE 0.3";
+  auto parsed = Parse(sql);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  PlannerOptions planner;
+  planner.auto_tag_selection = false;
+  auto plan = BuildPlan(*parsed, *sky_, planner);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::vector<const PlanNode*> leaves;
+  CollectScanLeaves(plan->root.get(), &leaves);
+  ASSERT_EQ(leaves.size(), 1u);
+  const std::vector<const catalog::Container*> containers =
+      CollectScanContainers(leaves[0], sky_);
+  std::vector<uint64_t> want;
+  for (size_t ci = 0; ci < containers.size(); ++ci) {
+    const LeafRun run = OracleScan(*leaves[0], *containers[ci], ci);
+    for (const ResultRow& row : run.rows) want.push_back(row.obj_id);
+  }
+  ASSERT_FALSE(want.empty());
+  std::sort(want.begin(), want.end());
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("scan_threads=" + std::to_string(threads));
+    FederatedQueryEngine::Options options = SingleThreaded();
+    options.executor.scan_threads = threads;
+    auto got = OneShard(sky_, options).Execute(sql);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    std::vector<uint64_t> ids;
+    for (const ResultRow& row : got->rows) ids.push_back(row.obj_id);
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, want);
+  }
 }
 
 TEST(ColumnarFederationTest, MappedShardFleetsMatchRowFleets) {
